@@ -2,19 +2,28 @@
 
 Metrics side: IoU, per-class average precision with greedy confidence-order
 matching and all-point interpolation, mAP at one threshold and averaged over
-the 0.50-0.95 threshold ladder. Precision/recall accumulation uses exact
-rational arithmetic internally so results are independent of summation order
-and reproducible to the last bit; floats appear only at the API boundary.
+the 0.50-0.95 threshold ladder. One engine serves all three: it buckets the
+inputs once, ranks each label's predictions once and computes each
+same-label, same-image IoU once into a candidate table, then matches every
+requested threshold from that table (the COCO evaluation design). A call
+costs O(N log N + pairs) whatever the number of labels and thresholds.
+Precision accumulation uses exact rational arithmetic, one term per
+precision plateau, so results are independent of summation order and
+reproducible to the last bit; floats appear only at the API boundary.
 
 Selection side: model tables (compute cost vs accuracy), weak Pareto
-dominance on (minimize gflops, maximize mAP), and budgeted recommendation.
+dominance on (minimize gflops, maximize mAP) found by one sort-and-sweep
+pass, and budgeted recommendation.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,15 +35,22 @@ MAP_RANGE_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
 TRUTH_FIELDS = ("image_id", "label", "x_min", "y_min", "x_max", "y_max")
 PRED_FIELDS = ("image_id", "label", "confidence", "x_min", "y_min", "x_max", "y_max")
 
+# One label's candidate table: (rank, [(iou, truth input position), ...]) for
+# each ranked prediction that overlaps a truth enough to match, best first.
+_Candidates = list[tuple[int, list[tuple[float, int]]]]
+
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes; 0 when the union has no area."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0 or iy <= 0:
-        inter = 0.0
-    else:
-        inter = ix * iy
+    # Conditional expressions, not min()/max(): this runs once per candidate
+    # pair, and the builtin calls cost more than the arithmetic.
+    ix = (a.x_max if a.x_max < b.x_max else b.x_max) - (a.x_min if a.x_min > b.x_min else b.x_min)
+    if ix <= 0:
+        return 0.0
+    iy = (a.y_max if a.y_max < b.y_max else b.y_max) - (a.y_min if a.y_min > b.y_min else b.y_min)
+    if iy <= 0:
+        return 0.0
+    inter = ix * iy
     union = a.area() + b.area() - inter
     if union <= 0:
         return 0.0
@@ -60,80 +76,115 @@ class PredictionBox:
             raise ValueError(f"confidence out of [0,1]: {self.confidence}")
 
 
-def _greedy_match(
+def _ranked_candidates(
     preds: Sequence[PredictionBox],
     truths: Sequence[TruthBox],
-    label: str,
-    iou_threshold: float,
-) -> tuple[list[bool], int]:
-    """Match predictions of one label to truths, greedily by confidence.
+    labels: Sequence[str],
+    min_threshold: float,
+) -> list[tuple[_Candidates, int]]:
+    """One candidate table per label: ([(rank, candidates)], truth count).
 
-    Returns (tp_flags in match order, truth count). Ordering is canonical:
-    descending confidence, then image id, then input position, so equal
-    inputs give equal outputs regardless of how the caller assembled them.
-    Each prediction takes the highest-IoU unmatched truth of its image at or
-    above the threshold (lowest truth input position on IoU ties); further
-    hits on a matched truth are false positives.
+    Truths are bucketed by (label, image) and predictions by label in one
+    pass each. Each label's predictions are ranked canonically: descending
+    confidence, then image id, then input position, so equal inputs give
+    equal outputs regardless of how the caller assembled them. A ranked
+    prediction's candidates are the same-label, same-image truths it
+    overlaps by at least ``min_threshold``, as (iou, truth input position)
+    pairs, best first, so on IoU ties the lowest position comes first.
+    Predictions (1-based rank) without candidates are left out: they are
+    false positives at every threshold. Every pair's IoU is computed once.
     """
-    truth_by_image: dict[str, list[tuple[int, BoundingBox]]] = {}
-    n_truth = 0
-    for t in truths:
-        if t.label == label:
-            truth_by_image.setdefault(t.image_id, []).append((n_truth, t.box))
-            n_truth += 1
+    wanted = set(labels)
+    truth_cells: dict[tuple[str, str], list[tuple[int, BoundingBox]]] = {}
+    n_truth = dict.fromkeys(labels, 0)
+    for t_idx, t in enumerate(truths):
+        if t.label in wanted:
+            truth_cells.setdefault((t.label, t.image_id), []).append((t_idx, t.box))
+            n_truth[t.label] += 1
+    for label, count in n_truth.items():
+        if count == 0:
+            raise ValueError(f"no ground-truth instances of label {label!r}; AP undefined")
 
-    order = sorted(
-        ((i, p) for i, p in enumerate(preds) if p.label == label),
-        key=lambda ip: (-ip[1].confidence, ip[1].image_id, ip[0]),
-    )
+    by_label: dict[str, list[tuple[int, PredictionBox]]] = {label: [] for label in labels}
+    for i, p in enumerate(preds):
+        if p.label in wanted:
+            by_label[p.label].append((i, p))
+
+    tables: list[tuple[_Candidates, int]] = []
+    for label in labels:
+        ranked = sorted(by_label[label], key=lambda ip: (-ip[1].confidence, ip[1].image_id, ip[0]))
+        candidates: _Candidates = []
+        for rank, (_, p) in enumerate(ranked, start=1):
+            cell = truth_cells.get((label, p.image_id), ())
+            pairs = [(v, t_idx) for t_idx, t_box in cell if (v := iou(p.box, t_box)) >= min_threshold]
+            if pairs:
+                # stable, so equal IoUs keep ascending truth position
+                pairs.sort(key=itemgetter(0), reverse=True)
+                candidates.append((rank, pairs))
+        tables.append((candidates, n_truth[label]))
+    return tables
+
+
+def _tp_ranks(candidates: _Candidates, iou_threshold: float) -> list[int]:
+    """Ranks of the true positives under greedy matching.
+
+    Each prediction, in rank order, takes the best unmatched candidate at or
+    above the threshold; further hits on a matched truth are false positives.
+    """
     matched: set[int] = set()
-    tp_flags: list[bool] = []
-    for _, p in order:
-        best_idx = -1
-        best_iou = 0.0
-        for t_idx, t_box in truth_by_image.get(p.image_id, ()):
-            if t_idx in matched:
-                continue
-            v = iou(p.box, t_box)
-            if v >= iou_threshold and v > best_iou:
-                best_idx, best_iou = t_idx, v
-        if best_idx >= 0:
-            matched.add(best_idx)
-            tp_flags.append(True)
+    ranks: list[int] = []
+    for rank, pairs in candidates:
+        for v, t_idx in pairs:
+            if v < iou_threshold:
+                break
+            if t_idx not in matched:
+                matched.add(t_idx)
+                ranks.append(rank)
+                break
+    return ranks
+
+
+def _interpolated_ap(tp_ranks: list[int], n_truth: int) -> Fraction:
+    """Exact all-point-interpolated AP from the true-positive ranks.
+
+    The interpolated precision at a true positive is the best precision at
+    that rank or later, which is always reached at a true positive (a false
+    positive only lowers precision). Walking the true positives backwards,
+    each run that shares one best precision tp/k adds count * tp / k.
+    """
+    ap = Fraction(0)
+    best_tp, best_rank, count = 0, 1, 0
+    for tp in range(len(tp_ranks), 0, -1):
+        rank = tp_ranks[tp - 1]
+        if tp * best_rank > best_tp * rank:
+            if count:
+                ap += Fraction(count * best_tp, best_rank)
+            best_tp, best_rank, count = tp, rank, 1
         else:
-            tp_flags.append(False)
-    return tp_flags, n_truth
+            count += 1
+    if count:
+        ap += Fraction(count * best_tp, best_rank)
+    return ap / n_truth
 
 
-def _ap_fraction(
+def _ap_sums(
     preds: Sequence[PredictionBox],
     truths: Sequence[TruthBox],
-    label: str,
-    iou_threshold: float,
-) -> Fraction:
-    """Exact AP under all-point interpolation."""
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError("iou_threshold must be in (0,1)")
-    tp_flags, n_truth = _greedy_match(preds, truths, label, iou_threshold)
-    if n_truth == 0:
-        raise ValueError(f"no ground-truth instances of label {label!r}; AP undefined")
-    # precision at each rank
-    precisions: list[Fraction] = []
-    tp = 0
-    for k, flag in enumerate(tp_flags, start=1):
-        if flag:
-            tp += 1
-        precisions.append(Fraction(tp, k))
-    # all-point interpolation: at each recall step, the best precision at
-    # that rank or later
-    ap = Fraction(0)
-    running_max = Fraction(0)
-    for flag, prec in zip(reversed(tp_flags), reversed(precisions)):
-        if prec > running_max:
-            running_max = prec
-        if flag:
-            ap += running_max
-    return ap / n_truth
+    labels: Sequence[str],
+    thresholds: Sequence[float],
+) -> list[Fraction]:
+    """Exact AP summed over labels, one sum per threshold, from one table."""
+    for threshold in thresholds:
+        if not 0.0 < threshold < 1.0:
+            raise ValueError("iou_threshold must be in (0,1)")
+    tables = _ranked_candidates(preds, truths, labels, min(thresholds))
+    return [
+        sum(
+            (_interpolated_ap(_tp_ranks(cands, threshold), n_truth) for cands, n_truth in tables),
+            start=Fraction(0),
+        )
+        for threshold in thresholds
+    ]
 
 
 def average_precision(
@@ -143,7 +194,14 @@ def average_precision(
     iou_threshold: float,
 ) -> float:
     """AP in [0,1] for one label at one IoU threshold."""
-    return float(_ap_fraction(preds, truths, label, iou_threshold))
+    return float(_ap_sums(preds, truths, [label], [iou_threshold])[0])
+
+
+def _truth_labels(truths: Sequence[TruthBox]) -> list[str]:
+    labels = sorted({t.label for t in truths})
+    if not labels:
+        raise ValueError("empty truth set; mAP undefined")
+    return labels
 
 
 def map_at(
@@ -152,19 +210,18 @@ def map_at(
     iou_threshold: float,
 ) -> float:
     """Mean AP over the labels present in the truth set, as a percentage."""
-    labels = sorted({t.label for t in truths})
-    if not labels:
-        raise ValueError("empty truth set; mAP undefined")
-    total = sum(
-        (_ap_fraction(preds, truths, label, iou_threshold) for label in labels),
-        start=Fraction(0),
-    )
-    return float(total / len(labels) * 100)
+    labels = _truth_labels(truths)
+    return float(_ap_sums(preds, truths, labels, [iou_threshold])[0] / len(labels) * 100)
 
 
 def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> float:
-    """Mean of map_at over the ten thresholds 0.50, 0.55, ..., 0.95."""
-    values = [map_at(preds, truths, t) for t in MAP_RANGE_THRESHOLDS]
+    """Mean of map_at over the ten thresholds 0.50, 0.55, ..., 0.95.
+
+    All ten thresholds are matched from one candidate table.
+    """
+    labels = _truth_labels(truths)
+    sums = _ap_sums(preds, truths, labels, MAP_RANGE_THRESHOLDS)
+    values = [float(s / len(labels) * 100) for s in sums]
     return sum(values) / len(values)
 
 
@@ -179,8 +236,11 @@ def load_truths(path: str | Path) -> list[TruthBox]:
                 continue
             if len(row) != len(TRUTH_FIELDS):
                 raise ValueError(f"{path}:{lineno}: expected {len(TRUTH_FIELDS)} fields, got {len(row)}")
-            x0, y0, x1, y1 = map(float, row[2:])
-            out.append(TruthBox(row[0], row[1], BoundingBox(x0, y0, x1, y1)))
+            try:
+                x0, y0, x1, y1 = map(float, row[2:])
+                out.append(TruthBox(row[0], row[1], BoundingBox(x0, y0, x1, y1)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -195,8 +255,11 @@ def load_predictions(path: str | Path) -> list[PredictionBox]:
                 continue
             if len(row) != len(PRED_FIELDS):
                 raise ValueError(f"{path}:{lineno}: expected {len(PRED_FIELDS)} fields, got {len(row)}")
-            x0, y0, x1, y1 = map(float, row[3:])
-            out.append(PredictionBox(row[0], row[1], float(row[2]), BoundingBox(x0, y0, x1, y1)))
+            try:
+                x0, y0, x1, y1 = map(float, row[3:])
+                out.append(PredictionBox(row[0], row[1], float(row[2]), BoundingBox(x0, y0, x1, y1)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -214,9 +277,10 @@ class ModelSpec:
     size_mb: float | None = None
 
     def __post_init__(self) -> None:
-        if self.gflops <= 0:
+        # written to reject NaN, which would break the frontier's sort
+        if not self.gflops > 0:
             raise ValueError(f"{self.name}: gflops must be positive")
-        if self.mparams <= 0:
+        if not self.mparams > 0:
             raise ValueError(f"{self.name}: mparams must be positive")
         for value in (self.map_50, self.map_50_95):
             if value is not None and not 0.0 <= value <= 100.0:
@@ -345,18 +409,6 @@ def split_by_map_field(
     return eligible, excluded
 
 
-def _dominates(a: ModelSpec, b: ModelSpec, map_field: str) -> bool:
-    """Weak dominance: a is no worse on both axes and better on one."""
-    a_map = a.map_value(map_field)
-    b_map = b.map_value(map_field)
-    assert a_map is not None and b_map is not None
-    return (
-        a.gflops <= b.gflops
-        and a_map >= b_map
-        and (a.gflops < b.gflops or a_map > b_map)
-    )
-
-
 def pareto_frontier(
     models: Sequence[ModelSpec], map_field: str = "map_50"
 ) -> list[ModelSpec]:
@@ -365,15 +417,23 @@ def pareto_frontier(
     Rows missing the selected mAP field are excluded (use
     :func:`split_by_map_field` to report them). Result is sorted by
     ascending gflops, then name.
+
+    One sort-and-sweep pass (Kung, Luccio & Preparata 1975): in ascending
+    gflops, a model survives when its mAP beats every cheaper model's and is
+    the best of its own gflops group, so exact duplicates survive together.
     """
     eligible, _ = split_by_map_field(models, map_field)
     if not eligible:
         raise ValueError(f"no models carry {map_field}; frontier undefined")
-    front = [
-        m
-        for m in eligible
-        if not any(_dominates(other, m, map_field) for other in eligible if other is not m)
-    ]
+    front: list[ModelSpec] = []
+    best_cheaper = -math.inf
+    ordered = sorted(eligible, key=lambda m: m.gflops)
+    for _, group in groupby(ordered, key=lambda m: m.gflops):
+        group_maps = [(m, m.map_value(map_field)) for m in group]
+        top = max(v for _, v in group_maps)
+        if top > best_cheaper:
+            front.extend(m for m, v in group_maps if v == top)
+            best_cheaper = top
     front.sort(key=lambda m: (m.gflops, m.name, m.input_size or 0))
     return front
 

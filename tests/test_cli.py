@@ -1,4 +1,5 @@
 import json
+import random
 
 from percept_cane.cli import main
 
@@ -11,6 +12,10 @@ FIG10_FRONTIER_ROWS = [
     "yolov5-lite@640,2.42,45.7",
     "yolov5s@640,17.0,55.4",
 ]
+
+# models-eval on _seeded_detection_files(), recorded with the earlier
+# per-threshold evaluator; any change here is a change of the metric.
+PINNED_MODELS_EVAL = "map50,73.90427370394953\nmap5095,49.678988623290955\n"
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -84,6 +89,85 @@ def test_models_eval(tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines() == ["map50,100.0", "map5095,95.0"]
+
+def _seeded_detection_files(tmp_path, seed=31):
+    """~50 images over six labels: jittered hits, misses, false positives.
+
+    Coordinates and confidences are written with two decimals, so tied
+    confidences and coinciding boxes occur.
+    """
+    rng = random.Random(seed)
+    labels = ("person", "car", "chair", "dog", "door", "sign")
+    truth_rows = ["image_id,label,x_min,y_min,x_max,y_max"]
+    pred_rows = ["image_id,label,confidence,x_min,y_min,x_max,y_max"]
+
+    def fmt(*values):
+        return ",".join(f"{v:.2f}" for v in values)
+
+    for i in range(50):
+        image = f"img{i:02d}"
+        for _ in range(rng.randint(1, 4)):
+            label = rng.choice(labels)
+            w, h = rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.5)
+            x0, y0 = rng.uniform(0.0, 1.0 - w), rng.uniform(0.0, 1.0 - h)
+            truth_rows.append(f"{image},{label}," + fmt(x0, y0, x0 + w, y0 + h))
+            if rng.random() < 0.8:
+                dx, dy = rng.uniform(-0.1, 0.1) * w, rng.uniform(-0.1, 0.1) * h
+                px0, py0 = min(max(x0 + dx, 0.0), 1.0 - w), min(max(y0 + dy, 0.0), 1.0 - h)
+                pred_rows.append(
+                    f"{image},{label}," + fmt(rng.uniform(0.3, 1.0), px0, py0, px0 + w, py0 + h)
+                )
+        if rng.random() < 0.4:
+            w = rng.uniform(0.1, 0.4)
+            x0 = rng.uniform(0.0, 1.0 - w)
+            label = rng.choice(labels)
+            pred_rows.append(f"{image},{label}," + fmt(rng.uniform(0.0, 0.6), x0, x0, x0 + w, x0 + w))
+    truths = tmp_path / "truths.csv"
+    truths.write_text("\n".join(truth_rows) + "\n")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("\n".join(pred_rows) + "\n")
+    return truths, preds
+
+
+def test_models_eval_seeded_output_pinned(tmp_path, capsys):
+    truths, preds = _seeded_detection_files(tmp_path)
+    code, out, err = run_cli(
+        capsys, "models-eval", "--truths", str(truths), "--preds", str(preds)
+    )
+    assert (code, err) == (0, "")
+    assert out == PINNED_MODELS_EVAL
+
+
+def _eval_with_bad_row(tmp_path, capsys, truth_row, pred_row):
+    truths = tmp_path / "truths.csv"
+    truths.write_text("image_id,label,x_min,y_min,x_max,y_max\nimg1,cat,0.1,0.1,0.5,0.5\n" + truth_row)
+    preds = tmp_path / "preds.csv"
+    preds.write_text("image_id,label,confidence,x_min,y_min,x_max,y_max\n" + pred_row)
+    code, out, err = run_cli(
+        capsys, "models-eval", "--truths", str(truths), "--preds", str(preds)
+    )
+    assert (code, out) == (1, "")
+    return err, truths, preds
+
+
+def test_models_eval_non_numeric_coordinate_names_line(tmp_path, capsys):
+    err, truths, _ = _eval_with_bad_row(
+        tmp_path, capsys, "img1,dog,0.1,abc,0.5,0.5\n", "img1,cat,0.9,0.1,0.1,0.5,0.5\n"
+    )
+    assert err == f"error: {truths}:3: could not convert string to float: 'abc'\n"
+
+
+def test_models_eval_confidence_out_of_range_names_line(tmp_path, capsys):
+    err, _, preds = _eval_with_bad_row(
+        tmp_path, capsys, "", "img1,cat,0.9,0.1,0.1,0.5,0.5\nimg1,cat,1.5,0.1,0.1,0.5,0.5\n"
+    )
+    assert err == f"error: {preds}:3: confidence out of [0,1]: 1.5\n"
+
+
+def test_models_eval_inverted_box_names_line(tmp_path, capsys):
+    err, _, preds = _eval_with_bad_row(tmp_path, capsys, "", "img1,cat,0.9,0.5,0.1,0.1,0.5\n")
+    assert err.startswith(f"error: {preds}:2: require 0 <= x_min <= x_max <= 1, ")
+
 
 def test_ocr_gen_deterministic(capsys):
     code, first, _ = run_cli(capsys, "ocr-gen", "--kind", "numbers", "--n", "3", "--seed", "7")

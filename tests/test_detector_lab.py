@@ -226,6 +226,62 @@ def test_map_range_equals_mean_of_map_at(rng):
         assert abs(map_range(preds, truths) - sum(values) / len(values)) <= 1e-12
 
 
+# Multi-label, multi-image fixtures for the threshold ladder: at most four
+# predictions per label keep the assignment oracle fast, confidences come
+# from a small set so ties occur, and x-shifted copies of truths spread their
+# IoUs across the ladder. One extra label pins a pair at IoU exactly 0.70;
+# another has a prediction at IoU 0.6 with two truths, where the lower truth
+# position must win (dyadic coordinates make the two IoUs bit-equal).
+_EXACT_TRUTH = BoundingBox(0.0, 0.0, 0.7, 1.0)
+_EXACT_PRED = BoundingBox(0.0, 0.0, 1.0, 1.0)
+_TIED_TRUTHS = (BoundingBox(0.0, 0.0, 0.5, 0.25), BoundingBox(0.25, 0.0, 0.75, 0.25))
+_TIED_PRED = BoundingBox(0.125, 0.0, 0.625, 0.25)
+
+
+def _x_shifted(rng, box):
+    w = box.x_max - box.x_min
+    s = rng.uniform(0.0, 0.3) * w
+    x0 = box.x_min + s if box.x_max + s <= 1.0 else box.x_min - s
+    return BoundingBox(x0, box.y_min, min(1.0, x0 + w), box.y_max)
+
+
+def _multilabel_fixture(rng):
+    images = ("a", "b", "c")
+    truths, preds = [], []
+    for label in ("cat", "dog", "person"):
+        label_truths = [t(label, random_box(rng), rng.choice(images)) for _ in range(rng.randint(1, 3))]
+        truths += label_truths
+        for _ in range(rng.randint(0, 4)):
+            conf = rng.choice((0.3, 0.6, 0.6, 0.9))
+            if rng.random() < 0.75:
+                base = rng.choice(label_truths)
+                preds.append(p(label, conf, _x_shifted(rng, base.box), base.image_id))
+            else:
+                preds.append(p(label, conf, random_box(rng), rng.choice(images)))
+    truths.append(t("sign", _EXACT_TRUTH, "b"))
+    preds.append(p("sign", 0.6, _EXACT_PRED, "b"))
+    truths += [t("door", box, "c") for box in _TIED_TRUTHS]
+    preds += [p("door", 0.9, _TIED_PRED, "c"), p("door", 0.6, _TIED_TRUTHS[0], "c")]
+    preds.append(p("bus", 0.9, _EXACT_PRED, "a"))  # label without truths: ignored
+    rng.shuffle(preds)
+    return truths, preds
+
+
+def test_map_ladder_matches_assignment_oracle():
+    assert iou(_EXACT_TRUTH, _EXACT_PRED) == 0.7 == MAP_RANGE_THRESHOLDS[4]
+    assert iou(_TIED_PRED, _TIED_TRUTHS[0]) == iou(_TIED_PRED, _TIED_TRUTHS[1]) == 0.6
+    rng = random.Random(2718)
+    for _ in range(40):
+        truths, preds = _multilabel_fixture(rng)
+        labels = sorted({x.label for x in truths})
+        expected = []
+        for thr in MAP_RANGE_THRESHOLDS:
+            mean = sum(brute_force_ap(preds, truths, label, thr) for label in labels) / len(labels)
+            expected.append(float(mean * 100))
+            assert map_at(preds, truths, thr) == expected[-1], (truths, preds, thr)
+        assert map_range(preds, truths) == sum(expected) / len(expected)
+
+
 # -- record files ------------------------------------------------------
 
 
@@ -357,6 +413,18 @@ def test_frontier_matches_oracle_on_random_tables(rng):
                     )
 
 
+def test_frontier_matches_oracle_with_ties_and_duplicates(rng):
+    # values from small grids, so equal gflops, equal mAP and exact
+    # duplicates are common
+    for _ in range(200):
+        models = [
+            ModelSpec(f"m{i}", "fw", rng.choice((1.0, 2.0, 3.0)), 1.0, map_50=rng.choice((10.0, 20.0, 30.0)))
+            for i in range(rng.randint(1, 8))
+        ]
+        front = pareto_frontier(models)
+        assert {m.display_name for m in front} == brute_force_frontier(models, "map_50")
+
+
 def test_frontier_contains_extreme_holders(rng):
     for _ in range(50):
         models = _random_models(rng, 8)
@@ -408,3 +476,5 @@ def test_model_spec_invariants():
         ModelSpec("x", "fw", 0.0, 1.0, map_50=10.0)
     with pytest.raises(ValueError):
         ModelSpec("x", "fw", 1.0, 1.0, map_50=101.0)
+    with pytest.raises(ValueError):
+        ModelSpec("x", "fw", float("nan"), 1.0, map_50=10.0)
