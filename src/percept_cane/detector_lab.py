@@ -301,31 +301,36 @@ class ModelSpec:
         raise ValueError(f"unknown mAP field {map_field!r}")
 
 
-@dataclass(frozen=True)
-class PlatformLatency:
-    """Measured per-model inference latency on one hardware platform."""
-
-    equipment: str
-    computing_backend: str
-    system: str
-    input_size: int
-    framework: str
-    latency_ms: dict[str, float]
-
-    def __post_init__(self) -> None:
-        for model, ms in self.latency_ms.items():
-            if ms <= 0:
-                raise ValueError(f"{self.equipment}/{model}: latency must be positive")
-
-    def __hash__(self) -> int:  # dict field blocks the generated hash
-        return hash((self.equipment, self.computing_backend, self.system))
-
-
 def _opt_float(text: str) -> float | None:
     text = text.strip()
     if text in ("", "-"):
         return None
     return float(text)
+
+
+def _single_map_row(r: list[str]) -> ModelSpec:
+    return ModelSpec(
+        name=r[0], framework=r[1], gflops=float(r[2]), mparams=float(r[3]), map_50=float(r[4])
+    )
+
+
+def _dual_map_row(r: list[str]) -> ModelSpec:
+    return ModelSpec(
+        name=r[1],
+        framework="",
+        gflops=float(r[3]),
+        mparams=float(r[4]),
+        map_50=_opt_float(r[6]),
+        map_50_95=_opt_float(r[7]),
+        input_size=int(r[2]),
+        size_mb=float(r[5]),
+    )
+
+
+_MODEL_TABLE_LAYOUTS = {
+    ("name", "framework", "gflops", "mparams", "map"): _single_map_row,
+    ("id", "name", "input_size", "gflops", "mparams", "size_mb", "map50", "map5095"): _dual_map_row,
+}
 
 
 def load_model_table(path: str | Path) -> list[ModelSpec]:
@@ -334,7 +339,7 @@ def load_model_table(path: str | Path) -> list[ModelSpec]:
     Two layouts are understood: `name,framework,gflops,mparams,map`
     (single-mAP tables; the value lands in map_50) and
     `id,name,input_size,gflops,mparams,size_mb,map50,map5095` with `-` for
-    absent values.
+    absent values. Row errors carry `path:line`.
     """
     path = resolve_table(path)
     with open(path, newline="") as fh:
@@ -342,59 +347,20 @@ def load_model_table(path: str | Path) -> list[ModelSpec]:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty table")
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
-
-    if header == ["name", "framework", "gflops", "mparams", "map"]:
-        return [
-            ModelSpec(
-                name=r[0],
-                framework=r[1],
-                gflops=float(r[2]),
-                mparams=float(r[3]),
-                map_50=float(r[4]),
-            )
-            for r in rows
-        ]
-    if header == ["id", "name", "input_size", "gflops", "mparams", "size_mb", "map50", "map5095"]:
-        return [
-            ModelSpec(
-                name=r[1],
-                framework="",
-                gflops=float(r[3]),
-                mparams=float(r[4]),
-                map_50=_opt_float(r[6]),
-                map_50_95=_opt_float(r[7]),
-                input_size=int(r[2]),
-                size_mb=float(r[5]),
-            )
-            for r in rows
-        ]
-    raise ValueError(f"{path}: unrecognized model table header {header}")
-
-
-def load_platform_latency(path: str | Path) -> list[PlatformLatency]:
-    path = resolve_table(path)
-    out: list[PlatformLatency] = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            latencies = {
-                key.removeprefix("latency_").removesuffix("_ms").replace("_", "-"): float(value)
-                for key, value in row.items()
-                if key.startswith("latency_")
-            }
-            out.append(
-                PlatformLatency(
-                    equipment=row["equipment"],
-                    computing_backend=row["computing_backend"],
-                    system=row["system"],
-                    input_size=int(row["input_size"]),
-                    framework=row["framework"],
-                    latency_ms=latencies,
-                )
-            )
-    if not out:
-        raise ValueError(f"{path}: no data rows")
+        header = tuple(h.strip() for h in header)
+        if header not in _MODEL_TABLE_LAYOUTS:
+            raise ValueError(f"{path}: unrecognized model table header {list(header)}")
+        parse_row = _MODEL_TABLE_LAYOUTS[header]
+        out: list[ModelSpec] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                out.append(parse_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

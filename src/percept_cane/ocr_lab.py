@@ -15,28 +15,16 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .perception import (
-    EASYOCR_CONFUSIONS,
-    TESSERACT_CONFUSIONS,
-    BackendError,
-    OcrBackend,
-)
+from .perception import BackendError, OcrBackend
 from .resources import data_path
 
 WORDLIST_FILE = "wordlist.txt"
 ENGINE_PROFILES_FILE = "engine_profiles.csv"
-
-# Confusion tables for the engines profiled in the bundled CSV; the file
-# itself stays numeric-only.
-_KNOWN_CONFUSIONS = {
-    "tesseract": TESSERACT_CONFUSIONS,
-    "easyocr": EASYOCR_CONFUSIONS,
-}
 
 
 class SampleKind(str, Enum):
@@ -84,7 +72,6 @@ class EngineProfile:
     error_rate_alphabets: float
     speed_cpu_s: float
     speed_gpu_s: float
-    confusion_rules: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         for rate in (self.error_rate_numbers, self.error_rate_alphabets):
@@ -267,15 +254,7 @@ def run_benchmark(
             ) from exc
         elapsed += clock() - t0
         pairs.append((sample.truth, output))
-    report = score(pairs, kind)
-    return OcrReport(
-        kind=report.kind,
-        total=report.total,
-        mismatches=report.mismatches,
-        error_rate=report.error_rate,
-        confusions=report.confusions,
-        mean_speed_s=elapsed / n,
-    )
+    return replace(score(pairs, kind), mean_speed_s=elapsed / n)
 
 
 def load_engine_profiles(path: str | Path | None = None) -> list[EngineProfile]:
@@ -284,15 +263,13 @@ def load_engine_profiles(path: str | Path | None = None) -> list[EngineProfile]:
     out: list[EngineProfile] = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            engine = row["engine"].strip()
             out.append(
                 EngineProfile(
-                    engine_id=engine,
+                    engine_id=row["engine"].strip(),
                     error_rate_numbers=float(row["err_numbers"]),
                     error_rate_alphabets=float(row["err_alphabets"]),
                     speed_cpu_s=float(row["speed_cpu_s"]),
                     speed_gpu_s=float(row["speed_gpu_s"]),
-                    confusion_rules=_KNOWN_CONFUSIONS.get(engine, ()),
                 )
             )
     if not out:

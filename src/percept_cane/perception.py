@@ -149,22 +149,18 @@ class MockDetector:
 class MockOcr:
     """Applies an engine's character-confusion table to ground-truth text.
 
-    Substitutions preserve length. Suffix insert/delete rates model the
-    end-of-string misreads some engines show; both default off.
+    Each occurrence of a confusable character is substituted with
+    probability ``substitution_rate``, so output length equals input length.
     """
 
     backend_id: str = "mock"
     confusion_rules: tuple[tuple[str, str], ...] = ()
     substitution_rate: float = 0.0
-    suffix_insert_rate: float = 0.0
-    suffix_insert_char: str = "."
-    suffix_delete_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for rate in (self.substitution_rate, self.suffix_insert_rate, self.suffix_delete_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("rates must be in [0,1]")
+        if not 0.0 <= self.substitution_rate <= 1.0:
+            raise ValueError("substitution_rate must be in [0,1]")
         for rule in self.confusion_rules:
             if len(rule) != 2 or len(rule[0]) != 1 or len(rule[1]) != 1:
                 raise ValueError(f"confusion rule must map one char to one char: {rule!r}")
@@ -175,12 +171,7 @@ class MockOcr:
         for i, ch in enumerate(chars):
             if ch in table and _unit(self.seed, "sub", key, i, ch) < self.substitution_rate:
                 chars[i] = table[ch]
-        out = "".join(chars)
-        if self.suffix_insert_rate > 0 and _unit(self.seed, "ins", key) < self.suffix_insert_rate:
-            out += self.suffix_insert_char
-        if out and self.suffix_delete_rate > 0 and _unit(self.seed, "del", key) < self.suffix_delete_rate:
-            out = out[:-1]
-        return out
+        return "".join(chars)
 
     def extract(self, frame: Frame) -> list[OcrExtraction]:
         out = []

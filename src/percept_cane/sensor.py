@@ -22,11 +22,6 @@ from typing import Iterable, Sequence
 
 from .resources import data_path
 
-# Datasheet-style response-time envelope quoted for this sensor class. The
-# bundled measurements sit well below it; both are kept for reference and
-# neither is enforced.
-RESPONSE_TIME_BOUNDS_S = (0.050, 0.200)
-
 SENSOR_TIMINGS_FILE = "fig6_sensor_timings.csv"
 
 

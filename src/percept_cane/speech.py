@@ -142,12 +142,6 @@ def message_duration_s(message: SpeechMessage, base_per_char_s: float) -> float:
     return base_per_char_s * len(message.text) / message.rate
 
 
-@dataclass
-class EnqueueAck:
-    message: SpeechMessage
-    dropped: SpeechMessage | None = None
-
-
 class SpeechQueue:
     """Bounded priority queue; single consumer, any number of producers."""
 
@@ -162,9 +156,7 @@ class SpeechQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def submit(
-        self, text: str, priority: Priority, now_s: float, rate: float = 1.0
-    ) -> EnqueueAck:
+    def submit(self, text: str, priority: Priority, now_s: float, rate: float = 1.0) -> None:
         """Stamp a sequence number and enqueue."""
         msg = SpeechMessage(
             text=text,
@@ -174,23 +166,22 @@ class SpeechQueue:
             sequence=self._next_seq,
         )
         self._next_seq += 1
-        return self.enqueue(msg)
+        self.enqueue(msg)
 
-    def enqueue(self, msg: SpeechMessage) -> EnqueueAck:
+    def enqueue(self, msg: SpeechMessage) -> None:
         """Store a message, evicting per drop policy when full.
 
         At capacity the lowest-priority newest message (incoming included)
-        is dropped into the drop report; the ack names it.
+        is dropped and appended to ``dropped``, the queue's drop report.
         """
         heapq.heappush(self._heap, (int(msg.priority), msg.sequence, msg))
         if len(self._heap) <= self.capacity:
-            return EnqueueAck(message=msg)
+            return
         victim_key = max((p, s) for p, s, _ in self._heap)
         victim = next(m for p, s, m in self._heap if (p, s) == victim_key)
         self._heap = [item for item in self._heap if item[2] is not victim]
         heapq.heapify(self._heap)
         self.dropped.append(victim)
-        return EnqueueAck(message=msg, dropped=victim)
 
     def dequeue_next(self) -> SpeechMessage | None:
         if not self._heap:

@@ -37,7 +37,6 @@ from percept_cane.detector_lab import (
 from percept_cane.ocr_lab import align_confusions, load_engine_profiles, load_wordlist, route, score
 from percept_cane.perception import BoundingBox
 from percept_cane.pipeline import (
-    check_budget,
     demo_scenario_path,
     load_scenario,
     run,
@@ -254,7 +253,6 @@ def test_c09_latency_budget():
         scenario = load_scenario(demo_scenario_path())
         result = run(scenario)
         assert result.report.budget_pass
-        assert check_budget(result.report, (3.0, 5.0))
         assert 3.0 <= result.report.end_to_end.mean_s <= 5.0
 
         def timed() -> float:

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from percept_cane.cli import main
 
 FIG8_FRONTIER_ROW = "mobilenet-ssd,2.316,79.8377"
@@ -167,6 +169,62 @@ def test_models_eval_confidence_out_of_range_names_line(tmp_path, capsys):
 def test_models_eval_inverted_box_names_line(tmp_path, capsys):
     err, _, preds = _eval_with_bad_row(tmp_path, capsys, "", "img1,cat,0.9,0.5,0.1,0.1,0.5\n")
     assert err.startswith(f"error: {preds}:2: require 0 <= x_min <= x_max <= 1, ")
+
+
+def _pareto_with_row(tmp_path, capsys, row: str) -> tuple[str, str]:
+    table = tmp_path / "models.csv"
+    table.write_text("name,framework,gflops,mparams,map\nssd,tf,2.0,4.0,70.0\n" + row)
+    code, out, err = run_cli(capsys, "models-pareto", "--table", str(table))
+    assert (code, out) == (1, "")
+    return err, str(table)
+
+
+def test_models_pareto_short_row_names_line(tmp_path, capsys):
+    err, table = _pareto_with_row(tmp_path, capsys, "yolo,torch,1.0\n")
+    assert err == f"error: {table}:3: expected 5 fields, got 3\n"
+
+
+def test_models_pareto_non_numeric_gflops_names_line(tmp_path, capsys):
+    err, table = _pareto_with_row(tmp_path, capsys, "yolo,torch,fast,1.0,50.0\n")
+    assert err == f"error: {table}:3: could not convert string to float: 'fast'\n"
+
+
+_GOOD_EVENT = {"t": 0.0, "distance_cm": 80.0}
+_TEXT = {"text": "EXIT", "region": [0.1, 0.1, 0.4, 0.4]}
+# (scenario events or config document, expected message after "path: ")
+BAD_INPUTS = {
+    "event-without-t": ([_GOOD_EVENT, {"distance_cm": 80.0}], "event 1: missing key 't'"),
+    "text-without-region": (
+        [{**_GOOD_EVENT, "frame": {"texts": [{"text": "EXIT"}]}}],
+        "event 0: missing key 'region'",
+    ),
+    "event-not-object": ([5], "event 0: must be an object, got 5"),
+    "events-not-list": ("abc", "events must be a list"),
+    "nan-time": ([_GOOD_EVENT, {"t": float("nan"), "distance_cm": 80.0}], "event 1: t must be finite"),
+    "nan-distance": (
+        [{**_GOOD_EVENT, "distance_cm": float("nan"), "frame": {"texts": [_TEXT]}}],
+        "event 0: distance_cm must be finite",
+    ),
+    "config-section-not-object": ({"sensor": 5}, "config section 'sensor' must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_run_rejects_malformed_input_with_location(case, tmp_path, capsys):
+    from percept_cane.pipeline import demo_scenario_path
+
+    content, message = BAD_INPUTS[case]
+    path = tmp_path / f"{case}.json"
+    if case.startswith("config"):
+        path.write_text(json.dumps(content))
+        argv = ["run", str(demo_scenario_path()), "--config", str(path)]
+    else:
+        doc = {"name": case, "tick_s": 0.5, "duration_s": 5.0, "events": content}
+        path.write_text(json.dumps(doc))  # writes NaN, which json.load accepts
+        argv = ["run", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: {message}")
 
 
 def test_ocr_gen_deterministic(capsys):

@@ -13,7 +13,6 @@ from percept_cane.detector_lab import (
     average_precision,
     iou,
     load_model_table,
-    load_platform_latency,
     load_predictions,
     load_truths,
     map_at,
@@ -334,16 +333,6 @@ def test_load_model_table_rejects_unknown_header(tmp_path):
     odd.write_text("model,flops\nx,1\n")
     with pytest.raises(ValueError):
         load_model_table(odd)
-
-
-def test_platform_latency_table():
-    rows = load_platform_latency("fig11_platform_latency.csv")
-    rpi = next(r for r in rows if r.equipment == "Raspberrypi 4B")
-    assert rpi.computing_backend == "ARM Cortex-A72"
-    assert rpi.system == "linux-arm64"
-    assert rpi.input_size == 320
-    assert rpi.framework == "ncnn"
-    assert rpi.latency_ms == {"yolov5-lite": 97.0, "yolov5s": 371.0}
 
 
 # -- frontier / recommendation -----------------------------------------

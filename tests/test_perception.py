@@ -97,15 +97,6 @@ def test_mock_ocr_substitution_preserves_length():
         assert len(ocr.transcribe(word, key=f"k{i}")) == len(word)
 
 
-def test_mock_ocr_suffix_rules_default_off():
-    ocr = MockOcr(substitution_rate=0.0, seed=0)
-    assert ocr.transcribe("note", key="a") == "note"
-    ins = MockOcr(suffix_insert_rate=1.0, suffix_insert_char=".", seed=0)
-    assert ins.transcribe("note", key="a") == "note."
-    dele = MockOcr(suffix_delete_rate=1.0, seed=0)
-    assert dele.transcribe("query", key="a") == "quer"
-
-
 def test_mock_ocr_transcribe_matches_extract():
     ocr = MockOcr(substitution_rate=1.0, confusion_rules=(("x", "y"),), seed=9)
     frame = frame_with(texts=[("axbx", BOX)], frame_id="fr")
