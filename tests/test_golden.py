@@ -9,6 +9,7 @@ keeps behaviour must leave every one of them unchanged; re-record them only
 for an intended change of output.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,39 @@ def test_demo_outputs_match_golden(case, capsys, tmp_path):
     assert transcript_csv.encode() == (GOLDEN / f"{case}_transcript.csv").read_bytes()
     assert report_json.encode() == (GOLDEN / f"{case}_report.json").read_bytes()
     assert log.read_bytes() == (GOLDEN / f"{case}_log.txt").read_bytes()
+
+
+# sha256 of the multi-event replay's outputs: (--print-transcript stdout,
+# --log file, CSV report, JSON report). The scenario puts two events inside
+# one tick interval (1.02 s is never sensed), an event exactly on a tick,
+# frameless events that clear the frame, repeated equal distances and
+# several alerts on a 0.1 s tick, whose tick times are inexact floats.
+MULTI_EVENT = GOLDEN / "multi_event_scenario.json"
+MULTI_EVENT_SHA256 = {
+    "demo": (
+        "b284325ebedc5ba68163a51ac69509d41de4ceaa6447a104d0a0a20b0f553cbe",
+        "9decbbcd5be55fc093466da9caa8b196943e7af358e3140573c4906010a02283",
+        "d8490f5cd5e439ecc632199e8df4cd38258b6348a82e1989c0afd76d51097541",
+        "17b17202fbbfdc261583c6d409bfc050d14d97b4cb242a6e839cb113809b6f6b",
+    ),
+    "stress": (
+        "97b33b946deebaa7b3d389539e388615dd96df0bdc793ba56d5f3820f139a160",
+        "228525927ad135e874f38750e08af665768bd43bd4068c94e109b4a469c266f3",
+        "b12424c1fe741711e9ba725901cfe286e5999656640173aef62d68b7bc39f386",
+        "aa18e793462a21ef70ee5521e19259c759cd0b4116d7e8fe1599f2132843f639",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_multi_event_outputs_match_digests(case, capsys, tmp_path):
+    scenario = str(MULTI_EVENT)
+    log = tmp_path / "log.txt"
+    outputs = []
+    for extra in (["--print-transcript", "--log", str(log)], [], ["--format", "json"]):
+        assert main(["run", scenario, *CASES[case], *extra]) == 0
+        outputs.append(capsys.readouterr().out.encode())
+    outputs.insert(1, log.read_bytes())
+
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in outputs)
+    assert digests == MULTI_EVENT_SHA256[case]

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +189,34 @@ def test_alert_count_matches_engine_replay():
             fired += 1
         k += 1
     assert fired == report.alerts_fired == 1
+
+
+MULTI_EVENT = Path(__file__).parent / "golden" / "multi_event_scenario.json"
+STRESS_CONFIG = Path(__file__).parent / "golden" / "stress_config.json"
+
+
+@pytest.mark.parametrize("config", [None, STRESS_CONFIG])
+def test_sensor_and_alert_stages_match_rebuilt_stream(config):
+    scenario = load_scenario(MULTI_EVENT)
+    cfg = load_config(config) if config else PipelineConfig()
+    report = run(scenario, cfg).report
+
+    # rebuild the measurement stream tick by tick, one record per reading
+    rng = random.Random(cfg.sensor.seed)
+    pending = list(scenario.events)
+    distance = 2.0 * cfg.sensor.max_range_cm
+    sensor_s, alert_s = [], []
+    k = 0
+    while (t := k * scenario.tick_s) < scenario.duration_s:
+        while pending and pending[0].t_s <= t:
+            distance = pending.pop(0).distance_cm
+        m = simulate_measurement(distance, cfg.sensor, rng, timestamp_s=t)
+        sensor_s.append(m.exec_time_s)
+        alert_s.append(0.0)
+        k += 1
+    assert len(sensor_s) == 180
+    assert report.stages["sensor"] == StageStats.of(sensor_s)
+    assert report.stages["alert"] == StageStats.of(alert_s)
 
 
 def test_zero_overhead_cycle_time_identity():
