@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .checks import require_finite_fields
 from .sensor import DistanceMeasurement
 
 DISTANCE_LINE_TEMPLATE = "Measure Distance = {d} cm"
@@ -33,6 +34,7 @@ class AlertConfig:
     speech_template: str = ALERT_SPEECH_TEMPLATE
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.threshold_cm <= 0:
             raise ValueError("threshold_cm must be positive")
         if self.min_interval_s < 0:

@@ -257,21 +257,38 @@ def run_benchmark(
     return replace(score(pairs, kind), mean_speed_s=elapsed / n)
 
 
+_PROFILE_COLUMNS = ("engine", "err_numbers", "err_alphabets", "speed_cpu_s", "speed_gpu_s")
+
+
 def load_engine_profiles(path: str | Path | None = None) -> list[EngineProfile]:
+    """Load an engine profile CSV; errors carry `path:line`."""
     if path is None:
         path = data_path(ENGINE_PROFILES_FILE)
     out: list[EngineProfile] = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                EngineProfile(
-                    engine_id=row["engine"].strip(),
-                    error_rate_numbers=float(row["err_numbers"]),
-                    error_rate_alphabets=float(row["err_alphabets"]),
-                    speed_cpu_s=float(row["speed_cpu_s"]),
-                    speed_gpu_s=float(row["speed_gpu_s"]),
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in _PROFILE_COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"{path}:1: missing columns {missing}")
+        for values in reader:
+            if not values:
+                continue
+            try:
+                if len(values) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(values)}")
+                row = dict(zip(header, values))
+                out.append(
+                    EngineProfile(
+                        engine_id=row["engine"].strip(),
+                        error_rate_numbers=float(row["err_numbers"]),
+                        error_rate_alphabets=float(row["err_alphabets"]),
+                        speed_cpu_s=float(row["speed_cpu_s"]),
+                        speed_gpu_s=float(row["speed_gpu_s"]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if not out:
         raise ValueError(f"{path}: no engine rows")
     return out

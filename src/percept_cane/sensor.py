@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .checks import require_finite_fields
 from .resources import data_path
 
 SENSOR_TIMINGS_FILE = "fig6_sensor_timings.csv"
@@ -38,6 +39,7 @@ class SensorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.speed_of_sound_mps <= 0:
             raise ValueError("speed_of_sound_mps must be positive")
         if not 0 < self.min_range_cm < self.max_range_cm:
@@ -80,11 +82,15 @@ def distance_from_echo(echo: EchoSample, cfg: SensorConfig) -> float:
     return cfg.speed_of_sound_mps * echo.roundtrip_s / 2.0 * 100.0
 
 
+def _roundtrip_s(distance_cm: float, cfg: SensorConfig) -> float:
+    return 2.0 * (distance_cm / 100.0) / cfg.speed_of_sound_mps
+
+
 def echo_from_distance(distance_cm: float, cfg: SensorConfig) -> EchoSample:
     """Exact inverse of :func:`distance_from_echo`."""
     if distance_cm < 0:
         raise ValueError("distance_cm must be non-negative")
-    return EchoSample(roundtrip_s=2.0 * (distance_cm / 100.0) / cfg.speed_of_sound_mps)
+    return EchoSample(roundtrip_s=_roundtrip_s(distance_cm, cfg))
 
 
 def simulate_measurement(
@@ -106,15 +112,18 @@ def simulate_measurement(
     """
     if true_distance_cm < 0:
         raise ValueError("true_distance_cm must be non-negative")
-    roundtrip = echo_from_distance(true_distance_cm, cfg).roundtrip_s
     exec_time = (
         cfg.overhead_base_s
         + cfg.overhead_per_cm_s * true_distance_cm
-        + roundtrip
+        + _roundtrip_s(true_distance_cm, cfg)
     )
     if cfg.jitter_std_s > 0:
-        exec_time += max(0.0, rng.gauss(0.0, cfg.jitter_std_s))
-    exec_time = max(exec_time, 1e-12)
+        jitter = rng.gauss(0.0, cfg.jitter_std_s)
+        if jitter > 0.0:
+            exec_time += jitter
+    # same floats as max(exec_time, 1e-12), NaN included
+    if exec_time < 1e-12:
+        exec_time = 1e-12
     return DistanceMeasurement(
         distance_cm=true_distance_cm,
         exec_time_s=exec_time,

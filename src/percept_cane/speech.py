@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Protocol
 
+from .checks import require_finite_fields
+
 
 class Priority(IntEnum):
     ALERT = 0
@@ -130,6 +132,7 @@ class SpeechConfig:
     detection_template: str = "Detected {label}"
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.base_per_char_s <= 0:
             raise ValueError("base_per_char_s must be positive")
         if self.default_rate <= 0:

@@ -189,9 +189,37 @@ def test_models_pareto_non_numeric_gflops_names_line(tmp_path, capsys):
     assert err == f"error: {table}:3: could not convert string to float: 'fast'\n"
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("engine,err_numbers,speed_cpu_s,speed_gpu_s\n", ":1: missing columns ['err_alphabets']"),
+        (
+            "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
+            "tesseract,5.5,0.7,0.3,0.25\neasyocr,1.9,fast,0.82,0.07\n",
+            ":3: could not convert string to float: 'fast'",
+        ),
+    ],
+    ids=["missing-column", "non-numeric"],
+)
+def test_ocr_route_bad_profiles_name_line(table, message, tmp_path, capsys):
+    profiles = tmp_path / "profiles.csv"
+    profiles.write_text(table)
+    code, out, err = run_cli(
+        capsys, "ocr-route", "--kind", "alphabets", "--compute", "cpu",
+        "--policy", "accuracy", "--profiles", str(profiles),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {profiles}{message}\n"
+
+
+class _Raw(str):
+    """File content written as it is, not encoded as JSON."""
+
+
 _GOOD_EVENT = {"t": 0.0, "distance_cm": 80.0}
 _TEXT = {"text": "EXIT", "region": [0.1, 0.1, 0.4, 0.4]}
-# (scenario events or config document, expected message after "path: ")
+# (scenario events, scenario keys, config document or raw file content,
+# expected message after "path: ")
 BAD_INPUTS = {
     "event-without-t": ([_GOOD_EVENT, {"distance_cm": 80.0}], "event 1: missing key 't'"),
     "text-without-region": (
@@ -205,7 +233,27 @@ BAD_INPUTS = {
         [{**_GOOD_EVENT, "distance_cm": float("nan"), "frame": {"texts": [_TEXT]}}],
         "event 0: distance_cm must be finite",
     ),
+    "negative-distance": (
+        [_GOOD_EVENT, {"t": 1.0, "distance_cm": -5.0}],
+        "event 1: distance_cm must be non-negative",
+    ),
+    # an infinite tick count: a loader without the bound fails fast in run
+    # instead of running 1e600 ticks
+    "too-many-ticks": (
+        {"tick_s": 1e-300, "duration_s": 1e300},
+        "duration_s / tick_s exceeds 1000000 ticks",
+    ),
+    "not-json": (_Raw(""), "Expecting value: line 1 column 1 (char 0)"),
     "config-section-not-object": ({"sensor": 5}, "config section 'sensor' must be an object"),
+    "config-nan-speech": (
+        {"speech": {"base_per_char_s": float("nan")}},
+        "config section 'speech': base_per_char_s must be finite, got nan",
+    ),
+    "config-nan-jitter": (
+        {"sensor": {"jitter_std_s": float("nan")}},
+        "config section 'sensor': jitter_std_s must be finite, got nan",
+    ),
+    "config-not-json": (_Raw("{"), "Expecting property name enclosed in double quotes"),
 }
 
 
@@ -215,12 +263,17 @@ def test_run_rejects_malformed_input_with_location(case, tmp_path, capsys):
 
     content, message = BAD_INPUTS[case]
     path = tmp_path / f"{case}.json"
+    if isinstance(content, _Raw):
+        path.write_text(content)
+    elif case.startswith("config"):
+        path.write_text(json.dumps(content))  # writes NaN, which json.load accepts
+    else:
+        doc = {"name": case, "tick_s": 0.5, "duration_s": 5.0, "events": [_GOOD_EVENT]}
+        doc.update(content if isinstance(content, dict) else {"events": content})
+        path.write_text(json.dumps(doc))
     if case.startswith("config"):
-        path.write_text(json.dumps(content))
         argv = ["run", str(demo_scenario_path()), "--config", str(path)]
     else:
-        doc = {"name": case, "tick_s": 0.5, "duration_s": 5.0, "events": content}
-        path.write_text(json.dumps(doc))  # writes NaN, which json.load accepts
         argv = ["run", str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")

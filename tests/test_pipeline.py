@@ -1,11 +1,13 @@
 import json
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from percept_cane.alerts import AlertConfig, AlertState, on_measurement
 from percept_cane.pipeline import (
+    MAX_TICKS,
     BudgetConfig,
     PerceptionConfig,
     PipelineConfig,
@@ -83,6 +85,25 @@ def test_scenario_invariants():
             duration_s=5.0,
             events=(ScenarioEvent(2.0, 100.0), ScenarioEvent(1.0, 100.0)),
         )
+    # the tick bound is checked at construction; no such scenario is run
+    Scenario("x", tick_s=0.5, duration_s=0.5 * MAX_TICKS, events=())
+    with pytest.raises(ValueError, match="exceeds"):
+        Scenario("x", tick_s=0.5, duration_s=0.5 * MAX_TICKS + 0.25, events=())
+
+
+CONFIG_FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (SensorConfig, AlertConfig, PerceptionConfig, SpeechConfig, BudgetConfig)
+    for f in fields(cls)
+    if isinstance(f.default, float)
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls, name", CONFIG_FLOAT_FIELDS, ids=lambda x: getattr(x, "__name__", x))
+def test_config_rejects_non_finite(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        cls(**{name: value})
 
 
 def test_load_config_sections(tmp_path):
