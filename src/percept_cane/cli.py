@@ -204,8 +204,9 @@ def _cmd_models_recommend(args) -> int:
 def _cmd_models_eval(args) -> int:
     truths = detector_lab.load_truths(args.truths)
     preds = detector_lab.load_predictions(args.preds)
-    map50 = detector_lab.map_at(preds, truths, 0.5)
-    map5095 = detector_lab.map_range(preds, truths)
+    # one candidate table: entry 0 is map_at(preds, truths, 0.5)
+    values = detector_lab.map_by_threshold(preds, truths)
+    map50, map5095 = values[0], sum(values) / len(values)
     _write(f"map50,{map50!r}\nmap5095,{map5095!r}\n", args.out)
     return EXIT_OK
 

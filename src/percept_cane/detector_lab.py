@@ -214,14 +214,20 @@ def map_at(
     return float(_ap_sums(preds, truths, labels, [iou_threshold])[0] / len(labels) * 100)
 
 
-def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> float:
-    """Mean of map_at over the ten thresholds 0.50, 0.55, ..., 0.95.
+def map_by_threshold(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> list[float]:
+    """map_at at each of MAP_RANGE_THRESHOLDS (0.50, 0.55, ..., 0.95).
 
-    All ten thresholds are matched from one candidate table.
+    All ten thresholds are matched from one candidate table; each value is
+    the one map_at returns for its threshold.
     """
     labels = _truth_labels(truths)
     sums = _ap_sums(preds, truths, labels, MAP_RANGE_THRESHOLDS)
-    values = [float(s / len(labels) * 100) for s in sums]
+    return [float(s / len(labels) * 100) for s in sums]
+
+
+def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> float:
+    """Mean of map_at over the ten thresholds 0.50, 0.55, ..., 0.95."""
+    values = map_by_threshold(preds, truths)
     return sum(values) / len(values)
 
 

@@ -20,6 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .checks import require_finite_fields
 from .perception import BackendError, OcrBackend
 from .resources import data_path
 
@@ -74,6 +75,7 @@ class EngineProfile:
     speed_gpu_s: float
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         for rate in (self.error_rate_numbers, self.error_rate_alphabets):
             if not 0.0 <= rate <= 100.0:
                 raise ValueError(f"{self.engine_id}: error rate out of [0,100]")

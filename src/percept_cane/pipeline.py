@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import alerts, perception
 from .alerts import AlertConfig, AlertState, format_distance_line
@@ -253,10 +253,72 @@ class RunReport:
     budget_pass: bool
 
 
+class DeviceLog(Sequence[str]):
+    """The device log of one run, rendered on first read.
+
+    Every tick logs its distance line, then ``time taken to execute`` with
+    the sensor's exec time; an alert tick then logs the alert and, when no
+    frame was active, a warning. A run records only what cannot be derived
+    later: the distance line by the tick it was first formatted on (once per
+    event), the alert message by its tick, and the ticks of frameless
+    alerts. The exec times are the ones the sensor stage stats come from.
+
+    The records are dicts and sets of ints and strs, which add no object
+    that the garbage collector tracks; a tuple per event, kept as long as
+    the result, shifts full collections into the replay loop.
+    """
+
+    def __init__(
+        self,
+        tick_s: float,
+        exec_times: Sequence[float],
+        distance_lines: dict[int, str],
+        alert_messages: dict[int, str],
+        frameless: set[int],
+    ) -> None:
+        self._tick_s = tick_s
+        self._exec_times = exec_times
+        self._distance_lines = distance_lines
+        self._alert_messages = alert_messages
+        self._frameless = frameless
+        self._lines: list[str] | None = None
+
+    def _render(self) -> list[str]:
+        if self._lines is None:
+            lines: list[str] = []
+            line = ""
+            for k, exec_time_s in enumerate(self._exec_times):
+                line = self._distance_lines.get(k, line)
+                lines.append(line)
+                lines.append(f"time taken to execute {exec_time_s}")
+                if k in self._alert_messages:
+                    t = k * self._tick_s  # the same float the tick loop used
+                    lines.append(f"obstacle alert at t={t:.3f} s: {self._alert_messages[k]}")
+                    if k in self._frameless:
+                        lines.append(f"warning: no frame at t={t:.3f} s; ranging-only alert")
+            self._lines = lines
+        return self._lines
+
+    def __len__(self) -> int:
+        return 2 * len(self._exec_times) + len(self._alert_messages) + len(self._frameless)
+
+    def __getitem__(self, index: int | slice) -> str | list[str]:
+        return self._render()[index]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._render())
+
+    def __eq__(self, other: object) -> bool:
+        return self._render() == other
+
+    def __repr__(self) -> str:
+        return repr(self._render())
+
+
 class RunResult(NamedTuple):
     report: RunReport
     transcript: Transcript
-    log: list[str]
+    log: DeviceLog
 
 
 def run(
@@ -269,7 +331,7 @@ def run(
 ) -> RunResult:
     """Replay a scenario through the full device loop.
 
-    Every tick: range, log the reading, feed the alert engine. On an alert:
+    Every tick: range, feed the alert engine. On an alert:
     speak the obstacle sentence, then OCR the active frame, then detect
     objects, speaking each result; the whole cycle is timed tick-start to
     speech-drained. The active frame is the most recent event's frame, so
@@ -291,10 +353,11 @@ def run(
     queue = SpeechQueue(capacity=cfg.speech.capacity)
     state = AlertState()
     transcript = Transcript()
-    log: list[str] = []
+    distance_lines: dict[int, str] = {}
+    alert_messages: dict[int, str] = {}
+    frameless: set[int] = set()
     durations: dict[str, list[float]] = {name: [] for name in STAGE_NAMES}
     cycle_times: list[float] = []
-    alerts_fired = 0
 
     sensor_cfg = cfg.sensor
     # world state before any event applies: far away, no frame
@@ -302,10 +365,10 @@ def run(
     frame: Frame | None = None
     events, cursor, n_events = scenario.events, 0, len(scenario.events)
     tick_s, duration_s = scenario.tick_s, scenario.duration_s
-    log_append, sensor_append = log.append, durations["sensor"].append
+    sensor_append = durations["sensor"].append
     # a reading is the true distance, so its log line changes only when an
     # event moves the world; it is formatted on the first tick after that
-    distance_line: str | None = None
+    line_due = True
 
     for k in range(int(math.ceil(duration_s / tick_s))):
         t = k * tick_s
@@ -314,17 +377,16 @@ def run(
         while cursor < n_events and events[cursor].t_s <= t:
             distance, frame = events[cursor].distance_cm, events[cursor].frame
             cursor += 1
-            distance_line = None
+            line_due = True
         clock.advance_to(t)
         cycle_start = clock.now()
 
         m = simulate_measurement(distance, sensor_cfg, rng, timestamp_s=t)
         clock.advance(m.exec_time_s)
         sensor_append(m.exec_time_s)
-        if distance_line is None:
-            distance_line = format_distance_line(m.distance_cm)
-        log_append(distance_line)
-        log_append(f"time taken to execute {m.exec_time_s}")
+        if line_due:
+            distance_lines[k] = format_distance_line(m.distance_cm)
+            line_due = False
 
         event = alerts.on_measurement(state, m, alert_cfg)
         if event is None:
@@ -335,12 +397,11 @@ def run(
                 durations["speech"].append(clock.now() - before)
             continue
 
-        alerts_fired += 1
-        log.append(f"obstacle alert at t={t:.3f} s: {event.message}")
+        alert_messages[k] = event.message
         queue.submit(event.message, Priority.ALERT, clock.now(), cfg.speech.default_rate)
 
         if frame is None:
-            log.append(f"warning: no frame at t={t:.3f} s; ranging-only alert")
+            frameless.add(k)
         else:
             extractions = perception.extract_text(frame, ocr)
             clock.advance(cfg.perception.ocr_latency_s)
@@ -375,9 +436,10 @@ def run(
     report = RunReport(
         stages=stages,
         end_to_end=end_to_end,
-        alerts_fired=alerts_fired,
+        alerts_fired=len(alert_messages),
         budget_pass=end_to_end.mean_s <= cfg.budget.upper_s,
     )
+    log = DeviceLog(tick_s, durations["sensor"], distance_lines, alert_messages, frameless)
     return RunResult(report=report, transcript=transcript, log=log)
 
 

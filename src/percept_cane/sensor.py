@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import require_finite_fields
+from .checks import finite, require_finite_fields
 from .resources import data_path
 
 SENSOR_TIMINGS_FILE = "fig6_sensor_timings.csv"
@@ -154,19 +154,21 @@ def load_sensor_timings(path: str | Path | None = None, cfg: SensorConfig | None
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"distance_cm", "exec_time_s"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected columns distance_cm,exec_time_s")
-        for i, row in enumerate(reader, start=2):
+        for row in reader:
             try:
-                d = float(row["distance_cm"])
-                t = float(row["exec_time_s"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{i}: bad row {row!r}") from exc
-            out.append(
-                DistanceMeasurement(
-                    distance_cm=d,
-                    exec_time_s=t,
-                    in_range=cfg.min_range_cm <= d <= cfg.max_range_cm,
+                if None in row or None in row.values():  # a long or a short row
+                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                d = finite(row["distance_cm"], "distance_cm")
+                t = finite(row["exec_time_s"], "exec_time_s")
+                out.append(
+                    DistanceMeasurement(
+                        distance_cm=d,
+                        exec_time_s=t,
+                        in_range=cfg.min_range_cm <= d <= cfg.max_range_cm,
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if not out:
         raise ValueError(f"{path}: no data rows")
     return out

@@ -33,6 +33,26 @@ def test_sensor_bench_stdout(capsys):
     assert len(lines) == 12  # header + 10 rows + mean
     assert err == ""
 
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("nan,0.01", "distance_cm must be finite, got nan"),
+        ("50,inf", "exec_time_s must be finite, got inf"),
+        ("50,-1", "exec_time_s must be positive"),
+        ("60,0.02,99", "expected 2 fields"),
+        ("60", "expected 2 fields"),
+    ],
+    ids=["nan-distance", "inf-exec-time", "negative-exec-time", "long-row", "short-row"],
+)
+def test_sensor_bench_bad_table_names_line(row, message, tmp_path, capsys):
+    table = tmp_path / "timings.csv"
+    table.write_text(f"distance_cm,exec_time_s\n50,0.01\n{row}\n")
+    code, out, err = run_cli(capsys, "sensor-bench", "--table", str(table))
+    assert (code, out) == (1, "")
+    assert err == f"error: {table}:3: {message}\n"
+
+
 def test_models_pareto_default_table(capsys):
     code, out, err = run_cli(capsys, "models-pareto")
     assert code == 0
@@ -198,8 +218,13 @@ def test_models_pareto_non_numeric_gflops_names_line(tmp_path, capsys):
             "tesseract,5.5,0.7,0.3,0.25\neasyocr,1.9,fast,0.82,0.07\n",
             ":3: could not convert string to float: 'fast'",
         ),
+        (
+            "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
+            "tesseract,5.50,0.70,nan,0.25\neasyocr,1.9,3.0,0.82,0.07\n",
+            ":2: speed_cpu_s must be finite, got nan",
+        ),
     ],
-    ids=["missing-column", "non-numeric"],
+    ids=["missing-column", "non-numeric", "nan-speed"],
 )
 def test_ocr_route_bad_profiles_name_line(table, message, tmp_path, capsys):
     profiles = tmp_path / "profiles.csv"

@@ -16,6 +16,7 @@ from percept_cane.detector_lab import (
     load_predictions,
     load_truths,
     map_at,
+    map_by_threshold,
     map_range,
     pareto_frontier,
     recommend,
@@ -223,6 +224,11 @@ def test_map_range_equals_mean_of_map_at(rng):
         ]
         values = [map_at(preds, truths, thr) for thr in MAP_RANGE_THRESHOLDS]
         assert abs(map_range(preds, truths) - sum(values) / len(values)) <= 1e-12
+        # one table for all thresholds gives each map_at value exactly
+        by_threshold = map_by_threshold(preds, truths)
+        assert by_threshold[0] == map_at(preds, truths, 0.5)
+        assert by_threshold == values
+        assert map_range(preds, truths) == sum(by_threshold) / len(by_threshold)
 
 
 # Multi-label, multi-image fixtures for the threshold ladder: at most four

@@ -240,6 +240,39 @@ def test_sensor_and_alert_stages_match_rebuilt_stream(config):
     assert report.stages["alert"] == StageStats.of(alert_s)
 
 
+# (alerts, no-frame warnings) of the multi-event replay: the log holds two
+# lines per tick plus one line per alert and per warning
+MULTI_EVENT_NOTES = {None: (7, 2), STRESS_CONFIG: (3, 1)}
+
+
+@pytest.mark.parametrize("config", [None, STRESS_CONFIG])
+def test_device_log_reads_like_a_list(config):
+    scenario = load_scenario(MULTI_EVENT)
+    cfg = load_config(config) if config else PipelineConfig()
+    result = run(scenario, cfg)
+    alerts, warnings = MULTI_EVENT_NOTES[config]
+    assert result.report.alerts_fired == alerts
+    assert len(result.log) == 2 * 180 + alerts + warnings
+
+    lines = list(result.log)
+    assert len(lines) == len(result.log)
+    assert sum(line.startswith("obstacle alert at t=") for line in lines) == alerts
+    assert sum(line.startswith("warning: no frame at t=") for line in lines) == warnings
+    assert result.log == lines
+    assert lines == result.log
+    assert result.log[0] == lines[0] == "Measure Distance = 250.0 cm"
+    assert result.log[1].startswith("time taken to execute ")
+    assert result.log[-1] == lines[-1]
+    assert result.log[2:5] == lines[2:5]
+    report, transcript, log = result
+    assert (report, transcript, log) == (result.report, result.transcript, result.log)
+    assert log is result.log
+
+    again = run(scenario, cfg)
+    assert again.log == result.log
+    assert run(scenario, cfg, seed=cfg.sensor.seed + 1).log != result.log
+
+
 def test_zero_overhead_cycle_time_identity():
     cfg = PipelineConfig(
         sensor=SensorConfig(jitter_std_s=0.0),
