@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .checks import require_finite_fields
+from .checks import require_finite_fields, template
 from .sensor import DistanceMeasurement
 
 DISTANCE_LINE_TEMPLATE = "Measure Distance = {d} cm"
@@ -41,6 +41,7 @@ class AlertConfig:
             raise ValueError("min_interval_s must be non-negative")
         if self.rearm_margin_cm < 0:
             raise ValueError("rearm_margin_cm must be non-negative")
+        template(self.speech_template, "speech_template", d="0.0")
 
 
 @dataclass(frozen=True)

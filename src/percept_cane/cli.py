@@ -13,13 +13,12 @@ Exit codes: 0 success, 1 bad input (usage, missing file, validation),
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
 from . import __version__, detector_lab, ocr_lab, pipeline, sensor
-from .perception import BackendError, build_ocr
+from .perception import OCR_BACKENDS, BackendError, build_ocr
 from .resources import DATA_ENV_VAR, resolve_table
 from .speech import SpeechBackendError
 
@@ -131,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine",
         default="mock-tesseract",
-        help="backend id: mock, mock-tesseract, mock-easyocr",
+        help=f"backend id: {', '.join(OCR_BACKENDS)}",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -173,19 +172,23 @@ def _cmd_sensor_bench(args) -> int:
     return EXIT_OK
 
 
-def _map_field(flag: str) -> str:
-    return {"map50": "map_50", "map5095": "map_50_95"}[flag]
-
-
 def _model_row(m: detector_lab.ModelSpec, map_field: str) -> str:
     return f"{m.display_name},{m.gflops!r},{m.map_value(map_field)!r}"
 
 
-def _cmd_models_pareto(args) -> int:
+def _eligible_models(args) -> tuple[str, list, list]:
+    """The chosen mAP field and the table's rows with and without a value for it."""
+    map_field = {"map50": "map_50", "map5095": "map_50_95"}[args.map_field]
     models = detector_lab.load_model_table(args.table)
-    map_field = _map_field(args.map_field)
-    _, excluded = detector_lab.split_by_map_field(models, map_field)
-    front = detector_lab.pareto_frontier(models, map_field)
+    eligible, excluded = detector_lab.split_by_map_field(models, map_field)
+    if not eligible:
+        raise ValueError(f"{args.table}: no row has a {args.map_field} value")
+    return map_field, eligible, excluded
+
+
+def _cmd_models_pareto(args) -> int:
+    map_field, eligible, excluded = _eligible_models(args)
+    front = detector_lab.pareto_frontier(eligible, map_field)
     _write("".join(_model_row(m, map_field) + "\n" for m in front), args.out)
     if excluded:
         names = ", ".join(m.display_name for m in excluded)
@@ -194,9 +197,8 @@ def _cmd_models_pareto(args) -> int:
 
 
 def _cmd_models_recommend(args) -> int:
-    models = detector_lab.load_model_table(args.table)
-    map_field = _map_field(args.map_field)
-    choice = detector_lab.recommend(models, args.budget, map_field)
+    map_field, eligible, _ = _eligible_models(args)
+    choice = detector_lab.recommend(eligible, args.budget, map_field)
     _write(_model_row(choice, map_field) + "\n", args.out)
     return EXIT_OK
 
@@ -219,22 +221,9 @@ def _cmd_ocr_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_pairs(path: str) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if lineno == 1 and row[:2] == ["truth", "output"]:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected truth,output")
-            pairs.append((row[0], row[1]))
-    return pairs
-
-
 def _cmd_ocr_score(args) -> int:
-    report = ocr_lab.score(_load_pairs(args.pairs), ocr_lab.SampleKind(args.kind))
+    kind = ocr_lab.SampleKind(args.kind)
+    report = ocr_lab.score(ocr_lab.load_pairs(args.pairs, kind), kind)
     text = (
         ocr_lab.report_to_json(report)
         if args.format == "json"

@@ -18,7 +18,6 @@ pass, and budgeted recommendation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .checks import read_csv, require_finite_fields
 from .perception import BoundingBox
 from .resources import resolve_table
 
@@ -231,42 +231,23 @@ def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> flo
     return sum(values) / len(values)
 
 
+def _truth(r: list[str]) -> TruthBox:
+    return TruthBox(r[0], r[1], BoundingBox(*map(float, r[2:])))
+
+
+def _prediction(r: list[str]) -> PredictionBox:
+    return PredictionBox(r[0], r[1], float(r[2]), BoundingBox(*map(float, r[3:])))
+
+
 def load_truths(path: str | Path) -> list[TruthBox]:
-    """Read line-delimited truth records (6 comma-separated fields)."""
-    out: list[TruthBox] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if lineno == 1 and row[0] == "image_id":
-                continue
-            if len(row) != len(TRUTH_FIELDS):
-                raise ValueError(f"{path}:{lineno}: expected {len(TRUTH_FIELDS)} fields, got {len(row)}")
-            try:
-                x0, y0, x1, y1 = map(float, row[2:])
-                out.append(TruthBox(row[0], row[1], BoundingBox(x0, y0, x1, y1)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    """Read truth records (6 comma-separated fields, header optional)."""
+    return read_csv(path, {TRUTH_FIELDS: _truth}, "optional")
 
 
 def load_predictions(path: str | Path) -> list[PredictionBox]:
-    """Read line-delimited prediction records (7 fields, confidence third)."""
-    out: list[PredictionBox] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if lineno == 1 and row[0] == "image_id":
-                continue
-            if len(row) != len(PRED_FIELDS):
-                raise ValueError(f"{path}:{lineno}: expected {len(PRED_FIELDS)} fields, got {len(row)}")
-            try:
-                x0, y0, x1, y1 = map(float, row[3:])
-                out.append(PredictionBox(row[0], row[1], float(row[2]), BoundingBox(x0, y0, x1, y1)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    """Read prediction records (7 fields, confidence third, header optional);
+    a file without any is an empty list."""
+    return read_csv(path, {PRED_FIELDS: _prediction}, "optional", allow_empty=True)
 
 
 @dataclass(frozen=True)
@@ -283,11 +264,13 @@ class ModelSpec:
     size_mb: float | None = None
 
     def __post_init__(self) -> None:
-        # written to reject NaN, which would break the frontier's sort
+        require_finite_fields(self)
         if not self.gflops > 0:
             raise ValueError(f"{self.name}: gflops must be positive")
         if not self.mparams > 0:
             raise ValueError(f"{self.name}: mparams must be positive")
+        if self.size_mb is not None and not self.size_mb > 0:
+            raise ValueError(f"{self.name}: size_mb must be positive")
         for value in (self.map_50, self.map_50_95):
             if value is not None and not 0.0 <= value <= 100.0:
                 raise ValueError(f"{self.name}: mAP out of [0,100]: {value}")
@@ -308,10 +291,7 @@ class ModelSpec:
 
 
 def _opt_float(text: str) -> float | None:
-    text = text.strip()
-    if text in ("", "-"):
-        return None
-    return float(text)
+    return None if text.strip() in ("", "-") else float(text)
 
 
 def _single_map_row(r: list[str]) -> ModelSpec:
@@ -340,34 +320,9 @@ _MODEL_TABLE_LAYOUTS = {
 
 
 def load_model_table(path: str | Path) -> list[ModelSpec]:
-    """Load a model comparison CSV, dispatching on its header.
-
-    Two layouts are understood: `name,framework,gflops,mparams,map`
-    (single-mAP tables; the value lands in map_50) and
-    `id,name,input_size,gflops,mparams,size_mb,map50,map5095` with `-` for
-    absent values. Row errors carry `path:line`.
-    """
-    path = resolve_table(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty table")
-        header = tuple(h.strip() for h in header)
-        if header not in _MODEL_TABLE_LAYOUTS:
-            raise ValueError(f"{path}: unrecognized model table header {list(header)}")
-        parse_row = _MODEL_TABLE_LAYOUTS[header]
-        out: list[ModelSpec] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                out.append(parse_row(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    """Load a model comparison CSV in the layout its header names (see
+    `_MODEL_TABLE_LAYOUTS`; `-` marks an absent value). Errors carry `path:line`."""
+    return read_csv(resolve_table(path), _MODEL_TABLE_LAYOUTS, header="exact")
 
 
 def split_by_map_field(

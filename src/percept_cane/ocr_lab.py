@@ -10,7 +10,6 @@ device).
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 import time
@@ -20,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .checks import require_finite_fields
+from .checks import read_csv, read_text, require_finite_fields
 from .perception import BackendError, OcrBackend
 from .resources import data_path
 
@@ -51,10 +50,9 @@ class OcrSample:
 
     def __post_init__(self) -> None:
         if self.kind is SampleKind.ALPHABETS:
-            parts = self.truth.split(" ")
-            ok = len(parts) == 2 and all(p.isalpha() and p == p.lower() for p in parts)
-            if not ok:
-                raise ValueError(f"{self.sample_id}: not two lowercase words: {self.truth!r}")
+            words = self.truth.split(" ")
+            if not all(w.isalpha() and w == w.lower() for w in words):
+                raise ValueError(f"{self.sample_id}: not lowercase words: {self.truth!r}")
         else:
             ok = (
                 len(self.truth) == 8
@@ -112,7 +110,7 @@ class OcrReport:
 def load_wordlist(path: str | Path | None = None) -> list[str]:
     if path is None:
         path = data_path(WORDLIST_FILE)
-    words = Path(path).read_text().split()
+    words = read_text(path).split()
     if not words:
         raise ValueError(f"{path}: empty wordlist")
     for w in words:
@@ -262,38 +260,27 @@ def run_benchmark(
 _PROFILE_COLUMNS = ("engine", "err_numbers", "err_alphabets", "speed_cpu_s", "speed_gpu_s")
 
 
+def _profile(r: list[str]) -> EngineProfile:
+    return EngineProfile(r[0].strip(), *map(float, r[1:]))
+
+
 def load_engine_profiles(path: str | Path | None = None) -> list[EngineProfile]:
-    """Load an engine profile CSV; errors carry `path:line`."""
+    """Load an engine profile CSV (columns by name); errors carry `path:line`."""
     if path is None:
         path = data_path(ENGINE_PROFILES_FILE)
-    out: list[EngineProfile] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in _PROFILE_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path}:1: missing columns {missing}")
-        for values in reader:
-            if not values:
-                continue
-            try:
-                if len(values) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(values)}")
-                row = dict(zip(header, values))
-                out.append(
-                    EngineProfile(
-                        engine_id=row["engine"].strip(),
-                        error_rate_numbers=float(row["err_numbers"]),
-                        error_rate_alphabets=float(row["err_alphabets"]),
-                        speed_cpu_s=float(row["speed_cpu_s"]),
-                        speed_gpu_s=float(row["speed_gpu_s"]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-    if not out:
-        raise ValueError(f"{path}: no engine rows")
-    return out
+    return read_csv(path, {_PROFILE_COLUMNS: _profile})
+
+
+def load_pairs(path: str | Path, kind: SampleKind | str) -> list[tuple[str, str]]:
+    """Read ``truth,output`` rows (header optional); every truth must have
+    the shape of ``kind``'s samples. Errors carry `path:line`."""
+    kind = SampleKind(kind)
+
+    def pair(row: list[str]) -> tuple[str, str]:
+        OcrSample("truth", kind, row[0])
+        return row[0], row[1]
+
+    return read_csv(path, {("truth", "output"): pair}, header="optional")
 
 
 def _confusion_items(report: OcrReport) -> list[tuple[str, str, int]]:

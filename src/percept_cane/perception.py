@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Collection, Protocol
 
+from .checks import read_text
 from .resources import data_path
 
 COCO_LABELS_FILE = "coco_labels.txt"
@@ -211,15 +212,14 @@ def load_class_vocabulary(path: str | Path | None = None) -> list[str]:
         path = data_path(COCO_LABELS_FILE)
     labels: list[str] = []
     seen: set[str] = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            label = raw.strip()
-            if not label:
-                raise ValueError(f"{path}:{lineno}: empty label line")
-            if label in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
-            seen.add(label)
-            labels.append(label)
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        label = raw.strip()
+        if not label:
+            raise ValueError(f"{path}:{lineno}: empty label line")
+        if label in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
+        seen.add(label)
+        labels.append(label)
     if len(labels) != COCO_CLASS_COUNT:
         raise ValueError(
             f"{path}: expected {COCO_CLASS_COUNT} labels, found {len(labels)}"
@@ -227,14 +227,12 @@ def load_class_vocabulary(path: str | Path | None = None) -> list[str]:
     return labels
 
 
-def validate_frame(frame: Frame, vocabulary: Sequence[str]) -> None:
-    """Check frame labels against the loaded vocabulary."""
-    allowed = set(vocabulary)
+def validate_frame(frame: Frame, vocabulary: Collection[str]) -> None:
+    """Check frame labels against the loaded vocabulary (pass a set when
+    checking many frames)."""
     for label, _ in frame.truth_objects:
-        if label not in allowed:
-            raise ValueError(
-                f"frame {frame.frame_id!r}: label {label!r} not in vocabulary"
-            )
+        if label not in vocabulary:
+            raise ValueError(f"frame {frame.frame_id!r}: label {label!r} not in vocabulary")
 
 
 def build_detector(backend_id: str, miss_prob: float = 0.0, seed: int = 0) -> DetectorBackend:
@@ -243,21 +241,15 @@ def build_detector(backend_id: str, miss_prob: float = 0.0, seed: int = 0) -> De
     raise ValueError(f"unknown detector backend {backend_id!r}")
 
 
+# backend id -> (confusion rules, substitution rate) of its mock
+OCR_BACKENDS = {
+    "mock": ((), 0.0),
+    "mock-tesseract": (TESSERACT_CONFUSIONS, TESSERACT_SUB_RATE),
+    "mock-easyocr": (EASYOCR_CONFUSIONS, EASYOCR_SUB_RATE),
+}
+
+
 def build_ocr(backend_id: str, seed: int = 0) -> OcrBackend:
-    if backend_id == "mock":
-        return MockOcr(backend_id="mock", seed=seed)
-    if backend_id == "mock-tesseract":
-        return MockOcr(
-            backend_id="mock-tesseract",
-            confusion_rules=TESSERACT_CONFUSIONS,
-            substitution_rate=TESSERACT_SUB_RATE,
-            seed=seed,
-        )
-    if backend_id == "mock-easyocr":
-        return MockOcr(
-            backend_id="mock-easyocr",
-            confusion_rules=EASYOCR_CONFUSIONS,
-            substitution_rate=EASYOCR_SUB_RATE,
-            seed=seed,
-        )
-    raise ValueError(f"unknown ocr backend {backend_id!r}")
+    if backend_id not in OCR_BACKENDS:
+        raise ValueError(f"unknown ocr backend {backend_id!r}")
+    return MockOcr(backend_id, *OCR_BACKENDS[backend_id], seed=seed)

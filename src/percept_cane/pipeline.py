@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from . import alerts, perception
+from . import alerts, checks, perception
 from .alerts import AlertConfig, AlertState, format_distance_line
-from .checks import finite, require_finite_fields
+from .checks import require_finite_fields
 from .perception import (
     BoundingBox,
     DetectorBackend,
@@ -64,6 +64,9 @@ class PerceptionConfig:
         require_finite_fields(self)
         if self.ocr_latency_s < 0 or self.detect_latency_s < 0:
             raise ValueError("stage latencies must be non-negative")
+        # building the backends checks their ids and miss_prob, which only perception knows
+        perception.build_detector(self.detector, miss_prob=self.miss_prob)
+        perception.build_ocr(self.ocr)
 
 
 @dataclass(frozen=True)
@@ -88,38 +91,17 @@ class PipelineConfig:
     budget: BudgetConfig = BudgetConfig()
 
 
-def _load_json(path: str | Path) -> object:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a pipeline config JSON; absent sections keep their defaults."""
-    raw = _load_json(path)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config root must be an object")
+    raw = checks.read_json(path)
     sections = {f.name: type(f.default) for f in fields(PipelineConfig)}
-    unknown = set(raw) - set(sections)
-    if unknown:
-        raise ValueError(f"{path}: unknown config sections {sorted(unknown)}")
-    kwargs = {}
-    for name, cls in sections.items():
-        if name not in raw:
-            continue
-        where = f"{path}: config section {name!r}"
-        if not isinstance(raw[name], dict):
-            raise ValueError(f"{where} must be an object")
-        unknown = set(raw[name]) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-        try:
-            kwargs[name] = cls(**raw[name])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-    return PipelineConfig(**kwargs)
+    try:
+        checks.keys(raw, (), sections, "config")
+        return PipelineConfig(
+            **{k: checks.decode(sections[k], v, f"config section {k!r}") for k, v in raw.items()}
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -148,81 +130,56 @@ class Scenario:
             raise ValueError("event times must be strictly increasing")
 
 
-def _parse_box(values: Sequence[float], where: str) -> BoundingBox:
-    if len(values) != 4:
-        raise ValueError(f"{where} box needs 4 numbers, got {len(values)}")
-    return BoundingBox(*map(float, values))
+def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple:
+    """``[{label: str, box: [4 numbers]}, ...]`` as ``((label, BoundingBox), ...)``."""
+    out, what = [], f"{name} entry"
+    for entry in checks.typed(entries, list, name):
+        checks.keys(entry, (label, box), name=what)
+        text = checks.typed(entry[label], str, label)
+        out.append((text, BoundingBox(*checks.box(entry[box], box))))
+    return tuple(out)
 
 
-def _parse_event(ev: object, i: int) -> ScenarioEvent:
-    if not isinstance(ev, dict):
-        raise ValueError(f"must be an object, got {ev!r}")
-    unknown = set(ev) - {"t", "distance_cm", "frame"}
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)}")
-    t_s = finite(ev["t"], "t")
-    frame = None
-    if ev.get("frame") is not None:
-        f = ev["frame"]
-        if not isinstance(f, dict):
-            raise ValueError("frame must be an object")
-        unknown = set(f) - {"frame_id", "texts", "objects"}
-        if unknown:
-            raise ValueError(f"unknown frame keys {sorted(unknown)}")
-        frame = Frame(
-            frame_id=str(f.get("frame_id", f"frame-{i:03d}")),
-            truth_texts=tuple(
-                (str(t["text"]), _parse_box(t["region"], "text")) for t in f.get("texts", ())
-            ),
-            truth_objects=tuple(
-                (str(o["label"]), _parse_box(o["box"], "object")) for o in f.get("objects", ())
-            ),
-            captured_at_s=t_s,
-        )
-    distance_cm = finite(ev["distance_cm"], "distance_cm")
+def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
+    checks.keys(raw, ("t", "distance_cm"), ("frame",))
+    t_s = checks.number(raw["t"], "t")
+    distance_cm = checks.number(raw["distance_cm"], "distance_cm")
     if distance_cm < 0:
         raise ValueError("distance_cm must be non-negative")
-    return ScenarioEvent(t_s=t_s, distance_cm=distance_cm, frame=frame)
+    f = raw.get("frame")
+    if f is None:
+        return ScenarioEvent(t_s, distance_cm)
+    checks.keys(f, (), ("frame_id", "texts", "objects"), "frame")
+    frame = Frame(
+        frame_id=checks.typed(f.get("frame_id", f"frame-{i:03d}"), str, "frame_id"),
+        truth_texts=_labelled_boxes(f.get("texts", []), "texts", "text", "region"),
+        truth_objects=_labelled_boxes(f.get("objects", []), "objects", "label", "box"),
+        captured_at_s=t_s,
+    )
+    validate_frame(frame, vocabulary)
+    return ScenarioEvent(t_s, distance_cm, frame)
 
 
 def load_scenario(path: str | Path, vocabulary: Sequence[str] | None = None) -> Scenario:
-    """Parse a scenario JSON file.
-
-    Frame object labels are validated against the detector vocabulary
-    (bundled COCO list when none is passed). Errors name the file and, for
-    a bad event, its index.
-    """
-    raw = _load_json(path)
-    required = {"name", "tick_s", "duration_s", "events"}
-    if not isinstance(raw, dict) or not required <= set(raw):
-        raise ValueError(f"{path}: scenario needs keys {sorted(required)}")
-    unknown = set(raw) - required
-    if unknown:
-        raise ValueError(f"{path}: unknown scenario keys {sorted(unknown)}")
-    if not isinstance(raw["events"], list):
-        raise ValueError(f"{path}: events must be a list")
-
+    """Parse a scenario JSON file; object labels must be in ``vocabulary``
+    (default: the bundled COCO list). Errors name the file and event index."""
+    raw = checks.read_json(path)
+    allowed = set(load_class_vocabulary() if vocabulary is None else vocabulary)
     events: list[ScenarioEvent] = []
-    for i, ev in enumerate(raw["events"]):
-        try:
-            event = _parse_event(ev, i)
-            if event.frame is not None and event.frame.truth_objects:
-                if vocabulary is None:
-                    vocabulary = load_class_vocabulary()
-                validate_frame(event.frame, vocabulary)
-        except KeyError as exc:
-            raise ValueError(f"{path}: event {i}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: event {i}: {exc}") from exc
-        events.append(event)
     try:
+        checks.keys(raw, ("name", "tick_s", "duration_s", "events"), name="scenario")
+        for i, ev in enumerate(checks.typed(raw["events"], list, "events")):
+            try:
+                events.append(_event(ev, i, allowed))
+            except ValueError as exc:
+                raise ValueError(f"event {i}: {exc}") from exc
         return Scenario(
-            name=str(raw["name"]),
-            tick_s=finite(raw["tick_s"], "tick_s"),
-            duration_s=finite(raw["duration_s"], "duration_s"),
+            name=checks.typed(raw["name"], str, "name"),
+            tick_s=checks.number(raw["tick_s"], "tick_s"),
+            duration_s=checks.number(raw["duration_s"], "duration_s"),
             events=tuple(events),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -13,14 +13,13 @@ Simulated distances are exact; only timing is modeled.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import finite, require_finite_fields
+from .checks import number, read_csv, require_finite_fields
 from .resources import data_path
 
 SENSOR_TIMINGS_FILE = "fig6_sensor_timings.csv"
@@ -149,29 +148,12 @@ def load_sensor_timings(path: str | Path | None = None, cfg: SensorConfig | None
     if path is None:
         path = data_path(SENSOR_TIMINGS_FILE)
     cfg = cfg or SensorConfig()
-    out: list[DistanceMeasurement] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"distance_cm", "exec_time_s"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns distance_cm,exec_time_s")
-        for row in reader:
-            try:
-                if None in row or None in row.values():  # a long or a short row
-                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                d = finite(row["distance_cm"], "distance_cm")
-                t = finite(row["exec_time_s"], "exec_time_s")
-                out.append(
-                    DistanceMeasurement(
-                        distance_cm=d,
-                        exec_time_s=t,
-                        in_range=cfg.min_range_cm <= d <= cfg.max_range_cm,
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-    if not out:
-        raise ValueError(f"{path}: no data rows")
-    return out
+
+    def measurement(row: list[str]) -> DistanceMeasurement:
+        d, t = number(float(row[0]), "distance_cm"), number(float(row[1]), "exec_time_s")
+        return DistanceMeasurement(d, t, in_range=cfg.min_range_cm <= d <= cfg.max_range_cm)
+
+    return read_csv(path, {("distance_cm", "exec_time_s"): measurement})
 
 
 def sensor_bench_csv(samples: Iterable[DistanceMeasurement]) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Protocol
 
-from .checks import require_finite_fields
+from .checks import require_finite_fields, template
 
 
 class Priority(IntEnum):
@@ -139,6 +139,8 @@ class SpeechConfig:
             raise ValueError("default_rate must be positive")
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
+        template(self.ocr_template, "ocr_template", text="")
+        template(self.detection_template, "detection_template", label="")
 
 
 def message_duration_s(message: SpeechMessage, base_per_char_s: float) -> float:

@@ -42,8 +42,9 @@ def test_sensor_bench_stdout(capsys):
         ("50,-1", "exec_time_s must be positive"),
         ("60,0.02,99", "expected 2 fields"),
         ("60", "expected 2 fields"),
+        ("9" * 140_000 + ",0.01", "field larger than field limit (131072)"),
     ],
-    ids=["nan-distance", "inf-exec-time", "negative-exec-time", "long-row", "short-row"],
+    ids=["nan-distance", "inf-exec-time", "negative-exec-time", "long-row", "short-row", "huge-field"],
 )
 def test_sensor_bench_bad_table_names_line(row, message, tmp_path, capsys):
     table = tmp_path / "timings.csv"
@@ -223,8 +224,13 @@ def test_models_pareto_non_numeric_gflops_names_line(tmp_path, capsys):
             "tesseract,5.50,0.70,nan,0.25\neasyocr,1.9,3.0,0.82,0.07\n",
             ":2: speed_cpu_s must be finite, got nan",
         ),
+        (
+            "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
+            '"tess\nact",5.5,0.7,0.3,0.25\neasyocr,1.9,fast,0.82,0.07\n',
+            ":4: could not convert string to float: 'fast'",
+        ),
     ],
-    ids=["missing-column", "non-numeric", "nan-speed"],
+    ids=["missing-column", "non-numeric", "nan-speed", "after-multi-line-field"],
 )
 def test_ocr_route_bad_profiles_name_line(table, message, tmp_path, capsys):
     profiles = tmp_path / "profiles.csv"
@@ -279,6 +285,68 @@ BAD_INPUTS = {
         "config section 'sensor': jitter_std_s must be finite, got nan",
     ),
     "config-not-json": (_Raw("{"), "Expecting property name enclosed in double quotes"),
+    "region-string": (
+        [{**_GOOD_EVENT, "frame": {"texts": [{"text": "EXIT", "region": "0101"}]}}],
+        "event 0: region must be a list of 4 numbers, got '0101'",
+    ),
+    "bool-tick": ({"tick_s": True}, "tick_s must be a number, got True"),
+    "bool-distance": (
+        [{"t": 0.0, "distance_cm": True}],
+        "event 0: distance_cm must be a number, got True",
+    ),
+    "huge-int-tick": ({"tick_s": 10**400}, "tick_s must be finite, got inf"),
+    "null-name": ({"name": None}, "name must be a string, got None"),
+    "null-text": (
+        [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "text": None}]}}],
+        "event 0: text must be a string, got None",
+    ),
+    "string-in-box": (
+        [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "region": [0.1, 0.1, 0.5, "0.3"]}]}}],
+        "event 0: region must be a number, got '0.3'",
+    ),
+    "text-unknown-key": (
+        [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "font": "serif"}]}}],
+        "event 0: unknown keys ['font']",
+    ),
+    "object-unknown-key": (
+        [{**_GOOD_EVENT, "frame": {"objects": [{"label": "chair", "box": [0.1, 0.1, 0.4, 0.4], "hue": 3}]}}],
+        "event 0: unknown keys ['hue']",
+    ),
+    "not-utf8": (b'{"name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+    "deep-nesting": (_Raw("[" * 100_000), "maximum recursion depth exceeded"),
+    "config-fractional-capacity": (
+        {"speech": {"capacity": 2.5}},
+        "config section 'speech': capacity must be an integer, got 2.5",
+    ),
+    "config-bool-capacity": (
+        {"speech": {"capacity": True}},
+        "config section 'speech': capacity must be an integer, got True",
+    ),
+    "config-fractional-seed": (
+        {"sensor": {"seed": 1.5}},
+        "config section 'sensor': seed must be an integer, got 1.5",
+    ),
+    "config-unknown-placeholder": (
+        {"speech": {"ocr_template": "{nope}"}},
+        "config section 'speech': ocr_template '{nope}' does not format: KeyError('nope')",
+    ),
+    "config-int-template": (
+        {"alert": {"speech_template": 5}},
+        "config section 'alert': speech_template must be a string, got 5",
+    ),
+    "config-unknown-detector": (
+        {"perception": {"detector": "yolo"}},
+        "config section 'perception': unknown detector backend 'yolo'",
+    ),
+    "config-unknown-ocr": (
+        {"perception": {"ocr": "tesseract"}},
+        "config section 'perception': unknown ocr backend 'tesseract'",
+    ),
+    "config-miss-prob-above-one": (
+        {"perception": {"miss_prob": 2}},
+        "config section 'perception': miss_prob must be in [0,1]",
+    ),
+    "config-not-utf8": (b'{"speech": \xfe}', "'utf-8' codec can't decode byte 0xfe"),
 }
 
 
@@ -288,7 +356,9 @@ def test_run_rejects_malformed_input_with_location(case, tmp_path, capsys):
 
     content, message = BAD_INPUTS[case]
     path = tmp_path / f"{case}.json"
-    if isinstance(content, _Raw):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, _Raw):
         path.write_text(content)
     elif case.startswith("config"):
         path.write_text(json.dumps(content))  # writes NaN, which json.load accepts
@@ -303,6 +373,126 @@ def test_run_rejects_malformed_input_with_location(case, tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}: {message}")
+
+
+def test_run_report_reads_integer_latency_as_float(tmp_path, capsys):
+    from percept_cane.pipeline import demo_scenario_path
+
+    reports = []
+    for latency in ("1", "1.0"):
+        cfg = tmp_path / f"cfg-{latency}.json"
+        cfg.write_text(f'{{"perception": {{"ocr_latency_s": {latency}}}}}')
+        code, out, _ = run_cli(capsys, "run", str(demo_scenario_path()), "--config", str(cfg))
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert "\nocr,1,1.0,1.0\n" in reports[0]
+
+
+_TRUTHS_HEADER = b"image_id,label,x_min,y_min,x_max,y_max\n"
+_MODELS_DUAL_HEADER = b"id,name,input_size,gflops,mparams,size_mb,map50,map5095\n"
+# (subcommand and flags, with the file under test as "{}"; its content;
+# the expected message after "error: <path>")
+BAD_TABLES = {
+    "truths-not-utf8": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,caf\xe9,0.1,0.1,0.5,0.5\n",
+        ":2: 'utf-8' codec can't decode byte 0xe9",
+    ),
+    "truths-after-multi-line-field": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b'img1,"c\nat",0.1,0.1,0.5,0.5\nimg1,dog,0.1,abc,0.5,0.5\n',
+        ":4: could not convert string to float: 'abc'",
+    ),
+    "truths-header-only": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER,
+        ": no data rows",
+    ),
+    "sensor-not-utf8": (
+        ("sensor-bench", "--table", "{}"),
+        b"distance_cm,exec_time_s\n50,0.01\n\xff60,0.02\n",
+        ":3: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "models-inf-gflops": (
+        ("models-pareto", "--table", "{}"),
+        b"name,framework,gflops,mparams,map\nssd,tf,inf,4.0,70.0\n",
+        ":2: gflops must be finite, got inf",
+    ),
+    "models-nan-size": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,nan,-,20.6\n",
+        ":2: size_mb must be finite, got nan",
+    ),
+    "models-negative-size": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,-1.8,-,20.6\n",
+        ":2: nano: size_mb must be positive",
+    ),
+    "models-without-map-field": (
+        ("models-recommend", "--table", "{}", "--budget", "1.0"),
+        _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,1.8,-,20.6\n",
+        ": no row has a map50 value",
+    ),
+    "pairs-wrong-kind": (
+        ("ocr-score", "{}", "--kind", "numbers"),
+        b"truth,output\nabc,abc\n",
+        ":2: truth: not NNNNN.NN: 'abc'",
+    ),
+    "pairs-empty": (("ocr-score", "{}", "--kind", "numbers"), b"", ": no data rows"),
+    "pairs-header-only": (
+        ("ocr-score", "{}", "--kind", "numbers"),
+        b"truth,output\n",
+        ": no data rows",
+    ),
+    "pairs-after-multi-line-field": (
+        ("ocr-score", "{}", "--kind", "alphabets"),
+        b'truth,output\nhello,"he\nllo"\nworld\n',
+        ":4: expected 2 fields, got 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_bad_table_names_path_and_line(case, tmp_path, capsys):
+    argv, content, message = BAD_TABLES[case]
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(content)
+    preds = tmp_path / "preds.csv"
+    preds.write_text("img1,cat,0.9,0.1,0.1,0.5,0.5\n")
+    argv = [str(path) if a == "{}" else str(preds) if a == "PREDS" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}{message}")
+
+
+def test_accepted_table_layouts(tmp_path, capsys):
+    """Columns by name in any order with extras, and files without a header."""
+    sensor_table = tmp_path / "timings.csv"
+    sensor_table.write_text("note,exec_time_s,distance_cm\nwarm,0.004,10\n,0.01,50\n")
+    code, out, _ = run_cli(capsys, "sensor-bench", "--table", str(sensor_table))
+    assert (code, out) == (0, "distance_cm,exec_time_s\n10.0,0.004\n50.0,0.01\nmean,0.007\n")
+
+    profiles = tmp_path / "profiles.csv"
+    profiles.write_text(
+        "speed_gpu_s,engine,source,speed_cpu_s,err_alphabets,err_numbers\n"
+        "0.25,tesseract,lab,0.3,0.7,5.5\n0.07,easyocr,lab,0.82,3.0,1.9\n"
+    )
+    argv = ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--profiles", str(profiles))
+    assert run_cli(capsys, *argv, "--policy", "speed")[:2] == (0, "tesseract\n")
+    assert run_cli(capsys, *argv, "--policy", "accuracy")[:2] == (0, "easyocr\n")
+
+    truths = tmp_path / "truths.csv"
+    truths.write_text("image_id,label,x0,y0,x1,y1\nimg1,cat,0.1,0.1,0.5,0.5\n")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("image_id,label,confidence,x0,y0,x1,y1\n")
+    code, out, _ = run_cli(capsys, "models-eval", "--truths", str(truths), "--preds", str(preds))
+    assert (code, out) == (0, "map50,0.0\nmap5095,0.0\n")
+
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("12345.67,12345.61\n\n00000.00,00000.00\n")
+    code, out, _ = run_cli(capsys, "ocr-score", str(pairs), "--kind", "numbers")
+    assert (code, out.splitlines()[1]) == (0, "numbers,2,1,50.0,7>1:1,0.0")
 
 
 def test_ocr_gen_deterministic(capsys):
