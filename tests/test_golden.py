@@ -4,8 +4,9 @@ The files under tests/golden/ were recorded from `percept-cane run` on the
 bundled demo scenario, once under the default config and once under
 stress_config.json (a two-message speech queue, a 30% detector miss rate
 and a 10 cm re-arm margin; the seeded miss loses the demo's one detection,
-so the cycle speaks one message fewer). A refactor that
-keeps behaviour must leave every one of them unchanged; re-record them only
+so the cycle speaks one message fewer). The multi-event scenario is also
+pinned under drop_config.json, a one-message speech queue that drops every
+perception result behind its cycle's alert. A refactor that keeps behaviour must leave every one of them unchanged; re-record them only
 for an intended change of output.
 """
 
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from percept_cane.cli import main
-from percept_cane.pipeline import demo_scenario_path
+from percept_cane.pipeline import demo_scenario_path, load_config, load_scenario, run
+from percept_cane.speech import Priority
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = {"demo": [], "stress": ["--config", str(GOLDEN / "stress_config.json")]}
@@ -42,6 +44,7 @@ def test_demo_outputs_match_golden(case, capsys, tmp_path):
 # frameless events that clear the frame, repeated equal distances and
 # several alerts on a 0.1 s tick, whose tick times are inexact floats.
 MULTI_EVENT = GOLDEN / "multi_event_scenario.json"
+MULTI_EVENT_CASES = {**CASES, "drop": ["--config", str(GOLDEN / "drop_config.json")]}
 MULTI_EVENT_SHA256 = {
     "demo": (
         "b284325ebedc5ba68163a51ac69509d41de4ceaa6447a104d0a0a20b0f553cbe",
@@ -55,18 +58,33 @@ MULTI_EVENT_SHA256 = {
         "b12424c1fe741711e9ba725901cfe286e5999656640173aef62d68b7bc39f386",
         "aa18e793462a21ef70ee5521e19259c759cd0b4116d7e8fe1599f2132843f639",
     ),
+    "drop": (
+        "d0372cc8626b6359e0b0935ea7bf7d2c474cae006020509f0d82fcb48cb5ddd9",
+        "9decbbcd5be55fc093466da9caa8b196943e7af358e3140573c4906010a02283",
+        "ab8894a40862e9c4cf1fd0bb1f2f35ef49df112ae1b863a7e452435f0ff59b61",
+        "5a05ce1f89c83921cba09bfa85a0f792e37723609682f8005482f50a207aaa5c",
+    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(MULTI_EVENT_CASES))
 def test_multi_event_outputs_match_digests(case, capsys, tmp_path):
     scenario = str(MULTI_EVENT)
     log = tmp_path / "log.txt"
     outputs = []
     for extra in (["--print-transcript", "--log", str(log)], [], ["--format", "json"]):
-        assert main(["run", scenario, *CASES[case], *extra]) == 0
+        assert main(["run", scenario, *MULTI_EVENT_CASES[case], *extra]) == 0
         outputs.append(capsys.readouterr().out.encode())
     outputs.insert(1, log.read_bytes())
 
     digests = tuple(hashlib.sha256(data).hexdigest() for data in outputs)
     assert digests == MULTI_EVENT_SHA256[case]
+
+
+def test_drop_case_speaks_less_than_default():
+    scenario = load_scenario(MULTI_EVENT)
+    default = run(scenario).transcript
+    dropping = run(scenario, load_config(GOLDEN / "drop_config.json")).transcript
+    assert 0 < len(dropping) < len(default)
+    # the alerts survive; only perception results are lost
+    assert dropping.texts() == [e.text for e in default.entries if e.priority == Priority.ALERT]
