@@ -4,28 +4,35 @@ Run from anywhere inside the repository:
 
     python3 scripts/ab_bench.py --base HEAD~1 --workload replay-sparse --seeds 40-49
 
-The base revision is checked out into a temporary git worktree. For each
-seed, both sides run ``python3 perfbench/run.py --workload W --seed N
---seconds 20 --trace 0`` from their own root, and the side that runs first
-alternates from pair to pair. The script refuses to run when ``perfbench/``
-or ``BENCHMARK.json`` differ between the two sides, since the runs would
-then not measure the same thing.
+The base revision's files are extracted (``git archive``) into a
+temporary directory. For each seed, both sides run ``python3
+perfbench/run.py --workload W --seed N --seconds 20 --trace 0`` from their
+own root, and the side that runs first alternates from pair to pair. The
+script refuses to run when ``perfbench/`` or ``BENCHMARK.json`` differ
+between the two sides, since the runs would then not measure the same
+thing.
 
 It prints each pair, then for every end-to-end metric of BENCHMARK.json:
 each side's median and quartiles (``statistics.quantiles(values, n=4)``),
 the number of pairs the change wins and the base's interquartile range.
-It exits 1 if any run reports ``failed > 0`` or does not finish. Stdlib
-only.
+``--json PATH`` also writes that summary as one JSON object: the base and
+head revisions (head is ``HEAD``, flagged ``head_dirty`` when the working
+tree differs from it), the workload, the seeds, the failed run count, and
+per metric its unit, direction, each side's values, median and quartiles,
+the change's wins and the base IQR. It exits 1 if any run reports
+``failed > 0`` or does not finish. Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -62,23 +69,49 @@ def value(metrics: dict, name: str) -> float:
     return metrics.get(name, {}).get("value", float("nan"))
 
 
-def summarize(name: str, better: str, base: list[float], change: list[float]) -> str:
-    def quartiles(values: list[float]) -> tuple[float, float, float]:
-        if len(values) < 2:
-            return values[0], values[0], values[0]
+def quartiles(values: list[float]) -> dict[str, float]:
+    if len(values) < 2:
+        q1 = median = q3 = values[0]
+    else:
         q1, median, q3 = statistics.quantiles(values, n=4)
-        return q1, median, q3
+    return {"median": median, "q1": q1, "q3": q3}
 
-    sign = -1.0 if better == "lower" else 1.0
-    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-    b1, bm, b3 = quartiles(base)
-    c1, cm, c3 = quartiles(change)
-    ratio = cm / bm if bm else float("nan")
+
+def compare(metric: dict, base: list[float], change: list[float]) -> dict:
+    """One end-to-end metric over all pairs: each side's spread and the wins."""
+    sign = -1.0 if metric["better"] == "lower" else 1.0
+    b, c = quartiles(base), quartiles(change)
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "base": {**b, "values": base},
+        "change": {**c, "values": change},
+        "change_wins": sum(sign * (y - x) > 0 for x, y in zip(base, change)),
+        "pairs": len(base),
+        "base_iqr": b["q3"] - b["q1"],
+    }
+
+
+def summarize(name: str, row: dict) -> str:
+    b, c = row["base"], row["change"]
+    ratio = c["median"] / b["median"] if b["median"] else float("nan")
     return (
-        f"{name:<12} base {bm:.6g} [{b1:.6g}, {b3:.6g}]  change {cm:.6g} [{c1:.6g}, {c3:.6g}]"
-        f"  ratio {ratio:.3f}  change wins {wins}/{len(base)}"
-        f"  |median gap| {abs(cm - bm):.6g} vs base IQR {b3 - b1:.6g}"
+        f"{name:<12} base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]"
+        f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
+        f"  ratio {ratio:.3f}  change wins {row['change_wins']}/{row['pairs']}"
+        f"  |median gap| {abs(c['median'] - b['median']):.6g} vs base IQR {row['base_iqr']:.6g}"
     )
+
+
+def extract(revision: str, dest: Path) -> bool:
+    """Write the committed files of ``revision`` under ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", revision], capture_output=True)
+    if archive.returncode != 0:
+        sys.stderr.write(archive.stderr.decode())
+        return False
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="inclusive range A-B")
+    parser.add_argument("--json", type=Path, metavar="PATH", help="also write the summary as JSON")
     args = parser.parse_args(argv)
 
     if git("rev-parse", "--verify", "--quiet", args.base + "^{commit}").returncode != 0:
@@ -98,15 +132,12 @@ def main(argv: list[str] | None = None) -> int:
     names = [metric["name"] for metric in end_to_end]
 
     tmp = Path(tempfile.mkdtemp(prefix="ab_bench-"))
-    base_root = tmp / "base"
     failed = 0
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     try:
-        added = git("worktree", "add", "--detach", str(base_root), args.base)
-        if added.returncode != 0:
-            sys.stderr.write(added.stderr)
+        if not extract(args.base, tmp):
             return 1
-        sides = {"base": base_root, "change": ROOT}
+        sides = {"base": tmp, "change": ROOT}
         for i, seed in enumerate(args.seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
@@ -119,14 +150,29 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"seed {seed} ({order[0]} first)  {cells}", flush=True)
     finally:
-        git("worktree", "remove", "--force", str(base_root))
-        git("worktree", "prune")
         shutil.rmtree(tmp, ignore_errors=True)
 
+    rows = {
+        metric["name"]: compare(
+            metric, *([value(r["metrics"], metric["name"]) for r in runs[side]] for side in ("base", "change"))
+        )
+        for metric in end_to_end
+    }
     print(f"\n{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}")
-    for name, metric in zip(names, end_to_end):
-        base, change = ([value(r["metrics"], name) for r in runs[side]] for side in ("base", "change"))
-        print(summarize(name, metric["better"], base, change))
+    for name, row in rows.items():
+        print(summarize(name, row))
+    if args.json:
+        summary = {
+            "base": git("rev-parse", args.base + "^{commit}").stdout.strip(),
+            "head": git("rev-parse", "HEAD").stdout.strip(),
+            "head_dirty": git("diff", "--quiet", "HEAD").returncode != 0,
+            "workload": args.workload,
+            "seeds": args.seeds,
+            "seconds": SECONDS,
+            "failed": failed,
+            "metrics": rows,
+        }
+        args.json.write_text(json.dumps(summary, indent=2) + "\n")
     if failed:
         sys.stderr.write(f"{failed} run(s) reported failed operations or did not finish\n")
         return 1

@@ -5,7 +5,9 @@ pixels, so downstream metrics are exactly checkable. Mock backends derive
 every random decision (confidence values, dropped detections, character
 substitutions) from a sha256 hash of the seed and the item's identity, never
 from shared RNG state, so outputs are independent of call order and safe for
-concurrent read-only use.
+concurrent read-only use. A mock result's confidence is derived when it is
+first read and then kept on the result; the device loop speaks labels and
+texts only, so it never pays for the hash.
 """
 
 from __future__ import annotations
@@ -72,26 +74,69 @@ class Frame:
     captured_at_s: float = 0.0
 
 
+def _unit(token: str) -> float:
+    """Stable hash of a token to [0, 1).
+
+    sha256 rather than hash(): the builtin is salted per process, which
+    would break cross-run determinism. Tokens join the seed and the item's
+    identity with ':', e.g. ``f"{seed}:drop:{frame_id}:{i}:{label}"``.
+    """
+    digest = hashlib.sha256(token.encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError(f"confidence out of [0,1]: {confidence}")
+
+
+class _SeededConfidence:
+    """A result whose ``confidence`` a mock backend derives on first read.
+
+    :meth:`_seeded` builds the result without its confidence field; the
+    first read of ``confidence`` misses the instance, so ``__getattr__``
+    hashes the token, checks the range and stores the value, after which
+    reads, equality, hashing and repr see a plain field.
+    """
+
+    @classmethod
+    def _seeded(cls, token: str, **values: object):
+        """The result with ``values`` for every field but ``confidence``."""
+        result = object.__new__(cls)
+        values["_token"] = token
+        result.__dict__.update(values)
+        return result
+
+    def __getattr__(self, name: str) -> float:
+        token = self.__dict__.get("_token")
+        if name != "confidence" or token is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # [0.5, 1.0) keeps mock detections above typical score cutoffs while
+        # still giving distinct, reproducible rankings
+        confidence = 0.5 + _unit(token) / 2.0
+        _check_confidence(confidence)
+        object.__setattr__(self, "confidence", confidence)
+        return confidence
+
+
 @dataclass(frozen=True)
-class Detection:
+class Detection(_SeededConfidence):
     label: str
     confidence: float
     box: BoundingBox
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence out of [0,1]: {self.confidence}")
+        _check_confidence(self.confidence)
 
 
 @dataclass(frozen=True)
-class OcrExtraction:
+class OcrExtraction(_SeededConfidence):
     text: str
     confidence: float
     region: BoundingBox
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence out of [0,1]: {self.confidence}")
+        _check_confidence(self.confidence)
 
 
 class DetectorBackend(Protocol):
@@ -108,23 +153,6 @@ class OcrBackend(Protocol):
     def transcribe(self, text: str, key: str) -> str: ...
 
 
-def _unit(seed: int, *parts: object) -> float:
-    """Stable hash of (seed, parts) to [0, 1).
-
-    sha256 rather than hash(): the builtin is salted per process, which
-    would break cross-run determinism.
-    """
-    token = ":".join([str(seed), *map(str, parts)])
-    digest = hashlib.sha256(token.encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
-
-
-def _confidence(seed: int, frame_id: str, label: str) -> float:
-    # [0.5, 1.0) keeps mock detections above typical score cutoffs while
-    # still giving distinct, reproducible rankings
-    return 0.5 + _unit(seed, "conf", frame_id, label) / 2.0
-
-
 @dataclass(frozen=True)
 class MockDetector:
     """Returns ground truth back, with seeded confidences and misses."""
@@ -139,10 +167,11 @@ class MockDetector:
 
     def detect(self, frame: Frame) -> list[Detection]:
         out: list[Detection] = []
+        seed, frame_id, miss_prob = self.seed, frame.frame_id, self.miss_prob
         for i, (label, box) in enumerate(frame.truth_objects):
-            if self.miss_prob > 0 and _unit(self.seed, "drop", frame.frame_id, i, label) < self.miss_prob:
+            if miss_prob > 0 and _unit(f"{seed}:drop:{frame_id}:{i}:{label}") < miss_prob:
                 continue
-            out.append(Detection(label, _confidence(self.seed, frame.frame_id, label), box))
+            out.append(Detection._seeded(f"{seed}:conf:{frame_id}:{label}", label=label, box=box))
         return out
 
 
@@ -165,23 +194,31 @@ class MockOcr:
         for rule in self.confusion_rules:
             if len(rule) != 2 or len(rule[0]) != 1 or len(rule[1]) != 1:
                 raise ValueError(f"confusion rule must map one char to one char: {rule!r}")
+        # source -> replacement, the last rule for a source winning; not a field
+        object.__setattr__(self, "_table", dict(self.confusion_rules))
 
     def transcribe(self, text: str, key: str) -> str:
-        table = dict(self.confusion_rules)
-        chars = list(text)
-        for i, ch in enumerate(chars):
-            if ch in table and _unit(self.seed, "sub", key, i, ch) < self.substitution_rate:
-                chars[i] = table[ch]
-        return "".join(chars)
+        """Visit only the positions of confusable characters; each draws on
+        (seed, "sub", key, position, original character)."""
+        chars = None
+        for ch, replacement in self._table.items():
+            i = text.find(ch)
+            while i >= 0:
+                if _unit(f"{self.seed}:sub:{key}:{i}:{ch}") < self.substitution_rate:
+                    if chars is None:
+                        chars = list(text)
+                    chars[i] = replacement
+                i = text.find(ch, i + 1)
+        return text if chars is None else "".join(chars)
 
     def extract(self, frame: Frame) -> list[OcrExtraction]:
         out = []
+        seed, frame_id = self.seed, frame.frame_id
         for j, (text, region) in enumerate(frame.truth_texts):
-            key = f"{frame.frame_id}/{j}"
             out.append(
-                OcrExtraction(
-                    text=self.transcribe(text, key),
-                    confidence=_confidence(self.seed, frame.frame_id, f"text/{j}"),
+                OcrExtraction._seeded(
+                    f"{seed}:conf:{frame_id}:text/{j}",
+                    text=self.transcribe(text, f"{frame_id}/{j}"),
                     region=region,
                 )
             )

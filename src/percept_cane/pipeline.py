@@ -131,12 +131,16 @@ class Scenario:
 
 
 def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple:
-    """``[{label: str, box: [4 numbers]}, ...]`` as ``((label, BoundingBox), ...)``."""
-    out, what = [], f"{name} entry"
-    for entry in checks.typed(entries, list, name):
-        checks.keys(entry, (label, box), name=what)
-        text = checks.typed(entry[label], str, label)
-        out.append((text, BoundingBox(*checks.box(entry[box], box))))
+    """``[{label: str, box: [4 numbers]}, ...]`` as ``((label, BoundingBox), ...)``;
+    an error names the entry, as in ``texts[1]: unknown keys ['font']``."""
+    out = []
+    for i, entry in enumerate(checks.typed(entries, list, name)):
+        try:
+            checks.keys(entry, (label, box))
+            text = checks.typed(entry[label], str, label)
+            out.append((text, BoundingBox(*checks.box(entry[box], box))))
+        except ValueError as exc:
+            raise ValueError(f"{name}[{i}]: {exc}") from exc
     return tuple(out)
 
 
@@ -305,6 +309,9 @@ def run(
     ocr = ocr or perception.build_ocr(cfg.perception.ocr, seed=cfg.sensor.seed)
     speech_backend = speech_backend or NullSynth()
     alert_cfg = cfg.alert
+    base_per_char_s, rate = cfg.speech.base_per_char_s, cfg.speech.default_rate
+    ocr_template, detection_template = cfg.speech.ocr_template, cfg.speech.detection_template
+    ocr_latency_s, detect_latency_s = cfg.perception.ocr_latency_s, cfg.perception.detect_latency_s
 
     clock = VirtualClock()
     queue = SpeechQueue(capacity=cfg.speech.capacity)
@@ -350,39 +357,31 @@ def run(
             if len(queue) > 0:
                 # leftovers from a failed-speech retry on a previous cycle
                 before = clock.now()
-                speak_all(queue, speech_backend, clock, cfg.speech.base_per_char_s, transcript)
+                speak_all(queue, speech_backend, clock, base_per_char_s, transcript)
                 durations["speech"].append(clock.now() - before)
             continue
 
         alert_messages[k] = event.message
-        queue.submit(event.message, Priority.ALERT, clock.now(), cfg.speech.default_rate)
+        queue.submit(event.message, Priority.ALERT, clock.now(), rate)
 
         if frame is None:
             frameless.add(k)
         else:
             extractions = perception.extract_text(frame, ocr)
-            clock.advance(cfg.perception.ocr_latency_s)
-            durations["ocr"].append(cfg.perception.ocr_latency_s)
+            clock.advance(ocr_latency_s)
+            durations["ocr"].append(ocr_latency_s)
+            now = clock.now()
             for ex in extractions:
-                queue.submit(
-                    cfg.speech.ocr_template.format(text=ex.text),
-                    Priority.PERCEPTION,
-                    clock.now(),
-                    cfg.speech.default_rate,
-                )
+                queue.submit(ocr_template.format(text=ex.text), Priority.PERCEPTION, now, rate)
             detections = perception.detect(frame, detector)
-            clock.advance(cfg.perception.detect_latency_s)
-            durations["detect"].append(cfg.perception.detect_latency_s)
+            clock.advance(detect_latency_s)
+            durations["detect"].append(detect_latency_s)
+            now = clock.now()
             for det in detections:
-                queue.submit(
-                    cfg.speech.detection_template.format(label=det.label),
-                    Priority.PERCEPTION,
-                    clock.now(),
-                    cfg.speech.default_rate,
-                )
+                queue.submit(detection_template.format(label=det.label), Priority.PERCEPTION, now, rate)
 
         before = clock.now()
-        speak_all(queue, speech_backend, clock, cfg.speech.base_per_char_s, transcript)
+        speak_all(queue, speech_backend, clock, base_per_char_s, transcript)
         durations["speech"].append(clock.now() - before)
         cycle_times.append(clock.now() - cycle_start)
 

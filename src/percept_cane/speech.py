@@ -4,14 +4,16 @@ Speech stands in for audio: speaking a message appends a transcript line
 and advances the virtual clock by a modeled duration (linear in character
 count, scaled by the message rate). Alerts outrank perception results,
 which outrank informational messages; within a priority class order is
-FIFO. The queue is bounded; overflow drops the lowest-priority newest
-message into a drop report rather than raising, so every submitted message
-is accounted for either in the transcript or in that report.
+FIFO. The queue keeps one FIFO deque per priority class. It is bounded:
+when a message would overfill it, the newest message of the lowest
+non-empty class (the incoming one included) is popped into a drop report
+rather than raising, so every submitted message is accounted for either in
+the transcript or in that report.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Protocol
@@ -38,7 +40,7 @@ class SpeechMessage:
     sequence: int = 0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
+        if not self.rate > 0:  # NaN too
             raise ValueError("rate must be positive")
 
 
@@ -148,27 +150,34 @@ def message_duration_s(message: SpeechMessage, base_per_char_s: float) -> float:
 
 
 class SpeechQueue:
-    """Bounded priority queue; single consumer, any number of producers."""
+    """Bounded priority queue; single consumer, any number of producers.
+
+    One FIFO deque per priority class, highest class first. Messages enter
+    through :meth:`submit`, which stamps increasing sequence numbers, so
+    each deque is in sequence order and its right end holds its newest
+    message.
+    """
 
     def __init__(self, capacity: int = 64):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.dropped: list[SpeechMessage] = []
-        self._heap: list[tuple[int, int, SpeechMessage]] = []
+        self._classes: tuple[deque[SpeechMessage], ...] = tuple(deque() for _ in Priority)
+        self._len = 0
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._len
 
     def submit(self, text: str, priority: Priority, now_s: float, rate: float = 1.0) -> None:
         """Stamp a sequence number and enqueue."""
         msg = SpeechMessage(
-            text=text,
-            priority=Priority(priority),
-            enqueued_at_s=now_s,
-            rate=rate,
-            sequence=self._next_seq,
+            text,
+            priority if type(priority) is Priority else Priority(priority),
+            now_s,
+            rate,
+            self._next_seq,
         )
         self._next_seq += 1
         self.enqueue(msg)
@@ -179,23 +188,32 @@ class SpeechQueue:
         At capacity the lowest-priority newest message (incoming included)
         is dropped and appended to ``dropped``, the queue's drop report.
         """
-        heapq.heappush(self._heap, (int(msg.priority), msg.sequence, msg))
-        if len(self._heap) <= self.capacity:
+        self._classes[msg.priority].append(msg)
+        if self._len < self.capacity:
+            self._len += 1
             return
-        victim_key = max((p, s) for p, s, _ in self._heap)
-        victim = next(m for p, s, m in self._heap if (p, s) == victim_key)
-        self._heap = [item for item in self._heap if item[2] is not victim]
-        heapq.heapify(self._heap)
-        self.dropped.append(victim)
+        for messages in reversed(self._classes):
+            if messages:
+                self.dropped.append(messages.pop())
+                return
 
     def dequeue_next(self) -> SpeechMessage | None:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
+        for messages in self._classes:
+            if messages:
+                self._len -= 1
+                return messages.popleft()
+        return None
 
     def requeue(self, msg: SpeechMessage) -> None:
-        """Put a failed message back under its original stamp."""
-        heapq.heappush(self._heap, (int(msg.priority), msg.sequence, msg))
+        """Put a failed message back under its original stamp.
+
+        ``msg`` must be the message :meth:`dequeue_next` returned last, with
+        no other call on the queue in between: it goes back to the front of
+        its class, which is where a queue ordered by (priority, sequence)
+        would put it only in that case.
+        """
+        self._classes[msg.priority].appendleft(msg)
+        self._len += 1
 
 
 def speak_all(
@@ -207,26 +225,33 @@ def speak_all(
 ) -> Transcript:
     """Drain the queue through the backend, recording each spoken message.
 
-    Each message advances the clock by its modeled duration. A backend
-    failure re-queues the message once; a second failure raises.
+    Each message advances the clock by its modeled duration; the time is
+    kept in a local and the clock is set once, when the drain ends or
+    raises. A backend failure re-queues the message once; a second failure
+    raises.
     """
+    if not base_per_char_s >= 0:  # NaN too; the clock never runs backwards
+        raise ValueError("base_per_char_s must be non-negative")
     if transcript is None:
         transcript = Transcript()
     retried: set[int] = set()
-    while True:
-        msg = queue.dequeue_next()
-        if msg is None:
-            return transcript
-        now = clock.now()
-        try:
-            backend.speak(msg, now)
-        except Exception as exc:
-            if msg.sequence in retried:
-                raise SpeechBackendError(
-                    f"backend {backend.backend_id!r} failed twice on {msg.text!r}: {exc}"
-                ) from exc
-            retried.add(msg.sequence)
-            queue.requeue(msg)
-            continue
-        transcript.append(TranscriptEntry(now, msg.priority, msg.text))
-        clock.advance(message_duration_s(msg, base_per_char_s))
+    now = clock.now()
+    try:
+        while True:
+            msg = queue.dequeue_next()
+            if msg is None:
+                return transcript
+            try:
+                backend.speak(msg, now)
+            except Exception as exc:
+                if msg.sequence in retried:
+                    raise SpeechBackendError(
+                        f"backend {backend.backend_id!r} failed twice on {msg.text!r}: {exc}"
+                    ) from exc
+                retried.add(msg.sequence)
+                queue.requeue(msg)
+                continue
+            transcript.append(TranscriptEntry(now, msg.priority, msg.text))
+            now += message_duration_s(msg, base_per_char_s)
+    finally:
+        clock.advance_to(now)

@@ -4,11 +4,15 @@ Everything here recomputes a library answer by a different method: grid
 counting instead of closed-form geometry, assignment enumeration instead of
 incremental greedy bookkeeping, a literal O(n^2) interpolation formula
 instead of a running maximum, pairwise dominance scans instead of whatever
-the frontier code does. Slow is fine; different is the point.
+the frontier code does, a binary heap with a victim scan instead of
+per-priority deques, a per-character hash loop instead of a scan for
+confusable characters. Slow is fine; different is the point.
 """
 
 from __future__ import annotations
 
+import hashlib
+import heapq
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +20,7 @@ import numpy as np
 
 from percept_cane.detector_lab import ModelSpec, PredictionBox, TruthBox, iou
 from percept_cane.perception import BoundingBox
+from percept_cane.speech import Priority, SpeechMessage
 
 
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 512) -> float:
@@ -134,3 +139,59 @@ def brute_force_frontier(models: list[ModelSpec], map_field: str) -> set[str]:
         if not dominated:
             front.add(m.display_name)
     return front
+
+
+class HeapSpeechQueue:
+    """Bounded priority queue as one heap keyed by (priority, sequence).
+
+    On overflow the largest key, the newest message of the lowest priority
+    present (incoming included), is found by a full scan and dropped.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.dropped: list[SpeechMessage] = []
+        self._heap: list[tuple[int, int, SpeechMessage]] = []
+        self._next_seq = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def submit(self, text: str, priority: Priority, now_s: float, rate: float = 1.0) -> None:
+        msg = SpeechMessage(text, Priority(priority), now_s, rate, self._next_seq)
+        self._next_seq += 1
+        heapq.heappush(self._heap, (int(msg.priority), msg.sequence, msg))
+        if len(self._heap) <= self.capacity:
+            return
+        victim_key = max((p, s) for p, s, _ in self._heap)
+        victim = next(m for p, s, m in self._heap if (p, s) == victim_key)
+        self._heap = [item for item in self._heap if item[2] is not victim]
+        heapq.heapify(self._heap)
+        self.dropped.append(victim)
+
+    def dequeue_next(self) -> SpeechMessage | None:
+        if not self._heap:
+            return None
+        return heapq.heappop(self._heap)[2]
+
+    def requeue(self, msg: SpeechMessage) -> None:
+        heapq.heappush(self._heap, (int(msg.priority), msg.sequence, msg))
+
+
+def sha256_unit(token: str) -> float:
+    """The first 8 bytes of sha256(token), big-endian, scaled to [0, 1)."""
+    return int.from_bytes(hashlib.sha256(token.encode()).digest()[:8], "big") / 2**64
+
+
+def loop_transcribe(
+    rules: tuple[tuple[str, str], ...], rate: float, seed: int, text: str, key: str
+) -> str:
+    """Mock OCR by visiting every character: a character with a rule (the
+    last rule for it wins) is substituted when the hash of (seed, "sub",
+    key, position, character) falls below ``rate``."""
+    table = dict(rules)
+    chars = list(text)
+    for i, ch in enumerate(chars):
+        if ch in table and sha256_unit(f"{seed}:sub:{key}:{i}:{ch}") < rate:
+            chars[i] = table[ch]
+    return "".join(chars)

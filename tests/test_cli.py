@@ -255,7 +255,7 @@ BAD_INPUTS = {
     "event-without-t": ([_GOOD_EVENT, {"distance_cm": 80.0}], "event 1: missing key 't'"),
     "text-without-region": (
         [{**_GOOD_EVENT, "frame": {"texts": [{"text": "EXIT"}]}}],
-        "event 0: missing key 'region'",
+        "event 0: texts[0]: missing key 'region'",
     ),
     "event-not-object": ([5], "event 0: must be an object, got 5"),
     "events-not-list": ("abc", "events must be a list"),
@@ -287,7 +287,7 @@ BAD_INPUTS = {
     "config-not-json": (_Raw("{"), "Expecting property name enclosed in double quotes"),
     "region-string": (
         [{**_GOOD_EVENT, "frame": {"texts": [{"text": "EXIT", "region": "0101"}]}}],
-        "event 0: region must be a list of 4 numbers, got '0101'",
+        "event 0: texts[0]: region must be a list of 4 numbers, got '0101'",
     ),
     "bool-tick": ({"tick_s": True}, "tick_s must be a number, got True"),
     "bool-distance": (
@@ -298,19 +298,23 @@ BAD_INPUTS = {
     "null-name": ({"name": None}, "name must be a string, got None"),
     "null-text": (
         [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "text": None}]}}],
-        "event 0: text must be a string, got None",
+        "event 0: texts[0]: text must be a string, got None",
     ),
     "string-in-box": (
         [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "region": [0.1, 0.1, 0.5, "0.3"]}]}}],
-        "event 0: region must be a number, got '0.3'",
+        "event 0: texts[0]: region must be a number, got '0.3'",
     ),
     "text-unknown-key": (
-        [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "font": "serif"}]}}],
-        "event 0: unknown keys ['font']",
+        [{**_GOOD_EVENT, "frame": {"texts": [_TEXT, {**_TEXT, "font": "serif"}]}}],
+        "event 0: texts[1]: unknown keys ['font']",
+    ),
+    "text-not-object": (
+        [{**_GOOD_EVENT, "frame": {"texts": [_TEXT, _TEXT, 5]}}],
+        "event 0: texts[2]: must be an object, got 5",
     ),
     "object-unknown-key": (
         [{**_GOOD_EVENT, "frame": {"objects": [{"label": "chair", "box": [0.1, 0.1, 0.4, 0.4], "hue": 3}]}}],
-        "event 0: unknown keys ['hue']",
+        "event 0: objects[0]: unknown keys ['hue']",
     ),
     "not-utf8": (b'{"name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
     "deep-nesting": (_Raw("[" * 100_000), "maximum recursion depth exceeded"),

@@ -1,12 +1,19 @@
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import loop_transcribe
 from percept_cane.perception import (
+    OCR_BACKENDS,
     BackendError,
     BoundingBox,
     Detection,
     Frame,
     MockDetector,
     MockOcr,
+    OcrExtraction,
     build_detector,
     build_ocr,
     detect,
@@ -101,6 +108,54 @@ def test_mock_ocr_transcribe_matches_extract():
     ocr = MockOcr(substitution_rate=1.0, confusion_rules=(("x", "y"),), seed=9)
     frame = frame_with(texts=[("axbx", BOX)], frame_id="fr")
     assert [e.text for e in ocr.extract(frame)] == [ocr.transcribe("axbx", key="fr/0")]
+
+
+# every OCR_BACKENDS table, plus rules with duplicate sources (the last wins)
+RULE_SETS = [rules for rules, _ in OCR_BACKENDS.values()] + [
+    (("t", "r"), ("t", "x"), ("l", "i")),
+    (("a", "b"), ("b", "a"), ("a", "c")),
+]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    rules=st.sampled_from(RULE_SETS),
+    rate=st.sampled_from([0.0, 1.0, 0.5]),
+    seed=st.integers(0, 5),
+    text=st.text(alphabet="trlhfd._abx 1", max_size=30),
+    key=st.text(alphabet="f0/:k", max_size=6),
+)
+def test_mock_ocr_matches_per_character_loop(rules, rate, seed, text, key):
+    ocr = MockOcr("mock", rules, rate, seed)
+    assert ocr.transcribe(text, key) == loop_transcribe(rules, rate, seed, text, key)
+
+
+def test_mock_confidences_follow_sha256_formula():
+    def conf(token):
+        digest = hashlib.sha256(token.encode()).digest()
+        return 0.5 + int.from_bytes(digest[:8], "big") / 2**64 / 2.0
+
+    frame = frame_with([("person", BOX), ("chair", BOX)], [("EXIT", BOX), ("STOP", BOX)], "door")
+    dets = MockDetector(seed=4).detect(frame)
+    assert [d.confidence for d in dets] == [conf("4:conf:door:person"), conf("4:conf:door:chair")]
+    exs = MockOcr(seed=4).extract(frame)
+    assert [e.confidence for e in exs] == [conf("4:conf:door:text/0"), conf("4:conf:door:text/1")]
+
+
+def test_lazy_results_compare_and_print_like_eager_ones():
+    frame = frame_with([("person", BOX)], [("EXIT", BOX)], "door")
+    (det,) = MockDetector(seed=2).detect(frame)
+    (ex,) = MockOcr(seed=2).extract(frame)
+    # read nothing first: equality, hash and repr must derive the confidence
+    eager_det = Detection("person", MockDetector(seed=2).detect(frame)[0].confidence, BOX)
+    eager_ex = OcrExtraction("EXIT", MockOcr(seed=2).extract(frame)[0].confidence, BOX)
+    assert MockDetector(seed=2).detect(frame)[0] == eager_det
+    assert repr(MockOcr(seed=2).extract(frame)[0]) == repr(eager_ex)
+    assert hash(det) == hash(eager_det) and repr(det) == repr(eager_det)
+    assert ex == eager_ex and hash(ex) == hash(eager_ex)
+    assert det != Detection("person", 0.5, BOX)
+    with pytest.raises(AttributeError):
+        det.score
 
 
 def test_backend_error_wrapping():

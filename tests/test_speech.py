@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import HeapSpeechQueue
 from percept_cane.speech import (
     FlakySynth,
     NullSynth,
@@ -156,3 +159,41 @@ def test_message_invariants():
         SpeechConfig(base_per_char_s=0.0)
     with pytest.raises(ValueError):
         SpeechQueue(capacity=0)
+
+
+# submit (priority, text) | dequeue | requeue the message just dequeued
+QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.sampled_from(list(Priority)), st.sampled_from("abc")),
+        st.just(("dequeue",)),
+        st.just(("requeue",)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(capacity=st.integers(1, 4), ops=QUEUE_OPS)
+def test_queue_matches_heap_oracle(capacity, ops):
+    def key(msg):
+        return None if msg is None else (msg.text, msg.priority, msg.sequence, msg.enqueued_at_s)
+
+    queue, oracle = SpeechQueue(capacity), HeapSpeechQueue(capacity)
+    just_dequeued = None
+    for t, op in enumerate(ops):
+        if op[0] == "submit":
+            for q in (queue, oracle):
+                q.submit(op[2], op[1], float(t))
+            just_dequeued = None
+        elif op[0] == "dequeue":
+            got, want = queue.dequeue_next(), oracle.dequeue_next()
+            assert key(got) == key(want)
+            just_dequeued = got
+        elif just_dequeued is not None:
+            queue.requeue(just_dequeued)
+            oracle.requeue(just_dequeued)
+            just_dequeued = None
+        assert len(queue) == len(oracle)
+        assert [key(m) for m in queue.dropped] == [key(m) for m in oracle.dropped]
+    drained = iter(queue.dequeue_next, None)
+    assert [key(m) for m in drained] == [key(m) for m in iter(oracle.dequeue_next, None)]
