@@ -152,12 +152,10 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    rows = {
-        metric["name"]: compare(
-            metric, *([value(r["metrics"], metric["name"]) for r in runs[side]] for side in ("base", "change"))
-        )
-        for metric in end_to_end
-    }
+    rows = {}
+    for metric in end_to_end:
+        base, change = ([value(r["metrics"], metric["name"]) for r in runs[side]] for side in ("base", "change"))
+        rows[metric["name"]] = compare(metric, base, change)
     print(f"\n{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}")
     for name, row in rows.items():
         print(summarize(name, row))

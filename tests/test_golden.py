@@ -6,8 +6,9 @@ stress_config.json (a two-message speech queue, a 30% detector miss rate
 and a 10 cm re-arm margin; the seeded miss loses the demo's one detection,
 so the cycle speaks one message fewer). The multi-event scenario is also
 pinned under drop_config.json, a one-message speech queue that drops every
-perception result behind its cycle's alert. A refactor that keeps behaviour must leave every one of them unchanged; re-record them only
-for an intended change of output.
+perception result behind its cycle's alert. A refactor that keeps
+behaviour must leave every one of them unchanged; re-record them only for
+an intended change of output.
 """
 
 import hashlib

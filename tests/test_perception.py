@@ -144,18 +144,18 @@ def test_mock_confidences_follow_sha256_formula():
 
 def test_lazy_results_compare_and_print_like_eager_ones():
     frame = frame_with([("person", BOX)], [("EXIT", BOX)], "door")
-    (det,) = MockDetector(seed=2).detect(frame)
-    (ex,) = MockOcr(seed=2).extract(frame)
-    # read nothing first: equality, hash and repr must derive the confidence
-    eager_det = Detection("person", MockDetector(seed=2).detect(frame)[0].confidence, BOX)
-    eager_ex = OcrExtraction("EXIT", MockOcr(seed=2).extract(frame)[0].confidence, BOX)
-    assert MockDetector(seed=2).detect(frame)[0] == eager_det
-    assert repr(MockOcr(seed=2).extract(frame)[0]) == repr(eager_ex)
-    assert hash(det) == hash(eager_det) and repr(det) == repr(eager_det)
-    assert ex == eager_ex and hash(ex) == hash(eager_ex)
-    assert det != Detection("person", 0.5, BOX)
+
+    def fresh():  # mock results whose confidence nothing has read yet
+        return MockDetector(seed=2).detect(frame)[0], MockOcr(seed=2).extract(frame)[0]
+
+    det, ex = fresh()
+    eager = (Detection("person", det.confidence, BOX), OcrExtraction("EXIT", ex.confidence, BOX))
+    for same in (lambda a, b: a == b, lambda a, b: hash(a) == hash(b), lambda a, b: repr(a) == repr(b)):
+        for lazy, want in zip(fresh(), eager):
+            assert same(lazy, want)
+    assert fresh()[0] != Detection("person", 0.5, BOX)
     with pytest.raises(AttributeError):
-        det.score
+        fresh()[0].score
 
 
 def test_backend_error_wrapping():

@@ -172,7 +172,7 @@ QUEUE_OPS = st.lists(
 )
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(capacity=st.integers(1, 4), ops=QUEUE_OPS)
 def test_queue_matches_heap_oracle(capacity, ops):
     def key(msg):
