@@ -22,7 +22,7 @@ from percept_cane.pipeline import (
     run_report_to_json,
 )
 from percept_cane.sensor import SensorConfig, simulate_measurement
-from percept_cane.speech import SpeechConfig
+from percept_cane.speech import FlakySynth, NullSynth, SpeechBackendError, SpeechConfig
 
 
 def quiet_scenario() -> Scenario:
@@ -271,6 +271,17 @@ def test_device_log_reads_like_a_list(config):
     again = run(scenario, cfg)
     assert again.log == result.log
     assert run(scenario, cfg, seed=cfg.sensor.seed + 1).log != result.log
+
+
+def test_speech_retry_through_run_leaves_outputs_unchanged():
+    scenario = load_scenario(MULTI_EVENT)
+    clean = run(scenario, speech_backend=NullSynth())
+    first_alert = clean.transcript.texts()[0]
+    retried = run(scenario, speech_backend=FlakySynth({first_alert: 1}))
+    assert retried.transcript.render() == clean.transcript.render()
+    assert run_report_to_csv(retried.report) == run_report_to_csv(clean.report)
+    with pytest.raises(SpeechBackendError):
+        run(scenario, speech_backend=FlakySynth({first_alert: 2}))
 
 
 def test_zero_overhead_cycle_time_identity():
