@@ -271,6 +271,8 @@ class ModelSpec:
             raise ValueError(f"{self.name}: mparams must be positive")
         if self.size_mb is not None and not self.size_mb > 0:
             raise ValueError(f"{self.name}: size_mb must be positive")
+        if self.input_size is not None and self.input_size <= 0:
+            raise ValueError(f"{self.name}: input_size must be positive")
         for value in (self.map_50, self.map_50_95):
             if value is not None and not 0.0 <= value <= 100.0:
                 raise ValueError(f"{self.name}: mAP out of [0,100]: {value}")

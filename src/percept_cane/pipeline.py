@@ -320,7 +320,8 @@ def run(
     distance_lines: dict[int, str] = {}
     alert_messages: dict[int, str] = {}
     frameless: set[int] = set()
-    durations: dict[str, list[float]] = {name: [] for name in STAGE_NAMES}
+    exec_times: list[float] = []
+    speech_times: list[float] = []
     cycle_times: list[float] = []
 
     sensor_cfg = cfg.sensor
@@ -329,7 +330,7 @@ def run(
     frame: Frame | None = None
     events, cursor, n_events = scenario.events, 0, len(scenario.events)
     tick_s, duration_s = scenario.tick_s, scenario.duration_s
-    sensor_append = durations["sensor"].append
+    sensor_append = exec_times.append
     # a reading is the true distance, so its log line changes only when an
     # event moves the world; it is formatted on the first tick after that
     line_due = True
@@ -354,40 +355,38 @@ def run(
 
         event = alerts.on_measurement(state, m, alert_cfg)
         if event is None:
-            if len(queue) > 0:
-                # leftovers from a failed-speech retry on a previous cycle
-                before = clock.now()
-                speak_all(queue, speech_backend, clock, base_per_char_s, transcript)
-                durations["speech"].append(clock.now() - before)
+            # the queue is empty: each alert's speak_all drains it or raises
             continue
 
         alert_messages[k] = event.message
-        queue.submit(event.message, Priority.ALERT, clock.now(), rate)
+        queue.submit(event.message, Priority.ALERT, rate)
 
         if frame is None:
             frameless.add(k)
         else:
             extractions = perception.extract_text(frame, ocr)
             clock.advance(ocr_latency_s)
-            durations["ocr"].append(ocr_latency_s)
-            now = clock.now()
             for ex in extractions:
-                queue.submit(ocr_template.format(text=ex.text), Priority.PERCEPTION, now, rate)
+                queue.submit(ocr_template.format(text=ex.text), Priority.PERCEPTION, rate)
             detections = perception.detect(frame, detector)
             clock.advance(detect_latency_s)
-            durations["detect"].append(detect_latency_s)
-            now = clock.now()
             for det in detections:
-                queue.submit(detection_template.format(label=det.label), Priority.PERCEPTION, now, rate)
+                queue.submit(detection_template.format(label=det.label), Priority.PERCEPTION, rate)
 
         before = clock.now()
         speak_all(queue, speech_backend, clock, base_per_char_s, transcript)
-        durations["speech"].append(clock.now() - before)
+        speech_times.append(clock.now() - before)
         cycle_times.append(clock.now() - cycle_start)
 
-    stages = {name: StageStats.of(durations[name]) for name in STAGE_NAMES}
-    # the alert stage is a placeholder: zero seconds on every tick
-    stages["alert"] = StageStats(stages["sensor"].count, 0.0, 0.0)
+    framed = len(alert_messages) - len(frameless)
+    stages = {
+        "sensor": StageStats.of(exec_times),
+        # the alert stage is a placeholder: zero seconds on every tick
+        "alert": StageStats(len(exec_times), 0.0, 0.0),
+        "ocr": StageStats.of([ocr_latency_s] * framed),
+        "detect": StageStats.of([detect_latency_s] * framed),
+        "speech": StageStats.of(speech_times),
+    }
     end_to_end = StageStats.of(cycle_times)
     report = RunReport(
         stages=stages,
@@ -395,7 +394,7 @@ def run(
         alerts_fired=len(alert_messages),
         budget_pass=end_to_end.mean_s <= cfg.budget.upper_s,
     )
-    log = DeviceLog(tick_s, durations["sensor"], distance_lines, alert_messages, frameless)
+    log = DeviceLog(tick_s, exec_times, distance_lines, alert_messages, frameless)
     return RunResult(report=report, transcript=transcript, log=log)
 
 

@@ -35,9 +35,7 @@ class SpeechBackendError(RuntimeError):
 class SpeechMessage:
     text: str
     priority: Priority
-    enqueued_at_s: float
     rate: float = 1.0
-    sequence: int = 0
 
     def __post_init__(self) -> None:
         if not self.rate > 0:  # NaN too
@@ -152,10 +150,8 @@ def message_duration_s(message: SpeechMessage, base_per_char_s: float) -> float:
 class SpeechQueue:
     """Bounded priority queue; single consumer, any number of producers.
 
-    One FIFO deque per priority class, highest class first. Messages enter
-    through :meth:`submit`, which stamps increasing sequence numbers, so
-    each deque is in sequence order and its right end holds its newest
-    message.
+    One FIFO deque per priority class, highest class first; the right end
+    of each deque holds its newest message.
     """
 
     def __init__(self, capacity: int = 64):
@@ -165,22 +161,15 @@ class SpeechQueue:
         self.dropped: list[SpeechMessage] = []
         self._classes: tuple[deque[SpeechMessage], ...] = tuple(deque() for _ in Priority)
         self._len = 0
-        self._next_seq = 0
 
     def __len__(self) -> int:
         return self._len
 
-    def submit(self, text: str, priority: Priority, now_s: float, rate: float = 1.0) -> None:
-        """Stamp a sequence number and enqueue."""
-        msg = SpeechMessage(
-            text,
-            priority if type(priority) is Priority else Priority(priority),
-            now_s,
-            rate,
-            self._next_seq,
+    def submit(self, text: str, priority: Priority, rate: float = 1.0) -> None:
+        """Build a message and enqueue it."""
+        self.enqueue(
+            SpeechMessage(text, priority if type(priority) is Priority else Priority(priority), rate)
         )
-        self._next_seq += 1
-        self.enqueue(msg)
 
     def enqueue(self, msg: SpeechMessage) -> None:
         """Store a message, evicting per drop policy when full.
@@ -204,17 +193,6 @@ class SpeechQueue:
                 return messages.popleft()
         return None
 
-    def requeue(self, msg: SpeechMessage) -> None:
-        """Put a failed message back under its original stamp.
-
-        ``msg`` must be the message :meth:`dequeue_next` returned last, with
-        no other call on the queue in between: it goes back to the front of
-        its class, which is where a queue ordered by (priority, sequence)
-        would put it only in that case.
-        """
-        self._classes[msg.priority].appendleft(msg)
-        self._len += 1
-
 
 def speak_all(
     queue: SpeechQueue,
@@ -227,14 +205,13 @@ def speak_all(
 
     Each message advances the clock by its modeled duration; the time is
     kept in a local and the clock is set once, when the drain ends or
-    raises. A backend failure re-queues the message once; a second failure
-    raises.
+    raises. A message the backend fails on is retried once, in place; a
+    second failure raises.
     """
     if not base_per_char_s >= 0:  # NaN too; the clock never runs backwards
         raise ValueError("base_per_char_s must be non-negative")
     if transcript is None:
         transcript = Transcript()
-    retried: set[int] = set()
     now = clock.now()
     try:
         while True:
@@ -243,14 +220,13 @@ def speak_all(
                 return transcript
             try:
                 backend.speak(msg, now)
-            except Exception as exc:
-                if msg.sequence in retried:
+            except Exception:
+                try:
+                    backend.speak(msg, now)
+                except Exception as exc:
                     raise SpeechBackendError(
                         f"backend {backend.backend_id!r} failed twice on {msg.text!r}: {exc}"
                     ) from exc
-                retried.add(msg.sequence)
-                queue.requeue(msg)
-                continue
             transcript.append(TranscriptEntry(now, msg.priority, msg.text))
             now += message_duration_s(msg, base_per_char_s)
     finally:

@@ -157,10 +157,10 @@ class HeapSpeechQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def submit(self, text: str, priority: Priority, now_s: float, rate: float = 1.0) -> None:
-        msg = SpeechMessage(text, Priority(priority), now_s, rate, self._next_seq)
+    def submit(self, text: str, priority: Priority, rate: float = 1.0) -> None:
+        msg = SpeechMessage(text, Priority(priority), rate)
+        heapq.heappush(self._heap, (int(msg.priority), self._next_seq, msg))
         self._next_seq += 1
-        heapq.heappush(self._heap, (int(msg.priority), msg.sequence, msg))
         if len(self._heap) <= self.capacity:
             return
         victim_key = max((p, s) for p, s, _ in self._heap)
@@ -173,9 +173,6 @@ class HeapSpeechQueue:
         if not self._heap:
             return None
         return heapq.heappop(self._heap)[2]
-
-    def requeue(self, msg: SpeechMessage) -> None:
-        heapq.heappush(self._heap, (int(msg.priority), msg.sequence, msg))
 
 
 def sha256_unit(token: str) -> float:

@@ -46,3 +46,5 @@ def test_run_calls_wrapped_layers_per_call():
     assert counts["alerts.fired"] == result.report.alerts_fired == 1
     assert counts["perception.ocr"] == counts["perception.detect"] == 1
     assert counts["speech.submit"] == len(result.transcript) == 3
+    # one speech drain per alert, none on quiet ticks
+    assert counts["speech.drain"] == result.report.alerts_fired

@@ -433,6 +433,16 @@ BAD_TABLES = {
         _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,-1.8,-,20.6\n",
         ":2: nano: size_mb must be positive",
     ),
+    "models-negative-input-size": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1,yolo,-640,0.72,0.95,1.8,-,20.6\n",
+        ":2: yolo: input_size must be positive",
+    ),
+    "models-zero-input-size": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1,yolo,0,0.72,0.95,1.8,-,20.6\n",
+        ":2: yolo: input_size must be positive",
+    ),
     "models-without-map-field": (
         ("models-recommend", "--table", "{}", "--budget", "1.0"),
         _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,1.8,-,20.6\n",
@@ -442,6 +452,16 @@ BAD_TABLES = {
         ("ocr-score", "{}", "--kind", "numbers"),
         b"truth,output\nabc,abc\n",
         ":2: truth: not NNNNN.NN: 'abc'",
+    ),
+    "pairs-superscript-digits": (
+        ("ocr-score", "{}", "--kind", "numbers"),
+        "truth,output\n²³456.78,23456.78\n".encode(),
+        ":2: truth: not NNNNN.NN: '²³456.78'",
+    ),
+    "pairs-arabic-indic-digits": (
+        ("ocr-score", "{}", "--kind", "numbers"),
+        "truth,output\n١٢٣٤٥.٦٧,12345.67\n".encode(),
+        ":2: truth: not NNNNN.NN: '١٢٣٤٥.٦٧'",
     ),
     "pairs-empty": (("ocr-score", "{}", "--kind", "numbers"), b"", ": no data rows"),
     "pairs-header-only": (

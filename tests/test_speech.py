@@ -22,22 +22,22 @@ from percept_cane.speech import (
 def test_enqueue_grows_queue():
     q = SpeechQueue()
     assert len(q) == 0
-    q.submit("hello", Priority.INFO, 0.0)
+    q.submit("hello", Priority.INFO)
     assert len(q) == 1
 
 
 def test_priority_order():
     q = SpeechQueue()
-    q.submit("info", Priority.INFO, 0.0)
-    q.submit("alert", Priority.ALERT, 0.0)
-    q.submit("percept", Priority.PERCEPTION, 0.0)
+    q.submit("info", Priority.INFO)
+    q.submit("alert", Priority.ALERT)
+    q.submit("percept", Priority.PERCEPTION)
     assert [q.dequeue_next().text for _ in range(3)] == ["alert", "percept", "info"]
 
 
 def test_fifo_within_priority():
     q = SpeechQueue()
-    q.submit("first", Priority.ALERT, 0.0)
-    q.submit("second", Priority.ALERT, 0.0)
+    q.submit("first", Priority.ALERT)
+    q.submit("second", Priority.ALERT)
     assert q.dequeue_next().text == "first"
     assert q.dequeue_next().text == "second"
 
@@ -48,10 +48,10 @@ def test_empty_dequeue_none():
 
 def test_capacity_drops_lowest_priority_newest():
     q = SpeechQueue(capacity=3)
-    q.submit("a", Priority.ALERT, 0.0)
-    q.submit("b", Priority.INFO, 0.0)
-    q.submit("c", Priority.INFO, 0.0)
-    q.submit("d", Priority.PERCEPTION, 0.0)
+    q.submit("a", Priority.ALERT)
+    q.submit("b", Priority.INFO)
+    q.submit("c", Priority.INFO)
+    q.submit("d", Priority.PERCEPTION)
     # newest of the lowest class present is "c"
     assert [m.text for m in q.dropped] == ["c"]
     assert len(q) == 3
@@ -59,9 +59,9 @@ def test_capacity_drops_lowest_priority_newest():
 
 def test_capacity_drops_incoming_when_it_is_lowest():
     q = SpeechQueue(capacity=2)
-    q.submit("a", Priority.ALERT, 0.0)
-    q.submit("b", Priority.PERCEPTION, 0.0)
-    q.submit("late info", Priority.INFO, 0.0)
+    q.submit("a", Priority.ALERT)
+    q.submit("b", Priority.PERCEPTION)
+    q.submit("late info", Priority.INFO)
     assert [m.text for m in q.dropped] == ["late info"]
     assert len(q) == 2
 
@@ -71,7 +71,7 @@ def test_conservation_under_overflow(rng):
     submitted = []
     for i in range(50):
         prio = rng.choice(list(Priority))
-        q.submit(f"msg-{i}", prio, float(i))
+        q.submit(f"msg-{i}", prio)
         submitted.append(f"msg-{i}")
     clock = VirtualClock()
     transcript = speak_all(q, NullSynth(), clock)
@@ -82,17 +82,17 @@ def test_conservation_under_overflow(rng):
 
 
 def test_duration_model():
-    msg = SpeechMessage("x" * 20, Priority.INFO, 0.0, rate=2.0)
+    msg = SpeechMessage("x" * 20, Priority.INFO, rate=2.0)
     assert message_duration_s(msg, base_per_char_s=0.05) == 0.5
-    slow = SpeechMessage("x" * 20, Priority.INFO, 0.0, rate=1.0)
+    slow = SpeechMessage("x" * 20, Priority.INFO, rate=1.0)
     assert message_duration_s(slow, 0.05) == 2 * message_duration_s(msg, 0.05)
 
 
 def test_speak_all_order_and_timing():
     q = SpeechQueue()
-    q.submit("bb", Priority.PERCEPTION, 0.0)
-    q.submit("aaaa", Priority.ALERT, 0.0)
-    q.submit("c", Priority.INFO, 0.0)
+    q.submit("bb", Priority.PERCEPTION)
+    q.submit("aaaa", Priority.ALERT)
+    q.submit("c", Priority.INFO)
     clock = VirtualClock()
     transcript = speak_all(q, NullSynth(), clock, base_per_char_s=0.1)
     assert transcript.texts() == ["aaaa", "bb", "c"]
@@ -105,7 +105,7 @@ def test_speak_all_deterministic():
     def run():
         q = SpeechQueue()
         for i in range(5):
-            q.submit(f"m{i}", Priority(i % 3), float(i))
+            q.submit(f"m{i}", Priority(i % 3))
         return speak_all(q, NullSynth(), VirtualClock()).render()
 
     assert run() == run()
@@ -113,17 +113,37 @@ def test_speak_all_deterministic():
 
 def test_failed_message_retried_once():
     q = SpeechQueue()
-    q.submit("fragile", Priority.ALERT, 0.0)
-    q.submit("fine", Priority.INFO, 0.0)
+    q.submit("fragile", Priority.ALERT)
+    q.submit("fine", Priority.INFO)
     transcript = speak_all(q, FlakySynth({"fragile": 1}), VirtualClock())
     assert transcript.texts() == ["fragile", "fine"]
 
 
 def test_double_failure_raises():
     q = SpeechQueue()
-    q.submit("cursed", Priority.ALERT, 0.0)
+    q.submit("cursed", Priority.ALERT)
     with pytest.raises(SpeechBackendError):
         speak_all(q, FlakySynth({"cursed": 2}), VirtualClock())
+
+    # the retry repeats the same call, and the error carries the second failure
+    class Refuses:
+        backend_id = "refuses"
+
+        def __init__(self):
+            self.calls = []
+
+        def speak(self, message, now_s):
+            self.calls.append((message, now_s))
+            raise RuntimeError(f"attempt {len(self.calls)}")
+
+    q = SpeechQueue()
+    q.submit("cursed", Priority.ALERT)
+    q.submit("never", Priority.INFO)
+    backend = Refuses()
+    with pytest.raises(SpeechBackendError, match="attempt 2") as raised:
+        speak_all(q, backend, VirtualClock(1.5))
+    assert str(raised.value.__cause__) == "attempt 2"
+    assert [(m.text, t) for m, t in backend.calls] == [("cursed", 1.5), ("cursed", 1.5)]
 
 
 def test_transcript_render_format():
@@ -154,19 +174,18 @@ def test_virtual_clock():
 
 def test_message_invariants():
     with pytest.raises(ValueError):
-        SpeechMessage("x", Priority.INFO, 0.0, rate=0.0)
+        SpeechMessage("x", Priority.INFO, rate=0.0)
     with pytest.raises(ValueError):
         SpeechConfig(base_per_char_s=0.0)
     with pytest.raises(ValueError):
         SpeechQueue(capacity=0)
 
 
-# submit (priority, text) | dequeue | requeue the message just dequeued
+# submit a message of the given priority | dequeue
 QUEUE_OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("submit"), st.sampled_from(list(Priority)), st.sampled_from("abc")),
+        st.tuples(st.just("submit"), st.sampled_from(list(Priority))),
         st.just(("dequeue",)),
-        st.just(("requeue",)),
     ),
     max_size=40,
 )
@@ -176,23 +195,16 @@ QUEUE_OPS = st.lists(
 @given(capacity=st.integers(1, 4), ops=QUEUE_OPS)
 def test_queue_matches_heap_oracle(capacity, ops):
     def key(msg):
-        return None if msg is None else (msg.text, msg.priority, msg.sequence, msg.enqueued_at_s)
+        # texts are unique per submit, so they tell messages apart
+        return None if msg is None else (msg.text, msg.priority)
 
     queue, oracle = SpeechQueue(capacity), HeapSpeechQueue(capacity)
-    just_dequeued = None
     for t, op in enumerate(ops):
         if op[0] == "submit":
             for q in (queue, oracle):
-                q.submit(op[2], op[1], float(t))
-            just_dequeued = None
-        elif op[0] == "dequeue":
-            got, want = queue.dequeue_next(), oracle.dequeue_next()
-            assert key(got) == key(want)
-            just_dequeued = got
-        elif just_dequeued is not None:
-            queue.requeue(just_dequeued)
-            oracle.requeue(just_dequeued)
-            just_dequeued = None
+                q.submit(f"m{t}", op[1])
+        else:
+            assert key(queue.dequeue_next()) == key(oracle.dequeue_next())
         assert len(queue) == len(oracle)
         assert [key(m) for m in queue.dropped] == [key(m) for m in oracle.dropped]
     drained = iter(queue.dequeue_next, None)
