@@ -1,3 +1,4 @@
+import hashlib
 import re
 import string
 
@@ -50,6 +51,23 @@ def test_generate_deterministic_per_seed():
     assert a == b
     c = generate_samples(SampleKind.ALPHABETS, 50, seed=12)
     assert [s.truth for s in a] != [s.truth for s in c]
+
+
+CORPUS_SHA256 = {
+    ("alphabets", 3): "6ba193ce9682ea30ef27ea29ac3d322e0a0d7ba71373128b323b736976831036",
+    ("alphabets", 11): "984fb0727480adc462a5ac3853005f3d54902f1402753426a1141fc9ae03898e",
+    ("numbers", 3): "f02d862146e9725de39de617331b37f6b733176ab60ddaba22f072eb3902c0d5",
+    ("numbers", 11): "7b1d7c9091f6706a7d2115e4afa2136e4ca6113fb765861c5cb735bb0af9bbd7",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(CORPUS_SHA256))
+def test_generated_corpus_is_pinned(kind, seed):
+    """The corpus itself, not only its scores: a changed draw order or id
+    format could score the same and still pass perfbench's digests."""
+    samples = generate_samples(SampleKind(kind), 2000, seed=seed)
+    listing = "\n".join(f"{s.sample_id},{s.truth}" for s in samples)
+    assert hashlib.sha256(listing.encode()).hexdigest() == CORPUS_SHA256[kind, seed]
 
 
 def test_generate_rejects_zero():
