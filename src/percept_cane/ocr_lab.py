@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -42,27 +43,26 @@ class RoutePolicy(str, Enum):
     SPEED = "speed"
 
 
+# One compiled shape check per sample; both classes are ASCII only.
+_LOWERCASE_WORDS = re.compile(r"[a-z]+(?: [a-z]+)*").fullmatch
+_NNNNN_NN = re.compile(r"[0-9]{5}\.[0-9]{2}").fullmatch
+
+
 @dataclass(frozen=True)
 class OcrSample:
+    """One benchmark sample. An alphabets truth is ASCII lowercase words
+    joined by single spaces; a numbers truth is ASCII ``NNNNN.NN``."""
+
     sample_id: str
     kind: SampleKind
     truth: str
 
     def __post_init__(self) -> None:
         if self.kind is SampleKind.ALPHABETS:
-            words = self.truth.split(" ")
-            if not all(w.isalpha() and w == w.lower() for w in words):
+            if _LOWERCASE_WORDS(self.truth) is None:
                 raise ValueError(f"{self.sample_id}: not lowercase words: {self.truth!r}")
-        else:
-            ok = (
-                len(self.truth) == 8
-                and self.truth.isascii()
-                and self.truth[5] == "."
-                and self.truth[:5].isdigit()
-                and self.truth[6:].isdigit()
-            )
-            if not ok:
-                raise ValueError(f"{self.sample_id}: not NNNNN.NN: {self.truth!r}")
+        elif _NNNNN_NN(self.truth) is None:
+            raise ValueError(f"{self.sample_id}: not NNNNN.NN: {self.truth!r}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def load_wordlist(path: str | Path | None = None) -> list[str]:
     if not words:
         raise ValueError(f"{path}: empty wordlist")
     for w in words:
-        if not (w.isalpha() and w == w.lower()):
+        if not (w.isascii() and w.isalpha() and w == w.lower()):
             raise ValueError(f"{path}: bad wordlist entry {w!r}")
     return words
 
@@ -137,14 +137,14 @@ def generate_samples(
     if kind is SampleKind.ALPHABETS and words is None:
         words = load_wordlist()
     rng = random.Random(seed)
-    samples: list[OcrSample] = []
-    for i in range(n):
-        if kind is SampleKind.NUMBERS:
-            truth = f"{rng.randrange(100000):05d}.{rng.randrange(100):02d}"
-        else:
-            truth = f"{rng.choice(words)} {rng.choice(words)}"
-        samples.append(OcrSample(f"{kind.value}-{i:05d}", kind, truth))
-    return samples
+    if kind is SampleKind.NUMBERS:
+        randrange = rng.randrange
+        truths = (f"{randrange(100000):05d}.{randrange(100):02d}" for _ in range(n))
+    else:
+        choice = rng.choice
+        truths = (f"{choice(words)} {choice(words)}" for _ in range(n))
+    prefix = kind.value
+    return [OcrSample(f"{prefix}-{i:05d}", kind, truth) for i, truth in enumerate(truths)]
 
 
 def align_confusions(truth: str, output: str) -> Counter[tuple[str, str]]:
@@ -153,8 +153,19 @@ def align_confusions(truth: str, output: str) -> Counter[tuple[str, str]]:
     Unit costs; the backtrace prefers the diagonal (match/substitute) over
     deletion over insertion at equal cost, so equal-length substitution-only
     corruptions are recovered position for position.
+
+    Equal-length pairs that differ in at most two positions skip the table.
+    Any alignment of equal-length strings with an insertion also has a
+    deletion, so it costs at least 2; hence every prefix pair's edit
+    distance is its Hamming distance, the backtrace takes the diagonal at
+    every cell, and the answer is exactly the position-wise substitutions.
+    At three (``abc`` -> ``bca``) a deletion and an insertion win.
     """
     n, m = len(truth), len(output)
+    if n == m:
+        substitutions = [(a, b) for a, b in zip(truth, output) if a != b]
+        if len(substitutions) <= 2:
+            return Counter(substitutions)
     dp = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n + 1):
         dp[i][0] = i
@@ -240,20 +251,22 @@ def run_benchmark(
     """Generate a corpus, run it through a backend, and score the output."""
     kind = SampleKind(kind)
     samples = generate_samples(kind, n, seed, words=words)
+    transcribe, clock = backend.transcribe, time.perf_counter
     pairs: list[tuple[str, str]] = []
     elapsed = 0.0
     for sample in samples:
-        t0 = time.perf_counter()
+        truth, sample_id = sample.truth, sample.sample_id
+        t0 = clock()
         try:
-            output = backend.transcribe(sample.truth, key=sample.sample_id)
+            output = transcribe(truth, key=sample_id)
         except BackendError as exc:
-            raise BackendError(exc.backend_id, f"{sample.sample_id}: {exc.cause}") from exc
+            raise BackendError(exc.backend_id, f"{sample_id}: {exc.cause}") from exc
         except Exception as exc:
             raise BackendError(
-                getattr(backend, "backend_id", "?"), f"{sample.sample_id}: {exc}"
+                getattr(backend, "backend_id", "?"), f"{sample_id}: {exc}"
             ) from exc
-        elapsed += time.perf_counter() - t0
-        pairs.append((sample.truth, output))
+        elapsed += clock() - t0
+        pairs.append((truth, output))
     return replace(score(pairs, kind), mean_speed_s=elapsed / n)
 
 

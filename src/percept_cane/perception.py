@@ -200,11 +200,12 @@ class MockOcr:
     def transcribe(self, text: str, key: str) -> str:
         """Visit only the positions of confusable characters; each draws on
         (seed, "sub", key, position, original character)."""
+        seed, rate = self.seed, self.substitution_rate
         chars = None
         for ch, replacement in self._table.items():
             i = text.find(ch)
             while i >= 0:
-                if _unit(f"{self.seed}:sub:{key}:{i}:{ch}") < self.substitution_rate:
+                if _unit(f"{seed}:sub:{key}:{i}:{ch}") < rate:
                     if chars is None:
                         chars = list(text)
                     chars[i] = replacement

@@ -27,6 +27,10 @@ class Priority(IntEnum):
     INFO = 2
 
 
+# Indexed by Priority: a tuple read, not an enum property, per transcript line.
+_PRIORITY_NAMES = tuple(p.name for p in Priority)
+
+
 class SpeechBackendError(RuntimeError):
     """The synthesizer failed twice on the same message."""
 
@@ -63,7 +67,7 @@ class Transcript:
     def render(self) -> str:
         """One tab-separated line per message: time, priority, text."""
         return "".join(
-            f"{e.spoken_at_s:.3f}\t{e.priority.name}\t{e.text}\n" for e in self.entries
+            f"{e.spoken_at_s:.3f}\t{_PRIORITY_NAMES[e.priority]}\t{e.text}\n" for e in self.entries
         )
 
     def texts(self) -> list[str]:

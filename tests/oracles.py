@@ -6,13 +6,15 @@ incremental greedy bookkeeping, a literal O(n^2) interpolation formula
 instead of a running maximum, pairwise dominance scans instead of whatever
 the frontier code does, a binary heap with a victim scan instead of
 per-priority deques, a per-character hash loop instead of a scan for
-confusable characters. Slow is fine; different is the point.
+confusable characters, the full edit-distance table for every pair instead
+of a position-wise shortcut. Slow is fine; different is the point.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -192,3 +194,35 @@ def loop_transcribe(
         if ch in table and sha256_unit(f"{seed}:sub:{key}:{i}:{ch}") < rate:
             chars[i] = table[ch]
     return "".join(chars)
+
+
+def dp_align_confusions(truth: str, output: str) -> Counter[tuple[str, str]]:
+    """Substitutions in a unit-cost edit-distance alignment, always from the
+    full Wagner-Fischer table. The backtrace prefers the diagonal over
+    deletion over insertion at equal cost."""
+    n, m = len(truth), len(output)
+    dp = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        dp[i][0] = i
+    for j in range(m + 1):
+        dp[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            cost = 0 if truth[i - 1] == output[j - 1] else 1
+            dp[i][j] = min(dp[i - 1][j - 1] + cost, dp[i - 1][j] + 1, dp[i][j - 1] + 1)
+    confusions: Counter[tuple[str, str]] = Counter()
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            cost = 0 if truth[i - 1] == output[j - 1] else 1
+            if dp[i][j] == dp[i - 1][j - 1] + cost:
+                if cost:
+                    confusions[(truth[i - 1], output[j - 1])] += 1
+                i -= 1
+                j -= 1
+                continue
+        if i > 0 and dp[i][j] == dp[i - 1][j] + 1:
+            i -= 1
+            continue
+        j -= 1
+    return confusions

@@ -463,6 +463,11 @@ BAD_TABLES = {
         "truth,output\n١٢٣٤٥.٦٧,12345.67\n".encode(),
         ":2: truth: not NNNNN.NN: '١٢٣٤٥.٦٧'",
     ),
+    "pairs-non-ascii-letters": (
+        ("ocr-score", "{}", "--kind", "alphabets"),
+        "truth,output\ncafé,cafe\n".encode(),
+        ":2: truth: not lowercase words: 'café'",
+    ),
     "pairs-empty": (("ocr-score", "{}", "--kind", "numbers"), b"", ": no data rows"),
     "pairs-header-only": (
         ("ocr-score", "{}", "--kind", "numbers"),

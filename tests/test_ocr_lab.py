@@ -3,7 +3,10 @@ import re
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import dp_align_confusions
 from percept_cane.ocr_lab import (
     Compute,
     EngineProfile,
@@ -31,6 +34,13 @@ def test_wordlist_is_clean():
     assert len(words) == 2048
     assert len(set(words)) == 2048
     assert all(w.isalpha() and w == w.lower() for w in words)
+
+
+def test_wordlist_rejects_non_ascii_letters(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("cafe\ncafé\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad wordlist entry 'café'"):
+        load_wordlist(path)
 
 
 def test_generate_number_samples():
@@ -121,6 +131,41 @@ def test_align_pure_insertions_and_deletions_yield_no_confusions():
     assert align_confusions("abc", "abcd") == {}
     assert align_confusions("abcd", "abc") == {}
     assert align_confusions("note", "note.") == {}
+
+
+ALIGN_ALPHABET = "abc"
+ALIGN_TEXT = st.text(alphabet=ALIGN_ALPHABET, max_size=8)
+
+
+@st.composite
+def substituted(draw):
+    """An equal-length pair differing in 0-3 chosen positions."""
+    truth = draw(ALIGN_TEXT)
+    positions = draw(st.sets(st.integers(0, max(len(truth) - 1, 0)), max_size=3))
+    chars = list(truth)
+    for i in positions & set(range(len(truth))):
+        chars[i] = draw(st.sampled_from([c for c in ALIGN_ALPHABET if c != truth[i]]))
+    return truth, "".join(chars)
+
+
+@st.composite
+def transposed(draw):
+    """An equal-length pair with one or two adjacent characters swapped."""
+    truth = draw(st.text(alphabet=ALIGN_ALPHABET, min_size=2, max_size=8))
+    chars = list(truth)
+    for i in draw(st.lists(st.integers(0, len(truth) - 2), min_size=1, max_size=2)):
+        chars[i], chars[i + 1] = chars[i + 1], chars[i]
+    return truth, "".join(chars)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(pair=st.one_of(st.tuples(ALIGN_TEXT, ALIGN_TEXT), substituted(), transposed()))
+def test_align_matches_full_table(pair):
+    """The position-wise path for at most two substitutions agrees with the
+    full table on every pair, including three-position pairs such as
+    abc -> bca where an insertion and a deletion are cheaper."""
+    truth, output = pair
+    assert align_confusions(truth, output) == dp_align_confusions(truth, output)
 
 
 def test_align_recovers_injected_substitutions(rng):
