@@ -111,11 +111,14 @@ class OcrReport:
 def load_wordlist(path: str | Path | None = None) -> list[str]:
     if path is None:
         path = data_path(WORDLIST_FILE)
-    words = read_text(path).split()
+    text = read_text(path)
+    words = text.split()
     if not words:
         raise ValueError(f"{path}: empty wordlist")
+    # ASCII lowercase letters only; an all-ASCII file needs no per-word test
+    ascii_text = text.isascii()
     for w in words:
-        if not (w.isascii() and w.isalpha() and w == w.lower()):
+        if not (w.isalpha() and w == w.lower() and (ascii_text or w.isascii())):
             raise ValueError(f"{path}: bad wordlist entry {w!r}")
     return words
 
