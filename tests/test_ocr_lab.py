@@ -141,9 +141,9 @@ ALIGN_TEXT = st.text(alphabet=ALIGN_ALPHABET, max_size=8)
 def substituted(draw):
     """An equal-length pair differing in 0-3 chosen positions."""
     truth = draw(ALIGN_TEXT)
-    positions = draw(st.sets(st.integers(0, max(len(truth) - 1, 0)), max_size=3))
+    positions = draw(st.sets(st.integers(0, len(truth) - 1), max_size=3)) if truth else ()
     chars = list(truth)
-    for i in positions & set(range(len(truth))):
+    for i in positions:
         chars[i] = draw(st.sampled_from([c for c in ALIGN_ALPHABET if c != truth[i]]))
     return truth, "".join(chars)
 
