@@ -6,7 +6,9 @@ stress_config.json (a two-message speech queue, a 30% detector miss rate
 and a 10 cm re-arm margin; the seeded miss loses the demo's one detection,
 so the cycle speaks one message fewer). The multi-event scenario is also
 pinned under drop_config.json, a one-message speech queue that drops every
-perception result behind its cycle's alert. A refactor that keeps
+perception result behind its cycle's alert, and under rate_config.json, a
+non-unit speaking rate and per-character time, since at rate 1.0 a
+duration divided by the rate, or not, is the same float. A refactor that keeps
 behaviour must leave every one of them unchanged; re-record them only for
 an intended change of output.
 """
@@ -45,7 +47,11 @@ def test_demo_outputs_match_golden(case, capsys, tmp_path):
 # frameless events that clear the frame, repeated equal distances and
 # several alerts on a 0.1 s tick, whose tick times are inexact floats.
 MULTI_EVENT = GOLDEN / "multi_event_scenario.json"
-MULTI_EVENT_CASES = {**CASES, "drop": ["--config", str(GOLDEN / "drop_config.json")]}
+MULTI_EVENT_CASES = {
+    **CASES,
+    "drop": ["--config", str(GOLDEN / "drop_config.json")],
+    "rate": ["--config", str(GOLDEN / "rate_config.json")],
+}
 MULTI_EVENT_SHA256 = {
     "demo": (
         "b284325ebedc5ba68163a51ac69509d41de4ceaa6447a104d0a0a20b0f553cbe",
@@ -64,6 +70,12 @@ MULTI_EVENT_SHA256 = {
         "9decbbcd5be55fc093466da9caa8b196943e7af358e3140573c4906010a02283",
         "ab8894a40862e9c4cf1fd0bb1f2f35ef49df112ae1b863a7e452435f0ff59b61",
         "5a05ce1f89c83921cba09bfa85a0f792e37723609682f8005482f50a207aaa5c",
+    ),
+    "rate": (
+        "efaa22191256d47e1cb66a1df9a9de8bbe3e8753c57fc5e41e33889f37a1b916",
+        "9decbbcd5be55fc093466da9caa8b196943e7af358e3140573c4906010a02283",
+        "1b4a7688560f1554f3436bd12e845d953e6bc9e94495a043a929633de2536ab3",
+        "6b1251a47043efb9d15ea6082d5c96ac8df1b3a0f0c38dfb8c8d8b1e1611af22",
     ),
 }
 
