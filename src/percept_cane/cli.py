@@ -40,7 +40,7 @@ def _write(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
@@ -158,9 +158,9 @@ def _cmd_run(args) -> int:
     body = result.transcript.render() + report_text if args.print_transcript else report_text
     _write(body, args.out)
     if args.transcript:
-        Path(args.transcript).write_text(result.transcript.render())
+        Path(args.transcript).write_text(result.transcript.render(), encoding="utf-8")
     if args.log:
-        Path(args.log).write_text("".join(line + "\n" for line in result.log))
+        Path(args.log).write_text("".join(line + "\n" for line in result.log), encoding="utf-8")
     if args.verbose:
         sys.stderr.write(f"wall time: {wall_s * 1000:.1f} ms\n")
     return EXIT_OK

@@ -71,7 +71,6 @@ class Frame:
     frame_id: str
     truth_objects: tuple[tuple[str, BoundingBox], ...] = ()
     truth_texts: tuple[tuple[str, BoundingBox], ...] = ()
-    captured_at_s: float = 0.0
 
 
 def _unit(token: str) -> float:

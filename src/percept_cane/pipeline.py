@@ -4,7 +4,7 @@ The world is a time-ordered list of events (distance changes, optionally
 with a captured frame); the loop polls the simulated sensor every tick,
 feeds the alert engine, and on each alert speaks the obstacle sentence,
 then runs OCR, then object detection, speaking their results in that
-order. Time is a virtual clock advanced by modeled latencies, so a run is
+order. Time is virtual, advanced by modeled latencies, so a run is
 fully determined by (scenario, config, seed) and reports are
 machine-independent. Wall-clock cost of the framework itself is measured
 by callers, never stored in the report.
@@ -39,7 +39,6 @@ from .speech import (
     SpeechConfig,
     SpeechQueue,
     Transcript,
-    VirtualClock,
     speak_all,
 )
 
@@ -158,7 +157,6 @@ def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
         frame_id=checks.typed(f.get("frame_id", f"frame-{i:03d}"), str, "frame_id"),
         truth_texts=_labelled_boxes(f.get("texts", []), "texts", "text", "region"),
         truth_objects=_labelled_boxes(f.get("objects", []), "objects", "label", "box"),
-        captured_at_s=t_s,
     )
     validate_frame(frame, vocabulary)
     return ScenarioEvent(t_s, distance_cm, frame)
@@ -308,13 +306,11 @@ def run(
     )
     ocr = ocr or perception.build_ocr(cfg.perception.ocr, seed=cfg.sensor.seed)
     speech_backend = speech_backend or NullSynth()
-    alert_cfg = cfg.alert
-    base_per_char_s, rate = cfg.speech.base_per_char_s, cfg.speech.default_rate
-    ocr_template, detection_template = cfg.speech.ocr_template, cfg.speech.detection_template
+    alert_cfg, speech_cfg = cfg.alert, cfg.speech
+    ocr_template, detection_template = speech_cfg.ocr_template, speech_cfg.detection_template
     ocr_latency_s, detect_latency_s = cfg.perception.ocr_latency_s, cfg.perception.detect_latency_s
 
-    clock = VirtualClock()
-    queue = SpeechQueue(capacity=cfg.speech.capacity)
+    queue = SpeechQueue(capacity=speech_cfg.capacity)
     state = AlertState()
     transcript = Transcript()
     distance_lines: dict[int, str] = {}
@@ -334,6 +330,9 @@ def run(
     # a reading is the true distance, so its log line changes only when an
     # event moves the world; it is formatted on the first tick after that
     line_due = True
+    # virtual time: a tick starts at its own time unless the previous
+    # cycle's speech ran past it
+    now = 0.0
 
     for k in range(int(math.ceil(duration_s / tick_s))):
         t = k * tick_s
@@ -343,11 +342,12 @@ def run(
             distance, frame = events[cursor].distance_cm, events[cursor].frame
             cursor += 1
             line_due = True
-        clock.advance_to(t)
-        cycle_start = clock.now()
+        if t > now:
+            now = t
+        cycle_start = now
 
         m = simulate_measurement(distance, sensor_cfg, rng, timestamp_s=t)
-        clock.advance(m.exec_time_s)
+        now += m.exec_time_s
         sensor_append(m.exec_time_s)
         if line_due:
             distance_lines[k] = format_distance_line(m.distance_cm)
@@ -359,24 +359,24 @@ def run(
             continue
 
         alert_messages[k] = event.message
-        queue.submit(event.message, Priority.ALERT, rate)
+        queue.submit(event.message, Priority.ALERT)
 
         if frame is None:
             frameless.add(k)
         else:
             extractions = perception.extract_text(frame, ocr)
-            clock.advance(ocr_latency_s)
+            now += ocr_latency_s
             for ex in extractions:
-                queue.submit(ocr_template.format(text=ex.text), Priority.PERCEPTION, rate)
+                queue.submit(ocr_template.format(text=ex.text), Priority.PERCEPTION)
             detections = perception.detect(frame, detector)
-            clock.advance(detect_latency_s)
+            now += detect_latency_s
             for det in detections:
-                queue.submit(detection_template.format(label=det.label), Priority.PERCEPTION, rate)
+                queue.submit(detection_template.format(label=det.label), Priority.PERCEPTION)
 
-        before = clock.now()
-        speak_all(queue, speech_backend, clock, base_per_char_s, transcript)
-        speech_times.append(clock.now() - before)
-        cycle_times.append(clock.now() - cycle_start)
+        before = now
+        now = speak_all(queue, speech_backend, transcript, now, speech_cfg)
+        speech_times.append(now - before)
+        cycle_times.append(now - cycle_start)
 
     framed = len(alert_messages) - len(frameless)
     stages = {

@@ -1,8 +1,10 @@
-"""Prioritized speech queue, virtual clock, and transcript recording.
+"""Prioritized speech queue and transcript recording.
 
 Speech stands in for audio: speaking a message appends a transcript line
-and advances the virtual clock by a modeled duration (linear in character
-count, scaled by the message rate). Alerts outrank perception results,
+stamped with the virtual time it started, and the message then lasts a
+modeled duration, ``base_per_char_s * len(text) / default_rate`` from the
+run's ``SpeechConfig``. A drain starts at the time it is given and returns
+the time its last message ended. Alerts outrank perception results,
 which outrank informational messages; within a priority class order is
 FIFO. The queue keeps one FIFO deque per priority class. It is bounded:
 when a message would overfill it, the newest message of the lowest
@@ -39,11 +41,6 @@ class SpeechBackendError(RuntimeError):
 class SpeechMessage:
     text: str
     priority: Priority
-    rate: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.rate > 0:  # NaN too
-            raise ValueError("rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -75,26 +72,6 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-class VirtualClock:
-    """Simulation time; advanced explicitly by modeled latencies."""
-
-    def __init__(self, start_s: float = 0.0) -> None:
-        self._now = start_s
-
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, dt_s: float) -> None:
-        if dt_s < 0:
-            raise ValueError("cannot advance the clock backwards")
-        self._now += dt_s
-
-    def advance_to(self, t_s: float) -> None:
-        """Move to an absolute time; no-op if already past it."""
-        if t_s > self._now:
-            self._now = t_s
 
 
 class SpeechBackend(Protocol):
@@ -147,10 +124,6 @@ class SpeechConfig:
         template(self.detection_template, "detection_template", label="")
 
 
-def message_duration_s(message: SpeechMessage, base_per_char_s: float) -> float:
-    return base_per_char_s * len(message.text) / message.rate
-
-
 class SpeechQueue:
     """Bounded priority queue; single consumer, any number of producers.
 
@@ -169,10 +142,10 @@ class SpeechQueue:
     def __len__(self) -> int:
         return self._len
 
-    def submit(self, text: str, priority: Priority, rate: float = 1.0) -> None:
+    def submit(self, text: str, priority: Priority) -> None:
         """Build a message and enqueue it."""
         self.enqueue(
-            SpeechMessage(text, priority if type(priority) is Priority else Priority(priority), rate)
+            SpeechMessage(text, priority if type(priority) is Priority else Priority(priority))
         )
 
     def enqueue(self, msg: SpeechMessage) -> None:
@@ -201,37 +174,31 @@ class SpeechQueue:
 def speak_all(
     queue: SpeechQueue,
     backend: SpeechBackend,
-    clock: VirtualClock,
-    base_per_char_s: float = 0.05,
-    transcript: Transcript | None = None,
-) -> Transcript:
-    """Drain the queue through the backend, recording each spoken message.
+    transcript: Transcript,
+    now_s: float,
+    cfg: SpeechConfig,
+) -> float:
+    """Drain the queue through the backend from virtual time ``now_s``;
+    return the time the last message ended.
 
-    Each message advances the clock by its modeled duration; the time is
-    kept in a local and the clock is set once, when the drain ends or
-    raises. A message the backend fails on is retried once, in place; a
-    second failure raises.
+    Each spoken message is appended to ``transcript`` at its start time and
+    lasts ``cfg.base_per_char_s * len(text) / cfg.default_rate``. A message
+    the backend fails on is retried once, in place; a second failure
+    raises.
     """
-    if not base_per_char_s >= 0:  # NaN too; the clock never runs backwards
-        raise ValueError("base_per_char_s must be non-negative")
-    if transcript is None:
-        transcript = Transcript()
-    now = clock.now()
-    try:
-        while True:
-            msg = queue.dequeue_next()
-            if msg is None:
-                return transcript
+    base_per_char_s, rate = cfg.base_per_char_s, cfg.default_rate
+    while True:
+        msg = queue.dequeue_next()
+        if msg is None:
+            return now_s
+        try:
+            backend.speak(msg, now_s)
+        except Exception:
             try:
-                backend.speak(msg, now)
-            except Exception:
-                try:
-                    backend.speak(msg, now)
-                except Exception as exc:
-                    raise SpeechBackendError(
-                        f"backend {backend.backend_id!r} failed twice on {msg.text!r}: {exc}"
-                    ) from exc
-            transcript.append(TranscriptEntry(now, msg.priority, msg.text))
-            now += message_duration_s(msg, base_per_char_s)
-    finally:
-        clock.advance_to(now)
+                backend.speak(msg, now_s)
+            except Exception as exc:
+                raise SpeechBackendError(
+                    f"backend {backend.backend_id!r} failed twice on {msg.text!r}: {exc}"
+                ) from exc
+        transcript.append(TranscriptEntry(now_s, msg.priority, msg.text))
+        now_s += base_per_char_s * len(msg.text) / rate

@@ -159,8 +159,8 @@ class HeapSpeechQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def submit(self, text: str, priority: Priority, rate: float = 1.0) -> None:
-        msg = SpeechMessage(text, Priority(priority), rate)
+    def submit(self, text: str, priority: Priority) -> None:
+        msg = SpeechMessage(text, Priority(priority))
         heapq.heappush(self._heap, (int(msg.priority), self._next_seq, msg))
         self._next_seq += 1
         if len(self._heap) <= self.capacity:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from percept_cane.pipeline import demo_scenario_path, load_scenario, run
+from percept_cane.pipeline import demo_scenario_path, load_scenario, run, run_report_to_csv
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -29,8 +29,13 @@ def test_wrapped_attribute_resolves(owner, attr):
     assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} is gone"
 
 
+def outputs(result):
+    return result.transcript.render(), run_report_to_csv(result.report), list(result.log)
+
+
 def test_run_calls_wrapped_layers_per_call():
     scenario = load_scenario(demo_scenario_path())
+    untraced = run(scenario)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -48,3 +53,6 @@ def test_run_calls_wrapped_layers_per_call():
     assert counts["speech.submit"] == len(result.transcript) == 3
     # one speech drain per alert, none on quiet ticks
     assert counts["speech.drain"] == result.report.alerts_fired
+    # run reads the virtual time back from the wrapped speak_all, so the
+    # wrappers must pass every result through untouched
+    assert outputs(result) == outputs(untraced)

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -602,6 +606,25 @@ def test_run_writes_artifacts(tmp_path, capsys):
     log = log_file.read_text()
     assert "Measure Distance = 80.0 cm" in log
     assert "time taken to execute " in log
+
+def test_run_writes_utf8_files_under_ascii_locale(tmp_path):
+    # inputs are read as UTF-8 whatever the locale; the files run writes
+    # must be too, or a non-ASCII OCR text fails the run after the report
+    golden = Path(__file__).parent / "golden"
+    raw = json.loads((golden / "multi_event_scenario.json").read_text(encoding="utf-8"))
+    frame = next(e["frame"] for e in raw["events"] if e.get("frame", {}).get("texts"))
+    frame["texts"][0]["text"] = "café"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+    out_file, transcript_file = tmp_path / "report.csv", tmp_path / "transcript.txt"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    argv = [sys.executable, "-m", "percept_cane.cli", "run", str(scenario)]
+    argv += ["--out", str(out_file), "--transcript", str(transcript_file)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert "café".encode() in transcript_file.read_bytes()
+    assert out_file.read_text(encoding="utf-8").startswith("stage,count,mean_s,max_s\n")
 
 def test_run_print_transcript_stdout(capsys):
     from percept_cane.pipeline import demo_scenario_path

@@ -9,14 +9,18 @@ from percept_cane.speech import (
     Priority,
     SpeechBackendError,
     SpeechConfig,
-    SpeechMessage,
     SpeechQueue,
     Transcript,
     TranscriptEntry,
-    VirtualClock,
-    message_duration_s,
     speak_all,
 )
+
+
+def drain(queue, backend=None, now_s=0.0, **cfg):
+    """Speak the queue out from ``now_s``; return the transcript and the end time."""
+    transcript = Transcript()
+    end_s = speak_all(queue, backend or NullSynth(), transcript, now_s, SpeechConfig(**cfg))
+    return transcript, end_s
 
 
 def test_enqueue_grows_queue():
@@ -73,8 +77,7 @@ def test_conservation_under_overflow(rng):
         prio = rng.choice(list(Priority))
         q.submit(f"msg-{i}", prio)
         submitted.append(f"msg-{i}")
-    clock = VirtualClock()
-    transcript = speak_all(q, NullSynth(), clock)
+    transcript, _ = drain(q)
     spoken = transcript.texts()
     dropped = [m.text for m in q.dropped]
     assert sorted(spoken + dropped) == sorted(submitted)
@@ -82,10 +85,12 @@ def test_conservation_under_overflow(rng):
 
 
 def test_duration_model():
-    msg = SpeechMessage("x" * 20, Priority.INFO, rate=2.0)
-    assert message_duration_s(msg, base_per_char_s=0.05) == 0.5
-    slow = SpeechMessage("x" * 20, Priority.INFO, rate=1.0)
-    assert message_duration_s(slow, 0.05) == 2 * message_duration_s(msg, 0.05)
+    # base_per_char_s * chars / default_rate, from the drain's start time
+    for rate, duration_s in ((2.0, 0.5), (1.0, 1.0)):
+        q = SpeechQueue()
+        q.submit("x" * 20, Priority.INFO)
+        _, end_s = drain(q, now_s=3.0, base_per_char_s=0.05, default_rate=rate)
+        assert end_s == 3.0 + duration_s
 
 
 def test_speak_all_order_and_timing():
@@ -93,12 +98,11 @@ def test_speak_all_order_and_timing():
     q.submit("bb", Priority.PERCEPTION)
     q.submit("aaaa", Priority.ALERT)
     q.submit("c", Priority.INFO)
-    clock = VirtualClock()
-    transcript = speak_all(q, NullSynth(), clock, base_per_char_s=0.1)
+    transcript, end_s = drain(q, base_per_char_s=0.1)
     assert transcript.texts() == ["aaaa", "bb", "c"]
     times = [e.spoken_at_s for e in transcript.entries]
     assert times == pytest.approx([0.0, 0.4, 0.6])
-    assert clock.now() == pytest.approx(0.7)
+    assert end_s == pytest.approx(0.7)
 
 
 def test_speak_all_deterministic():
@@ -106,7 +110,7 @@ def test_speak_all_deterministic():
         q = SpeechQueue()
         for i in range(5):
             q.submit(f"m{i}", Priority(i % 3))
-        return speak_all(q, NullSynth(), VirtualClock()).render()
+        return drain(q)[0].render()
 
     assert run() == run()
 
@@ -115,7 +119,7 @@ def test_failed_message_retried_once():
     q = SpeechQueue()
     q.submit("fragile", Priority.ALERT)
     q.submit("fine", Priority.INFO)
-    transcript = speak_all(q, FlakySynth({"fragile": 1}), VirtualClock())
+    transcript, _ = drain(q, FlakySynth({"fragile": 1}))
     assert transcript.texts() == ["fragile", "fine"]
 
 
@@ -123,7 +127,7 @@ def test_double_failure_raises():
     q = SpeechQueue()
     q.submit("cursed", Priority.ALERT)
     with pytest.raises(SpeechBackendError):
-        speak_all(q, FlakySynth({"cursed": 2}), VirtualClock())
+        drain(q, FlakySynth({"cursed": 2}))
 
     # the retry repeats the same call, and the error carries the second failure
     class Refuses:
@@ -141,7 +145,7 @@ def test_double_failure_raises():
     q.submit("never", Priority.INFO)
     backend = Refuses()
     with pytest.raises(SpeechBackendError, match="attempt 2") as raised:
-        speak_all(q, backend, VirtualClock(1.5))
+        drain(q, backend, now_s=1.5)
     assert str(raised.value.__cause__) == "attempt 2"
     assert [(m.text, t) for m, t in backend.calls] == [("cursed", 1.5), ("cursed", 1.5)]
 
@@ -160,21 +164,9 @@ def test_transcript_rejects_time_travel():
         tr.append(TranscriptEntry(1.0, Priority.INFO, "earlier"))
 
 
-def test_virtual_clock():
-    clock = VirtualClock()
-    clock.advance(1.5)
-    assert clock.now() == 1.5
-    clock.advance_to(1.0)  # no-op backwards
-    assert clock.now() == 1.5
-    clock.advance_to(2.0)
-    assert clock.now() == 2.0
-    with pytest.raises(ValueError):
-        clock.advance(-0.1)
-
-
 def test_message_invariants():
     with pytest.raises(ValueError):
-        SpeechMessage("x", Priority.INFO, rate=0.0)
+        SpeechConfig(default_rate=0.0)
     with pytest.raises(ValueError):
         SpeechConfig(base_per_char_s=0.0)
     with pytest.raises(ValueError):
