@@ -19,8 +19,10 @@ the number of pairs the change wins and the base's interquartile range.
 head revisions (head is ``HEAD``, flagged ``head_dirty`` when the working
 tree differs from it), the workload, the seeds, the failed run count, and
 per metric its unit, direction, each side's values, median and quartiles,
-the change's wins and the base IQR. It exits 1 if any run reports
-``failed > 0`` or does not finish. Stdlib only.
+the change's wins and the base IQR. A run fails when it does not finish or
+reports ``correct: false`` (failed operations, or a problem such as a digest
+that does not match); the script prints each failed run's problems and
+exits 1 if any run failed. Stdlib only.
 """
 
 from __future__ import annotations
@@ -54,15 +56,22 @@ def git(*args: str) -> subprocess.CompletedProcess:
 
 
 def run_side(root: Path, workload: str, seed: int) -> dict:
-    """One benchmark run; its last stdout line is the result object."""
+    """One benchmark run; its last stdout line is the result object, to
+    which the ``problem:`` lines of its stderr are added as ``problems``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
-        return {"failed": 1, "metrics": {}}
-    return json.loads(lines[-1])
+        problem = f"did not finish (exit code {proc.returncode})"
+        return {"correct": False, "failed": 1, "metrics": {}, "problems": [problem]}
+    result = json.loads(lines[-1])
+    prefix = "problem: "
+    result["problems"] = [
+        line.removeprefix(prefix) for line in proc.stderr.splitlines() if line.startswith(prefix)
+    ]
+    return result
 
 
 def value(metrics: dict, name: str) -> float:
@@ -142,7 +151,11 @@ def main(argv: list[str] | None = None) -> int:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 result = run_side(sides[side], args.workload, seed)
-                failed += result["failed"] > 0
+                if not result["correct"]:
+                    failed += 1
+                    problems = result["problems"] or [f"{result['failed']} failed operations"]
+                    for problem in problems:
+                        sys.stderr.write(f"seed {seed} {side}: {problem}\n")
                 runs[side].append(result)
             pair = [runs[side][-1]["metrics"] for side in ("base", "change")]
             cells = "  ".join(
@@ -172,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         args.json.write_text(json.dumps(summary, indent=2) + "\n")
     if failed:
-        sys.stderr.write(f"{failed} run(s) reported failed operations or did not finish\n")
+        sys.stderr.write(f"{failed} run(s) were not correct or did not finish\n")
         return 1
     return 0
 

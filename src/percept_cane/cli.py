@@ -2,9 +2,10 @@
 
 Subcommands cover the runtime (scenario replay, sensor bench) and the lab
 (model selection, detection metrics, OCR corpus/scoring/routing/bench).
-Data output goes to --out ("-" for standard output) and is byte-stable for
-a given argv and input files; wall-clock numbers only appear behind
---verbose or --timing and never on standard output.
+Data output goes to --out ("-" for standard output) as UTF-8 whatever the
+locale, and is byte-stable for a given argv and input files; wall-clock
+numbers only appear behind --verbose or --timing and never on standard
+output.
 
 Exit codes: 0 success, 1 bad input (usage, missing file, validation),
 2 runtime failure (backend errors, unexpected exceptions).
@@ -37,8 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(text: str, out: str) -> None:
+    """Write ``text`` as UTF-8 to the file ``out``, or to standard output
+    for "-", whatever the locale's encoding."""
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()  # text written earlier stays ahead of these bytes
+        sys.stdout.buffer.write(text.encode("utf-8"))
     else:
         Path(out).write_text(text, encoding="utf-8")
 
@@ -156,11 +160,12 @@ def _cmd_run(args) -> int:
     else:
         report_text = pipeline.run_report_to_csv(result.report)
     body = result.transcript.render() + report_text if args.print_transcript else report_text
-    _write(body, args.out)
+    # the files first: a failing standard output must not leave them unwritten
     if args.transcript:
         Path(args.transcript).write_text(result.transcript.render(), encoding="utf-8")
     if args.log:
         Path(args.log).write_text("".join(line + "\n" for line in result.log), encoding="utf-8")
+    _write(body, args.out)
     if args.verbose:
         sys.stderr.write(f"wall time: {wall_s * 1000:.1f} ms\n")
     return EXIT_OK

@@ -17,8 +17,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .checks import read_csv, read_text, require_finite_fields
 from .perception import BackendError, OcrBackend
@@ -48,6 +49,15 @@ _LOWERCASE_WORDS = re.compile(r"[a-z]+(?: [a-z]+)*").fullmatch
 _NNNNN_NN = re.compile(r"[0-9]{5}\.[0-9]{2}").fullmatch
 
 
+def _check_truth(label: str, kind: SampleKind, truth: str) -> None:
+    """Raise unless ``truth`` has the shape of ``kind``'s samples."""
+    if kind is SampleKind.ALPHABETS:
+        if _LOWERCASE_WORDS(truth) is None:
+            raise ValueError(f"{label}: not lowercase words: {truth!r}")
+    elif _NNNNN_NN(truth) is None:
+        raise ValueError(f"{label}: not NNNNN.NN: {truth!r}")
+
+
 @dataclass(frozen=True)
 class OcrSample:
     """One benchmark sample. An alphabets truth is ASCII lowercase words
@@ -58,11 +68,15 @@ class OcrSample:
     truth: str
 
     def __post_init__(self) -> None:
-        if self.kind is SampleKind.ALPHABETS:
-            if _LOWERCASE_WORDS(self.truth) is None:
-                raise ValueError(f"{self.sample_id}: not lowercase words: {self.truth!r}")
-        elif _NNNNN_NN(self.truth) is None:
-            raise ValueError(f"{self.sample_id}: not NNNNN.NN: {self.truth!r}")
+        _check_truth(self.sample_id, self.kind, self.truth)
+
+    @classmethod
+    def _trusted(cls, sample_id: str, kind: SampleKind, truth: str) -> OcrSample:
+        """The sample without the shape check, for a truth that has
+        ``kind``'s shape by construction."""
+        sample = object.__new__(cls)
+        sample.__dict__.update(sample_id=sample_id, kind=kind, truth=truth)
+        return sample
 
 
 @dataclass(frozen=True)
@@ -123,6 +137,17 @@ def load_wordlist(path: str | Path | None = None) -> list[str]:
     return words
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> Iterator[int]:
+    """Endless ``randrange(n)`` draws: the rejection loop of CPython's
+    ``Random._randbelow``, so each value equals what ``Random.choice`` and
+    ``Random.randrange`` would draw from the same generator state."""
+    k = n.bit_length()
+    while True:
+        r = getrandbits(k)
+        if r < n:
+            yield r
+
+
 def generate_samples(
     kind: SampleKind,
     n: int,
@@ -132,22 +157,30 @@ def generate_samples(
     """Deterministic benchmark corpus for one sample kind.
 
     Numbers follow the fixed NNNNN.NN shape; alphabets are two words drawn
-    from the bundled wordlist.
+    from ``words`` (default: the bundled wordlist), every one of which must
+    have the alphabets truth shape, drawn or not. Each value is the one
+    ``randrange`` would draw next from ``random.Random(seed)``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     kind = SampleKind(kind)
-    if kind is SampleKind.ALPHABETS and words is None:
-        words = load_wordlist()
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     if kind is SampleKind.NUMBERS:
-        randrange = rng.randrange
-        truths = (f"{randrange(100000):05d}.{randrange(100):02d}" for _ in range(n))
+        draws = zip(_below(getrandbits, 100000), _below(getrandbits, 100))
+        truths = [f"{a:05d}.{b:02d}" for a, b in islice(draws, n)]
     else:
-        choice = rng.choice
-        truths = (f"{choice(words)} {choice(words)}" for _ in range(n))
-    prefix = kind.value
-    return [OcrSample(f"{prefix}-{i:05d}", kind, truth) for i, truth in enumerate(truths)]
+        if words is None:
+            words = load_wordlist()
+        if _LOWERCASE_WORDS(" ".join(words)) is None:
+            for i, word in enumerate(words):
+                if _LOWERCASE_WORDS(word) is None:
+                    raise ValueError(f"words[{i}]: bad word {word!r}")
+            raise ValueError("words: empty")
+        index = _below(getrandbits, len(words))
+        truths = [f"{words[a]} {words[b]}" for a, b in islice(zip(index, index), n)]
+    trusted, prefix = OcrSample._trusted, kind.value
+    # str.zfill(5) is format spec 05d for i >= 0, at half the cost
+    return [trusted(f"{prefix}-{str(i).zfill(5)}", kind, truth) for i, truth in enumerate(truths)]
 
 
 def align_confusions(truth: str, output: str) -> Counter[tuple[str, str]]:
@@ -293,7 +326,7 @@ def load_pairs(path: str | Path, kind: SampleKind | str) -> list[tuple[str, str]
     kind = SampleKind(kind)
 
     def pair(row: list[str]) -> tuple[str, str]:
-        OcrSample("truth", kind, row[0])
+        _check_truth("truth", kind, row[0])
         return row[0], row[1]
 
     return read_csv(path, {("truth", "output"): pair}, header="optional")

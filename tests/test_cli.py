@@ -607,24 +607,40 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "Measure Distance = 80.0 cm" in log
     assert "time taken to execute " in log
 
-def test_run_writes_utf8_files_under_ascii_locale(tmp_path):
-    # inputs are read as UTF-8 whatever the locale; the files run writes
-    # must be too, or a non-ASCII OCR text fails the run after the report
+def _cafe_run(tmp_path, *args: str) -> subprocess.CompletedProcess:
+    """``run`` on the multi-event replay with one OCR text set to ``café``,
+    under an ASCII locale; stdout and stderr are captured as bytes."""
     golden = Path(__file__).parent / "golden"
     raw = json.loads((golden / "multi_event_scenario.json").read_text(encoding="utf-8"))
     frame = next(e["frame"] for e in raw["events"] if e.get("frame", {}).get("texts"))
     frame["texts"][0]["text"] = "café"
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
-    out_file, transcript_file = tmp_path / "report.csv", tmp_path / "transcript.txt"
     env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     env.pop("PYTHONIOENCODING", None)
-    argv = [sys.executable, "-m", "percept_cane.cli", "run", str(scenario)]
-    argv += ["--out", str(out_file), "--transcript", str(transcript_file)]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    argv = [sys.executable, "-m", "percept_cane.cli", "run", str(scenario), *args]
+    return subprocess.run(argv, capture_output=True, env=env)
+
+def test_run_writes_utf8_files_under_ascii_locale(tmp_path):
+    # inputs are read as UTF-8 whatever the locale; the files run writes
+    # must be too, or a non-ASCII OCR text fails the run after the report
+    out_file, transcript_file = tmp_path / "report.csv", tmp_path / "transcript.txt"
+    proc = _cafe_run(tmp_path, "--out", str(out_file), "--transcript", str(transcript_file))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     assert "café".encode() in transcript_file.read_bytes()
     assert out_file.read_text(encoding="utf-8").startswith("stage,count,mean_s,max_s\n")
+
+def test_run_writes_utf8_stdout_under_ascii_locale(tmp_path):
+    # standard output is UTF-8 like the files, and the files come first
+    transcript_file, log_file = tmp_path / "transcript.txt", tmp_path / "log.txt"
+    args = ("--print-transcript", "--transcript", str(transcript_file), "--log", str(log_file))
+    proc = _cafe_run(tmp_path, *args)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    transcript = transcript_file.read_bytes()
+    assert "café".encode() in transcript
+    assert proc.stdout.startswith(transcript)
+    assert proc.stdout[len(transcript):].startswith(b"stage,count,mean_s,max_s\n")
+    assert log_file.read_bytes()
 
 def test_run_print_transcript_stdout(capsys):
     from percept_cane.pipeline import demo_scenario_path

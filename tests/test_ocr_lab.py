@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 import string
 
@@ -11,6 +12,7 @@ from percept_cane.ocr_lab import (
     Compute,
     EngineProfile,
     OcrReport,
+    OcrSample,
     RoutePolicy,
     SampleKind,
     align_confusions,
@@ -78,6 +80,56 @@ def test_generated_corpus_is_pinned(kind, seed):
     samples = generate_samples(SampleKind(kind), 2000, seed=seed)
     listing = "\n".join(f"{s.sample_id},{s.truth}" for s in samples)
     assert hashlib.sha256(listing.encode()).hexdigest() == CORPUS_SHA256[kind, seed]
+
+
+def _words(count: int) -> list[str]:
+    """``count`` distinct lowercase words: ``a``..``z``, then ``ba``, ``bb``..."""
+    out = []
+    for i in range(count):
+        word = string.ascii_lowercase[i % 26]
+        while i >= 26:
+            i //= 26
+            word = string.ascii_lowercase[i % 26] + word
+        out.append(word)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 2**40 + 7])
+def test_generated_draws_match_random_choice_and_randrange(seed):
+    """Differential oracle: the corpus is what ``Random.choice`` and
+    ``Random.randrange`` draw, for word lists on both sides of a power of
+    two, and each generated sample is the sample ``OcrSample`` builds."""
+    rng = random.Random(seed)
+    expected = [f"{rng.randrange(100000):05d}.{rng.randrange(100):02d}" for _ in range(500)]
+    samples = generate_samples(SampleKind.NUMBERS, 500, seed=seed)
+    assert [s.truth for s in samples] == expected
+    for count in (1, 3, 2047, 2048, 2049):
+        words = _words(count)
+        assert len(set(words)) == count
+        rng = random.Random(seed)
+        expected = [f"{rng.choice(words)} {rng.choice(words)}" for _ in range(500)]
+        generated = generate_samples(SampleKind.ALPHABETS, 500, seed=seed, words=words)
+        assert [s.truth for s in generated] == expected, count
+        samples += generated
+    for s in samples:
+        checked = OcrSample(s.sample_id, s.kind, s.truth)
+        assert (s, hash(s), repr(s)) == (checked, hash(checked), repr(checked))
+
+
+@pytest.mark.parametrize("bad", ["Word", "café", "", "a1"])
+def test_generate_rejects_bad_word_even_if_never_drawn(bad):
+    words = _words(8)
+    rng = random.Random(5)
+    drawn = {words.index(rng.choice(words)) for _ in range(2)}
+    index = max(set(range(8)) - drawn)
+    words[index] = bad
+    with pytest.raises(ValueError, match=re.escape(f"words[{index}]: bad word {bad!r}")):
+        generate_samples(SampleKind.ALPHABETS, 1, seed=5, words=words)
+
+
+def test_generate_rejects_empty_words():
+    with pytest.raises(ValueError, match="words: empty"):
+        generate_samples(SampleKind.ALPHABETS, 1, seed=0, words=[])
 
 
 def test_generate_rejects_zero():
