@@ -14,15 +14,20 @@ thing.
 
 It prints each pair, then for every end-to-end metric of BENCHMARK.json:
 each side's median and quartiles (``statistics.quantiles(values, n=4)``),
-the number of pairs the change wins and the base's interquartile range.
+the number of pairs the change wins, the base's interquartile range, and
+how far the change's median moves from the base's in the metric's worse
+direction, relative to the base median, flagged ``OUTSIDE BOUND`` when
+that move exceeds the metric's ``bound``.
 ``--json PATH`` also writes that summary as one JSON object: the base and
 head revisions (head is ``HEAD``, flagged ``head_dirty`` when the working
 tree differs from it), the workload, the seeds, the failed run count, and
-per metric its unit, direction, each side's values, median and quartiles,
-the change's wins and the base IQR. A run fails when it does not finish or
-reports ``correct: false`` (failed operations, or a problem such as a digest
-that does not match); the script prints each failed run's problems and
-exits 1 if any run failed. Stdlib only.
+per metric its unit, direction, bound, each side's values, median and
+quartiles, the change's wins, the base IQR, the relative worse move
+(``worse_by``, negative when the change is better) and ``outside_bound``.
+A run fails when it does not finish or reports ``correct: false`` (failed
+operations, or a problem such as a digest that does not match); the script
+prints each failed run's problems and exits 1 if any run failed. Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -90,14 +95,18 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
     """One end-to-end metric over all pairs: each side's spread and the wins."""
     sign = -1.0 if metric["better"] == "lower" else 1.0
     b, c = quartiles(base), quartiles(change)
+    worse_by = -sign * (c["median"] - b["median"]) / b["median"] if b["median"] else float("nan")
     return {
         "unit": metric["unit"],
         "better": metric["better"],
+        "bound": metric["bound"],
         "base": {**b, "values": base},
         "change": {**c, "values": change},
         "change_wins": sum(sign * (y - x) > 0 for x, y in zip(base, change)),
         "pairs": len(base),
         "base_iqr": b["q3"] - b["q1"],
+        "worse_by": worse_by,
+        "outside_bound": worse_by > metric["bound"],
     }
 
 
@@ -109,6 +118,8 @@ def summarize(name: str, row: dict) -> str:
         f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
         f"  ratio {ratio:.3f}  change wins {row['change_wins']}/{row['pairs']}"
         f"  |median gap| {abs(c['median'] - b['median']):.6g} vs base IQR {row['base_iqr']:.6g}"
+        f"  worse by {row['worse_by']:+.1%} (bound {row['bound']:.0%})"
+        + ("  OUTSIDE BOUND" if row["outside_bound"] else "")
     )
 
 

@@ -69,8 +69,12 @@ def on_measurement(
     the engine is armed, and at least ``min_interval_s`` has passed since the
     previous alert. Firing disarms the engine only when ``rearm_margin_cm``
     is positive; any reading above ``threshold + margin`` re-arms it.
+
+    Raises :class:`OutOfOrderError` for a timestamp earlier than the
+    previous one, or NaN.
     """
-    if m.timestamp_s < state.last_seen_s:
+    # written so that a NaN timestamp, which compares false, is rejected too
+    if not m.timestamp_s >= state.last_seen_s:
         raise OutOfOrderError(
             f"measurement at t={m.timestamp_s} after t={state.last_seen_s}"
         )

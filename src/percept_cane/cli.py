@@ -159,10 +159,11 @@ def _cmd_run(args) -> int:
         report_text = pipeline.run_report_to_json(result.report)
     else:
         report_text = pipeline.run_report_to_csv(result.report)
-    body = result.transcript.render() + report_text if args.print_transcript else report_text
+    transcript = result.transcript.render() if args.print_transcript or args.transcript else ""
+    body = transcript + report_text if args.print_transcript else report_text
     # the files first: a failing standard output must not leave them unwritten
     if args.transcript:
-        Path(args.transcript).write_text(result.transcript.render(), encoding="utf-8")
+        Path(args.transcript).write_text(transcript, encoding="utf-8")
     if args.log:
         Path(args.log).write_text("".join(line + "\n" for line in result.log), encoding="utf-8")
     _write(body, args.out)

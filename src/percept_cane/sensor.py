@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -76,6 +77,10 @@ class DistanceMeasurement:
             raise ValueError("exec_time_s must be positive")
 
 
+# an empty measurement, filled in by simulate_measurement
+_new_measurement = partial(object.__new__, DistanceMeasurement)
+
+
 def distance_from_echo(echo: EchoSample, cfg: SensorConfig) -> float:
     """Convert an echo round trip to a distance in centimeters (d = c*t/2)."""
     return cfg.speed_of_sound_mps * echo.roundtrip_s / 2.0 * 100.0
@@ -108,6 +113,10 @@ def simulate_measurement(
 
     Out-of-range distances still return a measurement, flagged with
     ``in_range=False``; policy belongs to the caller.
+
+    The result is built without re-running ``DistanceMeasurement``'s
+    ``__post_init__``, whose checks hold by construction; it equals
+    ``DistanceMeasurement(...)`` of the same fields.
     """
     if true_distance_cm < 0:
         raise ValueError("true_distance_cm must be non-negative")
@@ -123,12 +132,17 @@ def simulate_measurement(
     # same floats as max(exec_time, 1e-12), NaN included
     if exec_time < 1e-12:
         exec_time = 1e-12
-    return DistanceMeasurement(
+    # __post_init__'s checks hold by construction, so it is not run again:
+    # a negative distance raised above on the same condition, and the floor
+    # leaves exec_time > 0 or NaN, which its `<= 0` test lets through too
+    m = _new_measurement()
+    m.__dict__.update(
         distance_cm=true_distance_cm,
         exec_time_s=exec_time,
         in_range=cfg.min_range_cm <= true_distance_cm <= cfg.max_range_cm,
         timestamp_s=timestamp_s,
     )
+    return m
 
 
 def mean_response_time(samples: Sequence[DistanceMeasurement]) -> float:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -77,6 +78,18 @@ def test_out_of_order_timestamp_raises():
     on_measurement(state, m(250.0, 5.0), CFG)
     with pytest.raises(OutOfOrderError):
         on_measurement(state, m(250.0, 4.0), CFG)
+
+
+def test_nan_timestamp_raises_first_and_after_finite():
+    state = AlertState()
+    with pytest.raises(OutOfOrderError, match=r"^measurement at t=nan after t=-inf$"):
+        on_measurement(state, m(50.0, math.nan), CFG)
+    on_measurement(state, m(250.0, 5.0), CFG)
+    with pytest.raises(OutOfOrderError, match=r"^measurement at t=nan after t=5.0$"):
+        on_measurement(state, m(50.0, math.nan), CFG)
+    # the rejected reading left no trace: the engine still fires
+    assert state.last_alert_s is None and state.last_seen_s == 5.0
+    assert on_measurement(state, m(50.0, 6.0), CFG) is not None
 
 
 def test_equal_timestamps_allowed():

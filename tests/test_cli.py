@@ -655,6 +655,24 @@ def test_run_print_transcript_stdout(capsys):
     code, second, _ = run_cli(capsys, *argv)
     assert first == second
 
+def test_run_renders_transcript_once(tmp_path, capsysbinary, monkeypatch):
+    from percept_cane.pipeline import demo_scenario_path
+    from percept_cane.speech import Transcript
+
+    scenario = str(demo_scenario_path())
+    assert main(["run", scenario]) == 0
+    report = capsysbinary.readouterr().out
+    render, calls = Transcript.render, []
+    monkeypatch.setattr(Transcript, "render", lambda self: calls.append(1) or render(self))
+    transcript_file = tmp_path / "transcript.txt"
+    assert main(["run", scenario, "--print-transcript", "--transcript", str(transcript_file)]) == 0
+    out = capsysbinary.readouterr().out
+    assert len(calls) == 1
+    golden = Path(__file__).parent / "golden" / "demo_transcript.csv"
+    assert out == golden.read_bytes()
+    assert transcript_file.read_bytes() + report == out
+
+
 def test_run_verbose_keeps_stdout_clean(capsys):
     from percept_cane.pipeline import demo_scenario_path
 

@@ -1,7 +1,10 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from percept_cane.sensor import (
     DistanceMeasurement,
@@ -189,3 +192,78 @@ def test_default_model_magnitudes_match_reference_endpoints():
     assert math.floor(math.log10(low)) == math.floor(math.log10(0.0037789))
     assert math.floor(math.log10(high)) == math.floor(math.log10(0.0161))
     assert high == pytest.approx(0.0221, abs=0.0005)
+
+
+# --- simulate_measurement's unchecked build against DistanceMeasurement(...)
+
+ZERO_CFG = SensorConfig(overhead_base_s=0.0, overhead_per_cm_s=0.0, jitter_std_s=0.0)
+
+
+@st.composite
+def _configs(draw) -> SensorConfig:
+    low = draw(st.floats(0.01, 500.0))
+    return SensorConfig(
+        speed_of_sound_mps=draw(st.floats(1.0, 2000.0)),
+        min_range_cm=low,
+        max_range_cm=low + draw(st.floats(0.01, 1000.0)),
+        overhead_base_s=draw(st.sampled_from([0.0, 0.003]) | st.floats(0.0, 0.1)),
+        overhead_per_cm_s=draw(st.sampled_from([0.0, 6e-5]) | st.floats(0.0, 1e-3)),
+        jitter_std_s=draw(st.sampled_from([0.0, 0.0015]) | st.floats(0.0, 0.05)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def _distances(cfg: SensorConfig):
+    edges = [0.0, -0.0, cfg.min_range_cm, cfg.max_range_cm, math.inf, math.nan]
+    return st.sampled_from(edges) | st.floats(min_value=0.0, max_value=1e6)
+
+
+_CASES = (st.just(ZERO_CFG) | st.just(CFG) | _configs()).flatmap(
+    lambda cfg: st.tuples(st.just(cfg), _distances(cfg))
+)
+
+
+def _oracle_exec_time(d: float, cfg: SensorConfig, rng: random.Random) -> float:
+    base, per_cm, c = cfg.overhead_base_s, cfg.overhead_per_cm_s, cfg.speed_of_sound_mps
+    jitter = rng.gauss(0.0, cfg.jitter_std_s) if cfg.jitter_std_s > 0 else 0.0
+    return max(base + per_cm * d + 2.0 * (d / 100.0) / c + max(jitter, 0.0), 1e-12)
+
+
+def _same_float(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=_CASES, t=st.floats(allow_nan=False, allow_infinity=False))
+@example(case=(ZERO_CFG, 0.0), t=0.0)
+@example(case=(ZERO_CFG, -0.0), t=-1.5)
+@example(case=(CFG, CFG.min_range_cm), t=1.0)
+@example(case=(CFG, CFG.max_range_cm), t=2.0)
+@example(case=(CFG, math.inf), t=3.0)
+@example(case=(ZERO_CFG, math.inf), t=3.0)
+@example(case=(CFG, math.nan), t=4.0)
+def test_simulate_measurement_matches_checked_build(case, t):
+    cfg, d = case
+    rng, twin = random.Random(cfg.seed), random.Random(cfg.seed)
+    m = simulate_measurement(d, cfg, rng, timestamp_s=t)
+
+    checked = DistanceMeasurement(m.distance_cm, m.exec_time_s, m.in_range, m.timestamp_s)
+    assert type(m) is DistanceMeasurement
+    assert m == checked and hash(m) == hash(checked) and repr(m) == repr(checked)
+    assert list(vars(m)) == list(vars(checked))
+    with pytest.raises(FrozenInstanceError):
+        m.distance_cm = 1.0
+
+    assert _same_float(m.distance_cm, d) and _same_float(m.timestamp_s, t)
+    assert m.in_range is (cfg.min_range_cm <= d <= cfg.max_range_cm)
+    assert _same_float(m.exec_time_s, _oracle_exec_time(d, cfg, twin))
+    assert rng.getstate() == twin.getstate()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(cfg=st.just(CFG) | _configs(), d=st.floats(max_value=-5e-324))
+def test_simulate_measurement_rejects_negative_distance(cfg, d):
+    with pytest.raises(ValueError, match=r"^true_distance_cm must be non-negative$"):
+        simulate_measurement(d, cfg, random.Random(0))
