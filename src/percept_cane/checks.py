@@ -48,10 +48,7 @@ def box(value: object, name: str) -> tuple[float, float, float, float]:
     """A list of exactly four numbers."""
     if type(value) is not list or len(value) != 4:
         raise ValueError(f"{name} must be a list of 4 numbers, got {_show(value)}")
-    x0, y0, x1, y1 = value
-    if type(x0) is type(y0) is type(x1) is type(y1) is float and math.isfinite(x0 + y0 + x1 + y1):
-        return x0, y0, x1, y1  # the usual case, without a call per number
-    return number(x0, name), number(y0, name), number(x1, name), number(y1, name)
+    return tuple(number(x, name) for x in value)
 
 
 def keys(raw: object, required: Sequence[str], optional: Iterable[str] = (), name: str = ""):

@@ -45,9 +45,13 @@ class BackendError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
-    """Axis-aligned box in normalized image coordinates."""
+    """Axis-aligned box in normalized image coordinates.
+
+    Slotted, so a box carries no ``__dict__``: a replay loads tens of
+    thousands of them.
+    """
 
     x_min: float
     y_min: float

@@ -16,6 +16,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -43,6 +44,9 @@ from .speech import (
 )
 
 SCENARIO_DEMO_FILE = "scenario_demo.json"
+# an empty box and the setter that fills it, for boxes the loader checked itself
+_new_box = partial(object.__new__, BoundingBox)
+_set = object.__setattr__
 # Upper bound on ceil(duration_s / tick_s), checked before any tick runs;
 # the largest benchmark walk has 6,000 ticks.
 MAX_TICKS = 1_000_000
@@ -131,9 +135,38 @@ class Scenario:
 
 def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple:
     """``[{label: str, box: [4 numbers]}, ...]`` as ``((label, BoundingBox), ...)``;
-    an error names the entry, as in ``texts[1]: unknown keys ['font']``."""
+    an error names the entry, as in ``texts[1]: unknown keys ['font']``.
+
+    A valid entry passes one inline test: an object of the two keys, a str
+    label and four floats with ``0 <= x_min <= x_max <= 1`` and the same for
+    y. Its box is built without running ``BoundingBox.__post_init__``, whose
+    checks that test already made. Any other entry, int coordinates
+    included, is re-checked by :mod:`checks` and the constructor, so it is
+    accepted or gets the same message as without the test.
+    """
     out = []
     for i, entry in enumerate(checks.typed(entries, list, name)):
+        if (
+            type(entry) is dict
+            and len(entry) == 2
+            and type(text := entry.get(label)) is str
+            and type(coords := entry.get(box)) is list
+            and len(coords) == 4
+        ):
+            x0, y0, x1, y1 = coords
+            # the chained comparisons are False for NaN and for either infinity
+            if (
+                type(x0) is type(y0) is type(x1) is type(y1) is float
+                and 0.0 <= x0 <= x1 <= 1.0
+                and 0.0 <= y0 <= y1 <= 1.0
+            ):
+                b = _new_box()
+                _set(b, "x_min", x0)
+                _set(b, "y_min", y0)
+                _set(b, "x_max", x1)
+                _set(b, "y_max", y1)
+                out.append((text, b))
+                continue
         try:
             checks.keys(entry, (label, box))
             text = checks.typed(entry[label], str, label)
@@ -144,17 +177,36 @@ def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple:
 
 
 def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
-    checks.keys(raw, ("t", "distance_cm"), ("frame",))
-    t_s = checks.number(raw["t"], "t")
-    distance_cm = checks.number(raw["distance_cm"], "distance_cm")
-    if distance_cm < 0:
-        raise ValueError("distance_cm must be non-negative")
-    f = raw.get("frame")
-    if f is None:
-        return ScenarioEvent(t_s, distance_cm)
-    checks.keys(f, (), ("frame_id", "texts", "objects"), "frame")
+    # the usual event, accepted by one test: finite float t and distance_cm,
+    # distance_cm >= 0, and a frame object with all three of its keys; any
+    # other event goes through the checks, which raise or accept it
+    if (
+        type(raw) is dict
+        and len(raw) == 3
+        and type(t_s := raw.get("t")) is float
+        and type(distance_cm := raw.get("distance_cm")) is float
+        and distance_cm >= 0.0
+        and math.isfinite(t_s + distance_cm)
+        and type(f := raw.get("frame")) is dict
+        and len(f) == 3
+        and "frame_id" in f
+        and "texts" in f
+        and "objects" in f
+    ):
+        frame_id = f["frame_id"]
+    else:
+        checks.keys(raw, ("t", "distance_cm"), ("frame",))
+        t_s = checks.number(raw["t"], "t")
+        distance_cm = checks.number(raw["distance_cm"], "distance_cm")
+        if distance_cm < 0:
+            raise ValueError("distance_cm must be non-negative")
+        f = raw.get("frame")
+        if f is None:
+            return ScenarioEvent(t_s, distance_cm)
+        checks.keys(f, (), ("frame_id", "texts", "objects"), "frame")
+        frame_id = f.get("frame_id", f"frame-{i:03d}")
     frame = Frame(
-        frame_id=checks.typed(f.get("frame_id", f"frame-{i:03d}"), str, "frame_id"),
+        frame_id=checks.typed(frame_id, str, "frame_id"),
         truth_texts=_labelled_boxes(f.get("texts", []), "texts", "text", "region"),
         truth_objects=_labelled_boxes(f.get("objects", []), "objects", "label", "box"),
     )
@@ -164,7 +216,11 @@ def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
 
 def load_scenario(path: str | Path, vocabulary: Sequence[str] | None = None) -> Scenario:
     """Parse a scenario JSON file; object labels must be in ``vocabulary``
-    (default: the bundled COCO list). Errors name the file and event index."""
+    (default: the bundled COCO list). Errors name the file and event index.
+
+    Each valid event and box entry passes one inline test; an entry that
+    fails it is re-checked by :mod:`checks`, so every message is the same
+    as when every entry is checked in full."""
     raw = checks.read_json(path)
     allowed = set(load_class_vocabulary() if vocabulary is None else vocabulary)
     events: list[ScenarioEvent] = []
@@ -199,7 +255,10 @@ class StageStats:
     def of(durations: Sequence[float]) -> "StageStats":
         if not durations:
             return StageStats(0, 0.0, 0.0)
-        if any(d < 0 for d in durations):
+        # min is NaN only when the first duration is, and otherwise the least
+        # of the others, so only then must every duration be compared
+        low = min(durations)
+        if low < 0 or (low != low and any(d < 0 for d in durations)):
             raise ValueError("stage durations must be non-negative")
         return StageStats(len(durations), math.fsum(durations) / len(durations), max(durations))
 

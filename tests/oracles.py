@@ -7,7 +7,9 @@ instead of a running maximum, pairwise dominance scans instead of whatever
 the frontier code does, a binary heap with a victim scan instead of
 per-priority deques, a per-character hash loop instead of a scan for
 confusable characters, the full edit-distance table for every pair instead
-of a position-wise shortcut. Slow is fine; different is the point.
+of a position-wise shortcut, public constructors for every loaded box
+instead of the loader's checked fast path. Slow is fine; different is the
+point.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from percept_cane.detector_lab import ModelSpec, PredictionBox, TruthBox, iou
-from percept_cane.perception import BoundingBox
+from percept_cane.perception import BoundingBox, Frame
 from percept_cane.speech import Priority, SpeechMessage
 
 
@@ -226,3 +228,24 @@ def dp_align_confusions(truth: str, output: str) -> Counter[tuple[str, str]]:
             continue
         j -= 1
     return confusions
+
+
+def reference_scenario_parts(
+    doc: dict,
+) -> tuple[str, float, float, list[tuple[float, float, Frame | None]]]:
+    """A scenario document's name, tick, duration and ``(t, distance, frame)``
+    per event, every frame and box built by its constructor as
+    ``BoundingBox(*map(float, box))``. The document is assumed well typed;
+    the constructors raise on a box out of range, texts before objects, as
+    the loader reads them. A frame without an id is ``frame-NNN`` by its
+    event's index."""
+    events = []
+    for i, event in enumerate(doc["events"]):
+        raw = event.get("frame")
+        frame = None
+        if raw is not None:
+            texts = tuple((e["text"], BoundingBox(*map(float, e["region"]))) for e in raw.get("texts", []))
+            objects = tuple((e["label"], BoundingBox(*map(float, e["box"]))) for e in raw.get("objects", []))
+            frame = Frame(raw.get("frame_id", f"frame-{i:03d}"), truth_objects=objects, truth_texts=texts)
+        events.append((float(event["t"]), float(event["distance_cm"]), frame))
+    return doc["name"], float(doc["tick_s"]), float(doc["duration_s"]), events

@@ -320,6 +320,79 @@ BAD_INPUTS = {
         [{**_GOOD_EVENT, "frame": {"objects": [{"label": "chair", "box": [0.1, 0.1, 0.4, 0.4], "hue": 3}]}}],
         "event 0: objects[0]: unknown keys ['hue']",
     ),
+    # each case below fails the loader's one-test fast path and must get the
+    # same message from the full checks
+    "inverted-region": (
+        [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "region": [0.5, 0.1, 0.2, 0.4]}]}}],
+        "event 0: texts[0]: require 0 <= x_min <= x_max <= 1, "
+        "got BoundingBox(x_min=0.5, y_min=0.1, x_max=0.2, y_max=0.4)\n",
+    ),
+    "inverted-y-box": (
+        [{**_GOOD_EVENT, "frame": {"objects": [{"label": "chair", "box": [0.1, 0.5, 0.4, 0.2]}]}}],
+        "event 0: objects[0]: require 0 <= y_min <= y_max <= 1, "
+        "got BoundingBox(x_min=0.1, y_min=0.5, x_max=0.4, y_max=0.2)\n",
+    ),
+    "box-above-one": (
+        [{**_GOOD_EVENT, "frame": {"objects": [{"label": "chair", "box": [0.1, 0.1, 1.5, 0.4]}]}}],
+        "event 0: objects[0]: require 0 <= x_min <= x_max <= 1, "
+        "got BoundingBox(x_min=0.1, y_min=0.1, x_max=1.5, y_max=0.4)\n",
+    ),
+    "negative-int-in-box": (
+        [{**_GOOD_EVENT, "frame": {"objects": [{"label": "chair", "box": [-1, 0, 1, 1]}]}}],
+        "event 0: objects[0]: require 0 <= x_min <= x_max <= 1, "
+        "got BoundingBox(x_min=-1.0, y_min=0.0, x_max=1.0, y_max=1.0)\n",
+    ),
+    "bool-in-box": (
+        [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "region": [0.1, True, 0.4, 0.4]}]}}],
+        "event 0: texts[0]: region must be a number, got True\n",
+    ),
+    "nan-in-box": (
+        [{**_GOOD_EVENT, "frame": {"objects": [{"label": "chair", "box": [0.1, float("nan"), 0.4, 0.2]}]}}],
+        "event 0: objects[0]: box must be finite, got nan\n",
+    ),
+    "inf-in-box": (
+        _Raw(
+            '{"name": "x", "tick_s": 0.5, "duration_s": 5.0, "events": [{"t": 0.0, "distance_cm": 80.0,'
+            ' "frame": {"texts": [{"text": "EXIT", "region": [0.1, 0.1, 1e999, 0.4]}]}}]}'
+        ),
+        "event 0: texts[0]: region must be finite, got inf\n",
+    ),
+    "object-unknown-label": (
+        [{**_GOOD_EVENT, "frame": {"objects": [{"label": "unicorn", "box": [0.1, 0.1, 0.4, 0.4]}]}}],
+        "event 0: frame 'frame-000': label 'unicorn' not in vocabulary\n",
+    ),
+    "object-without-label": (
+        [{**_GOOD_EVENT, "frame": {"objects": [{"box": [0.1, 0.1, 0.4, 0.4]}]}}],
+        "event 0: objects[0]: missing key 'label'\n",
+    ),
+    "frame-unknown-key": (
+        [{**_GOOD_EVENT, "frame": {"texts": [_TEXT], "pixels": []}}],
+        "event 0: unknown keys ['pixels']\n",
+    ),
+    "negative-distance-with-frame": (
+        [{"t": 0.0, "distance_cm": -5.0, "frame": {"frame_id": "f", "texts": [], "objects": []}}],
+        "event 0: distance_cm must be non-negative\n",
+    ),
+    "inf-time-with-frame": (
+        [{"t": float("inf"), "distance_cm": 80.0, "frame": {"frame_id": "f", "texts": [], "objects": []}}],
+        "event 0: t must be finite, got inf\n",
+    ),
+    "nan-distance-with-frame": (
+        [{"t": 0.0, "distance_cm": float("nan"), "frame": {"frame_id": "f", "texts": [], "objects": []}}],
+        "event 0: distance_cm must be finite, got nan\n",
+    ),
+    "int-frame-id": (
+        [{**_GOOD_EVENT, "frame": {"frame_id": 7, "texts": [], "objects": []}}],
+        "event 0: frame_id must be a string, got 7\n",
+    ),
+    "full-frame-unknown-key": (
+        [{**_GOOD_EVENT, "frame": {"frame_id": "f", "texts": [], "objects": [], "pixels": []}}],
+        "event 0: unknown keys ['pixels']\n",
+    ),
+    "event-unknown-key-with-frame": (
+        [{**_GOOD_EVENT, "frame": {"frame_id": "f", "texts": [], "objects": []}, "speed": 3}],
+        "event 0: unknown keys ['speed']\n",
+    ),
     "not-utf8": (b'{"name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
     "deep-nesting": (_Raw("[" * 100_000), "maximum recursion depth exceeded"),
     "config-fractional-capacity": (

@@ -1,11 +1,18 @@
+import gc
 import json
+import math
 import random
-from dataclasses import fields
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import reference_scenario_parts
 
 from percept_cane.alerts import AlertConfig, AlertState, on_measurement
+from percept_cane.perception import BoundingBox
 from percept_cane.pipeline import (
     MAX_TICKS,
     BudgetConfig,
@@ -71,6 +78,186 @@ def test_scenario_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="speed"):
         load_scenario(path)
+
+
+def test_scenario_reads_integer_box_as_floats(tmp_path):
+    boxes = []
+    for box in ([0, 0, 1, 1], [0.0, 0.0, 1.0, 1.0]):
+        doc = {
+            "name": "ints",
+            "tick_s": 0.5,
+            "duration_s": 5.0,
+            "events": [{"t": 0.0, "distance_cm": 80.0, "frame": {"objects": [{"label": "chair", "box": box}]}}],
+        }
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        boxes.append(load_scenario(path).events[0].frame.truth_objects[0][1])
+    assert boxes[0] == boxes[1] == BoundingBox(0.0, 0.0, 1.0, 1.0)
+    assert all(type(getattr(b, f.name)) is float for b in boxes for f in fields(BoundingBox))
+
+
+# --- load_scenario's one-test fast path against the public constructors
+
+# Hypothesis's floats(0.0, 1.0) never draws -0.0
+_COORD = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0])
+
+
+# how a box is written, plain most often; a swap or an out-of-range value
+# makes it invalid unless the swap swaps equal coordinates
+_SHAPES = ["plain"] * 8 + ["degenerate", "ints", "ints", "swap-x", "swap-y", "out-x0", "out-y0", "out-y1"]
+_OUT = {"out-x0": (0, -0.5), "out-y0": (1, -5e-324), "out-y1": (3, 2)}
+
+
+@st.composite
+def _boxes(draw) -> list:
+    a, b, c, d, shape = draw(st.tuples(_COORD, _COORD, _COORD, _COORD, st.sampled_from(_SHAPES)))
+    (x0, x1), (y0, y1) = sorted((a, b)), sorted((c, d))
+    box = [x0, y0, x1, y1]
+    if shape == "degenerate":
+        box[2] = x0
+    elif shape == "ints":  # whole coordinates written as ints
+        box = [int(v) if v in (0.0, 1.0) else v for v in box]
+    elif shape == "swap-x":
+        box = [x1, y0, x0, y1]
+    elif shape == "swap-y":
+        box = [x0, y1, x1, y0]
+    elif shape in _OUT:
+        i, value = _OUT[shape]
+        box[i] = value
+    return box
+
+
+_FRAMES = st.fixed_dictionaries(
+    {},
+    optional={
+        "frame_id": st.sampled_from(["", "f-0", "frame-000"]),
+        "texts": st.lists(
+            st.fixed_dictionaries({"text": st.sampled_from(["EXIT", "", "A 1"]), "region": _boxes()}),
+            max_size=4,
+        ),
+        "objects": st.lists(
+            st.fixed_dictionaries({"label": st.sampled_from(["chair", "person", "dog"]), "box": _boxes()}),
+            max_size=4,
+        ),
+    },
+)
+
+
+@st.composite
+def _scenario_docs(draw) -> dict:
+    times = draw(st.lists(st.integers(0, 50) | st.floats(0.0, 50.0), unique_by=float, max_size=5))
+    events = []
+    for t in sorted(times, key=float):
+        event = {"t": t, "distance_cm": draw(st.sampled_from([0, 80, 0.0, -0.0]) | st.floats(0.0, 400.0))}
+        # a frameless event has no frame key or a null one
+        frame = draw(st.sampled_from(["frame", "frame", "frame", "null", "absent"]))
+        if frame != "absent":
+            event["frame"] = draw(_FRAMES) if frame == "frame" else None
+        events.append(event)
+    return {"name": "walk", "tick_s": draw(st.sampled_from([0.5, 1])), "duration_s": 60.0, "events": events}
+
+
+def _labelled(scenario: Scenario) -> list:
+    return [
+        pair
+        for event in scenario.events
+        if event.frame is not None
+        for pair in event.frame.truth_texts + event.frame.truth_objects
+    ]
+
+
+def _outcome(load) -> tuple[object, str | None]:
+    """What ``load()`` returns, or its ValueError's message."""
+    try:
+        return load(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=_scenario_docs())
+def test_load_scenario_matches_public_constructors(doc, tmp_path):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(doc))
+
+    def reference() -> Scenario:
+        name, tick_s, duration_s, events = reference_scenario_parts(doc)
+        return Scenario(name, tick_s, duration_s, tuple(ScenarioEvent(*e) for e in events))
+
+    checked = []
+    post_init = BoundingBox.__post_init__
+
+    def counted(box):
+        checked.append(box)
+        post_init(box)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BoundingBox, "__post_init__", counted)
+        loaded, error = _outcome(lambda: load_scenario(path))
+    expected, expected_error = _outcome(reference)
+    if expected_error is not None:
+        # an out-of-range box gets the constructor's message, located
+        assert error is not None and error.endswith(f": {expected_error}")
+        return
+    assert error is None and loaded == expected
+    for (text, box), (ref_text, ref) in zip(_labelled(loaded), _labelled(expected), strict=True):
+        assert text == ref_text and type(box) is BoundingBox and not hasattr(box, "__dict__")
+        assert box == ref and hash(box) == hash(ref) and repr(box) == repr(ref)
+        with pytest.raises(FrozenInstanceError):
+            box.x_min = 0.5
+    # only a box written with an int coordinate goes through the constructor
+    written = [
+        entry.get("region", entry.get("box"))
+        for event in doc["events"]
+        if event.get("frame")
+        for entry in event["frame"].get("texts", []) + event["frame"].get("objects", [])
+    ]
+    assert len(checked) == sum(any(type(c) is int for c in box) for box in written)
+
+
+def test_load_scenario_allocates_like_public_constructors(tmp_path):
+    rng = random.Random(14)
+    events = []
+    for i in range(200):
+        objects = []
+        for _ in range(10):
+            x0, x1 = sorted((rng.random(), rng.random()))
+            y0, y1 = sorted((rng.random(), rng.random()))
+            objects.append({"label": "person", "box": [x0, y0, x1, y1]})
+        events.append({"t": float(i), "distance_cm": 80.0, "frame": {"frame_id": f"f{i}", "texts": [], "objects": objects}})
+    path = tmp_path / "guard.json"
+    path.write_text(json.dumps({"name": "guard", "tick_s": 0.5, "duration_s": 200.0, "events": events}))
+
+    def reference() -> Scenario:
+        name, tick_s, duration_s, parts = reference_scenario_parts(json.loads(path.read_bytes()))
+        return Scenario(name, tick_s, duration_s, tuple(ScenarioEvent(*e) for e in parts))
+
+    def retained(load) -> tuple[Scenario, int]:
+        load()  # the first call fills any cache
+        gc.collect()
+        tracemalloc.start()
+        try:
+            scenario = load()
+            gc.collect()  # a full collection also empties the free lists
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return scenario, size
+
+    expected, expected_size = retained(reference)
+    loaded, loaded_size = retained(lambda: load_scenario(path))
+    assert loaded == expected and len(_labelled(loaded)) == 2_000
+    # a box filled through __dict__ would carry a dict of its own, 136 B more
+    # per box on CPython 3.11 (about +40 % here); once one is made, even boxes
+    # built by the constructor may get one, so the check is absolute too
+    assert not any(hasattr(box, "__dict__") for _, box in _labelled(loaded) + _labelled(expected))
+    assert loaded_size <= 1.05 * expected_size
 
 
 def test_scenario_invariants():
@@ -376,6 +563,16 @@ def test_stage_stats_of():
     assert StageStats.of([]) == StageStats(0, 0.0, 0.0)
     with pytest.raises(ValueError):
         StageStats.of([-0.1])
+    nan = math.nan
+    for durations in ([nan, -1.0], [1.0, nan, -1.0], [0.5, -0.0, -1e-300]):
+        with pytest.raises(ValueError, match="^stage durations must be non-negative$"):
+            StageStats.of(durations)
+    for durations in ([nan, 1.0], [1.0, nan]):
+        stats = StageStats.of(durations)
+        assert stats.count == 2 and math.isnan(stats.mean_s)
+    assert StageStats.of([1, 3]) == StageStats(2, 2.0, 3)
+    with pytest.raises(ValueError):
+        StageStats.of([2, -1])
 
 
 def test_speech_config_templates_applied():
