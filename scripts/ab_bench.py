@@ -17,13 +17,19 @@ each side's median and quartiles (``statistics.quantiles(values, n=4)``),
 the number of pairs the change wins, the base's interquartile range, and
 how far the change's median moves from the base's in the metric's worse
 direction, relative to the base median, flagged ``OUTSIDE BOUND`` when
-that move exceeds the metric's ``bound``.
+that move exceeds the metric's ``bound``. Then each side's median host
+seconds of a timed pass and of a calibration run, read from the summary
+lines ``run.py`` prints: reference seconds divide the first by the second,
+so a verdict in reference seconds that host seconds contradict shows up
+as a calibration that moved.
 ``--json PATH`` also writes that summary as one JSON object: the base and
 head revisions (head is ``HEAD``, flagged ``head_dirty`` when the working
 tree differs from it), the workload, the seeds, the failed run count, and
 per metric its unit, direction, bound, each side's values, median and
 quartiles, the change's wins, the base IQR, the relative worse move
-(``worse_by``, negative when the change is better) and ``outside_bound``.
+(``worse_by``, negative when the change is better) and ``outside_bound``,
+and under ``host`` each side's per-run values and median of ``pass_s`` and
+``cal_s``.
 A run fails when it does not finish or reports ``correct: false`` (failed
 operations, or a problem such as a digest that does not match); the script
 prints each failed run's problems and exits 1 if any run failed. Stdlib
@@ -35,6 +41,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
+import re
 import shutil
 import statistics
 import subprocess
@@ -46,6 +54,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
 SHARED = ("perfbench", "BENCHMARK.json")
+# host seconds in run.py's summary lines: the median timed pass and the
+# median calibration run
+HOST_LINES = {
+    "pass_s": re.compile(r"\s*wall_s .*\(host: .*median (\S+) s,"),
+    "cal_s": re.compile(r"\s*calibration loop (\S+) host s"),
+}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -72,11 +86,34 @@ def run_side(root: Path, workload: str, seed: int) -> dict:
         problem = f"did not finish (exit code {proc.returncode})"
         return {"correct": False, "failed": 1, "metrics": {}, "problems": [problem]}
     result = json.loads(lines[-1])
+    result["host"] = host_times(lines)
     prefix = "problem: "
     result["problems"] = [
         line.removeprefix(prefix) for line in proc.stderr.splitlines() if line.startswith(prefix)
     ]
     return result
+
+
+def host_times(lines: list[str]) -> dict[str, float]:
+    """The host seconds of ``HOST_LINES`` found in a run's stdout lines."""
+    found = {}
+    for line in lines:
+        for name, pattern in HOST_LINES.items():
+            match = pattern.match(line)
+            if match:
+                found[name] = float(match.group(1))
+    return found
+
+
+def host_medians(runs: list[dict]) -> dict[str, dict]:
+    """Per ``HOST_LINES`` name, each run's value (NaN when absent) and the
+    median of those present (NaN when none is)."""
+    out = {}
+    for name in HOST_LINES:
+        values = [r.get("host", {}).get(name, math.nan) for r in runs]
+        present = [v for v in values if not math.isnan(v)]
+        out[name] = {"values": values, "median": statistics.median(present) if present else math.nan}
+    return out
 
 
 def value(metrics: dict, name: str) -> float:
@@ -183,6 +220,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\n{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}")
     for name, row in rows.items():
         print(summarize(name, row))
+    host = {side: host_medians(runs[side]) for side in ("base", "change")}
+    for name in HOST_LINES:
+        b, c = host["base"][name]["median"], host["change"][name]["median"]
+        ratio = c / b if b else math.nan
+        print(f"host {name:<7} base {b:.6g}  change {c:.6g}  ratio {ratio:.3f}  (median host s)")
     if args.json:
         summary = {
             "base": git("rev-parse", args.base + "^{commit}").stdout.strip(),
@@ -193,6 +235,7 @@ def main(argv: list[str] | None = None) -> int:
             "seconds": SECONDS,
             "failed": failed,
             "metrics": rows,
+            "host": host,
         }
         args.json.write_text(json.dumps(summary, indent=2) + "\n")
     if failed:

@@ -284,25 +284,28 @@ def run_benchmark(
     seed: int,
     words: Sequence[str] | None = None,
 ) -> OcrReport:
-    """Generate a corpus, run it through a backend, and score the output."""
+    """Generate a corpus, run it through a backend, and score the output.
+
+    ``mean_speed_s`` is the time of the whole transcription loop over ``n``.
+    A failure names its sample, the one after the last pair made.
+    """
     kind = SampleKind(kind)
     samples = generate_samples(kind, n, seed, words=words)
-    transcribe, clock = backend.transcribe, time.perf_counter
+    transcribe = backend.transcribe
     pairs: list[tuple[str, str]] = []
-    elapsed = 0.0
-    for sample in samples:
-        truth, sample_id = sample.truth, sample.sample_id
-        t0 = clock()
-        try:
-            output = transcribe(truth, key=sample_id)
-        except BackendError as exc:
-            raise BackendError(exc.backend_id, f"{sample_id}: {exc.cause}") from exc
-        except Exception as exc:
-            raise BackendError(
-                getattr(backend, "backend_id", "?"), f"{sample_id}: {exc}"
-            ) from exc
-        elapsed += clock() - t0
-        pairs.append((truth, output))
+    append = pairs.append
+    t0 = time.perf_counter()
+    try:
+        for sample in samples:
+            truth = sample.truth
+            append((truth, transcribe(truth, key=sample.sample_id)))
+    except BackendError as exc:
+        sample_id = samples[len(pairs)].sample_id
+        raise BackendError(exc.backend_id, f"{sample_id}: {exc.cause}") from exc
+    except Exception as exc:
+        sample_id = samples[len(pairs)].sample_id
+        raise BackendError(getattr(backend, "backend_id", "?"), f"{sample_id}: {exc}") from exc
+    elapsed = time.perf_counter() - t0
     return replace(score(pairs, kind), mean_speed_s=elapsed / n)
 
 

@@ -12,8 +12,8 @@ texts only, so it never pays for the hash.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+from hashlib import sha256
 from pathlib import Path
 from typing import Collection, Protocol
 
@@ -78,14 +78,37 @@ class Frame:
 
 
 def _unit(token: str) -> float:
-    """Stable hash of a token to [0, 1).
+    """Stable hash of a token to [0, 1]; the division rounds the top 1,024
+    of its 2**64 values up to 1.0.
 
     sha256 rather than hash(): the builtin is salted per process, which
     would break cross-run determinism. Tokens join the seed and the item's
     identity with ':', e.g. ``f"{seed}:drop:{frame_id}:{i}:{label}"``.
     """
-    digest = hashlib.sha256(token.encode()).digest()
+    digest = sha256(token.encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
+
+
+def _cut(probability: float) -> bytes:
+    """The 8-byte big-endian cut ``T`` of a draw below ``probability``.
+
+    ``T`` is the least integer ``x`` with ``x / 2**64 >= probability``, found
+    by bisection on that same float expression. The correctly rounded
+    division is monotone in ``x``, so for any token
+    ``sha256(token).digest() < T`` holds exactly when
+    ``_unit(token) < probability``: the digest's first 8 bytes compare as
+    the integer ``_unit`` divides, and when they equal ``T`` the longer
+    digest compares greater. ``x = 2**64 - 1`` already gives 1.0, so ``T``
+    fits in 8 bytes for every probability in [0, 1].
+    """
+    lo, hi = 0, 2**64 - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2**64 >= probability:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo.to_bytes(8, "big")
 
 
 def _check_confidence(confidence: float) -> None:
@@ -167,12 +190,14 @@ class MockDetector:
     def __post_init__(self) -> None:
         if not 0.0 <= self.miss_prob <= 1.0:
             raise ValueError("miss_prob must be in [0,1]")
+        # a hash below the cut is a miss; not a field
+        object.__setattr__(self, "_miss_cut", _cut(self.miss_prob))
 
     def detect(self, frame: Frame) -> list[Detection]:
         out: list[Detection] = []
-        seed, frame_id, miss_prob = self.seed, frame.frame_id, self.miss_prob
+        seed, frame_id, miss_prob, cut = self.seed, frame.frame_id, self.miss_prob, self._miss_cut
         for i, (label, box) in enumerate(frame.truth_objects):
-            if miss_prob > 0 and _unit(f"{seed}:drop:{frame_id}:{i}:{label}") < miss_prob:
+            if miss_prob > 0 and sha256(f"{seed}:drop:{frame_id}:{i}:{label}".encode()).digest() < cut:
                 continue
             out.append(Detection._seeded(f"{seed}:conf:{frame_id}:{label}", label=label, box=box))
         return out
@@ -197,18 +222,24 @@ class MockOcr:
         for rule in self.confusion_rules:
             if len(rule) != 2 or len(rule[0]) != 1 or len(rule[1]) != 1:
                 raise ValueError(f"confusion rule must map one char to one char: {rule!r}")
-        # source -> replacement, the last rule for a source winning; not a field
-        object.__setattr__(self, "_table", dict(self.confusion_rules))
+        # (source, replacement) pairs, the last rule for a source winning,
+        # and the cut of a substitution draw; not fields
+        object.__setattr__(self, "_rules", tuple(dict(self.confusion_rules).items()))
+        object.__setattr__(self, "_sub_cut", _cut(self.substitution_rate))
 
     def transcribe(self, text: str, key: str) -> str:
         """Visit only the positions of confusable characters; each draws on
-        (seed, "sub", key, position, original character)."""
-        seed, rate = self.seed, self.substitution_rate
-        chars = None
-        for ch, replacement in self._table.items():
+        (seed, "sub", key, position, original character) and substitutes
+        when the hash falls below the cut of ``substitution_rate``."""
+        chars = head = None
+        for ch, replacement in self._rules:
+            if ch not in text:
+                continue
+            if head is None:
+                head, cut = f"{self.seed}:sub:{key}:", self._sub_cut
             i = text.find(ch)
             while i >= 0:
-                if _unit(f"{seed}:sub:{key}:{i}:{ch}") < rate:
+                if sha256(f"{head}{i}:{ch}".encode()).digest() < cut:
                     if chars is None:
                         chars = list(text)
                     chars[i] = replacement

@@ -71,7 +71,7 @@ class DistanceMeasurement:
     timestamp_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.distance_cm < 0:
+        if not self.distance_cm >= 0:  # NaN fails too
             raise ValueError("distance_cm must be non-negative")
         if self.exec_time_s <= 0:
             raise ValueError("exec_time_s must be positive")
@@ -92,7 +92,7 @@ def _roundtrip_s(distance_cm: float, cfg: SensorConfig) -> float:
 
 def echo_from_distance(distance_cm: float, cfg: SensorConfig) -> EchoSample:
     """Exact inverse of :func:`distance_from_echo`."""
-    if distance_cm < 0:
+    if not distance_cm >= 0:  # NaN fails too
         raise ValueError("distance_cm must be non-negative")
     return EchoSample(roundtrip_s=_roundtrip_s(distance_cm, cfg))
 
@@ -112,13 +112,14 @@ def simulate_measurement(
     even for an all-zero configuration.
 
     Out-of-range distances still return a measurement, flagged with
-    ``in_range=False``; policy belongs to the caller.
+    ``in_range=False``; policy belongs to the caller. A negative or NaN
+    distance raises ``ValueError``.
 
     The result is built without re-running ``DistanceMeasurement``'s
     ``__post_init__``, whose checks hold by construction; it equals
     ``DistanceMeasurement(...)`` of the same fields.
     """
-    if true_distance_cm < 0:
+    if not true_distance_cm >= 0:  # NaN fails too
         raise ValueError("true_distance_cm must be non-negative")
     exec_time = (
         cfg.overhead_base_s
@@ -133,8 +134,8 @@ def simulate_measurement(
     if exec_time < 1e-12:
         exec_time = 1e-12
     # __post_init__'s checks hold by construction, so it is not run again:
-    # a negative distance raised above on the same condition, and the floor
-    # leaves exec_time > 0 or NaN, which its `<= 0` test lets through too
+    # a negative or NaN distance raised above on the same condition, and the
+    # floor leaves exec_time > 0 or NaN, which its `<= 0` test lets through too
     m = _new_measurement()
     m.__dict__.update(
         distance_cm=true_distance_cm,

@@ -1,5 +1,6 @@
-"""scripts/ab_bench.py counts a run that is not correct as failed, and
-flags a metric whose median moves past its bound.
+"""scripts/ab_bench.py counts a run that is not correct as failed, flags a
+metric whose median moves past its bound, and reports each side's median
+host pass and calibration seconds.
 
 git, the base extraction and the benchmark runs are stubbed, so only the
 script's own tally and report are under test.
@@ -7,7 +8,9 @@ script's own tally and report are under test.
 
 import importlib.util
 import json
+import math
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,63 @@ def test_metric_outside_its_bound_is_flagged(monkeypatch, capsys, tmp_path, chan
         assert row["worse_by"] == pytest.approx(worse[name])
         assert row["outside_bound"] is (name in outside)
         assert lines[name].endswith("OUTSIDE BOUND") is (name in outside)
+
+
+_run_spec = importlib.util.spec_from_file_location("perfbench_run", ab_bench.ROOT / "perfbench" / "run.py")
+perfbench_run = importlib.util.module_from_spec(_run_spec)
+sys.modules[_run_spec.name] = perfbench_run  # its dataclasses look their module up
+_run_spec.loader.exec_module(perfbench_run)
+
+
+def _summary(pass_s: float, cal_s: float) -> str:
+    """A run's stdout, summary lines rendered by perfbench/run.py itself."""
+    metrics = {"setup_s": (0.01, "s"), "wall_s": (0.2, "s"), "items_per_s": (5.0, "1/s")}
+    metrics["peak_rss_mb"] = (30.0, "MB")
+    report = dict(workload="ocr-bench", seed=3, passes=9, operations=4, items="samples")
+    report.update(host_wall_s=(pass_s / 2, pass_s, pass_s * 2), host_setup_s=0.02, cal_s=cal_s)
+    report.update(setup_loads=(7, 12), device=None, pass_digest="0" * 16, digest_source="recorded")
+    result = perfbench_run.Result(True, 36, 0, metrics, report)
+    return "\n".join(perfbench_run.describe(result)) + "\n" + result.json_line() + "\n"
+
+
+def test_host_pass_and_calibration_medians_are_reported(monkeypatch, capsys, tmp_path):
+    # reference wall_s is equal on both sides, yet the change's host pass is
+    # faster and its calibration faster still: the host lines show it
+    _stub_git(monkeypatch)
+    times = {
+        "base": [(0.30, 0.060), (0.34, 0.064), (0.32, 0.062)],
+        "change": [(0.25, 0.041), (0.21, 0.039), (0.23, 0.040)],
+    }
+    calls = []
+
+    def fake_run(cmd, cwd, **kw):
+        side = "change" if Path(cwd) == ab_bench.ROOT else "base"
+        calls.append(side)
+        pass_s, cal_s = times[side][sum(s == side for s in calls) - 1]
+        return subprocess.CompletedProcess(cmd, 0, _summary(pass_s, cal_s), "")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    summary = tmp_path / "summary.json"
+    argv = ["--base", "base", "--workload", "ocr-bench", "--seeds", "1-3", "--json", str(summary)]
+    assert ab_bench.main(argv) == 0
+    host = json.loads(summary.read_text())["host"]
+    assert host["base"]["pass_s"] == {"values": [0.30, 0.34, 0.32], "median": 0.32}
+    assert host["base"]["cal_s"] == {"values": [0.060, 0.064, 0.062], "median": 0.062}
+    assert host["change"]["pass_s"] == {"values": [0.25, 0.21, 0.23], "median": 0.23}
+    assert host["change"]["cal_s"] == {"values": [0.041, 0.039, 0.040], "median": 0.040}
+    out = capsys.readouterr().out
+    assert "host pass_s  base 0.32  change 0.23  ratio 0.719" in out
+    assert "host cal_s   base 0.062  change 0.04  ratio 0.645" in out
+
+
+def test_host_times_absent_read_as_nan(monkeypatch):
+    stdout = json.dumps({"correct": False, "failed": 0, "metrics": {}}) + "\n"
+    monkeypatch.setattr(
+        ab_bench.subprocess, "run", lambda cmd, **kw: subprocess.CompletedProcess(cmd, 0, stdout, "")
+    )
+    result = ab_bench.run_side(Path("."), "ocr-bench", 1)
+    assert result["host"] == {}
+    medians = ab_bench.host_medians([result, {"host": {"pass_s": 0.5}}])
+    assert medians["pass_s"]["median"] == 0.5
+    cal = medians["cal_s"]
+    assert all(math.isnan(v) for v in cal["values"]) and math.isnan(cal["median"])

@@ -302,6 +302,30 @@ def test_benchmark_wraps_backend_failures():
         run_benchmark(SampleKind.NUMBERS, 3, Broken(), seed=0)
 
 
+@pytest.mark.parametrize(
+    "error", [BackendError("flaky", "lens cap on"), RuntimeError("lens cap on")], ids=["backend", "runtime"]
+)
+def test_benchmark_failure_names_the_failing_sample(error):
+    class FailsThird:
+        backend_id = "flaky"
+
+        def __init__(self):
+            self.keys = []
+
+        def transcribe(self, text, key):
+            self.keys.append(key)
+            if len(self.keys) == 3:
+                raise error
+            return text
+
+    backend = FailsThird()
+    with pytest.raises(BackendError) as info:
+        run_benchmark(SampleKind.NUMBERS, 5, backend, seed=0)
+    assert backend.keys == ["numbers-00000", "numbers-00001", "numbers-00002"]
+    assert str(info.value) == "backend 'flaky' failed: numbers-00002: lens cap on"
+    assert info.value.__cause__ is error
+
+
 def test_report_round_trip_exports():
     report = OcrReport(
         kind=SampleKind.ALPHABETS,

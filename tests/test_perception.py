@@ -1,12 +1,15 @@
 import hashlib
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_transcribe
+from oracles import loop_transcribe, sha256_unit
 from percept_cane.perception import (
+    EASYOCR_SUB_RATE,
     OCR_BACKENDS,
+    TESSERACT_SUB_RATE,
     BackendError,
     BoundingBox,
     Detection,
@@ -14,6 +17,7 @@ from percept_cane.perception import (
     MockDetector,
     MockOcr,
     OcrExtraction,
+    _cut,
     build_detector,
     build_ocr,
     detect,
@@ -120,7 +124,7 @@ RULE_SETS = [rules for rules, _ in OCR_BACKENDS.values()] + [
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
     rules=st.sampled_from(RULE_SETS),
-    rate=st.sampled_from([0.0, 1.0, 0.5]),
+    rate=st.sampled_from([0.0, 1.0, 0.5, TESSERACT_SUB_RATE, EASYOCR_SUB_RATE]),
     seed=st.integers(0, 5),
     text=st.text(alphabet="trlhfd._abx 1", max_size=30),
     key=st.text(alphabet="f0/:k", max_size=6),
@@ -128,6 +132,45 @@ RULE_SETS = [rules for rules, _ in OCR_BACKENDS.values()] + [
 def test_mock_ocr_matches_per_character_loop(rules, rate, seed, text, key):
     ocr = MockOcr("mock", rules, rate, seed)
     assert ocr.transcribe(text, key) == loop_transcribe(rules, rate, seed, text, key)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(rate=st.floats(0.0, 1.0))
+@example(rate=0.0)
+@example(rate=5e-324)
+@example(rate=TESSERACT_SUB_RATE)
+@example(rate=EASYOCR_SUB_RATE)
+@example(rate=0.5)
+@example(rate=math.nextafter(1.0, 0.0))
+@example(rate=1.0)
+def test_cut_is_least_integer_at_rate(rate):
+    cut = _cut(rate)
+    t = int.from_bytes(cut, "big")
+    assert len(cut) == 8
+    # T is the least integer whose x / 2**64 is not below the rate
+    assert (t - 1) / 2**64 < rate
+    assert not t / 2**64 < rate
+    # a 32-byte digest is below the cut exactly when its first 8 bytes, read
+    # as _unit reads them, fall below the rate; equal first bytes do not
+    for x in (t - 1, t, t + 1):
+        if 0 <= x < 2**64:
+            for tail in (bytes(24), b"\xff" * 24):
+                digest = x.to_bytes(8, "big") + tail
+                assert (digest < cut) is (int.from_bytes(digest[:8], "big") / 2**64 < rate)
+
+
+@pytest.mark.parametrize("miss_prob", [0.0, TESSERACT_SUB_RATE, 0.3, 0.5, 1.0])
+def test_mock_detector_misses_follow_sha256_formula(miss_prob):
+    labels = ("person", "dog", "chair")
+    frames = [frame_with([(label, BOX) for label in labels], frame_id=f"f{i}") for i in range(200)]
+    det = MockDetector(miss_prob=miss_prob, seed=4)
+    for frame in frames:
+        kept = [
+            label
+            for i, label in enumerate(labels)
+            if not sha256_unit(f"4:drop:{frame.frame_id}:{i}:{label}") < miss_prob
+        ]
+        assert [d.label for d in det.detect(frame)] == kept
 
 
 def test_mock_confidences_follow_sha256_formula():

@@ -507,6 +507,18 @@ def test_alert_without_frame_degrades_gracefully():
     assert report.stages["detect"].count == 0
 
 
+def test_nan_distance_in_code_built_scenario_raises():
+    # ScenarioEvent checks nothing, so the sensor is the guard
+    scenario = Scenario(
+        name="nan-walk",
+        tick_s=0.5,
+        duration_s=3.0,
+        events=(ScenarioEvent(0.0, 80.0), ScenarioEvent(1.0, math.nan)),
+    )
+    with pytest.raises(ValueError, match=r"^true_distance_cm must be non-negative$"):
+        run(scenario)
+
+
 def test_below_min_range_never_alerts():
     scenario = Scenario(
         name="too-close",
