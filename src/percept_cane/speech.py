@@ -15,10 +15,11 @@ the transcript or in that report.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .checks import require_finite_fields, template
 
@@ -37,41 +38,42 @@ class SpeechBackendError(RuntimeError):
     """The synthesizer failed twice on the same message."""
 
 
-@dataclass(frozen=True)
-class SpeechMessage:
+class SpeechMessage(NamedTuple):
     text: str
     priority: Priority
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     spoken_at_s: float
     priority: Priority
     text: str
 
 
 class Transcript:
-    """Ordered record of spoken messages."""
+    """Ordered record of spoken messages: ``messages`` holds each message a
+    drain dequeued (the queue's own object, not a copy), ``times`` its start."""
 
     def __init__(self) -> None:
-        self.entries: list[TranscriptEntry] = []
+        self.times: list[float] = []
+        self.messages: list[SpeechMessage] = []
 
-    def append(self, entry: TranscriptEntry) -> None:
-        if self.entries and entry.spoken_at_s < self.entries[-1].spoken_at_s:
-            raise ValueError("transcript timestamps must be nondecreasing")
-        self.entries.append(entry)
+    @property
+    def entries(self) -> list[TranscriptEntry]:
+        """The spoken messages as ``(spoken_at_s, priority, text)``, built on read."""
+        return [TranscriptEntry(t, m.priority, m.text) for t, m in zip(self.times, self.messages)]
 
     def render(self) -> str:
         """One tab-separated line per message: time, priority, text."""
         return "".join(
-            f"{e.spoken_at_s:.3f}\t{_PRIORITY_NAMES[e.priority]}\t{e.text}\n" for e in self.entries
+            f"{t:.3f}\t{_PRIORITY_NAMES[m.priority]}\t{m.text}\n"
+            for t, m in zip(self.times, self.messages)
         )
 
     def texts(self) -> list[str]:
-        return [e.text for e in self.entries]
+        return [m.text for m in self.messages]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.messages)
 
 
 class SpeechBackend(Protocol):
@@ -87,21 +89,6 @@ class NullSynth:
 
     def speak(self, message: SpeechMessage, now_s: float) -> None:
         return None
-
-
-class FlakySynth:
-    """Test synthesizer that fails a fixed number of times per text."""
-
-    backend_id = "flaky"
-
-    def __init__(self, failures: dict[str, int]):
-        self._remaining = dict(failures)
-
-    def speak(self, message: SpeechMessage, now_s: float) -> None:
-        left = self._remaining.get(message.text, 0)
-        if left > 0:
-            self._remaining[message.text] = left - 1
-            raise RuntimeError(f"synth refused {message.text!r}")
 
 
 @dataclass(frozen=True)
@@ -186,6 +173,11 @@ def speak_all(
     the backend fails on is retried once, in place; a second failure
     raises.
     """
+    times, spoken = transcript.times, transcript.messages
+    # once per drain, and False for a NaN start; inside a drain times only rise,
+    # as SpeechConfig's positive base_per_char_s and default_rate keep durations >= 0
+    if not now_s >= (times[-1] if times else -math.inf):
+        raise ValueError(f"transcript timestamps must be nondecreasing, got a drain at {now_s}")
     base_per_char_s, rate = cfg.base_per_char_s, cfg.default_rate
     while True:
         msg = queue.dequeue_next()
@@ -200,5 +192,6 @@ def speak_all(
                 raise SpeechBackendError(
                     f"backend {backend.backend_id!r} failed twice on {msg.text!r}: {exc}"
                 ) from exc
-        transcript.append(TranscriptEntry(now_s, msg.priority, msg.text))
+        times.append(now_s)
+        spoken.append(msg)
         now_s += base_per_char_s * len(msg.text) / rate

@@ -1,4 +1,5 @@
-"""The benchmark tracer's hook points exist in the package and are used.
+"""The benchmark tracer's hook points exist in the package and are used,
+and the benchmark's output checks accept the package's runs.
 
 perfbench/tracing.py times layers by replacing package attributes that
 ``pipeline.run`` and the labs look up at call time. Renaming or removing
@@ -8,16 +9,29 @@ workload.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from percept_cane.pipeline import demo_scenario_path, load_scenario, run, run_report_to_csv
+from percept_cane.pipeline import demo_scenario_path, load_config, load_scenario, run, run_report_to_csv
+from percept_cane.speech import SpeechMessage
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-_spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _load(name: str, path: Path):
+    """Import a perfbench file read-only, under a name of its own."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # @dataclass looks its class's module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("perfbench_tracing", PERFBENCH / "tracing.py")
+workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
 
 
 @pytest.mark.parametrize(
@@ -56,3 +70,25 @@ def test_run_calls_wrapped_layers_per_call():
     # run reads the virtual time back from the wrapped speak_all, so the
     # wrappers must pass every result through untouched
     assert outputs(result) == outputs(untraced)
+
+
+@pytest.mark.parametrize(
+    "scenario, config",
+    [
+        ("demo", None),
+        ("multi_event_scenario.json", None),
+        ("multi_event_scenario.json", "stress_config.json"),
+        ("multi_event_scenario.json", "drop_config.json"),
+    ],
+)
+def test_replay_check_accepts_runs(scenario, config):
+    # Replay.check reads transcript.entries; a wrong shape there would show
+    # only as failed benchmark operations
+    path = demo_scenario_path() if scenario == "demo" else GOLDEN / scenario
+    result = run(load_scenario(path), load_config(GOLDEN / config) if config else None)
+    assert len(result.transcript.entries) == len(result.transcript) > 0
+    assert workloads.Replay.check(workloads.Outcome((), 0, result)) is None
+    # and it is not vacuous: an ALERT that is a plain int fails it
+    first = result.transcript.messages[0]
+    result.transcript.messages[0] = SpeechMessage(first.text, int(first.priority))
+    assert workloads.Replay.check(workloads.Outcome((), 0, result)) is not None

@@ -428,6 +428,15 @@ BAD_INPUTS = {
         "config section 'perception': miss_prob must be in [0,1]",
     ),
     "config-not-utf8": (b'{"speech": \xfe}', "'utf-8' codec can't decode byte 0xfe"),
+    # the budget has one bound, the pass/fail line; lower_s is no longer a field
+    "config-budget-lower-bound": (
+        {"budget": {"lower_s": 3.0, "upper_s": 5.0}},
+        "config section 'budget': unknown keys ['lower_s']\n",
+    ),
+    "config-negative-budget": (
+        {"budget": {"upper_s": -1.0}},
+        "config section 'budget': upper_s must be non-negative\n",
+    ),
 }
 
 

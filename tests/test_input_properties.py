@@ -103,7 +103,7 @@ SECTIONS = {
         "ocr_template": TEMPLATES,
         "detection_template": TEMPLATES,
     },
-    "budget": {"lower_s": st.floats(0.0, 5.0), "upper_s": st.floats(0.0, 5.0)},
+    "budget": {"upper_s": st.floats(-1.0, 5.0)},
 }
 SECTION = {
     name: st.fixed_dictionaries({}, optional={k: st.one_of(v, ODD) for k, v in fields.items()})

@@ -1,24 +1,25 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import HeapSpeechQueue
+from oracles import FlakySynth, HeapSpeechQueue
 from percept_cane.speech import (
-    FlakySynth,
     NullSynth,
     Priority,
     SpeechBackendError,
     SpeechConfig,
     SpeechQueue,
     Transcript,
-    TranscriptEntry,
     speak_all,
 )
 
 
-def drain(queue, backend=None, now_s=0.0, **cfg):
-    """Speak the queue out from ``now_s``; return the transcript and the end time."""
-    transcript = Transcript()
+def drain(queue, backend=None, now_s=0.0, transcript=None, **cfg):
+    """Speak the queue out from ``now_s`` into ``transcript`` (a new one by
+    default); return the transcript and the end time."""
+    transcript = Transcript() if transcript is None else transcript
     end_s = speak_all(queue, backend or NullSynth(), transcript, now_s, SpeechConfig(**cfg))
     return transcript, end_s
 
@@ -150,18 +151,80 @@ def test_double_failure_raises():
     assert [(m.text, t) for m, t in backend.calls] == [("cursed", 1.5), ("cursed", 1.5)]
 
 
+def say(transcript, now_s, text, priority):
+    """Drain one message into ``transcript`` from ``now_s``."""
+    q = SpeechQueue()
+    q.submit(text, priority)
+    drain(q, now_s=now_s, transcript=transcript)
+
+
 def test_transcript_render_format():
     tr = Transcript()
-    tr.append(TranscriptEntry(0.0, Priority.ALERT, "watch out"))
-    tr.append(TranscriptEntry(1.2345, Priority.INFO, "hello"))
-    assert tr.render() == "0.000\tALERT\twatch out\n1.234\tINFO\thello\n"
+    say(tr, 0.0, "watch out", Priority.ALERT)
+    say(tr, 1.2345, "hello", Priority.INFO)
+    say(tr, 2.9996, "bye", Priority.PERCEPTION)
+    assert tr.render() == "0.000\tALERT\twatch out\n1.234\tINFO\thello\n3.000\tPERCEPTION\tbye\n"
 
 
 def test_transcript_rejects_time_travel():
     tr = Transcript()
-    tr.append(TranscriptEntry(2.0, Priority.INFO, "later"))
-    with pytest.raises(ValueError):
-        tr.append(TranscriptEntry(1.0, Priority.INFO, "earlier"))
+    say(tr, 2.0, "later", Priority.INFO)
+    # a drain may start before the last line ended, but not before it started
+    say(tr, 2.0, "same start", Priority.INFO)
+    q = SpeechQueue()
+    q.submit("earlier", Priority.INFO)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        drain(q, now_s=1.0, transcript=tr)
+    # the check runs before anything is dequeued or spoken
+    assert tr.texts() == ["later", "same start"] and len(q) == 1
+
+
+@pytest.mark.parametrize("spoken_before", [0, 1])
+def test_transcript_rejects_nan_start(spoken_before):
+    tr = Transcript()
+    for _ in range(spoken_before):
+        say(tr, 1.0, "fine", Priority.ALERT)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        say(tr, math.nan, "lost", Priority.ALERT)
+    assert len(tr) == spoken_before
+
+
+def test_transcript_entries_in_spoken_order():
+    q = SpeechQueue()
+    q.submit("bb", 1)
+    q.submit("aaaa", 0)
+    q.submit("c", 2)
+    tr, end_s = drain(q, base_per_char_s=0.125)
+    assert tr.entries == [
+        (0.0, Priority.ALERT, "aaaa"),
+        (0.5, Priority.PERCEPTION, "bb"),
+        (0.75, Priority.INFO, "c"),
+    ]
+    assert end_s == 0.875
+    # plain ints given to submit come out as Priority members
+    assert [e.priority for e in tr.entries] == [Priority.ALERT, Priority.PERCEPTION, Priority.INFO]
+    assert all(type(e.priority) is Priority for e in tr.entries)
+    assert [e.spoken_at_s for e in tr.entries] == tr.times
+
+
+def test_transcript_keeps_the_queues_messages():
+    class Recording:
+        backend_id = "recording"
+
+        def __init__(self):
+            self.heard = []
+
+        def speak(self, message, now_s):
+            self.heard.append(message)
+
+    q = SpeechQueue()
+    for i in range(4):
+        q.submit(f"m{i}", Priority(i % 3))
+    backend = Recording()
+    tr, _ = drain(q, backend)
+    # one record per spoken message: the object the queue built, not a copy
+    assert len(tr.messages) == len(backend.heard) == 4
+    assert all(kept is heard for kept, heard in zip(tr.messages, backend.heard))
 
 
 def test_message_invariants():
