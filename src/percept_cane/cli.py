@@ -165,7 +165,7 @@ def _cmd_run(args) -> int:
     if args.transcript:
         Path(args.transcript).write_text(transcript, encoding="utf-8")
     if args.log:
-        Path(args.log).write_text("".join(line + "\n" for line in result.log), encoding="utf-8")
+        Path(args.log).write_text(result.log.render(), encoding="utf-8")
     _write(body, args.out)
     if args.verbose:
         sys.stderr.write(f"wall time: {wall_s * 1000:.1f} ms\n")

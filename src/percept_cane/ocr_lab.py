@@ -122,18 +122,22 @@ class OcrReport:
             raise ValueError("mismatches out of range")
 
 
+def _check_words(words: Sequence[str], bad: Callable[[int, str], str], empty: str) -> None:
+    """Raise unless ``words`` is non-empty and every word has the alphabets
+    truth shape. One match of the joined words accepts a good list; the
+    per-word scan runs only to name the first bad word, as ``bad(i, word)``."""
+    if _LOWERCASE_WORDS(" ".join(words)) is None:
+        for i, word in enumerate(words):
+            if _LOWERCASE_WORDS(word) is None:
+                raise ValueError(bad(i, word))
+        raise ValueError(empty)
+
+
 def load_wordlist(path: str | Path | None = None) -> list[str]:
     if path is None:
         path = data_path(WORDLIST_FILE)
-    text = read_text(path)
-    words = text.split()
-    if not words:
-        raise ValueError(f"{path}: empty wordlist")
-    # ASCII lowercase letters only; an all-ASCII file needs no per-word test
-    ascii_text = text.isascii()
-    for w in words:
-        if not (w.isalpha() and w == w.lower() and (ascii_text or w.isascii())):
-            raise ValueError(f"{path}: bad wordlist entry {w!r}")
+    words = read_text(path).split()
+    _check_words(words, lambda _, w: f"{path}: bad wordlist entry {w!r}", f"{path}: empty wordlist")
     return words
 
 
@@ -171,11 +175,7 @@ def generate_samples(
     else:
         if words is None:
             words = load_wordlist()
-        if _LOWERCASE_WORDS(" ".join(words)) is None:
-            for i, word in enumerate(words):
-                if _LOWERCASE_WORDS(word) is None:
-                    raise ValueError(f"words[{i}]: bad word {word!r}")
-            raise ValueError("words: empty")
+        _check_words(words, lambda i, w: f"words[{i}]: bad word {w!r}", "words: empty")
         index = _below(getrandbits, len(words))
         truths = [f"{words[a]} {words[b]}" for a, b in islice(zip(index, index), n)]
     trusted, prefix = OcrSample._trusted, kind.value

@@ -18,7 +18,7 @@ import random
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import alerts, checks, perception
 from .alerts import AlertConfig, AlertState, format_distance_line
@@ -259,12 +259,15 @@ class StageStats:
     def of(durations: Sequence[float]) -> "StageStats":
         if not durations:
             return StageStats(0, 0.0, 0.0)
-        # min is NaN only when the first duration is, and otherwise the least
-        # of the others, so only then must every duration be compared
-        low = min(durations)
-        if low < 0 or (low != low and any(d < 0 for d in durations)):
+        # min is NaN when the first duration is, which fails this test too;
+        # fsum is NaN if any duration is, and inf if any is inf, so max_s
+        # cannot depend on the order of the durations
+        if not min(durations) >= 0:
             raise ValueError("stage durations must be non-negative")
-        return StageStats(len(durations), math.fsum(durations) / len(durations), max(durations))
+        total = math.fsum(durations)
+        if not total < math.inf:
+            raise ValueError("stage durations must be finite")
+        return StageStats(len(durations), total / len(durations), max(durations))
 
 
 @dataclass(frozen=True)
@@ -275,8 +278,9 @@ class RunReport:
     budget_pass: bool
 
 
-class DeviceLog(Sequence[str]):
-    """The device log of one run, rendered on first read.
+@dataclass(frozen=True)
+class DeviceLog:
+    """The device log of one run, as the records it is rendered from.
 
     Every tick logs its distance line, then ``time taken to execute`` with
     the sensor's exec time; an alert tick then logs the alert and, when no
@@ -290,51 +294,25 @@ class DeviceLog(Sequence[str]):
     the result, shifts full collections into the replay loop.
     """
 
-    def __init__(
-        self,
-        tick_s: float,
-        exec_times: Sequence[float],
-        distance_lines: dict[int, str],
-        alert_messages: dict[int, str],
-        frameless: set[int],
-    ) -> None:
-        self._tick_s = tick_s
-        self._exec_times = exec_times
-        self._distance_lines = distance_lines
-        self._alert_messages = alert_messages
-        self._frameless = frameless
-        self._lines: list[str] | None = None
+    tick_s: float
+    exec_times: Sequence[float]
+    distance_lines: dict[int, str]
+    alert_messages: dict[int, str]
+    frameless: set[int]
 
-    def _render(self) -> list[str]:
-        if self._lines is None:
-            lines: list[str] = []
-            line = ""
-            for k, exec_time_s in enumerate(self._exec_times):
-                line = self._distance_lines.get(k, line)
-                lines.append(line)
-                lines.append(f"time taken to execute {exec_time_s}")
-                if k in self._alert_messages:
-                    t = k * self._tick_s  # the same float the tick loop used
-                    lines.append(f"obstacle alert at t={t:.3f} s: {self._alert_messages[k]}")
-                    if k in self._frameless:
-                        lines.append(f"warning: no frame at t={t:.3f} s; ranging-only alert")
-            self._lines = lines
-        return self._lines
-
-    def __len__(self) -> int:
-        return 2 * len(self._exec_times) + len(self._alert_messages) + len(self._frameless)
-
-    def __getitem__(self, index: int | slice) -> str | list[str]:
-        return self._render()[index]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._render())
-
-    def __eq__(self, other: object) -> bool:
-        return self._render() == other
-
-    def __repr__(self) -> str:
-        return repr(self._render())
+    def render(self) -> str:
+        """The whole log text, each line ending in ``\\n``."""
+        parts: list[str] = []
+        line = ""
+        for k, exec_time_s in enumerate(self.exec_times):
+            line = self.distance_lines.get(k, line)
+            parts.append(f"{line}\ntime taken to execute {exec_time_s}\n")
+            if k in self.alert_messages:
+                t = k * self.tick_s  # the same float the tick loop used
+                parts.append(f"obstacle alert at t={t:.3f} s: {self.alert_messages[k]}\n")
+                if k in self.frameless:
+                    parts.append(f"warning: no frame at t={t:.3f} s; ranging-only alert\n")
+        return "".join(parts)
 
 
 class RunResult(NamedTuple):

@@ -57,8 +57,8 @@ class EchoSample:
     roundtrip_s: float
 
     def __post_init__(self) -> None:
-        if self.roundtrip_s < 0:
-            raise ValueError("roundtrip_s must be non-negative")
+        if not 0 <= self.roundtrip_s < math.inf:  # NaN fails too
+            raise ValueError("roundtrip_s must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,13 @@ class TranscriptEntry(NamedTuple):
 
 class Transcript:
     """Ordered record of spoken messages: ``messages`` holds each message a
-    drain dequeued (the queue's own object, not a copy), ``times`` its start."""
+    drain dequeued (the queue's own object, not a copy), ``times`` its start,
+    and ``end_s`` the time the last drain ended (``-inf`` before any)."""
 
     def __init__(self) -> None:
         self.times: list[float] = []
         self.messages: list[SpeechMessage] = []
+        self.end_s = -math.inf
 
     @property
     def entries(self) -> list[TranscriptEntry]:
@@ -171,27 +173,35 @@ def speak_all(
     Each spoken message is appended to ``transcript`` at its start time and
     lasts ``cfg.base_per_char_s * len(text) / cfg.default_rate``. A message
     the backend fails on is retried once, in place; a second failure
-    raises.
+    raises. A drain may not start before the transcript's last drain
+    ended, so speech never overlaps.
     """
-    times, spoken = transcript.times, transcript.messages
     # once per drain, and False for a NaN start; inside a drain times only rise,
     # as SpeechConfig's positive base_per_char_s and default_rate keep durations >= 0
-    if not now_s >= (times[-1] if times else -math.inf):
-        raise ValueError(f"transcript timestamps must be nondecreasing, got a drain at {now_s}")
+    if not now_s >= transcript.end_s:
+        raise ValueError(
+            f"transcript timestamps must be nondecreasing: a drain at {now_s},"
+            f" the last one ended at {transcript.end_s}"
+        )
+    times, spoken = transcript.times, transcript.messages
     base_per_char_s, rate = cfg.base_per_char_s, cfg.default_rate
-    while True:
-        msg = queue.dequeue_next()
-        if msg is None:
-            return now_s
-        try:
-            backend.speak(msg, now_s)
-        except Exception:
+    try:
+        while True:
+            msg = queue.dequeue_next()
+            if msg is None:
+                return now_s
             try:
                 backend.speak(msg, now_s)
-            except Exception as exc:
-                raise SpeechBackendError(
-                    f"backend {backend.backend_id!r} failed twice on {msg.text!r}: {exc}"
-                ) from exc
-        times.append(now_s)
-        spoken.append(msg)
-        now_s += base_per_char_s * len(msg.text) / rate
+            except Exception:
+                try:
+                    backend.speak(msg, now_s)
+                except Exception as exc:
+                    raise SpeechBackendError(
+                        f"backend {backend.backend_id!r} failed twice on {msg.text!r}: {exc}"
+                    ) from exc
+            times.append(now_s)
+            spoken.append(msg)
+            now_s += base_per_char_s * len(msg.text) / rate
+    finally:
+        # an aborted drain ends where its last spoken message did
+        transcript.end_s = now_s

@@ -44,7 +44,7 @@ def test_wrapped_attribute_resolves(owner, attr):
 
 
 def outputs(result):
-    return result.transcript.render(), run_report_to_csv(result.report), list(result.log)
+    return result.transcript.render(), run_report_to_csv(result.report), result.log.render()
 
 
 def test_run_calls_wrapped_layers_per_call():

@@ -378,8 +378,9 @@ def test_demo_run_single_alert_cycle():
     assert report.stages["ocr"].count == 1
     assert report.stages["detect"].count == 1
     assert report.end_to_end.count == 1
-    assert any("Measure Distance = 80.0 cm" == line for line in log)
-    assert any(line.startswith("time taken to execute ") for line in log)
+    lines = log.render().splitlines()
+    assert "Measure Distance = 80.0 cm" in lines
+    assert any(line.startswith("time taken to execute ") for line in lines)
 
 
 def test_stage_order_invariant_in_transcript():
@@ -406,6 +407,7 @@ def test_run_deterministic_repeat():
     assert a.transcript.render() == b.transcript.render()
     assert run_report_to_json(a.report) == run_report_to_json(b.report)
     assert a.log == b.log
+    assert a.log.render() == b.log.render()
 
 
 def test_run_seed_changes_timings():
@@ -473,31 +475,31 @@ MULTI_EVENT_NOTES = {None: (7, 2), STRESS_CONFIG: (3, 1)}
 
 
 @pytest.mark.parametrize("config", [None, STRESS_CONFIG])
-def test_device_log_reads_like_a_list(config):
+def test_device_log_renders_its_records(config):
     scenario = load_scenario(MULTI_EVENT)
     cfg = load_config(config) if config else PipelineConfig()
     result = run(scenario, cfg)
     alerts, warnings = MULTI_EVENT_NOTES[config]
     assert result.report.alerts_fired == alerts
-    assert len(result.log) == 2 * 180 + alerts + warnings
 
-    lines = list(result.log)
-    assert len(lines) == len(result.log)
+    text = result.log.render()
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    assert len(lines) == 2 * 180 + alerts + warnings
     assert sum(line.startswith("obstacle alert at t=") for line in lines) == alerts
     assert sum(line.startswith("warning: no frame at t=") for line in lines) == warnings
-    assert result.log == lines
-    assert lines == result.log
-    assert result.log[0] == lines[0] == "Measure Distance = 250.0 cm"
-    assert result.log[1].startswith("time taken to execute ")
-    assert result.log[-1] == lines[-1]
-    assert result.log[2:5] == lines[2:5]
-    report, transcript, log = result
-    assert (report, transcript, log) == (result.report, result.transcript, result.log)
-    assert log is result.log
+    assert lines[0] == "Measure Distance = 250.0 cm"
+    assert lines[1].startswith("time taken to execute ")
+    # the records behind the text: one exec time per tick, one alert message
+    # per alert and one frameless tick per warning
+    assert len(result.log.exec_times) == 180
+    assert len(result.log.alert_messages) == alerts
+    assert len(result.log.frameless) == warnings
 
     again = run(scenario, cfg)
     assert again.log == result.log
-    assert run(scenario, cfg, seed=cfg.sensor.seed + 1).log != result.log
+    assert again.log.render() == text
+    assert run(scenario, cfg, seed=cfg.sensor.seed + 1).log.render() != text
 
 
 def test_speech_retry_through_run_leaves_outputs_unchanged():
@@ -542,7 +544,7 @@ def test_alert_without_frame_degrades_gracefully():
     report, transcript, log = run(scenario, cfg)
     assert report.alerts_fired == 1
     assert transcript.texts() == ["Obstacle ahead at 90.0 centimeters"]
-    assert any("no frame" in line for line in log)
+    assert any("no frame" in line for line in log.render().splitlines())
     assert report.stages["ocr"].count == 0
     assert report.stages["detect"].count == 0
 
@@ -621,9 +623,10 @@ def test_stage_stats_of():
     for durations in ([nan, -1.0], [1.0, nan, -1.0], [0.5, -0.0, -1e-300]):
         with pytest.raises(ValueError, match="^stage durations must be non-negative$"):
             StageStats.of(durations)
-    for durations in ([nan, 1.0], [1.0, nan]):
-        stats = StageStats.of(durations)
-        assert stats.count == 2 and math.isnan(stats.mean_s)
+    # NaN is refused wherever it stands, so max_s cannot depend on the order
+    for durations in ([nan, 1.0], [1.0, nan], [1.0, math.inf], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="^stage durations must be (non-negative|finite)$"):
+            StageStats.of(durations)
     assert StageStats.of([1, 3]) == StageStats(2, 2.0, 3)
     with pytest.raises(ValueError):
         StageStats.of([2, -1])

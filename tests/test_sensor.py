@@ -182,6 +182,12 @@ def test_config_invariants():
         DistanceMeasurement(10.0, 0.0, in_range=True)
 
 
+@pytest.mark.parametrize("roundtrip_s", [math.nan, math.inf, -math.inf, -0.1])
+def test_echo_sample_rejects_what_it_cannot_model(roundtrip_s):
+    with pytest.raises(ValueError, match="^roundtrip_s must be finite and non-negative$"):
+        EchoSample(roundtrip_s)
+
+
 def test_default_model_magnitudes_match_reference_endpoints():
     # frozen overhead defaults should land in the same order of magnitude
     # as the measured endpoints

@@ -168,15 +168,47 @@ def test_transcript_render_format():
 
 def test_transcript_rejects_time_travel():
     tr = Transcript()
+    assert tr.end_s == -math.inf
     say(tr, 2.0, "later", Priority.INFO)
-    # a drain may start before the last line ended, but not before it started
-    say(tr, 2.0, "same start", Priority.INFO)
+    # "later" lasts 0.25 s: a drain may start when it ended, but not before
+    assert tr.end_s == 2.25
+    say(tr, 2.25, "on time", Priority.INFO)
     q = SpeechQueue()
     q.submit("earlier", Priority.INFO)
     with pytest.raises(ValueError, match="nondecreasing"):
         drain(q, now_s=1.0, transcript=tr)
     # the check runs before anything is dequeued or spoken
-    assert tr.texts() == ["later", "same start"] and len(q) == 1
+    assert tr.texts() == ["later", "on time"] and len(q) == 1
+
+
+def test_transcript_rejects_overlapping_speech():
+    tr = Transcript()
+    say(tr, 2.0, "hello", Priority.INFO)
+    q = SpeechQueue()
+    q.submit("over", Priority.ALERT)
+    # "hello" is still being spoken at 2.1 s (it ends at 2.25 s)
+    with pytest.raises(ValueError, match="a drain at 2.1, the last one ended at 2.25$"):
+        drain(q, now_s=2.1, transcript=tr)
+    assert tr.texts() == ["hello"] and len(q) == 1
+    # an empty drain ends where it starts, and it counts as the last drain
+    drain(SpeechQueue(), now_s=3.0, transcript=tr)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        drain(q, now_s=2.5, transcript=tr)
+
+
+def test_aborted_drain_records_its_real_end():
+    q = SpeechQueue()
+    q.submit("fine", Priority.ALERT)
+    q.submit("cursed", Priority.INFO)
+    tr = Transcript()
+    with pytest.raises(SpeechBackendError):
+        drain(q, FlakySynth({"cursed": 2}), now_s=1.0, transcript=tr)
+    # the drain ended when "fine" did; "cursed" was never spoken
+    assert tr.texts() == ["fine"] and tr.end_s == 1.2
+    with pytest.raises(ValueError, match="nondecreasing"):
+        say(tr, 1.1, "too soon", Priority.ALERT)
+    say(tr, 1.2, "next", Priority.ALERT)
+    assert tr.times == [1.0, 1.2]
 
 
 @pytest.mark.parametrize("spoken_before", [0, 1])
