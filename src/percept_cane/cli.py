@@ -220,9 +220,10 @@ def _cmd_models_eval(args) -> int:
 
 
 def _cmd_ocr_gen(args) -> int:
-    samples = ocr_lab.generate_samples(ocr_lab.SampleKind(args.kind), args.n, args.seed)
+    kind = ocr_lab.SampleKind(args.kind)
+    truths = ocr_lab.generate_samples(kind, args.n, args.seed)
     lines = ["sample_id,kind,truth"]
-    lines.extend(f"{s.sample_id},{s.kind.value},{s.truth}" for s in samples)
+    lines.extend(f"{i},{kind.value},{t}" for i, t in zip(ocr_lab.sample_ids(kind, args.n), truths))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -50,33 +50,14 @@ _NNNNN_NN = re.compile(r"[0-9]{5}\.[0-9]{2}").fullmatch
 
 
 def _check_truth(label: str, kind: SampleKind, truth: str) -> None:
-    """Raise unless ``truth`` has the shape of ``kind``'s samples."""
+    """Raise unless ``truth`` has the shape of ``kind``'s samples: an
+    alphabets truth is ASCII lowercase words joined by single spaces, a
+    numbers truth is ASCII ``NNNNN.NN``."""
     if kind is SampleKind.ALPHABETS:
         if _LOWERCASE_WORDS(truth) is None:
             raise ValueError(f"{label}: not lowercase words: {truth!r}")
     elif _NNNNN_NN(truth) is None:
         raise ValueError(f"{label}: not NNNNN.NN: {truth!r}")
-
-
-@dataclass(frozen=True)
-class OcrSample:
-    """One benchmark sample. An alphabets truth is ASCII lowercase words
-    joined by single spaces; a numbers truth is ASCII ``NNNNN.NN``."""
-
-    sample_id: str
-    kind: SampleKind
-    truth: str
-
-    def __post_init__(self) -> None:
-        _check_truth(self.sample_id, self.kind, self.truth)
-
-    @classmethod
-    def _trusted(cls, sample_id: str, kind: SampleKind, truth: str) -> OcrSample:
-        """The sample without the shape check, for a truth that has
-        ``kind``'s shape by construction."""
-        sample = object.__new__(cls)
-        sample.__dict__.update(sample_id=sample_id, kind=kind, truth=truth)
-        return sample
 
 
 @dataclass(frozen=True)
@@ -124,11 +105,13 @@ class OcrReport:
 
 def _check_words(words: Sequence[str], bad: Callable[[int, str], str], empty: str) -> None:
     """Raise unless ``words`` is non-empty and every word has the alphabets
-    truth shape. One match of the joined words accepts a good list; the
-    per-word scan runs only to name the first bad word, as ``bad(i, word)``."""
-    if _LOWERCASE_WORDS(" ".join(words)) is None:
+    truth shape. One match of the joined words, holding one space per word
+    boundary, accepts a good list; the per-word scan runs only to name the
+    first bad word, as ``bad(i, word)``."""
+    joined = " ".join(words)
+    if _LOWERCASE_WORDS(joined) is None or joined.count(" ") != len(words) - 1:
         for i, word in enumerate(words):
-            if _LOWERCASE_WORDS(word) is None:
+            if " " in word or _LOWERCASE_WORDS(word) is None:
                 raise ValueError(bad(i, word))
         raise ValueError(empty)
 
@@ -157,8 +140,9 @@ def generate_samples(
     n: int,
     seed: int,
     words: Sequence[str] | None = None,
-) -> list[OcrSample]:
-    """Deterministic benchmark corpus for one sample kind.
+) -> list[str]:
+    """Deterministic benchmark corpus for one sample kind: the truths, in
+    the order of their ids (:func:`sample_ids`).
 
     Numbers follow the fixed NNNNN.NN shape; alphabets are two words drawn
     from ``words`` (default: the bundled wordlist), every one of which must
@@ -171,16 +155,19 @@ def generate_samples(
     getrandbits = random.Random(seed).getrandbits
     if kind is SampleKind.NUMBERS:
         draws = zip(_below(getrandbits, 100000), _below(getrandbits, 100))
-        truths = [f"{a:05d}.{b:02d}" for a, b in islice(draws, n)]
-    else:
-        if words is None:
-            words = load_wordlist()
-        _check_words(words, lambda i, w: f"words[{i}]: bad word {w!r}", "words: empty")
-        index = _below(getrandbits, len(words))
-        truths = [f"{words[a]} {words[b]}" for a, b in islice(zip(index, index), n)]
-    trusted, prefix = OcrSample._trusted, kind.value
+        return [f"{a:05d}.{b:02d}" for a, b in islice(draws, n)]
+    if words is None:
+        words = load_wordlist()
+    _check_words(words, lambda i, w: f"words[{i}]: bad word {w!r}", "words: empty")
+    index = _below(getrandbits, len(words))
+    return [f"{words[a]} {words[b]}" for a, b in islice(zip(index, index), n)]
+
+
+def sample_ids(kind: SampleKind, n: int) -> list[str]:
+    """The ids of a corpus's first ``n`` samples, ``f"{kind}-{index:05d}"``."""
+    prefix = SampleKind(kind).value
     # str.zfill(5) is format spec 05d for i >= 0, at half the cost
-    return [trusted(f"{prefix}-{str(i).zfill(5)}", kind, truth) for i, truth in enumerate(truths)]
+    return [f"{prefix}-{str(i).zfill(5)}" for i in range(n)]
 
 
 def align_confusions(truth: str, output: str) -> Counter[tuple[str, str]]:
@@ -290,20 +277,19 @@ def run_benchmark(
     A failure names its sample, the one after the last pair made.
     """
     kind = SampleKind(kind)
-    samples = generate_samples(kind, n, seed, words=words)
+    truths = generate_samples(kind, n, seed, words=words)
+    ids = sample_ids(kind, n)
     transcribe = backend.transcribe
     pairs: list[tuple[str, str]] = []
     append = pairs.append
     t0 = time.perf_counter()
     try:
-        for sample in samples:
-            truth = sample.truth
-            append((truth, transcribe(truth, key=sample.sample_id)))
+        for i, truth in enumerate(truths):
+            append((truth, transcribe(truth, key=ids[i])))
     except BackendError as exc:
-        sample_id = samples[len(pairs)].sample_id
-        raise BackendError(exc.backend_id, f"{sample_id}: {exc.cause}") from exc
+        raise BackendError(exc.backend_id, f"{ids[len(pairs)]}: {exc.cause}") from exc
     except Exception as exc:
-        sample_id = samples[len(pairs)].sample_id
+        sample_id = ids[len(pairs)]
         raise BackendError(getattr(backend, "backend_id", "?"), f"{sample_id}: {exc}") from exc
     elapsed = time.perf_counter() - t0
     return replace(score(pairs, kind), mean_speed_s=elapsed / n)

@@ -264,7 +264,10 @@ class StageStats:
         # cannot depend on the order of the durations
         if not min(durations) >= 0:
             raise ValueError("stage durations must be non-negative")
-        total = math.fsum(durations)
+        try:
+            total = math.fsum(durations)
+        except OverflowError as exc:  # finite durations, but their sum is not
+            raise ValueError("stage durations must have a finite sum") from exc
         if not total < math.inf:
             raise ValueError("stage durations must be finite")
         return StageStats(len(durations), total / len(durations), max(durations))

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from percept_cane import ocr_lab
+from percept_cane.perception import build_ocr
 from percept_cane.pipeline import demo_scenario_path, load_config, load_scenario, run, run_report_to_csv
 from percept_cane.speech import SpeechMessage
 
@@ -70,6 +72,24 @@ def test_run_calls_wrapped_layers_per_call():
     # run reads the virtual time back from the wrapped speak_all, so the
     # wrappers must pass every result through untouched
     assert outputs(result) == outputs(untraced)
+
+
+def test_ocr_benchmark_calls_wrapped_layers_per_call():
+    # run_benchmark looks up generate_samples and score through ocr_lab and
+    # transcribes each sample with its own call; binding or bypassing one
+    # of them blinds the ocr-bench layer that wraps it
+    untraced = ocr_lab.run_benchmark("numbers", 50, build_ocr("mock-easyocr", seed=0), 0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = ocr_lab.run_benchmark("numbers", 50, build_ocr("mock-easyocr", seed=0), 0)
+    finally:
+        tracer.remove()
+    _, _, counts = tracer.take()
+    assert counts["ocr_lab.generate"] == counts["ocr_lab.score"] == 1
+    assert counts["perception.transcribe"] == 50
+    csv = ocr_lab.report_to_csv
+    assert csv(report, include_speed=False) == csv(untraced, include_speed=False)
 
 
 @pytest.mark.parametrize(

@@ -539,6 +539,11 @@ BAD_TABLES = {
         b"truth,output\nabc,abc\n",
         ":2: truth: not NNNNN.NN: 'abc'",
     ),
+    "pairs-short-number": (
+        ("ocr-score", "{}", "--kind", "numbers"),
+        b"truth,output\n1234.56,1234.56\n",
+        ":2: truth: not NNNNN.NN: '1234.56'",
+    ),
     "pairs-superscript-digits": (
         ("ocr-score", "{}", "--kind", "numbers"),
         "truth,output\n²³456.78,23456.78\n".encode(),
@@ -553,6 +558,11 @@ BAD_TABLES = {
         ("ocr-score", "{}", "--kind", "alphabets"),
         "truth,output\ncafé,cafe\n".encode(),
         ":2: truth: not lowercase words: 'café'",
+    ),
+    "pairs-capitalized-words": (
+        ("ocr-score", "{}", "--kind", "alphabets"),
+        b"truth,output\nWord pair,word pair\n",
+        ":2: truth: not lowercase words: 'Word pair'",
     ),
     "pairs-empty": (("ocr-score", "{}", "--kind", "numbers"), b"", ": no data rows"),
     "pairs-header-only": (
@@ -616,10 +626,13 @@ def test_ocr_gen_deterministic(capsys):
     code, second, _ = run_cli(capsys, "ocr-gen", "--kind", "numbers", "--n", "3", "--seed", "7")
     assert code == 0
     assert first == second
-    lines = first.splitlines()
-    assert lines[0] == "sample_id,kind,truth"
-    assert lines[1] == "numbers-00000,numbers,42445.19"
-    assert len(lines) == 4
+    # the README example, byte for byte
+    assert first == (
+        "sample_id,kind,truth\n"
+        "numbers-00000,numbers,42445.19\n"
+        "numbers-00001,numbers,51750.83\n"
+        "numbers-00002,numbers,06328.09\n"
+    )
 
 def test_ocr_score_json(tmp_path, capsys):
     pairs = tmp_path / "pairs.csv"

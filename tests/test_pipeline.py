@@ -627,6 +627,9 @@ def test_stage_stats_of():
     for durations in ([nan, 1.0], [1.0, nan], [1.0, math.inf], [math.inf, 1.0]):
         with pytest.raises(ValueError, match="^stage durations must be (non-negative|finite)$"):
             StageStats.of(durations)
+    # finite durations whose sum overflows are refused the same way
+    with pytest.raises(ValueError, match="^stage durations must have a finite sum$"):
+        StageStats.of([1e308, 1e308])
     assert StageStats.of([1, 3]) == StageStats(2, 2.0, 3)
     with pytest.raises(ValueError):
         StageStats.of([2, -1])
