@@ -10,7 +10,6 @@ retreat past ``threshold + margin`` before the next alert can fire.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .checks import require_finite_fields, template
@@ -18,8 +17,6 @@ from .sensor import DistanceMeasurement
 
 DISTANCE_LINE_TEMPLATE = "Measure Distance = {d} cm"
 ALERT_SPEECH_TEMPLATE = "Obstacle ahead at {d} centimeters"
-
-_DISTANCE_LINE_RE = re.compile(r"^Measure Distance = (\d+\.\d) cm$")
 
 
 class OutOfOrderError(ValueError):
@@ -105,14 +102,6 @@ def format_distance_line(distance_cm: float) -> str:
     if distance_cm < 0:
         raise ValueError("distance_cm must be non-negative")
     return DISTANCE_LINE_TEMPLATE.format(d=f"{distance_cm:.1f}")
-
-
-def parse_distance_line(line: str) -> float:
-    """Inverse of :func:`format_distance_line` (up to one-decimal rounding)."""
-    match = _DISTANCE_LINE_RE.match(line)
-    if match is None:
-        raise ValueError(f"not a distance line: {line!r}")
-    return float(match.group(1))
 
 
 def format_alert_speech(distance_cm: float, template: str = ALERT_SPEECH_TEMPLATE) -> str:

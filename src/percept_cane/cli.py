@@ -26,6 +26,8 @@ from .speech import SpeechBackendError
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+# --map-field value -> ModelSpec field
+_MAP_FIELDS = {"map50": "map_50", "map5095": "map_50_95"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    kinds = [k.value for k in ocr_lab.SampleKind]
 
     p = sub.add_parser("run", help="replay a scenario through the device loop")
     p.add_argument("scenario", help="scenario JSON file")
@@ -91,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--map-field",
-        choices=("map50", "map5095"),
+        choices=tuple(_MAP_FIELDS),
         default="map50",
         help="which mAP column to use",
     )
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("models-recommend", help="best model within a gflops budget")
     p.add_argument("--table", default="fig8_models.csv", help="model table CSV")
-    p.add_argument("--map-field", choices=("map50", "map5095"), default="map50")
+    p.add_argument("--map-field", choices=tuple(_MAP_FIELDS), default="map50")
     p.add_argument("--budget", type=float, required=True, help="gflops budget")
     _add_out(p)
 
@@ -111,26 +114,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
 
     p = sub.add_parser("ocr-gen", help="generate a benchmark corpus")
-    p.add_argument("--kind", choices=("alphabets", "numbers"), required=True)
+    p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--n", type=int, required=True, help="sample count")
     p.add_argument("--seed", type=int, default=0)
     _add_out(p)
 
     p = sub.add_parser("ocr-score", help="score recognition output pairs")
     p.add_argument("pairs", help="CSV of truth,output rows")
-    p.add_argument("--kind", choices=("alphabets", "numbers"), required=True)
+    p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_out(p)
 
     p = sub.add_parser("ocr-route", help="pick an engine from benchmark profiles")
-    p.add_argument("--kind", choices=("alphabets", "numbers"), required=True)
-    p.add_argument("--compute", choices=("cpu", "gpu"), required=True)
-    p.add_argument("--policy", choices=("accuracy", "speed"), required=True)
+    p.add_argument("--kind", choices=kinds, required=True)
+    p.add_argument("--compute", choices=[c.value for c in ocr_lab.Compute], required=True)
+    p.add_argument("--policy", choices=[r.value for r in ocr_lab.RoutePolicy], required=True)
     p.add_argument("--profiles", help="engine profile CSV (default: bundled)")
     _add_out(p)
 
     p = sub.add_parser("ocr-bench", help="run a mock engine over a generated corpus")
-    p.add_argument("--kind", choices=("alphabets", "numbers"), required=True)
+    p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument(
         "--engine",
         default="mock-tesseract",
@@ -184,7 +187,7 @@ def _model_row(m: detector_lab.ModelSpec, map_field: str) -> str:
 
 def _eligible_models(args) -> tuple[str, list, list]:
     """The chosen mAP field and the table's rows with and without a value for it."""
-    map_field = {"map50": "map_50", "map5095": "map_50_95"}[args.map_field]
+    map_field = _MAP_FIELDS[args.map_field]
     models = detector_lab.load_model_table(args.table)
     eligible, excluded = detector_lab.split_by_map_field(models, map_field)
     if not eligible:

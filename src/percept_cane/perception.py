@@ -183,7 +183,7 @@ class OcrBackend(Protocol):
 class MockDetector:
     """Returns ground truth back, with seeded confidences and misses."""
 
-    backend_id: str = "mock"
+    backend_id = "mock"
     miss_prob: float = 0.0
     seed: int = 0
 
@@ -305,12 +305,6 @@ def validate_frame(frame: Frame, vocabulary: Collection[str]) -> None:
     for label, _ in frame.truth_objects:
         if label not in vocabulary:
             raise ValueError(f"frame {frame.frame_id!r}: label {label!r} not in vocabulary")
-
-
-def build_detector(backend_id: str, miss_prob: float = 0.0, seed: int = 0) -> DetectorBackend:
-    if backend_id == "mock":
-        return MockDetector(backend_id="mock", miss_prob=miss_prob, seed=seed)
-    raise ValueError(f"unknown detector backend {backend_id!r}")
 
 
 # backend id -> (confusion rules, substitution rate) of its mock

@@ -25,7 +25,6 @@ from .alerts import AlertConfig, AlertState, format_distance_line
 from .checks import require_finite_fields
 from .perception import (
     BoundingBox,
-    DetectorBackend,
     Frame,
     OcrBackend,
     load_class_vocabulary,
@@ -55,9 +54,8 @@ STAGE_NAMES = ("sensor", "alert", "ocr", "detect", "speech")
 
 @dataclass(frozen=True)
 class PerceptionConfig:
-    """Backend choices and modeled per-call stage latencies."""
+    """The OCR backend, the detector's miss rate and modeled per-call stage latencies."""
 
-    detector: str = "mock"
     ocr: str = "mock-tesseract"
     miss_prob: float = 0.0
     ocr_latency_s: float = 0.2
@@ -67,8 +65,8 @@ class PerceptionConfig:
         require_finite_fields(self)
         if self.ocr_latency_s < 0 or self.detect_latency_s < 0:
             raise ValueError("stage latencies must be non-negative")
-        # building the backends checks their ids and miss_prob, which only perception knows
-        perception.build_detector(self.detector, miss_prob=self.miss_prob)
+        # building the backends checks the OCR id and miss_prob, which only perception knows
+        perception.MockDetector(miss_prob=self.miss_prob)
         perception.build_ocr(self.ocr)
 
 
@@ -218,15 +216,16 @@ def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
     return ScenarioEvent(t_s, distance_cm, frame)
 
 
-def load_scenario(path: str | Path, vocabulary: Sequence[str] | None = None) -> Scenario:
-    """Parse a scenario JSON file; object labels must be in ``vocabulary``
-    (default: the bundled COCO list). Errors name the file and event index.
+def load_scenario(path: str | Path) -> Scenario:
+    """Parse a scenario JSON file; object labels must be in the bundled COCO
+    vocabulary (``coco_labels.txt``, swapped by pointing ``PERCEPT_CANE_DATA``
+    at another data directory). Errors name the file and event index.
 
     Each valid event and box entry passes one inline test; an entry that
     fails it is re-checked by :mod:`checks`, so every message is the same
     as when every entry is checked in full."""
     raw = checks.read_json(path)
-    allowed = set(load_class_vocabulary() if vocabulary is None else vocabulary)
+    allowed = set(load_class_vocabulary())
     events: list[ScenarioEvent] = []
     try:
         checks.keys(raw, ("name", "tick_s", "duration_s", "events"), name="scenario")
@@ -328,7 +327,6 @@ def run(
     scenario: Scenario,
     cfg: PipelineConfig | None = None,
     seed: int | None = None,
-    detector: DetectorBackend | None = None,
     ocr: OcrBackend | None = None,
     speech_backend: SpeechBackend | None = None,
 ) -> RunResult:
@@ -345,9 +343,7 @@ def run(
     if seed is not None:
         cfg = replace(cfg, sensor=replace(cfg.sensor, seed=seed))
     rng = random.Random(cfg.sensor.seed)
-    detector = detector or perception.build_detector(
-        cfg.perception.detector, miss_prob=cfg.perception.miss_prob, seed=cfg.sensor.seed
-    )
+    detector = perception.MockDetector(miss_prob=cfg.perception.miss_prob, seed=cfg.sensor.seed)
     ocr = ocr or perception.build_ocr(cfg.perception.ocr, seed=cfg.sensor.seed)
     speech_backend = speech_backend or NullSynth()
     alert_cfg, speech_cfg = cfg.alert, cfg.speech

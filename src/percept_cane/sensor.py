@@ -153,16 +153,16 @@ def mean_response_time(samples: Sequence[DistanceMeasurement]) -> float:
     return math.fsum(m.exec_time_s for m in samples) / len(samples)
 
 
-def load_sensor_timings(path: str | Path | None = None, cfg: SensorConfig | None = None) -> list[DistanceMeasurement]:
+def load_sensor_timings(path: str | Path | None = None) -> list[DistanceMeasurement]:
     """Load a ``distance_cm,exec_time_s`` CSV as measurements.
 
     Defaults to the bundled reference timing table. Range flags are derived
-    from ``cfg`` (default configuration when omitted); timestamps are zero
-    since the file carries none.
+    from the default :class:`SensorConfig`; timestamps are zero since the
+    file carries none.
     """
     if path is None:
         path = data_path(SENSOR_TIMINGS_FILE)
-    cfg = cfg or SensorConfig()
+    cfg = SensorConfig()
 
     def measurement(row: list[str]) -> DistanceMeasurement:
         d, t = number(float(row[0]), "distance_cm"), number(float(row[1]), "exec_time_s")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,6 @@ from percept_cane.alerts import (
     format_alert_speech,
     format_distance_line,
     on_measurement,
-    parse_distance_line,
 )
 from percept_cane.sensor import DistanceMeasurement, SensorConfig
 
@@ -108,9 +108,13 @@ def test_distance_line_round_trip():
     rng = random.Random(3)
     for _ in range(500):
         d = round(rng.uniform(0, 400), 1)
-        assert parse_distance_line(format_distance_line(d)) == d
-    with pytest.raises(ValueError):
-        parse_distance_line("Distance: 53.4")
+        match = re.fullmatch(r"Measure Distance = (\d+\.\d) cm", format_distance_line(d))
+        assert match is not None and float(match.group(1)) == d
+
+
+def test_format_distance_line_rejects_negative():
+    with pytest.raises(ValueError, match="^distance_cm must be non-negative$"):
+        format_distance_line(-1.0)
 
 
 def test_format_alert_speech():

@@ -233,8 +233,25 @@ def test_models_pareto_non_numeric_gflops_names_line(tmp_path, capsys):
             '"tess\nact",5.5,0.7,0.3,0.25\neasyocr,1.9,fast,0.82,0.07\n',
             ":4: could not convert string to float: 'fast'",
         ),
+        (
+            "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
+            "tesseract,150,0.7,0.3,0.25\n",
+            ":2: tesseract: error rate out of [0,100]",
+        ),
+        (
+            "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
+            "tesseract,5.5,0.7,0,0.25\n",
+            ":2: tesseract: speeds must be positive",
+        ),
     ],
-    ids=["missing-column", "non-numeric", "nan-speed", "after-multi-line-field"],
+    ids=[
+        "missing-column",
+        "non-numeric",
+        "nan-speed",
+        "after-multi-line-field",
+        "error-rate-above-100",
+        "zero-speed",
+    ],
 )
 def test_ocr_route_bad_profiles_name_line(table, message, tmp_path, capsys):
     profiles = tmp_path / "profiles.csv"
@@ -417,7 +434,11 @@ BAD_INPUTS = {
     ),
     "config-unknown-detector": (
         {"perception": {"detector": "yolo"}},
-        "config section 'perception': unknown detector backend 'yolo'",
+        "config section 'perception': unknown keys ['detector']",
+    ),
+    "config-mock-detector": (
+        {"perception": {"detector": "mock"}},
+        "config section 'perception': unknown keys ['detector']",
     ),
     "config-unknown-ocr": (
         {"perception": {"ocr": "tesseract"}},
@@ -428,6 +449,10 @@ BAD_INPUTS = {
         "config section 'perception': miss_prob must be in [0,1]",
     ),
     "config-not-utf8": (b'{"speech": \xfe}', "'utf-8' codec can't decode byte 0xfe"),
+    "config-zero-capacity": (
+        {"speech": {"capacity": 0}},
+        "config section 'speech': capacity must be at least 1\n",
+    ),
     # the budget has one bound, the pass/fail line; lower_s is no longer a field
     "config-budget-lower-bound": (
         {"budget": {"lower_s": 3.0, "upper_s": 5.0}},
@@ -513,6 +538,11 @@ BAD_TABLES = {
         ("models-pareto", "--table", "{}", "--map-field", "map5095"),
         _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,nan,-,20.6\n",
         ":2: size_mb must be finite, got nan",
+    ),
+    "models-zero-mparams": (
+        ("models-pareto", "--table", "{}"),
+        b"name,framework,gflops,mparams,map\nssd,tf,2.0,0,70.0\n",
+        ":2: ssd: mparams must be positive",
     ),
     "models-negative-size": (
         ("models-pareto", "--table", "{}", "--map-field", "map5095"),

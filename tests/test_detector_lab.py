@@ -45,6 +45,13 @@ def test_iou_degenerate_union():
     assert iou(p, p) == 0.0
 
 
+def test_iou_underflowing_areas_is_zero():
+    # both boxes have a positive side, but every product underflows to 0.0
+    tiny = BoundingBox(0.0, 0.0, 1e-200, 1e-200)
+    assert tiny.area() == 0.0
+    assert iou(tiny, tiny) == 0.0
+
+
 def test_iou_touching_edges_is_zero():
     a = BoundingBox(0.0, 0.0, 0.5, 0.5)
     b = BoundingBox(0.5, 0.0, 1.0, 0.5)
@@ -458,6 +465,12 @@ def test_recommend_optimality_scan(rng):
                 assert m.map_50 <= choice.map_50
 
 
+def test_recommend_needs_a_model_with_the_field():
+    models = [ModelSpec("x", "fw", 1.0, 1.0, map_50=10.0)]
+    with pytest.raises(ValueError, match="^no models carry map_50_95$"):
+        recommend(models, 10.0, "map_50_95")
+
+
 def test_recommend_tie_breaks():
     a = ModelSpec("bravo", "fw", 2.0, 1.0, map_50=50.0)
     b = ModelSpec("alpha", "fw", 2.0, 1.0, map_50=50.0)
@@ -473,3 +486,10 @@ def test_model_spec_invariants():
         ModelSpec("x", "fw", 1.0, 1.0, map_50=101.0)
     with pytest.raises(ValueError):
         ModelSpec("x", "fw", float("nan"), 1.0, map_50=10.0)
+
+
+def test_map_value_rejects_unknown_field():
+    spec = ModelSpec("x", "fw", 1.0, 1.0, map_50=10.0, map_50_95=5.0)
+    assert (spec.map_value("map_50"), spec.map_value("map_50_95")) == (10.0, 5.0)
+    with pytest.raises(ValueError, match="^unknown mAP field 'map_75'$"):
+        spec.map_value("map_75")

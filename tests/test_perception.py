@@ -18,7 +18,6 @@ from percept_cane.perception import (
     MockOcr,
     OcrExtraction,
     _cut,
-    build_detector,
     build_ocr,
     detect,
     extract_text,
@@ -99,6 +98,19 @@ def test_mock_ocr_full_rate_substitutions():
     assert li.transcribe("hello", key="k") == "heiio"
     tr = MockOcr(substitution_rate=1.0, confusion_rules=(("t", "r"),), seed=0)
     assert tr.transcribe("text", key="k") == "rexr"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"substitution_rate": 1.5}, r"substitution_rate must be in \[0,1\]"),
+        ({"confusion_rules": (("rn", "m"),)}, r"confusion rule must map one char to one char: \('rn', 'm'\)"),
+    ],
+    ids=["rate-above-one", "two-char-rule"],
+)
+def test_mock_ocr_invariants(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MockOcr(**kwargs)
 
 
 def test_mock_ocr_substitution_preserves_length():
@@ -218,6 +230,25 @@ def test_backend_error_wrapping():
         extract_text(frame_with(), Exploding())
 
 
+@pytest.mark.parametrize("call", [detect, extract_text], ids=["detect", "extract_text"])
+def test_backend_error_passes_through_unwrapped(call):
+    err = BackendError("inner", "lens cap on")
+
+    class Failing:
+        backend_id = "outer"
+
+        def detect(self, frame):
+            raise err
+
+        def extract(self, frame):
+            raise err
+
+    with pytest.raises(BackendError) as info:
+        call(frame_with(), Failing())
+    assert info.value is err
+    assert str(info.value) == "backend 'inner' failed: lens cap on"
+
+
 def test_load_class_vocabulary_bundled():
     labels = load_class_vocabulary()
     assert len(labels) == 80
@@ -237,6 +268,12 @@ def test_load_class_vocabulary_errors(tmp_path):
     with pytest.raises(ValueError, match="label5"):
         load_class_vocabulary(dupes)
 
+    blank = tmp_path / "blank.txt"
+    rows = [f"label{i}" for i in range(40)] + ["  "] + [f"label{i}" for i in range(40, 80)]
+    blank.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"blank\.txt:41: empty label line$"):
+        load_class_vocabulary(blank)
+
 
 def test_validate_frame_vocabulary():
     vocab = load_class_vocabulary()
@@ -246,11 +283,9 @@ def test_validate_frame_vocabulary():
 
 
 def test_backend_registry():
-    assert build_detector("mock").backend_id == "mock"
+    assert MockDetector().backend_id == "mock"
     assert build_ocr("mock-tesseract").backend_id == "mock-tesseract"
     assert build_ocr("mock-easyocr").backend_id == "mock-easyocr"
-    with pytest.raises(ValueError):
-        build_detector("resnet")
     with pytest.raises(ValueError):
         build_ocr("tesseract5")
 

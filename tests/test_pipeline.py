@@ -400,6 +400,17 @@ def test_quiet_scenario_silent():
     assert report.budget_pass  # vacuous: nothing exceeded the ceiling
 
 
+def test_run_stops_at_duration_when_ceil_overshoots():
+    # 2.1 / 0.3 is 7.000000000000001, so the loop bound is 8 ticks, but the
+    # eighth tick's time 7 * 0.3 is exactly 2.1, the duration, and is not run
+    scenario = Scenario("x", 0.3, 2.1, (ScenarioEvent(0.0, 300.0),))
+    assert math.ceil(scenario.duration_s / scenario.tick_s) == 8
+    assert 7 * scenario.tick_s == scenario.duration_s
+    result = run(scenario)
+    assert len(result.log.exec_times) == 7
+    assert result.report.stages["sensor"].count == 7
+
+
 def test_run_deterministic_repeat():
     scenario = load_scenario(demo_scenario_path())
     a = run(scenario)
