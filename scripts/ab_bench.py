@@ -18,18 +18,19 @@ the number of pairs the change wins, the base's interquartile range, and
 how far the change's median moves from the base's in the metric's worse
 direction, relative to the base median, flagged ``OUTSIDE BOUND`` when
 that move exceeds the metric's ``bound``. Then each side's median host
-seconds of a timed pass and of a calibration run, read from the summary
-lines ``run.py`` prints: reference seconds divide the first by the second,
-so a verdict in reference seconds that host seconds contradict shows up
-as a calibration that moved.
+seconds of a timed pass, of a calibration run and of one scenario or
+input load, read from the summary lines ``run.py`` prints: reference
+seconds divide a pass or a load by the calibration, so a ``wall_s`` or
+``setup_s`` verdict that host seconds contradict shows up as a
+calibration that moved.
 ``--json PATH`` also writes that summary as one JSON object: the base and
 head revisions (head is ``HEAD``, flagged ``head_dirty`` when the working
 tree differs from it), the workload, the seeds, the failed run count, and
 per metric its unit, direction, bound, each side's values, median and
 quartiles, the change's wins, the base IQR, the relative worse move
 (``worse_by``, negative when the change is better) and ``outside_bound``,
-and under ``host`` each side's per-run values and median of ``pass_s`` and
-``cal_s``.
+and under ``host`` each side's per-run values and median of ``pass_s``,
+``cal_s`` and ``load_s``.
 A run fails when it does not finish or reports ``correct: false`` (failed
 operations, or a problem such as a digest that does not match); the script
 prints each failed run's problems and exits 1 if any run failed. Stdlib
@@ -54,11 +55,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
 SHARED = ("perfbench", "BENCHMARK.json")
-# host seconds in run.py's summary lines: the median timed pass and the
-# median calibration run
+# host seconds in run.py's summary lines: the median timed pass, the
+# median calibration run and the median load behind setup_s
 HOST_LINES = {
     "pass_s": re.compile(r"\s*wall_s .*\(host: .*median (\S+) s,"),
     "cal_s": re.compile(r"\s*calibration loop (\S+) host s"),
+    "load_s": re.compile(r"\s*setup_s .*\(host (\S+) s\)"),
 }
 
 

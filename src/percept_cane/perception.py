@@ -1,13 +1,16 @@
 """Frame model, backend interfaces, and deterministic mock backends.
 
-Frames are symbolic: lists of ground-truth objects and texts instead of
-pixels, so downstream metrics are exactly checkable. Mock backends derive
-every random decision (confidence values, dropped detections, character
-substitutions) from a sha256 hash of the seed and the item's identity, never
-from shared RNG state, so outputs are independent of call order and safe for
-concurrent read-only use. A mock result's confidence is derived when it is
-first read and then kept on the result; the device loop speaks labels and
-texts only, so it never pays for the hash.
+Frames are symbolic: ground-truth objects and texts instead of pixels, so
+downstream metrics are exactly checkable. A frame keeps them as flat
+columns of atomic values (labels, and four box coordinates per label), so
+a loaded walk holds no object per box for the garbage collector to track.
+Mock backends derive every random decision (confidence values, dropped
+detections, character substitutions) from a sha256 hash of the seed and
+the item's identity, never from shared RNG state, so outputs are
+independent of call order and safe for concurrent read-only use. A mock
+result's confidence and box are made when first read and then kept on the
+result; the device loop speaks labels and texts only, so it never pays for
+the hash or the box.
 """
 
 from __future__ import annotations
@@ -70,11 +73,39 @@ class BoundingBox:
 
 @dataclass(frozen=True)
 class Frame:
-    """One captured scene as symbolic ground truth."""
+    """One captured scene as symbolic ground truth, in columns.
+
+    ``object_boxes`` holds four coordinates per entry of ``object_labels``,
+    ``x_min, y_min, x_max, y_max`` in turn, and ``text_regions`` the same
+    per entry of ``texts``. Each box must satisfy ``0 <= x_min <= x_max <= 1``
+    and the same for y, as a :class:`BoundingBox` must. Tuples of strs and
+    floats are untracked by the garbage collector after its first pass over
+    them, so a frame costs it no object per box; readers that want a box
+    build one from its four coordinates.
+    """
 
     frame_id: str
-    truth_objects: tuple[tuple[str, BoundingBox], ...] = ()
-    truth_texts: tuple[tuple[str, BoundingBox], ...] = ()
+    object_labels: tuple[str, ...] = ()
+    object_boxes: tuple[float, ...] = ()
+    texts: tuple[str, ...] = ()
+    text_regions: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_column(self.frame_id, "object", self.object_labels, self.object_boxes)
+        _check_column(self.frame_id, "text", self.texts, self.text_regions)
+
+
+def _check_column(frame_id: str, kind: str, names: tuple, coords: tuple) -> None:
+    """Four coordinates per name, each four a box in range."""
+    if len(coords) != 4 * len(names):
+        n = f"{len(coords)} for {len(names)}"
+        raise ValueError(f"frame {frame_id!r}: {kind} boxes need 4 coordinates per entry, got {n}")
+    it = iter(coords)
+    for x0, y0, x1, y1 in zip(it, it, it, it):
+        # the chained comparisons are False for NaN and for either infinity
+        if not (0.0 <= x0 <= x1 <= 1.0 and 0.0 <= y0 <= y1 <= 1.0):
+            box = (x0, y0, x1, y1)
+            raise ValueError(f"frame {frame_id!r}: {kind} box {box} is outside 0 <= min <= max <= 1")
 
 
 def _unit(token: str) -> float:
@@ -116,50 +147,62 @@ def _check_confidence(confidence: float) -> None:
         raise ValueError(f"confidence out of [0,1]: {confidence}")
 
 
-class _SeededConfidence:
-    """A result whose ``confidence`` a mock backend derives on first read.
+class _MockResult:
+    """A result whose ``confidence`` and box a mock backend makes on first read.
 
-    :meth:`_seeded` builds the result without its confidence field; the
-    first read of ``confidence`` misses the instance, so ``__getattr__``
-    hashes the token, checks the range and stores the value, after which
-    reads, equality, hashing and repr see a plain field.
+    :meth:`_seeded` builds the result with its other fields only, keeping
+    the hash token, the frame's coordinate column and the entry's index.
+    The first read of ``confidence`` or of the box field (named by the
+    class's ``_box_field``) misses the instance, so ``__getattr__`` hashes
+    the token and checks the range, or builds the :class:`BoundingBox` from
+    the entry's four coordinates, and stores the value, after which reads,
+    equality, hashing and repr see a plain field.
     """
 
+    _box_field = ""
+
     @classmethod
-    def _seeded(cls, token: str, **values: object):
-        """The result with ``values`` for every field but ``confidence``."""
+    def _seeded(cls, token: str, coords: tuple[float, ...], index: int, **values: object):
+        """The result with ``values`` for every field but ``confidence`` and the box."""
         result = object.__new__(cls)
-        values["_token"] = token
-        result.__dict__.update(values)
+        result.__dict__.update(values, _token=token, _coords=coords, _index=index)
         return result
 
-    def __getattr__(self, name: str) -> float:
+    def __getattr__(self, name: str) -> object:
         token = self.__dict__.get("_token")
-        if name != "confidence" or token is None:
+        if token is None or name not in ("confidence", self._box_field):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        # [0.5, 1.0) keeps mock detections above typical score cutoffs while
-        # still giving distinct, reproducible rankings
-        confidence = 0.5 + _unit(token) / 2.0
-        _check_confidence(confidence)
-        object.__setattr__(self, "confidence", confidence)
-        return confidence
+        if name == "confidence":
+            # [0.5, 1.0) keeps mock detections above typical score cutoffs while
+            # still giving distinct, reproducible rankings
+            value = 0.5 + _unit(token) / 2.0
+            _check_confidence(value)
+        else:
+            at = 4 * self._index
+            value = BoundingBox(*self._coords[at : at + 4])
+        object.__setattr__(self, name, value)
+        return value
 
 
 @dataclass(frozen=True)
-class Detection(_SeededConfidence):
+class Detection(_MockResult):
     label: str
     confidence: float
     box: BoundingBox
+
+    _box_field = "box"
 
     def __post_init__(self) -> None:
         _check_confidence(self.confidence)
 
 
 @dataclass(frozen=True)
-class OcrExtraction(_SeededConfidence):
+class OcrExtraction(_MockResult):
     text: str
     confidence: float
     region: BoundingBox
+
+    _box_field = "region"
 
     def __post_init__(self) -> None:
         _check_confidence(self.confidence)
@@ -196,10 +239,11 @@ class MockDetector:
     def detect(self, frame: Frame) -> list[Detection]:
         out: list[Detection] = []
         seed, frame_id, miss_prob, cut = self.seed, frame.frame_id, self.miss_prob, self._miss_cut
-        for i, (label, box) in enumerate(frame.truth_objects):
+        boxes = frame.object_boxes
+        for i, label in enumerate(frame.object_labels):
             if miss_prob > 0 and sha256(f"{seed}:drop:{frame_id}:{i}:{label}".encode()).digest() < cut:
                 continue
-            out.append(Detection._seeded(f"{seed}:conf:{frame_id}:{label}", label=label, box=box))
+            out.append(Detection._seeded(f"{seed}:conf:{frame_id}:{label}", boxes, i, label=label))
         return out
 
 
@@ -248,13 +292,14 @@ class MockOcr:
 
     def extract(self, frame: Frame) -> list[OcrExtraction]:
         out = []
-        seed, frame_id = self.seed, frame.frame_id
-        for j, (text, region) in enumerate(frame.truth_texts):
+        seed, frame_id, regions = self.seed, frame.frame_id, frame.text_regions
+        for j, text in enumerate(frame.texts):
             out.append(
                 OcrExtraction._seeded(
                     f"{seed}:conf:{frame_id}:text/{j}",
+                    regions,
+                    j,
                     text=self.transcribe(text, f"{frame_id}/{j}"),
-                    region=region,
                 )
             )
         return out
@@ -302,7 +347,7 @@ def load_class_vocabulary(path: str | Path | None = None) -> list[str]:
 def validate_frame(frame: Frame, vocabulary: Collection[str]) -> None:
     """Check frame labels against the loaded vocabulary (pass a set when
     checking many frames)."""
-    for label, _ in frame.truth_objects:
+    for label in frame.object_labels:
         if label not in vocabulary:
             raise ValueError(f"frame {frame.frame_id!r}: label {label!r} not in vocabulary")
 

@@ -16,7 +16,6 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -43,9 +42,6 @@ from .speech import (
 )
 
 SCENARIO_DEMO_FILE = "scenario_demo.json"
-# an empty box and the setter that fills it, for boxes the loader checked itself
-_new_box = partial(object.__new__, BoundingBox)
-_set = object.__setattr__
 # Upper bound on ceil(duration_s / tick_s), checked before any tick runs;
 # the largest benchmark walk has 6,000 ticks.
 MAX_TICKS = 1_000_000
@@ -135,47 +131,47 @@ class Scenario:
                 raise ValueError(f"event {i}: distance_cm must be finite and non-negative")
 
 
-def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple:
-    """``[{label: str, box: [4 numbers]}, ...]`` as ``((label, BoundingBox), ...)``;
-    an error names the entry, as in ``texts[1]: unknown keys ['font']``.
+def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple[tuple, tuple]:
+    """``[{label: str, box: [4 numbers]}, ...]`` as the labels and, four per
+    label, the box coordinates; an error names the entry, as in
+    ``texts[1]: unknown keys ['font']``.
 
     A valid entry passes one inline test: an object of the two keys, a str
     label and four floats with ``0 <= x_min <= x_max <= 1`` and the same for
-    y. Its box is built without running ``BoundingBox.__post_init__``, whose
-    checks that test already made. Any other entry, int coordinates
-    included, is re-checked by :mod:`checks` and the constructor, so it is
-    accepted or gets the same message as without the test.
+    y. Its four floats are appended to the coordinates as they are. Any
+    other entry, int coordinates included, is re-checked by :mod:`checks`
+    and ``BoundingBox``, so it is accepted, as that box's floats, or gets
+    the same message as without the test.
     """
-    out = []
+    names: list[str] = []
+    coords: list[float] = []
     for i, entry in enumerate(checks.typed(entries, list, name)):
         if (
             type(entry) is dict
             and len(entry) == 2
             and type(text := entry.get(label)) is str
-            and type(coords := entry.get(box)) is list
-            and len(coords) == 4
+            and type(xy := entry.get(box)) is list
+            and len(xy) == 4
         ):
-            x0, y0, x1, y1 = coords
+            x0, y0, x1, y1 = xy
             # the chained comparisons are False for NaN and for either infinity
             if (
                 type(x0) is type(y0) is type(x1) is type(y1) is float
                 and 0.0 <= x0 <= x1 <= 1.0
                 and 0.0 <= y0 <= y1 <= 1.0
             ):
-                b = _new_box()
-                _set(b, "x_min", x0)
-                _set(b, "y_min", y0)
-                _set(b, "x_max", x1)
-                _set(b, "y_max", y1)
-                out.append((text, b))
+                names.append(text)
+                coords += xy
                 continue
         try:
             checks.keys(entry, (label, box))
             text = checks.typed(entry[label], str, label)
-            out.append((text, BoundingBox(*checks.box(entry[box], box))))
+            b = BoundingBox(*checks.box(entry[box], box))
         except ValueError as exc:
             raise ValueError(f"{name}[{i}]: {exc}") from exc
-    return tuple(out)
+        names.append(text)
+        coords += (b.x_min, b.y_min, b.x_max, b.y_max)
+    return tuple(names), tuple(coords)
 
 
 def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
@@ -207,11 +203,10 @@ def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
             return ScenarioEvent(t_s, distance_cm)
         checks.keys(f, (), ("frame_id", "texts", "objects"), "frame")
         frame_id = f.get("frame_id", f"frame-{i:03d}")
-    frame = Frame(
-        frame_id=checks.typed(frame_id, str, "frame_id"),
-        truth_texts=_labelled_boxes(f.get("texts", []), "texts", "text", "region"),
-        truth_objects=_labelled_boxes(f.get("objects", []), "objects", "label", "box"),
-    )
+    frame_id = checks.typed(frame_id, str, "frame_id")
+    texts, regions = _labelled_boxes(f.get("texts", []), "texts", "text", "region")
+    labels, boxes = _labelled_boxes(f.get("objects", []), "objects", "label", "box")
+    frame = Frame(frame_id, labels, boxes, texts, regions)
     validate_frame(frame, vocabulary)
     return ScenarioEvent(t_s, distance_cm, frame)
 

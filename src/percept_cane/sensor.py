@@ -24,6 +24,7 @@ from .checks import number, read_csv, require_finite_fields
 from .resources import data_path
 
 SENSOR_TIMINGS_FILE = "fig6_sensor_timings.csv"
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,13 @@ class DistanceMeasurement:
     timestamp_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.distance_cm >= 0:  # NaN fails too
-            raise ValueError("distance_cm must be non-negative")
-        if self.exec_time_s <= 0:
-            raise ValueError("exec_time_s must be positive")
+        # each chained test is False for NaN and for the infinity it bounds
+        if not 0.0 <= self.distance_cm < _INF:
+            raise ValueError("distance_cm must be finite and non-negative")
+        if not 0.0 < self.exec_time_s < _INF:
+            raise ValueError("exec_time_s must be finite and positive")
+        if not -_INF < self.timestamp_s < _INF:
+            raise ValueError("timestamp_s must be finite")
 
 
 # an empty measurement, filled in by simulate_measurement
@@ -112,15 +116,19 @@ def simulate_measurement(
     even for an all-zero configuration.
 
     Out-of-range distances still return a measurement, flagged with
-    ``in_range=False``; policy belongs to the caller. A negative or NaN
-    distance raises ``ValueError``.
+    ``in_range=False``; policy belongs to the caller. A negative, NaN or
+    infinite distance, a NaN or infinite timestamp, or an exec time that
+    overflows to inf raises ``ValueError``.
 
     The result is built without re-running ``DistanceMeasurement``'s
     ``__post_init__``, whose checks hold by construction; it equals
     ``DistanceMeasurement(...)`` of the same fields.
     """
-    if not true_distance_cm >= 0:  # NaN fails too
-        raise ValueError("true_distance_cm must be non-negative")
+    # each chained test is False for NaN and for the infinity it bounds
+    if not 0.0 <= true_distance_cm < _INF:
+        raise ValueError("true_distance_cm must be finite and non-negative")
+    if not -_INF < timestamp_s < _INF:
+        raise ValueError("timestamp_s must be finite")
     exec_time = (
         cfg.overhead_base_s
         + cfg.overhead_per_cm_s * true_distance_cm
@@ -130,12 +138,16 @@ def simulate_measurement(
         jitter = rng.gauss(0.0, cfg.jitter_std_s)
         if jitter > 0.0:
             exec_time += jitter
-    # same floats as max(exec_time, 1e-12), NaN included
-    if exec_time < 1e-12:
-        exec_time = 1e-12
+    # same floats as max(exec_time, 1e-12); a finite distance and config
+    # give no NaN, but a large enough product overflows to inf
+    if not 1e-12 <= exec_time < _INF:
+        if exec_time < 1e-12:
+            exec_time = 1e-12
+        else:
+            raise ValueError("exec_time_s must be finite and positive")
     # __post_init__'s checks hold by construction, so it is not run again:
-    # a negative or NaN distance raised above on the same condition, and the
-    # floor leaves exec_time > 0 or NaN, which its `<= 0` test lets through too
+    # the distance and timestamp passed its tests above, and the floor leaves
+    # 1e-12 <= exec_time < inf
     m = _new_measurement()
     m.__dict__.update(
         distance_cm=true_distance_cm,

@@ -112,12 +112,12 @@ sys.modules[_run_spec.name] = perfbench_run  # its dataclasses look their module
 _run_spec.loader.exec_module(perfbench_run)
 
 
-def _summary(pass_s: float, cal_s: float) -> str:
+def _summary(pass_s: float, cal_s: float, load_s: float = 0.02) -> str:
     """A run's stdout, summary lines rendered by perfbench/run.py itself."""
     metrics = {"setup_s": (0.01, "s"), "wall_s": (0.2, "s"), "items_per_s": (5.0, "1/s")}
     metrics["peak_rss_mb"] = (30.0, "MB")
     report = dict(workload="ocr-bench", seed=3, passes=9, operations=4, items="samples")
-    report.update(host_wall_s=(pass_s / 2, pass_s, pass_s * 2), host_setup_s=0.02, cal_s=cal_s)
+    report.update(host_wall_s=(pass_s / 2, pass_s, pass_s * 2), host_setup_s=load_s, cal_s=cal_s)
     report.update(setup_loads=(7, 12), device=None, pass_digest="0" * 16, digest_source="recorded")
     result = perfbench_run.Result(True, 36, 0, metrics, report)
     return "\n".join(perfbench_run.describe(result)) + "\n" + result.json_line() + "\n"
@@ -125,19 +125,20 @@ def _summary(pass_s: float, cal_s: float) -> str:
 
 def test_host_pass_and_calibration_medians_are_reported(monkeypatch, capsys, tmp_path):
     # reference wall_s is equal on both sides, yet the change's host pass is
-    # faster and its calibration faster still: the host lines show it
+    # faster and its calibration faster still: the host lines show it, and
+    # the host load seconds behind setup_s beside them
     _stub_git(monkeypatch)
     times = {
-        "base": [(0.30, 0.060), (0.34, 0.064), (0.32, 0.062)],
-        "change": [(0.25, 0.041), (0.21, 0.039), (0.23, 0.040)],
+        "base": [(0.30, 0.060, 0.105), (0.34, 0.064, 0.115), (0.32, 0.062, 0.110)],
+        "change": [(0.25, 0.041, 0.070), (0.21, 0.039, 0.066), (0.23, 0.040, 0.068)],
     }
     calls = []
 
     def fake_run(cmd, cwd, **kw):
         side = "change" if Path(cwd) == ab_bench.ROOT else "base"
         calls.append(side)
-        pass_s, cal_s = times[side][sum(s == side for s in calls) - 1]
-        return subprocess.CompletedProcess(cmd, 0, _summary(pass_s, cal_s), "")
+        run = times[side][sum(s == side for s in calls) - 1]
+        return subprocess.CompletedProcess(cmd, 0, _summary(*run), "")
 
     monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
     summary = tmp_path / "summary.json"
@@ -148,9 +149,12 @@ def test_host_pass_and_calibration_medians_are_reported(monkeypatch, capsys, tmp
     assert host["base"]["cal_s"] == {"values": [0.060, 0.064, 0.062], "median": 0.062}
     assert host["change"]["pass_s"] == {"values": [0.25, 0.21, 0.23], "median": 0.23}
     assert host["change"]["cal_s"] == {"values": [0.041, 0.039, 0.040], "median": 0.040}
+    assert host["base"]["load_s"] == {"values": [0.105, 0.115, 0.110], "median": 0.110}
+    assert host["change"]["load_s"] == {"values": [0.070, 0.066, 0.068], "median": 0.068}
     out = capsys.readouterr().out
     assert "host pass_s  base 0.32  change 0.23  ratio 0.719" in out
     assert "host cal_s   base 0.062  change 0.04  ratio 0.645" in out
+    assert "host load_s  base 0.11  change 0.068  ratio 0.618" in out
 
 
 def test_host_times_absent_read_as_nan(monkeypatch):
@@ -162,5 +166,6 @@ def test_host_times_absent_read_as_nan(monkeypatch):
     assert result["host"] == {}
     medians = ab_bench.host_medians([result, {"host": {"pass_s": 0.5}}])
     assert medians["pass_s"]["median"] == 0.5
-    cal = medians["cal_s"]
-    assert all(math.isnan(v) for v in cal["values"]) and math.isnan(cal["median"])
+    for name in ("cal_s", "load_s"):
+        absent = medians[name]
+        assert all(math.isnan(v) for v in absent["values"]) and math.isnan(absent["median"])

@@ -80,13 +80,22 @@ def test_out_of_order_timestamp_raises():
         on_measurement(state, m(250.0, 4.0), CFG)
 
 
+def _nan_stamped(distance_cm: float) -> DistanceMeasurement:
+    """A NaN-timestamped measurement, built around the constructor that
+    rejects one, as any code that skips its checks could build it."""
+    fields = vars(m(distance_cm, 0.0)) | {"timestamp_s": math.nan}
+    bad = object.__new__(DistanceMeasurement)
+    bad.__dict__.update(fields)
+    return bad
+
+
 def test_nan_timestamp_raises_first_and_after_finite():
     state = AlertState()
     with pytest.raises(OutOfOrderError, match=r"^measurement at t=nan after t=-inf$"):
-        on_measurement(state, m(50.0, math.nan), CFG)
+        on_measurement(state, _nan_stamped(50.0), CFG)
     on_measurement(state, m(250.0, 5.0), CFG)
     with pytest.raises(OutOfOrderError, match=r"^measurement at t=nan after t=5.0$"):
-        on_measurement(state, m(50.0, math.nan), CFG)
+        on_measurement(state, _nan_stamped(50.0), CFG)
     # the rejected reading left no trace: the engine still fires
     assert state.last_alert_s is None and state.last_seen_s == 5.0
     assert on_measurement(state, m(50.0, 6.0), CFG) is not None

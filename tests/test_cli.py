@@ -43,7 +43,7 @@ def test_sensor_bench_stdout(capsys):
     [
         ("nan,0.01", "distance_cm must be finite, got nan"),
         ("50,inf", "exec_time_s must be finite, got inf"),
-        ("50,-1", "exec_time_s must be positive"),
+        ("50,-1", "exec_time_s must be finite and positive"),
         ("60,0.02,99", "expected 2 fields"),
         ("60", "expected 2 fields"),
         ("9" * 140_000 + ",0.01", "field larger than field limit (131072)"),

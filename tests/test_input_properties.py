@@ -92,7 +92,6 @@ SECTIONS = {
         "speech_template": TEMPLATES,
     },
     "perception": {
-        "detector": st.sampled_from(["mock", "yolo"]),
         "ocr": st.sampled_from(["mock", "mock-tesseract", "mock-easyocr", "tesseract"]),
         "miss_prob": st.floats(0.0, 2.0),
         "ocr_latency_s": st.one_of(st.integers(-1, 2), st.floats(0.0, 1.0)),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import astuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,30 @@ BOX = BoundingBox(0.1, 0.1, 0.5, 0.5)
 
 
 def frame_with(objects=(), texts=(), frame_id="f0") -> Frame:
-    return Frame(frame_id=frame_id, truth_objects=tuple(objects), truth_texts=tuple(texts))
+    """A frame of ``(label, BoundingBox)`` objects and ``(text, BoundingBox)`` texts."""
+
+    def columns(pairs):
+        return tuple(name for name, _ in pairs), tuple(v for _, box in pairs for v in astuple(box))
+
+    return Frame(frame_id, *columns(objects), *columns(texts))
+
+
+@pytest.mark.parametrize(
+    "objects, boxes, message",
+    [
+        (("chair",), (0.1, 0.1, 0.5), "object boxes need 4 coordinates per entry, got 3 for 1"),
+        (("chair",), (0.5, 0.1, 0.2, 0.4), r"object box \(0.5, 0.1, 0.2, 0.4\) is outside"),
+        (("chair", "dog"), (0.1, 0.1, 0.5, 0.5, 0.1, math.nan, 0.5, 0.5), r"object box \(0.1, nan, 0.5, 0.5\)"),
+        (("chair",), (0.1, 0.1, 1.5, 0.5), r"object box \(0.1, 0.1, 1.5, 0.5\) is outside"),
+    ],
+    ids=["odd-count", "x-min-above-x-max", "nan", "above-one"],
+)
+def test_frame_rejects_bad_columns(objects, boxes, message):
+    with pytest.raises(ValueError, match=f"^frame 'f0': {message}"):
+        Frame("f0", objects, boxes)
+    # the text columns are checked the same way
+    with pytest.raises(ValueError, match=f"^frame 'f0': {message.replace('object', 'text')}"):
+        Frame("f0", texts=objects, text_regions=boxes)
 
 
 def test_bounding_box_invariants():
@@ -204,6 +228,9 @@ def test_lazy_results_compare_and_print_like_eager_ones():
         return MockDetector(seed=2).detect(frame)[0], MockOcr(seed=2).extract(frame)[0]
 
     det, ex = fresh()
+    # the box is made on first read, from the frame's coordinate column
+    assert "box" not in det.__dict__ and "region" not in ex.__dict__
+    assert det.box is det.box and ex.region == BOX
     eager = (Detection("person", det.confidence, BOX), OcrExtraction("EXIT", ex.confidence, BOX))
     for same in (lambda a, b: a == b, lambda a, b: hash(a) == hash(b), lambda a, b: repr(a) == repr(b)):
         for lazy, want in zip(fresh(), eager):
