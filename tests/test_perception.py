@@ -66,6 +66,39 @@ def test_bounding_box_invariants():
     assert BoundingBox(0.2, 0.2, 0.2, 0.8).area() == 0.0
 
 
+@pytest.mark.parametrize(
+    "box",
+    [
+        (0.0, 0.0, 0.0, 0.0),
+        (1.0, 1.0, 1.0, 1.0),
+        (0.2, 0.2, 0.2, 0.8),
+        (-0.0, 0.0, 1.0, -0.0),
+        (0.5, 0.5, 0.4, 0.6),
+        (0.1, 0.6, 0.5, 0.5),
+        (-5e-324, 0.0, 0.5, 0.5),
+        (0.1, 0.1, 0.5, math.inf),
+    ],
+)
+def test_frame_accepts_what_bounding_box_accepts(box):
+    def accepted(build) -> bool:
+        try:
+            build()
+        except ValueError:
+            return False
+        return True
+
+    expected = accepted(lambda: BoundingBox(*box))
+    assert accepted(lambda: Frame("f0", ("chair",), box)) is expected
+    assert accepted(lambda: Frame("f0", texts=("EXIT",), text_regions=box)) is expected
+
+
+def test_mock_results_carry_their_own_boxes():
+    boxes = [BoundingBox(0.1, 0.2, 0.3, 0.4), BoundingBox(0.5, 0.6, 0.7, 0.8)]
+    frame = frame_with(list(zip(("person", "dog"), boxes)), list(zip(("EXIT", "STOP"), reversed(boxes))))
+    assert [d.box for d in MockDetector(seed=1).detect(frame)] == boxes
+    assert [e.region for e in MockOcr(seed=1).extract(frame)] == boxes[::-1]
+
+
 def test_detection_confidence_bounds():
     with pytest.raises(ValueError):
         Detection("person", 1.5, BOX)
