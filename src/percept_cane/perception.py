@@ -1,16 +1,13 @@
 """Frame model, backend interfaces, and deterministic mock backends.
 
-Frames are symbolic: ground-truth objects and texts instead of pixels, so
-downstream metrics are exactly checkable. A frame keeps them as flat
-columns of atomic values (labels, and four box coordinates per label), so
-a loaded walk holds no object per box for the garbage collector to track.
-Mock backends derive every random decision (confidence values, dropped
-detections, character substitutions) from a sha256 hash of the seed and
-the item's identity, never from shared RNG state, so outputs are
-independent of call order and safe for concurrent read-only use. A mock
-result's confidence and box are made when first read and then kept on the
-result; the device loop speaks labels and texts only, so it never pays for
-the hash or the box.
+Frames are symbolic: ground-truth object labels and texts instead of
+pixels, so downstream metrics are exactly checkable. A backend returns what
+the device speaks: a detector the labels it found, an OCR backend the texts
+it read, each as a list of strings. Mock backends derive every random
+decision (dropped detections, character substitutions) from a sha256 hash
+of the seed and the item's identity, never from shared RNG state, so
+outputs are independent of call order and safe for concurrent read-only
+use.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ class BackendError(RuntimeError):
 class BoundingBox:
     """Axis-aligned box in normalized image coordinates.
 
-    Slotted, so a box carries no ``__dict__``: a replay loads tens of
+    Slotted, so a box carries no ``__dict__``: a detection benchmark loads
     thousands of them.
     """
 
@@ -73,51 +70,16 @@ class BoundingBox:
 
 @dataclass(frozen=True)
 class Frame:
-    """One captured scene as symbolic ground truth, in columns.
+    """One captured scene as symbolic ground truth: the labels of its objects
+    and the texts in it, in order.
 
-    ``object_boxes`` holds four coordinates per entry of ``object_labels``,
-    ``x_min, y_min, x_max, y_max`` in turn, and ``text_regions`` the same
-    per entry of ``texts``. Each box must satisfy ``0 <= x_min <= x_max <= 1``
-    and the same for y, as a :class:`BoundingBox` must. Tuples of strs and
-    floats are untracked by the garbage collector after its first pass over
-    them, so a frame costs it no object per box; readers that want a box
-    build one from its four coordinates.
+    A frame holds no boxes. The scenario loader checks each box and drops
+    it, because nothing the device does with a frame reads one.
     """
 
     frame_id: str
     object_labels: tuple[str, ...] = ()
-    object_boxes: tuple[float, ...] = ()
     texts: tuple[str, ...] = ()
-    text_regions: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_column(self.frame_id, "object", self.object_labels, self.object_boxes)
-        _check_column(self.frame_id, "text", self.texts, self.text_regions)
-
-
-def _check_column(frame_id: str, kind: str, names: tuple, coords: tuple) -> None:
-    """Four coordinates per name, each four a box in range."""
-    if len(coords) != 4 * len(names):
-        n = f"{len(coords)} for {len(names)}"
-        raise ValueError(f"frame {frame_id!r}: {kind} boxes need 4 coordinates per entry, got {n}")
-    it = iter(coords)
-    for x0, y0, x1, y1 in zip(it, it, it, it):
-        # the chained comparisons are False for NaN and for either infinity
-        if not (0.0 <= x0 <= x1 <= 1.0 and 0.0 <= y0 <= y1 <= 1.0):
-            box = (x0, y0, x1, y1)
-            raise ValueError(f"frame {frame_id!r}: {kind} box {box} is outside 0 <= min <= max <= 1")
-
-
-def _unit(token: str) -> float:
-    """Stable hash of a token to [0, 1]; the division rounds the top 1,024
-    of its 2**64 values up to 1.0.
-
-    sha256 rather than hash(): the builtin is salted per process, which
-    would break cross-run determinism. Tokens join the seed and the item's
-    identity with ':', e.g. ``f"{seed}:drop:{frame_id}:{i}:{label}"``.
-    """
-    digest = sha256(token.encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
 
 
 def _cut(probability: float) -> bytes:
@@ -126,11 +88,15 @@ def _cut(probability: float) -> bytes:
     ``T`` is the least integer ``x`` with ``x / 2**64 >= probability``, found
     by bisection on that same float expression. The correctly rounded
     division is monotone in ``x``, so for any token
-    ``sha256(token).digest() < T`` holds exactly when
-    ``_unit(token) < probability``: the digest's first 8 bytes compare as
-    the integer ``_unit`` divides, and when they equal ``T`` the longer
-    digest compares greater. ``x = 2**64 - 1`` already gives 1.0, so ``T``
-    fits in 8 bytes for every probability in [0, 1].
+    ``sha256(token).digest() < T`` holds exactly when the digest's first 8
+    bytes, read as a big-endian integer ``x``, give ``x / 2**64 <
+    probability``; when they equal ``T`` the longer digest compares greater.
+    ``x = 2**64 - 1`` already gives 1.0, so ``T`` fits in 8 bytes for every
+    probability in [0, 1].
+
+    sha256 rather than hash(): the builtin is salted per process, which
+    would break cross-run determinism. Tokens join the seed and the item's
+    identity with ':', e.g. ``f"{seed}:drop:{frame_id}:{i}:{label}"``.
     """
     lo, hi = 0, 2**64 - 1
     while lo < hi:
@@ -142,95 +108,23 @@ def _cut(probability: float) -> bytes:
     return lo.to_bytes(8, "big")
 
 
-def _check_confidence(confidence: float) -> None:
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError(f"confidence out of [0,1]: {confidence}")
-
-
-class _MockResult:
-    """A result whose ``confidence`` and box a mock backend makes on first read.
-
-    :meth:`_seeded` builds the result with its other fields only, keeping
-    the hash token, the frame's coordinate column and the entry's index.
-    The first read of ``confidence`` or of the box field (named by the
-    class's ``_box_field``) misses the instance, so ``__getattr__`` hashes
-    the token and checks the range, or builds the :class:`BoundingBox` from
-    the entry's four coordinates, and stores the value, after which reads,
-    equality, hashing and repr see a plain field.
-    """
-
-    _box_field = ""
-
-    @classmethod
-    def _seeded(cls, token: str, coords: tuple[float, ...], index: int, **values: object):
-        """The result with ``values`` for every field but ``confidence`` and the box."""
-        result = object.__new__(cls)
-        # item stores: one update() with keywords builds and merges a second
-        # dict, a measurable cost over the ~17k results of a dense replay pass
-        d = result.__dict__
-        d.update(values)
-        d["_token"] = token
-        d["_coords"] = coords
-        d["_index"] = index
-        return result
-
-    def __getattr__(self, name: str) -> object:
-        token = self.__dict__.get("_token")
-        if token is None or name not in ("confidence", self._box_field):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if name == "confidence":
-            # [0.5, 1.0) keeps mock detections above typical score cutoffs while
-            # still giving distinct, reproducible rankings
-            value = 0.5 + _unit(token) / 2.0
-            _check_confidence(value)
-        else:
-            at = 4 * self._index
-            value = BoundingBox(*self._coords[at : at + 4])
-        object.__setattr__(self, name, value)
-        return value
-
-
-@dataclass(frozen=True)
-class Detection(_MockResult):
-    label: str
-    confidence: float
-    box: BoundingBox
-
-    _box_field = "box"
-
-    def __post_init__(self) -> None:
-        _check_confidence(self.confidence)
-
-
-@dataclass(frozen=True)
-class OcrExtraction(_MockResult):
-    text: str
-    confidence: float
-    region: BoundingBox
-
-    _box_field = "region"
-
-    def __post_init__(self) -> None:
-        _check_confidence(self.confidence)
-
-
 class DetectorBackend(Protocol):
     backend_id: str
 
-    def detect(self, frame: Frame) -> list[Detection]: ...
+    def detect(self, frame: Frame) -> list[str]: ...
 
 
 class OcrBackend(Protocol):
     backend_id: str
 
-    def extract(self, frame: Frame) -> list[OcrExtraction]: ...
+    def extract(self, frame: Frame) -> list[str]: ...
 
     def transcribe(self, text: str, key: str) -> str: ...
 
 
 @dataclass(frozen=True)
 class MockDetector:
-    """Returns ground truth back, with seeded confidences and misses."""
+    """Returns the frame's labels back, less seeded misses."""
 
     backend_id = "mock"
     miss_prob: float = 0.0
@@ -242,15 +136,17 @@ class MockDetector:
         # a hash below the cut is a miss; not a field
         object.__setattr__(self, "_miss_cut", _cut(self.miss_prob))
 
-    def detect(self, frame: Frame) -> list[Detection]:
-        out: list[Detection] = []
-        seed, frame_id, miss_prob, cut = self.seed, frame.frame_id, self.miss_prob, self._miss_cut
-        boxes = frame.object_boxes
-        for i, label in enumerate(frame.object_labels):
-            if miss_prob > 0 and sha256(f"{seed}:drop:{frame_id}:{i}:{label}".encode()).digest() < cut:
-                continue
-            out.append(Detection._seeded(f"{seed}:conf:{frame_id}:{label}", boxes, i, label=label))
-        return out
+    def detect(self, frame: Frame) -> list[str]:
+        """The frame's labels in order, less each one whose draw on (seed,
+        "drop", frame id, index, label) falls below the cut of ``miss_prob``."""
+        if self.miss_prob == 0:
+            return list(frame.object_labels)
+        seed, frame_id, cut = self.seed, frame.frame_id, self._miss_cut
+        return [
+            label
+            for i, label in enumerate(frame.object_labels)
+            if not sha256(f"{seed}:drop:{frame_id}:{i}:{label}".encode()).digest() < cut
+        ]
 
 
 @dataclass(frozen=True)
@@ -296,22 +192,14 @@ class MockOcr:
                 i = text.find(ch, i + 1)
         return text if chars is None else "".join(chars)
 
-    def extract(self, frame: Frame) -> list[OcrExtraction]:
-        out = []
-        seed, frame_id, regions = self.seed, frame.frame_id, frame.text_regions
-        for j, text in enumerate(frame.texts):
-            out.append(
-                OcrExtraction._seeded(
-                    f"{seed}:conf:{frame_id}:text/{j}",
-                    regions,
-                    j,
-                    text=self.transcribe(text, f"{frame_id}/{j}"),
-                )
-            )
-        return out
+    def extract(self, frame: Frame) -> list[str]:
+        """Each of the frame's texts as transcribed under the key
+        ``{frame_id}/{j}``, ``j`` its index in the frame."""
+        frame_id = frame.frame_id
+        return [self.transcribe(text, f"{frame_id}/{j}") for j, text in enumerate(frame.texts)]
 
 
-def detect(frame: Frame, backend: DetectorBackend) -> list[Detection]:
+def detect(frame: Frame, backend: DetectorBackend) -> list[str]:
     try:
         return backend.detect(frame)
     except BackendError:
@@ -320,7 +208,7 @@ def detect(frame: Frame, backend: DetectorBackend) -> list[Detection]:
         raise BackendError(getattr(backend, "backend_id", "?"), str(exc)) from exc
 
 
-def extract_text(frame: Frame, backend: OcrBackend) -> list[OcrExtraction]:
+def extract_text(frame: Frame, backend: OcrBackend) -> list[str]:
     try:
         return backend.extract(frame)
     except BackendError:

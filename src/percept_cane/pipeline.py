@@ -131,20 +131,18 @@ class Scenario:
                 raise ValueError(f"event {i}: distance_cm must be finite and non-negative")
 
 
-def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple[tuple, tuple]:
-    """``[{label: str, box: [4 numbers]}, ...]`` as the labels and, four per
-    label, the box coordinates; an error names the entry, as in
+def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple[str, ...]:
+    """``[{label: str, box: [4 numbers]}, ...]`` as its labels, every box
+    checked and then dropped; an error names the entry, as in
     ``texts[1]: unknown keys ['font']``.
 
     A valid entry passes one inline test: an object of the two keys, a str
     label and four floats with ``0 <= x_min <= x_max <= 1`` and the same for
-    y. Its four floats are appended to the coordinates as they are. Any
-    other entry, int coordinates included, is re-checked by :mod:`checks`
-    and ``BoundingBox``, so it is accepted, as that box's floats, or gets
-    the same message as without the test.
+    y. Any other entry, int coordinates included, is re-checked by
+    :mod:`checks` and ``BoundingBox``, so it is accepted or gets the same
+    message as without the test.
     """
     names: list[str] = []
-    coords: list[float] = []
     for i, entry in enumerate(checks.typed(entries, list, name)):
         if (
             type(entry) is dict
@@ -161,17 +159,15 @@ def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple[t
                 and 0.0 <= y0 <= y1 <= 1.0
             ):
                 names.append(text)
-                coords += xy
                 continue
         try:
             checks.keys(entry, (label, box))
             text = checks.typed(entry[label], str, label)
-            b = BoundingBox(*checks.box(entry[box], box))
+            BoundingBox(*checks.box(entry[box], box))
         except ValueError as exc:
             raise ValueError(f"{name}[{i}]: {exc}") from exc
         names.append(text)
-        coords += (b.x_min, b.y_min, b.x_max, b.y_max)
-    return tuple(names), tuple(coords)
+    return tuple(names)
 
 
 def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
@@ -204,9 +200,9 @@ def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
         checks.keys(f, (), ("frame_id", "texts", "objects"), "frame")
         frame_id = f.get("frame_id", f"frame-{i:03d}")
     frame_id = checks.typed(frame_id, str, "frame_id")
-    texts, regions = _labelled_boxes(f.get("texts", []), "texts", "text", "region")
-    labels, boxes = _labelled_boxes(f.get("objects", []), "objects", "label", "box")
-    frame = Frame(frame_id, labels, boxes, texts, regions)
+    texts = _labelled_boxes(f.get("texts", []), "texts", "text", "region")
+    labels = _labelled_boxes(f.get("objects", []), "objects", "label", "box")
+    frame = Frame(frame_id, labels, texts)
     validate_frame(frame, vocabulary)
     return ScenarioEvent(t_s, distance_cm, frame)
 
@@ -399,14 +395,14 @@ def run(
         if frame is None:
             frameless.add(k)
         else:
-            extractions = perception.extract_text(frame, ocr)
+            texts = perception.extract_text(frame, ocr)
             now += ocr_latency_s
-            for ex in extractions:
-                queue.submit(ocr_template.format(text=ex.text), Priority.PERCEPTION)
-            detections = perception.detect(frame, detector)
+            for text in texts:
+                queue.submit(ocr_template.format(text=text), Priority.PERCEPTION)
+            labels = perception.detect(frame, detector)
             now += detect_latency_s
-            for det in detections:
-                queue.submit(detection_template.format(label=det.label), Priority.PERCEPTION)
+            for label in labels:
+                queue.submit(detection_template.format(label=label), Priority.PERCEPTION)
 
         before = now
         now = speak_all(queue, speech_backend, transcript, now, speech_cfg)

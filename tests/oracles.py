@@ -251,23 +251,24 @@ def reference_scenario_parts(
 ) -> tuple[str, float, float, list[tuple[float, float, Frame | None]]]:
     """A scenario document's name, tick, duration and ``(t, distance, frame)``
     per event, every frame and box built by its constructor: each box as
-    ``BoundingBox(*map(float, box))``, whose fields make the frame's
-    coordinate column. The document is assumed well typed; the constructors
-    raise on a box out of range, texts before objects, as the loader reads
-    them. A frame without an id is ``frame-NNN`` by its event's index."""
+    ``BoundingBox(*map(float, box))``, which is then dropped, as the frame
+    keeps only the names. The document is assumed well typed; the
+    constructors raise on a box out of range, texts before objects, as the
+    loader reads them. A frame without an id is ``frame-NNN`` by its
+    event's index."""
 
-    def columns(entries: list, name: str, box: str) -> tuple[tuple, tuple]:
-        boxes = [BoundingBox(*map(float, e[box])) for e in entries]
-        coords = tuple(v for b in boxes for v in (b.x_min, b.y_min, b.x_max, b.y_max))
-        return tuple(e[name] for e in entries), coords
+    def names(entries: list, name: str, box: str) -> tuple[str, ...]:
+        for e in entries:
+            BoundingBox(*map(float, e[box]))
+        return tuple(e[name] for e in entries)
 
     events = []
     for i, event in enumerate(doc["events"]):
         raw = event.get("frame")
         frame = None
         if raw is not None:
-            texts, regions = columns(raw.get("texts", []), "text", "region")
-            labels, boxes = columns(raw.get("objects", []), "label", "box")
-            frame = Frame(raw.get("frame_id", f"frame-{i:03d}"), labels, boxes, texts, regions)
+            texts = names(raw.get("texts", []), "text", "region")
+            labels = names(raw.get("objects", []), "label", "box")
+            frame = Frame(raw.get("frame_id", f"frame-{i:03d}"), labels, texts)
         events.append((float(event["t"]), float(event["distance_cm"]), frame))
     return doc["name"], float(doc["tick_s"]), float(doc["duration_s"]), events

@@ -66,6 +66,13 @@ def test_run_calls_wrapped_layers_per_call():
     assert counts["alerts.log_line"] == len(scenario.events)
     assert counts["alerts.fired"] == result.report.alerts_fired == 1
     assert counts["perception.ocr"] == counts["perception.detect"] == 1
+    # extract transcribes each text with its own MockOcr.transcribe call; an
+    # alerted frame is the latest event's at the alert tick
+    alerted = [
+        [e for e in scenario.events if e.t_s <= k * scenario.tick_s][-1].frame
+        for k in result.log.alert_messages
+    ]
+    assert counts["perception.transcribe"] == sum(len(f.texts) for f in alerted if f) == 1
     assert counts["speech.submit"] == len(result.transcript) == 3
     # one speech drain per alert, none on quiet ticks
     assert counts["speech.drain"] == result.report.alerts_fired

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import FlakySynth, reference_scenario_parts
 
 from percept_cane.alerts import AlertConfig, AlertState, on_measurement
-from percept_cane.perception import BoundingBox
+from percept_cane.perception import BoundingBox, Frame
 from percept_cane.pipeline import (
     MAX_TICKS,
     BudgetConfig,
@@ -81,19 +81,20 @@ def test_scenario_rejects_unknown_keys(tmp_path):
 
 
 def test_scenario_reads_integer_box_as_floats(tmp_path):
-    boxes = []
+    # an int box loads the same frame as its float twin
+    frames = []
     for box in ([0, 0, 1, 1], [0.0, 0.0, 1.0, 1.0]):
+        entries = {"objects": [{"label": "chair", "box": box}], "texts": [{"text": "EXIT", "region": box}]}
         doc = {
             "name": "ints",
             "tick_s": 0.5,
             "duration_s": 5.0,
-            "events": [{"t": 0.0, "distance_cm": 80.0, "frame": {"objects": [{"label": "chair", "box": box}]}}],
+            "events": [{"t": 0.0, "distance_cm": 80.0, "frame": {"frame_id": "f", **entries}}],
         }
         path = tmp_path / "ints.json"
         path.write_text(json.dumps(doc))
-        boxes.append(load_scenario(path).events[0].frame.object_boxes)
-    assert boxes[0] == boxes[1] == (0.0, 0.0, 1.0, 1.0)
-    assert all(type(v) is float for b in boxes for v in b)
+        frames.append(load_scenario(path).events[0].frame)
+    assert frames[0] == frames[1] == Frame("f", ("chair",), ("EXIT",))
 
 
 # --- load_scenario's one-test fast path against the public constructors
@@ -157,17 +158,6 @@ def _scenario_docs(draw) -> dict:
     return {"name": "walk", "tick_s": draw(st.sampled_from([0.5, 1])), "duration_s": 60.0, "events": events}
 
 
-def _labelled(scenario: Scenario) -> list:
-    """Every frame entry as ``(text or label, its four coordinates)``, texts first."""
-    out = []
-    for event in scenario.events:
-        f = event.frame
-        if f is not None:
-            for names, coords in ((f.texts, f.text_regions), (f.object_labels, f.object_boxes)):
-                out += [(name, coords[4 * i : 4 * i + 4]) for i, name in enumerate(names)]
-    return out
-
-
 def _outcome(load) -> tuple[object, str | None]:
     """What ``load()`` returns, or its ValueError's message."""
     try:
@@ -208,9 +198,6 @@ def test_load_scenario_matches_public_constructors(doc, tmp_path):
         assert error is not None and error.endswith(f": {expected_error}")
         return
     assert error is None and loaded == expected
-    for (text, box), (ref_text, ref) in zip(_labelled(loaded), _labelled(expected), strict=True):
-        # the same floats, the sign of a zero included
-        assert text == ref_text and all(type(v) is float for v in box) and repr(box) == repr(ref)
     # only a box written with an int coordinate goes through the constructor
     written = [
         entry.get("region", entry.get("box"))
@@ -252,9 +239,9 @@ def test_load_scenario_allocates_like_public_constructors(tmp_path):
 
     expected, expected_size = retained(reference)
     loaded, loaded_size = retained(lambda: load_scenario(path))
-    assert loaded == expected and len(_labelled(loaded)) == 2_000
-    # a column kept as an over-allocated list, or a box object per entry,
-    # would retain more than the oracle's exact tuples
+    assert loaded == expected and sum(len(e.frame.object_labels) for e in loaded.events) == 2_000
+    # labels kept as an over-allocated list, or a box or coordinates kept
+    # per entry, would retain more than the oracle's exact tuples
     assert loaded_size <= 1.05 * expected_size
 
 
