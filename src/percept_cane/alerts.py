@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .checks import require_finite_fields, template
+from .checks import require_finite_fields
 from .sensor import DistanceMeasurement
 
 DISTANCE_LINE_TEMPLATE = "Measure Distance = {d} cm"
@@ -28,7 +28,6 @@ class AlertConfig:
     threshold_cm: float = 100.0
     min_interval_s: float = 2.0
     rearm_margin_cm: float = 0.0
-    speech_template: str = ALERT_SPEECH_TEMPLATE
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
@@ -38,7 +37,6 @@ class AlertConfig:
             raise ValueError("min_interval_s must be non-negative")
         if self.rearm_margin_cm < 0:
             raise ValueError("rearm_margin_cm must be non-negative")
-        template(self.speech_template, "speech_template", d="0.0")
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ def on_measurement(
     return AlertEvent(
         distance_cm=m.distance_cm,
         timestamp_s=m.timestamp_s,
-        message=format_alert_speech(m.distance_cm, cfg.speech_template),
+        message=format_alert_speech(m.distance_cm),
     )
 
 
@@ -104,6 +102,6 @@ def format_distance_line(distance_cm: float) -> str:
     return DISTANCE_LINE_TEMPLATE.format(d=f"{distance_cm:.1f}")
 
 
-def format_alert_speech(distance_cm: float, template: str = ALERT_SPEECH_TEMPLATE) -> str:
+def format_alert_speech(distance_cm: float) -> str:
     """Spoken obstacle sentence; the distance substitutes at one decimal."""
-    return template.format(d=f"{distance_cm:.1f}")
+    return ALERT_SPEECH_TEMPLATE.format(d=f"{distance_cm:.1f}")

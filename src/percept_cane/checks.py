@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import fields
 from itertools import chain
 from pathlib import Path
@@ -22,6 +23,10 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar, get_type_hint
 
 T = TypeVar("T")
 _TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+# a tab or any character str.splitlines breaks on; a text holding one could
+# forge a line or a cell of the tab-separated transcript
+LINE_BREAK_OR_TAB = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
+_CSV_QUOTED = re.compile('[,"\r\n]')
 
 
 def number(value: object, name: str) -> float:
@@ -85,14 +90,6 @@ def require_finite_fields(obj: object) -> None:
             number(value, f.name)
 
 
-def template(fmt: str, name: str, /, **placeholders: str) -> None:
-    """Reject a format string that does not format with ``placeholders``."""
-    try:
-        fmt.format(**placeholders)
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise ValueError(f"{name} {fmt!r} does not format: {exc!r}") from exc
-
-
 def read_text(path: str | Path) -> str:
     """A UTF-8 file's text; undecodable bytes are located as ``path:line``."""
     data = Path(path).read_bytes()
@@ -110,6 +107,14 @@ def read_json(path: str | Path) -> object:
         return json.loads(data)
     except (ValueError, RecursionError) as exc:  # including JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, as RFC 4180 does, when it holds a
+    comma, a quote, CR or LF, and else as it is."""
+    if _CSV_QUOTED.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def read_csv(path: str | Path, layouts: Mapping[tuple[str, ...], Callable[[list[str]], T]],

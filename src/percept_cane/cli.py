@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 from . import __version__, detector_lab, ocr_lab, pipeline, sensor
+from .checks import csv_cell
 from .perception import OCR_BACKENDS, BackendError, build_ocr
 from .resources import DATA_ENV_VAR, resolve_table
 from .speech import SpeechBackendError
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="replay a scenario through the device loop")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--config", help="pipeline config JSON file")
-    p.add_argument("--seed", type=int, help="override the sensor seed")
+    p.add_argument("--seed", type=int, default=0, help="seeds the jitter, miss and OCR draws")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     p.add_argument("--transcript", help="also write the transcript to this file")
     p.add_argument("--log", help="also write the device log to this file")
@@ -182,7 +183,7 @@ def _cmd_sensor_bench(args) -> int:
 
 
 def _model_row(m: detector_lab.ModelSpec, map_field: str) -> str:
-    return f"{m.display_name},{m.gflops!r},{m.map_value(map_field)!r}"
+    return f"{csv_cell(m.display_name)},{m.gflops!r},{m.map_value(map_field)!r}"
 
 
 def _eligible_models(args) -> tuple[str, list, list]:

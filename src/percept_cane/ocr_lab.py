@@ -21,7 +21,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .checks import read_csv, read_text, require_finite_fields
+from .checks import csv_cell, read_csv, read_text, require_finite_fields
 from .perception import BackendError, OcrBackend
 from .resources import data_path
 
@@ -349,7 +349,7 @@ def report_to_csv(report: OcrReport, include_speed: bool = True) -> str:
                 str(report.total),
                 str(report.mismatches),
                 repr(report.error_rate),
-                confusions,
+                csv_cell(confusions),
                 repr(report.mean_speed_s if include_speed else 0.0),
             ]
         ),

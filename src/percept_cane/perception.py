@@ -17,7 +17,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Collection, Protocol
 
-from .checks import read_text
+from .checks import LINE_BREAK_OR_TAB, read_text
 from .resources import data_path
 
 COCO_LABELS_FILE = "coco_labels.txt"
@@ -218,7 +218,8 @@ def extract_text(frame: Frame, backend: OcrBackend) -> list[str]:
 
 
 def load_class_vocabulary(path: str | Path | None = None) -> list[str]:
-    """Load the detector vocabulary: exactly 80 unique non-empty labels."""
+    """Load the detector vocabulary: exactly 80 unique non-empty labels,
+    each without a tab."""
     if path is None:
         path = data_path(COCO_LABELS_FILE)
     labels: list[str] = []
@@ -227,6 +228,8 @@ def load_class_vocabulary(path: str | Path | None = None) -> list[str]:
         label = raw.strip()
         if not label:
             raise ValueError(f"{path}:{lineno}: empty label line")
+        if LINE_BREAK_OR_TAB.search(label):
+            raise ValueError(f"{path}:{lineno}: label must be one line without tabs")
         if label in seen:
             raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
         seen.add(label)

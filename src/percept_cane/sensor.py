@@ -37,7 +37,6 @@ class SensorConfig:
     overhead_base_s: float = 0.003
     overhead_per_cm_s: float = 6e-5
     jitter_std_s: float = 0.0015
-    seed: int = 0
 
     def __post_init__(self) -> None:
         require_finite_fields(self)

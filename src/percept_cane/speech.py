@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Protocol
 
-from .checks import require_finite_fields, template
+from .checks import require_finite_fields
 
 
 class Priority(IntEnum):
@@ -98,8 +98,6 @@ class SpeechConfig:
     base_per_char_s: float = 0.05
     default_rate: float = 1.0
     capacity: int = 64
-    ocr_template: str = "Text detected: {text}"
-    detection_template: str = "Detected {label}"
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
@@ -109,8 +107,6 @@ class SpeechConfig:
             raise ValueError("default_rate must be positive")
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
-        template(self.ocr_template, "ocr_template", text="")
-        template(self.detection_template, "detection_template", label="")
 
 
 class SpeechQueue:

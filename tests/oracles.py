@@ -254,11 +254,14 @@ def reference_scenario_parts(
     ``BoundingBox(*map(float, box))``, which is then dropped, as the frame
     keeps only the names. The document is assumed well typed; the
     constructors raise on a box out of range, texts before objects, as the
-    loader reads them. A frame without an id is ``frame-NNN`` by its
+    loader reads them, and a name holding a tab or a line break raises
+    before its box is built. A frame without an id is ``frame-NNN`` by its
     event's index."""
 
     def names(entries: list, name: str, box: str) -> tuple[str, ...]:
         for e in entries:
+            if "\t" in e[name] or "".join(e[name].splitlines()) != e[name]:
+                raise ValueError(f"{name} must be one line without tabs")
             BoundingBox(*map(float, e[box]))
         return tuple(e[name] for e in entries)
 

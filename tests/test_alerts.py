@@ -129,7 +129,6 @@ def test_format_distance_line_rejects_negative():
 def test_format_alert_speech():
     assert format_alert_speech(53.4) == "Obstacle ahead at 53.4 centimeters"
     assert format_alert_speech(100.0) == "Obstacle ahead at 100.0 centimeters"
-    assert format_alert_speech(5, "{d} cm!") == "5.0 cm!"
 
 
 def test_config_invariants():

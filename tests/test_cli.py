@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import random
@@ -204,6 +206,14 @@ def _pareto_with_row(tmp_path, capsys, row: str) -> tuple[str, str]:
     return err, str(table)
 
 
+def test_models_pareto_quotes_a_name_with_a_comma(tmp_path, capsys):
+    table = tmp_path / "models.csv"
+    table.write_text('name,framework,gflops,mparams,map\n"ssd,lite",tf,1.5,2.0,50.0\n')
+    code, out, _ = run_cli(capsys, "models-pareto", "--table", str(table))
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [["ssd,lite", "1.5", "50.0"]]
+
+
 def test_models_pareto_short_row_names_line(tmp_path, capsys):
     err, table = _pareto_with_row(tmp_path, capsys, "yolo,torch,1.0\n")
     assert err == f"error: {table}:3: expected 5 fields, got 3\n"
@@ -329,6 +339,20 @@ BAD_INPUTS = {
         [{**_GOOD_EVENT, "frame": {"texts": [_TEXT, {**_TEXT, "font": "serif"}]}}],
         "event 0: texts[1]: unknown keys ['font']",
     ),
+    # the transcript is one tab-separated line per message, so a text with a
+    # line break or a tab could forge a line or a column of it
+    "text-forges-transcript-line": (
+        [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "text": "EXIT\n0.000\tALERT\tforged line"}]}}],
+        "event 0: texts[0]: text must be one line without tabs\n",
+    ),
+    "text-with-tab-in-full-frame": (
+        [{**_GOOD_EVENT, "frame": {"frame_id": "f", "texts": [_TEXT, {**_TEXT, "text": "a\tb"}], "objects": []}}],
+        "event 0: texts[1]: text must be one line without tabs\n",
+    ),
+    "text-with-line-separator": (
+        [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "text": "EXIT\u2028ALERT"}]}}],
+        "event 0: texts[0]: text must be one line without tabs\n",
+    ),
     "text-not-object": (
         [{**_GOOD_EVENT, "frame": {"texts": [_TEXT, _TEXT, 5]}}],
         "event 0: texts[2]: must be an object, got 5",
@@ -420,17 +444,31 @@ BAD_INPUTS = {
         {"speech": {"capacity": True}},
         "config section 'speech': capacity must be an integer, got True",
     ),
+    # the seed is run's --seed alone, and the spoken sentences are fixed:
+    # a config naming either is refused by its key, whatever the value
     "config-fractional-seed": (
         {"sensor": {"seed": 1.5}},
-        "config section 'sensor': seed must be an integer, got 1.5",
+        "config section 'sensor': unknown keys ['seed']\n",
+    ),
+    "config-sensor-seed": (
+        {"sensor": {"seed": 3}},
+        "config section 'sensor': unknown keys ['seed']\n",
     ),
     "config-unknown-placeholder": (
         {"speech": {"ocr_template": "{nope}"}},
-        "config section 'speech': ocr_template '{nope}' does not format: KeyError('nope')",
+        "config section 'speech': unknown keys ['ocr_template']\n",
+    ),
+    "config-ocr-template": (
+        {"speech": {"ocr_template": "{text}"}},
+        "config section 'speech': unknown keys ['ocr_template']\n",
     ),
     "config-int-template": (
         {"alert": {"speech_template": 5}},
-        "config section 'alert': speech_template must be a string, got 5",
+        "config section 'alert': unknown keys ['speech_template']\n",
+    ),
+    "config-speech-template": (
+        {"alert": {"speech_template": "x {d}"}},
+        "config section 'alert': unknown keys ['speech_template']\n",
     ),
     "config-unknown-detector": (
         {"perception": {"detector": "yolo"}},
@@ -453,14 +491,18 @@ BAD_INPUTS = {
         {"speech": {"capacity": 0}},
         "config section 'speech': capacity must be at least 1\n",
     ),
-    # the budget has one bound, the pass/fail line; lower_s is no longer a field
+    # the cycle budget is a constant, so there is no budget section
     "config-budget-lower-bound": (
         {"budget": {"lower_s": 3.0, "upper_s": 5.0}},
-        "config section 'budget': unknown keys ['lower_s']\n",
+        "unknown keys ['budget']\n",
     ),
     "config-negative-budget": (
         {"budget": {"upper_s": -1.0}},
-        "config section 'budget': upper_s must be non-negative\n",
+        "unknown keys ['budget']\n",
+    ),
+    "config-budget-section": (
+        {"budget": {"upper_s": 5.0}},
+        "unknown keys ['budget']\n",
     ),
 }
 
@@ -779,6 +821,9 @@ def test_run_print_transcript_stdout(capsys):
     assert "stage,count,mean_s,max_s" in first
     code, second, _ = run_cli(capsys, *argv)
     assert first == second
+    # the seed defaults to 0, and seeds the sensor jitter
+    assert run_cli(capsys, *argv, "--seed", "0")[1] == first
+    assert run_cli(capsys, *argv, "--seed", "1")[1] != first
 
 def test_run_renders_transcript_once(tmp_path, capsysbinary, monkeypatch):
     from percept_cane.pipeline import demo_scenario_path

@@ -77,19 +77,14 @@ SCENARIO = st.one_of(
     ODD,
 )
 
-TEMPLATES = st.sampled_from(
-    ["{text}", "{label}", "{d}", "x", "{nope}", "{", "{0}", "{d:.1f}", "{text!r}", "{d.real}"]
-)
 SECTIONS = {
     "sensor": {
-        "seed": st.integers(0, 9),
         "jitter_std_s": st.floats(0.0, 0.01),
         "min_range_cm": st.floats(0.0, 500.0),
     },
     "alert": {
         "threshold_cm": st.floats(0.0, 300.0),
         "rearm_margin_cm": st.floats(0.0, 50.0),
-        "speech_template": TEMPLATES,
     },
     "perception": {
         "ocr": st.sampled_from(["mock", "mock-tesseract", "mock-easyocr", "tesseract"]),
@@ -99,10 +94,7 @@ SECTIONS = {
     "speech": {
         "capacity": st.integers(0, 3),
         "base_per_char_s": st.floats(0.0, 0.1),
-        "ocr_template": TEMPLATES,
-        "detection_template": TEMPLATES,
     },
-    "budget": {"upper_s": st.floats(-1.0, 5.0)},
 }
 SECTION = {
     name: st.fixed_dictionaries({}, optional={k: st.one_of(v, ODD) for k, v in fields.items()})

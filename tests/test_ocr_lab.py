@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import random
 import re
 import string
@@ -342,6 +344,21 @@ def test_report_round_trip_exports():
     assert csv_text.splitlines()[1] == "alphabets,10,2,20.0,l>i:1;t>r:2,0.125"
     hidden = report_to_csv(report, include_speed=False)
     assert hidden.splitlines()[1].endswith(",0.0")
+
+
+def test_report_csv_quotes_confusions_from_input():
+    # a numbers output read with a decimal comma would split the row
+    report = score([("12345.67", "12345,67")], SampleKind.NUMBERS)
+    _, row = csv.reader(io.StringIO(report_to_csv(report), newline=""))
+    assert row == ["numbers", "1", "1", "100.0", ".>,:1", "0.0"]
+    # a quote, LF and a lone CR are quoted as well
+    pairs = [("abc", 'a"c'), ("abd", "a\nd"), ("abe", "a\re")]
+    _, row = csv.reader(io.StringIO(report_to_csv(score(pairs, SampleKind.ALPHABETS)), newline=""))
+    assert len(row) == 6 and row[4] == 'b>\n:1;b>\r:1;b>":1'
+    # the mock engines' confusions stay plain bytes
+    plain = {("t", "r"): 1, ("l", "i"): 1, ("h", "n"): 1, ("f", "t"): 1, ("d", "a"): 1, (".", "_"): 1}
+    report = OcrReport(SampleKind.NUMBERS, 6, 6, 100.0, plain, 0.0)
+    assert report_to_csv(report).splitlines()[1] == "numbers,6,6,100.0,.>_:1;d>a:1;f>t:1;h>n:1;l>i:1;t>r:1,0.0"
 
 
 def test_report_invariants():

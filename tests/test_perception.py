@@ -268,6 +268,13 @@ def test_load_class_vocabulary_errors(tmp_path):
     with pytest.raises(ValueError, match=r"blank\.txt:41: empty label line$"):
         load_class_vocabulary(blank)
 
+    # a label is spoken as a transcript line, so it may not hold a tab
+    tab = tmp_path / "tab.txt"
+    rows = [f"label{i}" for i in range(40)] + ["traffic\tlight"] + [f"label{i}" for i in range(41, 80)]
+    tab.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"tab\.txt:41: label must be one line without tabs$"):
+        load_class_vocabulary(tab)
+
 
 def test_validate_frame_vocabulary():
     vocab = load_class_vocabulary()
