@@ -15,9 +15,6 @@ from dataclasses import dataclass, field
 from .checks import require_finite_fields
 from .sensor import DistanceMeasurement
 
-DISTANCE_LINE_TEMPLATE = "Measure Distance = {d} cm"
-ALERT_SPEECH_TEMPLATE = "Obstacle ahead at {d} centimeters"
-
 
 class OutOfOrderError(ValueError):
     """A measurement arrived with a timestamp earlier than its predecessor."""
@@ -99,9 +96,9 @@ def format_distance_line(distance_cm: float) -> str:
     """Device log line for one reading, frozen bit-exact."""
     if distance_cm < 0:
         raise ValueError("distance_cm must be non-negative")
-    return DISTANCE_LINE_TEMPLATE.format(d=f"{distance_cm:.1f}")
+    return f"Measure Distance = {distance_cm:.1f} cm"
 
 
 def format_alert_speech(distance_cm: float) -> str:
-    """Spoken obstacle sentence; the distance substitutes at one decimal."""
-    return ALERT_SPEECH_TEMPLATE.format(d=f"{distance_cm:.1f}")
+    """Spoken obstacle sentence, the distance at one decimal."""
+    return f"Obstacle ahead at {distance_cm:.1f} centimeters"

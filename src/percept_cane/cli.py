@@ -22,7 +22,6 @@ from . import __version__, detector_lab, ocr_lab, pipeline, sensor
 from .checks import csv_cell
 from .perception import OCR_BACKENDS, BackendError, build_ocr
 from .resources import DATA_ENV_VAR, resolve_table
-from .speech import SpeechBackendError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -287,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (BackendError, SpeechBackendError) as exc:
+    except BackendError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RUNTIME
     except Exception as exc:  # pragma: no cover - safety net

@@ -168,6 +168,8 @@ class MockOcr:
         for rule in self.confusion_rules:
             if len(rule) != 2 or len(rule[0]) != 1 or len(rule[1]) != 1:
                 raise ValueError(f"confusion rule must map one char to one char: {rule!r}")
+            if LINE_BREAK_OR_TAB.search(rule[1]):
+                raise ValueError(f"confusion rule may not map to a tab or line break: {rule!r}")
         # (source, replacement) pairs, the last rule for a source winning,
         # and the cut of a substitution draw; not fields
         object.__setattr__(self, "_rules", tuple(dict(self.confusion_rules).items()))

@@ -31,15 +31,7 @@ from .perception import (
 )
 from .resources import data_path
 from .sensor import SensorConfig, simulate_measurement
-from .speech import (
-    NullSynth,
-    Priority,
-    SpeechBackend,
-    SpeechConfig,
-    SpeechQueue,
-    Transcript,
-    speak_all,
-)
+from .speech import Priority, SpeechConfig, SpeechQueue, Transcript, speak_all
 
 SCENARIO_DEMO_FILE = "scenario_demo.json"
 # Upper bound on ceil(duration_s / tick_s), checked before any tick runs;
@@ -118,6 +110,17 @@ class Scenario:
             last = e.t_s
             if not 0 <= e.distance_cm < math.inf:
                 raise ValueError(f"event {i}: distance_cm must be finite and non-negative")
+            # a tab or line break spoken from a frame would forge transcript
+            # lines; isprintable is False for each, and cheaper than the regex
+            f = e.frame
+            if f is not None and not "".join(f.texts + f.object_labels).isprintable():
+                for kind, items in (("text", f.texts), ("label", f.object_labels)):
+                    for item in items:
+                        if checks.LINE_BREAK_OR_TAB.search(item):
+                            raise ValueError(
+                                f"event {i}: frame {f.frame_id!r}: {kind} {item!r}"
+                                " must be one line without tabs"
+                            )
 
 
 def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple[str, ...]:
@@ -313,7 +316,6 @@ def run(
     cfg: PipelineConfig | None = None,
     seed: int = 0,
     ocr: OcrBackend | None = None,
-    speech_backend: SpeechBackend | None = None,
 ) -> RunResult:
     """Replay a scenario through the full device loop.
 
@@ -331,7 +333,6 @@ def run(
     rng = random.Random(seed)
     detector = perception.MockDetector(miss_prob=cfg.perception.miss_prob, seed=seed)
     ocr = ocr or perception.build_ocr(cfg.perception.ocr, seed=seed)
-    speech_backend = speech_backend or NullSynth()
     alert_cfg, speech_cfg = cfg.alert, cfg.speech
     ocr_latency_s, detect_latency_s = cfg.perception.ocr_latency_s, cfg.perception.detect_latency_s
 
@@ -380,7 +381,7 @@ def run(
 
         event = alerts.on_measurement(state, m, alert_cfg)
         if event is None:
-            # the queue is empty: each alert's speak_all drains it or raises
+            # the queue is empty: each alert's speak_all drains it
             continue
 
         alert_messages[k] = event.message
@@ -399,7 +400,7 @@ def run(
                 queue.submit(f"Detected {label}", Priority.PERCEPTION)
 
         before = now
-        now = speak_all(queue, speech_backend, transcript, now, speech_cfg)
+        now = speak_all(queue, transcript, now, speech_cfg)
         speech_times.append(now - before)
         cycle_times.append(now - cycle_start)
 

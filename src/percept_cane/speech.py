@@ -19,7 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 from .checks import require_finite_fields
 
@@ -32,10 +32,6 @@ class Priority(IntEnum):
 
 # Indexed by Priority: a tuple read, not an enum property, per transcript line.
 _PRIORITY_NAMES = tuple(p.name for p in Priority)
-
-
-class SpeechBackendError(RuntimeError):
-    """The synthesizer failed twice on the same message."""
 
 
 class SpeechMessage(NamedTuple):
@@ -76,21 +72,6 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self.messages)
-
-
-class SpeechBackend(Protocol):
-    backend_id: str
-
-    def speak(self, message: SpeechMessage, now_s: float) -> None: ...
-
-
-class NullSynth:
-    """Audio sink that does nothing; the transcript is the observable."""
-
-    backend_id = "null"
-
-    def speak(self, message: SpeechMessage, now_s: float) -> None:
-        return None
 
 
 @dataclass(frozen=True)
@@ -157,20 +138,15 @@ class SpeechQueue:
 
 
 def speak_all(
-    queue: SpeechQueue,
-    backend: SpeechBackend,
-    transcript: Transcript,
-    now_s: float,
-    cfg: SpeechConfig,
+    queue: SpeechQueue, transcript: Transcript, now_s: float, cfg: SpeechConfig
 ) -> float:
-    """Drain the queue through the backend from virtual time ``now_s``;
+    """Drain the queue into ``transcript`` from virtual time ``now_s``;
     return the time the last message ended.
 
     Each spoken message is appended to ``transcript`` at its start time and
-    lasts ``cfg.base_per_char_s * len(text) / cfg.default_rate``. A message
-    the backend fails on is retried once, in place; a second failure
-    raises. A drain may not start before the transcript's last drain
-    ended, so speech never overlaps.
+    lasts ``cfg.base_per_char_s * len(text) / cfg.default_rate``. A drain
+    may not start before the transcript's last drain ended, so speech never
+    overlaps.
     """
     # once per drain, and False for a NaN start; inside a drain times only rise,
     # as SpeechConfig's positive base_per_char_s and default_rate keep durations >= 0
@@ -181,23 +157,9 @@ def speak_all(
         )
     times, spoken = transcript.times, transcript.messages
     base_per_char_s, rate = cfg.base_per_char_s, cfg.default_rate
-    try:
-        while True:
-            msg = queue.dequeue_next()
-            if msg is None:
-                return now_s
-            try:
-                backend.speak(msg, now_s)
-            except Exception:
-                try:
-                    backend.speak(msg, now_s)
-                except Exception as exc:
-                    raise SpeechBackendError(
-                        f"backend {backend.backend_id!r} failed twice on {msg.text!r}: {exc}"
-                    ) from exc
-            times.append(now_s)
-            spoken.append(msg)
-            now_s += base_per_char_s * len(msg.text) / rate
-    finally:
-        # an aborted drain ends where its last spoken message did
-        transcript.end_s = now_s
+    while (msg := queue.dequeue_next()) is not None:
+        times.append(now_s)
+        spoken.append(msg)
+        now_s += base_per_char_s * len(msg.text) / rate
+    transcript.end_s = now_s
+    return now_s

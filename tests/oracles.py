@@ -9,8 +9,7 @@ per-priority deques, a per-character hash loop instead of a scan for
 confusable characters, the full edit-distance table for every pair instead
 of a position-wise shortcut, public constructors for every loaded box
 instead of the loader's checked fast path. Slow is fine; different is the
-point. ``FlakySynth``, a speech backend that fails on cue, drives the
-drain's retry rule.
+point.
 """
 
 from __future__ import annotations
@@ -178,21 +177,6 @@ class HeapSpeechQueue:
         if not self._heap:
             return None
         return heapq.heappop(self._heap)[2]
-
-
-class FlakySynth:
-    """Speech backend that fails a fixed number of times per text."""
-
-    backend_id = "flaky"
-
-    def __init__(self, failures: dict[str, int]):
-        self._remaining = dict(failures)
-
-    def speak(self, message: SpeechMessage, now_s: float) -> None:
-        left = self._remaining.get(message.text, 0)
-        if left > 0:
-            self._remaining[message.text] = left - 1
-            raise RuntimeError(f"synth refused {message.text!r}")
 
 
 def sha256_unit(token: str) -> float:

@@ -120,8 +120,11 @@ def test_mock_ocr_full_rate_substitutions():
     [
         ({"substitution_rate": 1.5}, r"substitution_rate must be in \[0,1\]"),
         ({"confusion_rules": (("rn", "m"),)}, r"confusion rule must map one char to one char: \('rn', 'm'\)"),
+        # a transcribed text is spoken, so a line break or a tab would forge transcript lines
+        ({"confusion_rules": (("E", "\n"),)}, r"confusion rule may not map to a tab or line break: \('E', '\\n'\)"),
+        ({"confusion_rules": (("l", "i"), (" ", "\t"))}, r"confusion rule may not map to a tab or line break: \(' ', '\\t'\)"),
     ],
-    ids=["rate-above-one", "two-char-rule"],
+    ids=["rate-above-one", "two-char-rule", "rule-to-line-break", "rule-to-tab"],
 )
 def test_mock_ocr_invariants(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import FlakySynth, reference_scenario_parts
+from oracles import reference_scenario_parts
 
 from percept_cane.alerts import AlertConfig, AlertState, on_measurement
 from percept_cane.perception import BoundingBox, Frame
@@ -30,7 +30,7 @@ from percept_cane.pipeline import (
     run_report_to_json,
 )
 from percept_cane.sensor import SensorConfig, simulate_measurement
-from percept_cane.speech import NullSynth, SpeechBackendError, SpeechConfig
+from percept_cane.speech import SpeechConfig
 
 
 def quiet_scenario() -> Scenario:
@@ -319,6 +319,23 @@ NAN, INF = math.nan, math.inf
         (0.5, 5.0, ((0.0, 80.0), (1.0, 90.0), (2.0, INF)), "event 2: distance_cm must be finite and non-negative"),
         (0.5, 5.0, ((0.0, NAN),), "event 0: distance_cm must be finite and non-negative"),
         (0.5, 5.0, ((0.0, 80.0), (1.0, -0.5)), "event 1: distance_cm must be finite and non-negative"),
+        # each text and label is spoken as one tab-separated transcript line
+        (
+            0.5,
+            5.0,
+            (
+                (0.0, 80.0, Frame("ok", ("person",), ("EXIT",))),
+                (1.0, 80.0, Frame("f", ("chair",), ("EXIT\n0.000\tALERT\tforged",))),
+            ),
+            r"event 1: frame 'f': text 'EXIT\\n0.000\\tALERT\\tforged' must be one line without tabs",
+        ),
+        (0.5, 5.0, ((0.0, 80.0, Frame("g", ("chair\t",))),), r"event 0: frame 'g': label 'chair\\t' must be one line without tabs"),
+        (
+            0.5,
+            5.0,
+            ((0.0, 80.0, Frame("h", (), ("ok", "EXIT\u2028ALERT"))),),
+            r"event 0: frame 'h': text 'EXIT\\u2028ALERT' must be one line without tabs",
+        ),
     ],
     ids=[
         "nan-tick",
@@ -333,11 +350,22 @@ NAN, INF = math.nan, math.inf
         "inf-distance",
         "nan-distance",
         "negative-distance",
+        "text-with-line-break",
+        "label-with-tab",
+        "text-with-line-separator",
     ],
 )
 def test_scenario_rejects_values_it_cannot_model(tick_s, duration_s, events, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Scenario("x", tick_s, duration_s, tuple(ScenarioEvent(*e) for e in events))
+
+
+def test_code_built_frame_may_hold_other_unprintable_characters():
+    # only tabs and line breaks break the transcript's line format
+    frame = Frame("f", ("chair",), ("EXIT\u00a0ROUTE\x00",))
+    result = run(Scenario("x", 0.5, 1.0, (ScenarioEvent(0.0, 80.0, frame),)))
+    assert "Text detected: EXIT\u00a0ROUTE\x00" in result.transcript.texts()
+    assert len(result.transcript.render().splitlines()) == len(result.transcript)
 
 
 CONFIG_FLOAT_FIELDS = [
@@ -545,17 +573,6 @@ def test_device_log_renders_its_records(config):
     assert again.log == result.log
     assert again.log.render() == text
     assert run(scenario, cfg, seed=1).log.render() != text
-
-
-def test_speech_retry_through_run_leaves_outputs_unchanged():
-    scenario = load_scenario(MULTI_EVENT)
-    clean = run(scenario, speech_backend=NullSynth())
-    first_alert = clean.transcript.texts()[0]
-    retried = run(scenario, speech_backend=FlakySynth({first_alert: 1}))
-    assert retried.transcript.render() == clean.transcript.render()
-    assert run_report_to_csv(retried.report) == run_report_to_csv(clean.report)
-    with pytest.raises(SpeechBackendError):
-        run(scenario, speech_backend=FlakySynth({first_alert: 2}))
 
 
 def test_zero_overhead_cycle_time_identity():

@@ -4,23 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FlakySynth, HeapSpeechQueue
+from oracles import HeapSpeechQueue
 from percept_cane.speech import (
-    NullSynth,
     Priority,
-    SpeechBackendError,
     SpeechConfig,
+    SpeechMessage,
     SpeechQueue,
     Transcript,
     speak_all,
 )
 
 
-def drain(queue, backend=None, now_s=0.0, transcript=None, **cfg):
+def drain(queue, now_s=0.0, transcript=None, **cfg):
     """Speak the queue out from ``now_s`` into ``transcript`` (a new one by
     default); return the transcript and the end time."""
     transcript = Transcript() if transcript is None else transcript
-    end_s = speak_all(queue, backend or NullSynth(), transcript, now_s, SpeechConfig(**cfg))
+    end_s = speak_all(queue, transcript, now_s, SpeechConfig(**cfg))
     return transcript, end_s
 
 
@@ -116,41 +115,6 @@ def test_speak_all_deterministic():
     assert run() == run()
 
 
-def test_failed_message_retried_once():
-    q = SpeechQueue()
-    q.submit("fragile", Priority.ALERT)
-    q.submit("fine", Priority.INFO)
-    transcript, _ = drain(q, FlakySynth({"fragile": 1}))
-    assert transcript.texts() == ["fragile", "fine"]
-
-
-def test_double_failure_raises():
-    q = SpeechQueue()
-    q.submit("cursed", Priority.ALERT)
-    with pytest.raises(SpeechBackendError):
-        drain(q, FlakySynth({"cursed": 2}))
-
-    # the retry repeats the same call, and the error carries the second failure
-    class Refuses:
-        backend_id = "refuses"
-
-        def __init__(self):
-            self.calls = []
-
-        def speak(self, message, now_s):
-            self.calls.append((message, now_s))
-            raise RuntimeError(f"attempt {len(self.calls)}")
-
-    q = SpeechQueue()
-    q.submit("cursed", Priority.ALERT)
-    q.submit("never", Priority.INFO)
-    backend = Refuses()
-    with pytest.raises(SpeechBackendError, match="attempt 2") as raised:
-        drain(q, backend, now_s=1.5)
-    assert str(raised.value.__cause__) == "attempt 2"
-    assert [(m.text, t) for m, t in backend.calls] == [("cursed", 1.5), ("cursed", 1.5)]
-
-
 def say(transcript, now_s, text, priority):
     """Drain one message into ``transcript`` from ``now_s``."""
     q = SpeechQueue()
@@ -196,21 +160,6 @@ def test_transcript_rejects_overlapping_speech():
         drain(q, now_s=2.5, transcript=tr)
 
 
-def test_aborted_drain_records_its_real_end():
-    q = SpeechQueue()
-    q.submit("fine", Priority.ALERT)
-    q.submit("cursed", Priority.INFO)
-    tr = Transcript()
-    with pytest.raises(SpeechBackendError):
-        drain(q, FlakySynth({"cursed": 2}), now_s=1.0, transcript=tr)
-    # the drain ended when "fine" did; "cursed" was never spoken
-    assert tr.texts() == ["fine"] and tr.end_s == 1.2
-    with pytest.raises(ValueError, match="nondecreasing"):
-        say(tr, 1.1, "too soon", Priority.ALERT)
-    say(tr, 1.2, "next", Priority.ALERT)
-    assert tr.times == [1.0, 1.2]
-
-
 @pytest.mark.parametrize("spoken_before", [0, 1])
 def test_transcript_rejects_nan_start(spoken_before):
     tr = Transcript()
@@ -240,23 +189,15 @@ def test_transcript_entries_in_spoken_order():
 
 
 def test_transcript_keeps_the_queues_messages():
-    class Recording:
-        backend_id = "recording"
-
-        def __init__(self):
-            self.heard = []
-
-        def speak(self, message, now_s):
-            self.heard.append(message)
-
+    # one priority class, so the drain keeps the enqueue order
+    messages = [SpeechMessage(f"m{i}", Priority.PERCEPTION) for i in range(4)]
     q = SpeechQueue()
-    for i in range(4):
-        q.submit(f"m{i}", Priority(i % 3))
-    backend = Recording()
-    tr, _ = drain(q, backend)
-    # one record per spoken message: the object the queue built, not a copy
-    assert len(tr.messages) == len(backend.heard) == 4
-    assert all(kept is heard for kept, heard in zip(tr.messages, backend.heard))
+    for msg in messages:
+        q.enqueue(msg)
+    tr, _ = drain(q)
+    # one record per spoken message: the object that was enqueued, not a copy
+    assert len(tr.messages) == 4
+    assert all(kept is msg for kept, msg in zip(tr.messages, messages))
 
 
 def test_message_invariants():
@@ -286,13 +227,25 @@ def test_queue_matches_heap_oracle(capacity, ops):
         return None if msg is None else (msg.text, msg.priority)
 
     queue, oracle = SpeechQueue(capacity), HeapSpeechQueue(capacity)
+    submitted, dequeued = [], []
     for t, op in enumerate(ops):
         if op[0] == "submit":
+            submitted.append(f"m{t}")
             for q in (queue, oracle):
                 q.submit(f"m{t}", op[1])
         else:
-            assert key(queue.dequeue_next()) == key(oracle.dequeue_next())
+            msg = queue.dequeue_next()
+            assert key(msg) == key(oracle.dequeue_next())
+            if msg is not None:
+                dequeued.append(msg)
         assert len(queue) == len(oracle)
         assert [key(m) for m in queue.dropped] == [key(m) for m in oracle.dropped]
-    drained = iter(queue.dequeue_next, None)
-    assert [key(m) for m in drained] == [key(m) for m in iter(oracle.dequeue_next, None)]
+    transcript = Transcript()
+    end_s = speak_all(queue, transcript, 0.0, SpeechConfig())
+    assert [key(m) for m in transcript.messages] == [
+        key(m) for m in iter(oracle.dequeue_next, None)
+    ]
+    assert transcript.end_s == end_s
+    # each submitted message left the queue exactly once: dequeued, spoken or dropped
+    left = dequeued + transcript.messages + queue.dropped
+    assert sorted(m.text for m in left) == sorted(submitted)
