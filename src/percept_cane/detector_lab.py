@@ -7,9 +7,13 @@ inputs once, ranks each label's predictions once and computes each
 same-label, same-image IoU once into a candidate table, then matches every
 requested threshold from that table (the COCO evaluation design). A call
 costs O(N log N + pairs) whatever the number of labels and thresholds.
-Precision accumulation uses exact rational arithmetic, one term per
-precision plateau, so results are independent of summation order and
-reproducible to the last bit; floats appear only at the API boundary.
+AP is exact: each precision plateau adds one term, a pair of plain
+integers (numerator, denominator), and the terms of all labels at one
+threshold are added by a balanced pairwise (binary-splitting) sum with no
+gcd per step, which keeps the cost near-linear in the number of plateaus.
+The one float is made at the API boundary by a single int/int division,
+which CPython rounds correctly, so results do not depend on summation
+order and are reproducible to the last bit.
 
 Selection side: model tables (compute cost vs accuracy), weak Pareto
 dominance on (minimize gflops, maximize mAP) found by one sort-and-sweep
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -51,7 +54,8 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if iy <= 0:
         return 0.0
     inter = ix * iy
-    union = a.area() + b.area() - inter
+    # the areas as BoundingBox.area computes them, without two method calls
+    union = (a.x_max - a.x_min) * (a.y_max - a.y_min) + (b.x_max - b.x_min) * (b.y_max - b.y_min) - inter
     if union <= 0:
         return 0.0
     return inter / union
@@ -105,18 +109,21 @@ def _ranked_candidates(
         if count == 0:
             raise ValueError(f"no ground-truth instances of label {label!r}; AP undefined")
 
-    by_label: dict[str, list[tuple[int, PredictionBox]]] = {label: [] for label in labels}
+    # (-confidence, image id, input position, box): the tuple is its own
+    # rank key, and the unique position means boxes are never compared
+    by_label: dict[str, list[tuple[float, str, int, BoundingBox]]] = {label: [] for label in labels}
     for i, p in enumerate(preds):
         if p.label in wanted:
-            by_label[p.label].append((i, p))
+            by_label[p.label].append((-p.confidence, p.image_id, i, p.box))
 
     tables: list[tuple[_Candidates, int]] = []
     for label in labels:
-        ranked = sorted(by_label[label], key=lambda ip: (-ip[1].confidence, ip[1].image_id, ip[0]))
+        ranked = by_label[label]
+        ranked.sort()
         candidates: _Candidates = []
-        for rank, (_, p) in enumerate(ranked, start=1):
-            cell = truth_cells.get((label, p.image_id), ())
-            pairs = [(v, t_idx) for t_idx, t_box in cell if (v := iou(p.box, t_box)) >= min_threshold]
+        for rank, (_, image_id, _, box) in enumerate(ranked, start=1):
+            cell = truth_cells.get((label, image_id), ())
+            pairs = [(v, t_idx) for t_idx, t_box in cell if (v := iou(box, t_box)) >= min_threshold]
             if pairs:
                 # stable, so equal IoUs keep ascending truth position
                 pairs.sort(key=itemgetter(0), reverse=True)
@@ -144,27 +151,48 @@ def _tp_ranks(candidates: _Candidates, iou_threshold: float) -> list[int]:
     return ranks
 
 
-def _interpolated_ap(tp_ranks: list[int], n_truth: int) -> Fraction:
-    """Exact all-point-interpolated AP from the true-positive ranks.
+def _interpolated_ap(tp_ranks: list[int], n_truth: int) -> list[tuple[int, int]]:
+    """Exact all-point-interpolated AP as (numerator, denominator) terms.
 
     The interpolated precision at a true positive is the best precision at
     that rank or later, which is always reached at a true positive (a false
     positive only lowers precision). Walking the true positives backwards,
-    each run that shares one best precision tp/k adds count * tp / k.
+    each run that shares one best precision tp/k adds the term
+    count * tp / (k * n_truth); the terms sum to the label's AP.
     """
-    ap = Fraction(0)
+    terms: list[tuple[int, int]] = []
     best_tp, best_rank, count = 0, 1, 0
     for tp in range(len(tp_ranks), 0, -1):
         rank = tp_ranks[tp - 1]
         if tp * best_rank > best_tp * rank:
             if count:
-                ap += Fraction(count * best_tp, best_rank)
+                terms.append((count * best_tp, best_rank * n_truth))
             best_tp, best_rank, count = tp, rank, 1
         else:
             count += 1
     if count:
-        ap += Fraction(count * best_tp, best_rank)
-    return ap / n_truth
+        terms.append((count * best_tp, best_rank * n_truth))
+    return terms
+
+
+def _exact_sum(terms: Sequence[tuple[int, int]], lo: int = 0, hi: int | None = None) -> tuple[int, int]:
+    """Exact sum of terms[lo:hi] as an unreduced (numerator, denominator).
+
+    A short run is added left to right; a longer one is split in half and
+    the halves are added, so the operands of each multiplication stay about
+    the same size and the whole sum costs little more than its last product.
+    """
+    if hi is None:
+        hi = len(terms)
+    if hi - lo <= 8:
+        num, den = 0, 1
+        for n, d in terms[lo:hi]:
+            num, den = num * d + n * den, den * d
+        return num, den
+    mid = (lo + hi) // 2
+    n1, d1 = _exact_sum(terms, lo, mid)
+    n2, d2 = _exact_sum(terms, mid, hi)
+    return n1 * d2 + n2 * d1, d1 * d2
 
 
 def _ap_sums(
@@ -172,16 +200,16 @@ def _ap_sums(
     truths: Sequence[TruthBox],
     labels: Sequence[str],
     thresholds: Sequence[float],
-) -> list[Fraction]:
-    """Exact AP summed over labels, one sum per threshold, from one table."""
+) -> list[tuple[int, int]]:
+    """Exact AP summed over labels, one (numerator, denominator) per
+    threshold, from one table."""
     for threshold in thresholds:
         if not 0.0 < threshold < 1.0:
             raise ValueError("iou_threshold must be in (0,1)")
     tables = _ranked_candidates(preds, truths, labels, min(thresholds))
     return [
-        sum(
-            (_interpolated_ap(_tp_ranks(cands, threshold), n_truth) for cands, n_truth in tables),
-            start=Fraction(0),
+        _exact_sum(
+            [t for cands, n_truth in tables for t in _interpolated_ap(_tp_ranks(cands, threshold), n_truth)]
         )
         for threshold in thresholds
     ]
@@ -194,7 +222,8 @@ def average_precision(
     iou_threshold: float,
 ) -> float:
     """AP in [0,1] for one label at one IoU threshold."""
-    return float(_ap_sums(preds, truths, [label], [iou_threshold])[0])
+    num, den = _ap_sums(preds, truths, [label], [iou_threshold])[0]
+    return num / den
 
 
 def _truth_labels(truths: Sequence[TruthBox]) -> list[str]:
@@ -211,7 +240,8 @@ def map_at(
 ) -> float:
     """Mean AP over the labels present in the truth set, as a percentage."""
     labels = _truth_labels(truths)
-    return float(_ap_sums(preds, truths, labels, [iou_threshold])[0] / len(labels) * 100)
+    num, den = _ap_sums(preds, truths, labels, [iou_threshold])[0]
+    return num * 100 / (den * len(labels))
 
 
 def map_by_threshold(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> list[float]:
@@ -222,7 +252,7 @@ def map_by_threshold(preds: Sequence[PredictionBox], truths: Sequence[TruthBox])
     """
     labels = _truth_labels(truths)
     sums = _ap_sums(preds, truths, labels, MAP_RANGE_THRESHOLDS)
-    return [float(s / len(labels) * 100) for s in sums]
+    return [num * 100 / (den * len(labels)) for num, den in sums]
 
 
 def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> float:
@@ -231,11 +261,25 @@ def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> flo
     return sum(values) / len(values)
 
 
+def _check_names(image_id: str, label: str) -> None:
+    """Reject an empty or whitespace-padded image id or label: a padded
+    label would never match its unpadded twin. Inner spaces are allowed."""
+    if image_id and label and image_id.strip() == image_id and label.strip() == label:
+        return
+    for field, text in (("image_id", image_id), ("label", label)):
+        if not text or text.strip() != text:
+            raise ValueError(
+                f"{field} must be non-empty without leading or trailing whitespace, got {text!r}"
+            )
+
+
 def _truth(r: list[str]) -> TruthBox:
+    _check_names(r[0], r[1])
     return TruthBox(r[0], r[1], BoundingBox(*map(float, r[2:])))
 
 
 def _prediction(r: list[str]) -> PredictionBox:
+    _check_names(r[0], r[1])
     return PredictionBox(r[0], r[1], float(r[2]), BoundingBox(*map(float, r[3:])))
 
 

@@ -3,11 +3,11 @@
 Everything here recomputes a library answer by a different method: grid
 counting instead of closed-form geometry, assignment enumeration instead of
 incremental greedy bookkeeping, a literal O(n^2) interpolation formula
-instead of a running maximum, pairwise dominance scans instead of whatever
-the frontier code does, a binary heap with a victim scan instead of
-per-priority deques, a per-character hash loop instead of a scan for
-confusable characters, the full edit-distance table for every pair instead
-of a position-wise shortcut, public constructors for every loaded box
+instead of a running maximum over plateau terms, pairwise dominance scans
+instead of whatever the frontier code does, a binary heap with a victim
+scan instead of per-priority deques, a per-character hash loop instead of
+a scan for confusable characters, the full edit-distance table for every
+pair instead of a position-wise shortcut, public constructors for every loaded box
 instead of the loader's checked fast path. Slow is fine; different is the
 point.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -125,6 +126,18 @@ def brute_force_ap(
         if flag:
             total += max(precision_at(j) for j in range(k, len(tp_flags) + 1))
     return total / n_truth
+
+
+def literal_ap(tp_ranks: list[int], n_truth: int) -> Fraction:
+    """All-point AP from the ascending 1-based ranks of the true positives,
+    by the formula as written: each true positive's precision (tp / rank)
+    is maxed over itself and every later true positive, and the maxima are
+    summed over the truths. Quadratic, with no plateau bookkeeping; the
+    precisions are scaled by the lcm of the ranks to exact integers so the
+    maxima are taken without floats."""
+    scale = math.lcm(*tp_ranks) if tp_ranks else 1
+    precision = [tp * (scale // rank) for tp, rank in enumerate(tp_ranks, start=1)]
+    return Fraction(sum(max(precision[i:]) for i in range(len(precision))), scale * n_truth)
 
 
 def brute_force_frontier(models: list[ModelSpec], map_field: str) -> set[str]:

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from percept_cane import ocr_lab
-from percept_cane.perception import build_ocr
+from percept_cane import detector_lab, ocr_lab
+from percept_cane.detector_lab import PredictionBox, TruthBox
+from percept_cane.perception import BoundingBox, build_ocr
 from percept_cane.pipeline import demo_scenario_path, load_config, load_scenario, run, run_report_to_csv
 from percept_cane.speech import SpeechMessage
 
@@ -97,6 +98,34 @@ def test_ocr_benchmark_calls_wrapped_layers_per_call():
     assert counts["perception.transcribe"] == 50
     csv = ocr_lab.report_to_csv
     assert csv(report, include_speed=False) == csv(untraced, include_speed=False)
+
+
+def test_detect_eval_calls_iou_through_the_module_per_pair():
+    # the candidate table computes each same-label, same-image IoU once,
+    # through the module global detector_lab.iou; an alias bound at import
+    # or an inlined IoU would blind detect-eval's detector_lab.iou_calls
+    truths = [
+        TruthBox(image, label, BoundingBox(0.1 * k, 0.1, 0.1 * k + 0.3, 0.5))
+        for k, (image, label) in enumerate([("a", "cat"), ("a", "cat"), ("a", "dog"), ("b", "cat"), ("b", "dog")])
+    ]
+    preds = [
+        PredictionBox(image, label, conf, BoundingBox(0.1 * k + 0.05, 0.1, 0.1 * k + 0.35, 0.5))
+        for k, (image, label, conf) in enumerate(
+            [("a", "cat", 0.9), ("a", "dog", 0.8), ("b", "cat", 0.7), ("c", "cat", 0.6), ("a", "bus", 0.5)]
+        )
+    ]
+    pairs = sum(t.image_id == p.image_id and t.label == p.label for t in truths for p in preds)
+    assert pairs == 4
+    untraced = detector_lab.map_by_threshold(preds, truths)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = detector_lab.map_by_threshold(preds, truths)
+    finally:
+        tracer.remove()
+    _, _, counts = tracer.take()
+    assert counts["detector_lab.iou_calls"] == pairs
+    assert traced == untraced
 
 
 @pytest.mark.parametrize(

@@ -193,6 +193,18 @@ def test_models_eval_confidence_out_of_range_names_line(tmp_path, capsys):
     assert err == f"error: {preds}:3: confidence out of [0,1]: 1.5\n"
 
 
+@pytest.mark.parametrize(
+    "pred_row, field, got",
+    [("img1,,0.9,0.1,0.1,0.5,0.5", "label", "''"),
+     ("img1, cat,0.9,0.1,0.1,0.5,0.5", "label", "' cat'"),
+     ("img1 ,cat,0.9,0.1,0.1,0.5,0.5", "image_id", "'img1 '")],
+    ids=["empty-label", "padded-label", "padded-image-id"],
+)
+def test_models_eval_empty_or_padded_prediction_names_line(tmp_path, capsys, pred_row, field, got):
+    err, _, preds = _eval_with_bad_row(tmp_path, capsys, "", f"img1,cat,0.9,0.1,0.1,0.5,0.5\n{pred_row}\n")
+    assert err == f"error: {preds}:3: {field} must be non-empty without leading or trailing whitespace, got {got}\n"
+
+
 def test_models_eval_inverted_box_names_line(tmp_path, capsys):
     err, _, preds = _eval_with_bad_row(tmp_path, capsys, "", "img1,cat,0.9,0.5,0.1,0.1,0.5\n")
     assert err.startswith(f"error: {preds}:2: require 0 <= x_min <= x_max <= 1, ")
@@ -560,6 +572,21 @@ BAD_TABLES = {
         ("models-eval", "--truths", "{}", "--preds", "PREDS"),
         _TRUTHS_HEADER + b'img1,"c\nat",0.1,0.1,0.5,0.5\nimg1,dog,0.1,abc,0.5,0.5\n',
         ":4: could not convert string to float: 'abc'",
+    ),
+    "truths-empty-label": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,,0.1,0.1,0.5,0.5\n,cat,0.1,0.1,0.5,0.5\n",
+        ":2: label must be non-empty without leading or trailing whitespace, got ''",
+    ),
+    "truths-empty-image-id": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,cat,0.1,0.1,0.5,0.5\n,cat,0.1,0.1,0.5,0.5\n",
+        ":3: image_id must be non-empty without leading or trailing whitespace, got ''",
+    ),
+    "truths-padded-label": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1, cat ,0.1,0.1,0.5,0.5\n",
+        ":2: label must be non-empty without leading or trailing whitespace, got ' cat '",
     ),
     "truths-header-only": (
         ("models-eval", "--truths", "{}", "--preds", "PREDS"),

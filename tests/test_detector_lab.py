@@ -1,12 +1,16 @@
 import random
+import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from oracles import brute_force_ap, brute_force_frontier, grid_iou
+from oracles import brute_force_ap, brute_force_frontier, grid_iou, literal_ap
 from conftest import random_box
 from percept_cane.detector_lab import (
     MAP_RANGE_THRESHOLDS,
+    _exact_sum,
+    _interpolated_ap,
     ModelSpec,
     PredictionBox,
     TruthBox,
@@ -230,7 +234,7 @@ def test_map_range_equals_mean_of_map_at(rng):
             for _ in range(3)
         ]
         values = [map_at(preds, truths, thr) for thr in MAP_RANGE_THRESHOLDS]
-        assert abs(map_range(preds, truths) - sum(values) / len(values)) <= 1e-12
+        assert map_range(preds, truths) == sum(values) / len(values)
         # one table for all thresholds gives each map_at value exactly
         by_threshold = map_by_threshold(preds, truths)
         assert by_threshold[0] == map_at(preds, truths, 0.5)
@@ -294,6 +298,80 @@ def test_map_ladder_matches_assignment_oracle():
         assert map_range(preds, truths) == sum(expected) / len(expected)
 
 
+# -- exact AP terms against the literal formula ------------------------
+
+
+def _term_sum_ap(tp_ranks, n_truth):
+    num, den = _exact_sum(_interpolated_ap(tp_ranks, n_truth))
+    return Fraction(num, den)
+
+
+def test_ap_terms_match_literal_formula_on_rank_lists():
+    rng = random.Random(31)
+    assert _term_sum_ap([], 3) == literal_ap([], 3) == 0
+    for _ in range(200):
+        n_preds = rng.randint(1, 60)
+        tp_ranks = sorted(rng.sample(range(1, n_preds + 1), rng.randint(1, n_preds)))
+        n_truth = len(tp_ranks) + rng.randrange(4)
+        assert _term_sum_ap(tp_ranks, n_truth) == literal_ap(tp_ranks, n_truth), tp_ranks
+
+
+def test_ap_terms_match_literal_formula_on_many_plateaus():
+    # thousands of terms: the pairwise sum recurses a dozen levels deep.
+    # At rank k(k+1)/2 the k-th true positive's precision is 2/(k+1), which
+    # falls at every true positive, so each is a plateau of its own.
+    tp_ranks = [k * (k + 1) // 2 for k in range(1, 2501)]
+    assert len(_interpolated_ap(tp_ranks, 2600)) == 2500
+    assert _term_sum_ap(tp_ranks, 2600) == literal_ap(tp_ranks, 2600)
+    mixed = sorted(random.Random(32).sample(range(1, 20_000), 3000))
+    assert _term_sum_ap(mixed, 3100) == literal_ap(mixed, 3100)
+
+
+_MISS = BoundingBox(0.8, 0.0, 1.0, 0.2)  # disjoint from _EXACT_TRUTH
+
+
+def _known_ranks_fixture(rng):
+    """Labels whose every truth is _EXACT_TRUTH alone in its image, hit by
+    exact copies (IoU 1), by _EXACT_PRED (IoU 0.7) or missed by _MISS, at
+    distinct confidences; returns truths, shuffled predictions and each
+    label's true-positive ranks per threshold, found from the construction."""
+    truths, preds, tp_ranks = [], [], {}
+    for label in ("cat", "dog", "person", "traffic light"):
+        n_truth = rng.randint(20, 40)
+        truths += [t(label, _EXACT_TRUTH, f"{label}-{i}") for i in range(n_truth)]
+        n_preds = rng.randint(30, 70)
+        boxes = (_EXACT_TRUTH, _EXACT_PRED, _MISS)
+        hits = [(rng.randrange(n_truth), rng.choice(boxes)) for _ in range(n_preds)]
+        for rank, (i, box) in enumerate(hits, start=1):
+            preds.append(p(label, 1 - rank / (n_preds + 1), box, f"{label}-{i}"))
+        for thr in MAP_RANGE_THRESHOLDS:
+            matched, ranks = set(), []
+            for rank, (i, box) in enumerate(hits, start=1):
+                if (box is _EXACT_TRUTH or (box is _EXACT_PRED and thr <= 0.7)) and i not in matched:
+                    matched.add(i)
+                    ranks.append(rank)
+            tp_ranks[label, thr] = (ranks, n_truth)
+    rng.shuffle(preds)
+    return truths, preds, tp_ranks
+
+
+def test_map_matches_literal_formula_on_many_terms():
+    rng = random.Random(33)
+    labels = ("cat", "dog", "person", "traffic light")
+    for _ in range(5):
+        truths, preds, tp_ranks = _known_ranks_fixture(rng)
+        expected = []
+        for thr in MAP_RANGE_THRESHOLDS:
+            aps = {label: literal_ap(*tp_ranks[label, thr]) for label in labels}
+            assert sum(len(_interpolated_ap(*tp_ranks[label, thr])) for label in labels) > 16
+            expected.append(float(sum(aps.values()) / len(labels) * 100))
+            assert map_at(preds, truths, thr) == expected[-1]
+            for label in labels:
+                assert average_precision(preds, truths, label, thr) == float(aps[label])
+        assert map_by_threshold(preds, truths) == expected
+        assert map_range(preds, truths) == sum(expected) / len(expected)
+
+
 # -- record files ------------------------------------------------------
 
 
@@ -316,6 +394,33 @@ def test_truth_and_prediction_files_round_trip(tmp_path):
         load_truths(bad)
     with pytest.raises(ValueError):
         load_predictions(bad)
+
+
+@pytest.mark.parametrize(
+    "image_id, label, field",
+    [("img1", "", "label"), ("", "cat", "image_id"), ("img1", " cat ", "label"),
+     ("img1", "cat ", "label"), (" img1", "cat", "image_id"), ("img1", "  ", "label")],
+)
+def test_records_reject_empty_or_padded_names(tmp_path, image_id, label, field):
+    truths_file = tmp_path / "t.csv"
+    truths_file.write_text(f"img0,cat,0.1,0.2,0.3,0.4\n{image_id},{label},0.1,0.2,0.3,0.4\n")
+    got = label if field == "label" else image_id
+    message = f"{field} must be non-empty without leading or trailing whitespace, got {got!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{truths_file}:2: {message}')}$"):
+        load_truths(truths_file)
+    preds_file = tmp_path / "p.csv"
+    preds_file.write_text(f"{image_id},{label},0.75,0.1,0.2,0.3,0.4\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{preds_file}:1: {message}')}$"):
+        load_predictions(preds_file)
+
+
+def test_records_keep_inner_spaces_in_labels(tmp_path):
+    truths_file = tmp_path / "t.csv"
+    truths_file.write_text("img 1,traffic light,0.1,0.2,0.3,0.4\n")
+    assert load_truths(truths_file)[0].label == "traffic light"
+    preds_file = tmp_path / "p.csv"
+    preds_file.write_text("img 1,traffic light,0.75,0.1,0.2,0.3,0.4\n")
+    assert load_predictions(preds_file)[0].image_id == "img 1"
 
 
 # -- model tables ------------------------------------------------------
