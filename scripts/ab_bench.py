@@ -17,7 +17,10 @@ each side's median and quartiles (``statistics.quantiles(values, n=4)``),
 the number of pairs the change wins, the base's interquartile range, and
 how far the change's median moves from the base's in the metric's worse
 direction, relative to the base median, flagged ``OUTSIDE BOUND`` when
-that move exceeds the metric's ``bound``. Then each side's median host
+that move exceeds the metric's ``bound``, and flagged ``UNRESOLVED`` when
+the base runs spread wider than the bound (base IQR over base median) and
+not every change run reads better than every base run: such a verdict
+cannot tell a move inside the bound from noise. Then each side's median host
 seconds of a timed pass, of a calibration run and of one scenario or
 input load, read from the summary lines ``run.py`` prints: reference
 seconds divide a pass or a load by the calibration, so a ``wall_s`` or
@@ -28,9 +31,9 @@ head revisions (head is ``HEAD``, flagged ``head_dirty`` when the working
 tree differs from it), the workload, the seeds, the failed run count, and
 per metric its unit, direction, bound, each side's values, median and
 quartiles, the change's wins, the base IQR, the relative worse move
-(``worse_by``, negative when the change is better) and ``outside_bound``,
-and under ``host`` each side's per-run values and median of ``pass_s``,
-``cal_s`` and ``load_s``.
+(``worse_by``, negative when the change is better), ``outside_bound`` and
+``unresolved``, and under ``host`` each side's per-run values and median
+of ``pass_s``, ``cal_s`` and ``load_s``.
 A run fails when it does not finish or reports ``correct: false`` (failed
 operations, or a problem such as a digest that does not match); the script
 prints each failed run's problems and exits 1 if any run failed. Stdlib
@@ -135,6 +138,8 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
     sign = -1.0 if metric["better"] == "lower" else 1.0
     b, c = quartiles(base), quartiles(change)
     worse_by = -sign * (c["median"] - b["median"]) / b["median"] if b["median"] else float("nan")
+    spread = (b["q3"] - b["q1"]) / abs(b["median"]) if b["median"] else float("nan")
+    every_run_better = all(sign * (y - x) > 0 for x in base for y in change)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -146,6 +151,7 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
         "base_iqr": b["q3"] - b["q1"],
         "worse_by": worse_by,
         "outside_bound": worse_by > metric["bound"],
+        "unresolved": spread > metric["bound"] and not every_run_better,
     }
 
 
@@ -158,6 +164,7 @@ def summarize(name: str, row: dict) -> str:
         f"  ratio {ratio:.3f}  change wins {row['change_wins']}/{row['pairs']}"
         f"  |median gap| {abs(c['median'] - b['median']):.6g} vs base IQR {row['base_iqr']:.6g}"
         f"  worse by {row['worse_by']:+.1%} (bound {row['bound']:.0%})"
+        + ("  UNRESOLVED" if row["unresolved"] else "")
         + ("  OUTSIDE BOUND" if row["outside_bound"] else "")
     )
 

@@ -1,16 +1,18 @@
-"""Obstacle alert engine: debounce, hysteresis, announcement formatting.
+"""Obstacle alert engine: debounce and hysteresis.
 
 Measurements stream in timestamp order; the engine decides which of them
 become alerts. Two independent suppressions apply: a minimum interval
 between alerts (debounce) and an optional re-arm margin (hysteresis). With
 ``rearm_margin_cm = 0`` the engine never disarms, so a constant obstacle
 keeps alerting once per interval; with a positive margin the distance must
-retreat past ``threshold + margin`` before the next alert can fire.
+retreat past ``threshold + margin`` before the next alert can fire. The
+engine formats nothing: the device loop builds what is spoken and logged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .checks import require_finite_fields
 from .sensor import DistanceMeasurement
@@ -36,26 +38,20 @@ class AlertConfig:
             raise ValueError("rearm_margin_cm must be non-negative")
 
 
-@dataclass(frozen=True)
-class AlertEvent:
-    distance_cm: float
-    timestamp_s: float
-    message: str
-
-
 @dataclass
 class AlertState:
     """Single-owner mutable engine state; one caller drives it at a time."""
 
-    last_alert_s: float | None = None
+    last_alert_s: float = -math.inf
     armed: bool = True
-    last_seen_s: float = field(default=float("-inf"))
+    last_seen_s: float = -math.inf
 
 
 def on_measurement(
     state: AlertState, m: DistanceMeasurement, cfg: AlertConfig
-) -> AlertEvent | None:
-    """Advance the engine by one measurement, returning an alert if one fires.
+) -> DistanceMeasurement | None:
+    """Advance the engine by one measurement; return ``m`` itself if it
+    fires an alert, else None.
 
     An alert fires iff the reading is in range, at or below the threshold,
     the engine is armed, and at least ``min_interval_s`` has passed since the
@@ -75,30 +71,16 @@ def on_measurement(
     if m.distance_cm > cfg.threshold_cm + cfg.rearm_margin_cm:
         state.armed = True
 
-    interval_ok = (
-        state.last_alert_s is None
-        or m.timestamp_s - state.last_alert_s >= cfg.min_interval_s
-    )
-    if not (m.in_range and m.distance_cm <= cfg.threshold_cm and state.armed and interval_ok):
+    # the interval test comes last, so a quiet tick never computes it
+    if not (
+        m.in_range
+        and m.distance_cm <= cfg.threshold_cm
+        and state.armed
+        and m.timestamp_s - state.last_alert_s >= cfg.min_interval_s
+    ):
         return None
 
     state.last_alert_s = m.timestamp_s
     if cfg.rearm_margin_cm > 0:
         state.armed = False
-    return AlertEvent(
-        distance_cm=m.distance_cm,
-        timestamp_s=m.timestamp_s,
-        message=format_alert_speech(m.distance_cm),
-    )
-
-
-def format_distance_line(distance_cm: float) -> str:
-    """Device log line for one reading, frozen bit-exact."""
-    if distance_cm < 0:
-        raise ValueError("distance_cm must be non-negative")
-    return f"Measure Distance = {distance_cm:.1f} cm"
-
-
-def format_alert_speech(distance_cm: float) -> str:
-    """Spoken obstacle sentence, the distance at one decimal."""
-    return f"Obstacle ahead at {distance_cm:.1f} centimeters"
+    return m

@@ -129,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--compute", choices=[c.value for c in ocr_lab.Compute], required=True)
     p.add_argument("--policy", choices=[r.value for r in ocr_lab.RoutePolicy], required=True)
-    p.add_argument("--profiles", help="engine profile CSV (default: bundled)")
+    p.add_argument(
+        "--profiles", default=ocr_lab.ENGINE_PROFILES_FILE, help="engine profile CSV (default: bundled)"
+    )
     _add_out(p)
 
     p = sub.add_parser("ocr-bench", help="run a mock engine over a generated corpus")
@@ -188,7 +190,7 @@ def _model_row(m: detector_lab.ModelSpec, map_field: str) -> str:
 def _eligible_models(args) -> tuple[str, list, list]:
     """The chosen mAP field and the table's rows with and without a value for it."""
     map_field = _MAP_FIELDS[args.map_field]
-    models = detector_lab.load_model_table(args.table)
+    models = detector_lab.load_model_table(resolve_table(args.table))
     eligible, excluded = detector_lab.split_by_map_field(models, map_field)
     if not eligible:
         raise ValueError(f"{args.table}: no row has a {args.map_field} value")
@@ -244,7 +246,7 @@ def _cmd_ocr_score(args) -> int:
 
 
 def _cmd_ocr_route(args) -> int:
-    profiles = ocr_lab.load_engine_profiles(args.profiles)
+    profiles = ocr_lab.load_engine_profiles(resolve_table(args.profiles))
     engine = ocr_lab.route(args.kind, args.compute, args.policy, profiles)
     _write(engine + "\n", args.out)
     return EXIT_OK

@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 
 from .checks import read_csv, require_finite_fields
 from .perception import BoundingBox
-from .resources import resolve_table
 
 MAP_RANGE_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
 
@@ -67,6 +66,9 @@ class TruthBox:
     label: str
     box: BoundingBox
 
+    def __post_init__(self) -> None:
+        _check_names(self.image_id, self.label)
+
 
 @dataclass(frozen=True)
 class PredictionBox:
@@ -76,6 +78,7 @@ class PredictionBox:
     box: BoundingBox
 
     def __post_init__(self) -> None:
+        _check_names(self.image_id, self.label)
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence out of [0,1]: {self.confidence}")
 
@@ -274,12 +277,10 @@ def _check_names(image_id: str, label: str) -> None:
 
 
 def _truth(r: list[str]) -> TruthBox:
-    _check_names(r[0], r[1])
     return TruthBox(r[0], r[1], BoundingBox(*map(float, r[2:])))
 
 
 def _prediction(r: list[str]) -> PredictionBox:
-    _check_names(r[0], r[1])
     return PredictionBox(r[0], r[1], float(r[2]), BoundingBox(*map(float, r[3:])))
 
 
@@ -368,7 +369,7 @@ _MODEL_TABLE_LAYOUTS = {
 def load_model_table(path: str | Path) -> list[ModelSpec]:
     """Load a model comparison CSV in the layout its header names (see
     `_MODEL_TABLE_LAYOUTS`; `-` marks an absent value). Errors carry `path:line`."""
-    return read_csv(resolve_table(path), _MODEL_TABLE_LAYOUTS, header="exact")
+    return read_csv(path, _MODEL_TABLE_LAYOUTS, header="exact")
 
 
 def split_by_map_field(

@@ -4,8 +4,9 @@ The world is a time-ordered list of events (distance changes, optionally
 with a captured frame); the loop polls the simulated sensor every tick,
 feeds the alert engine, and on each alert speaks the obstacle sentence,
 then runs OCR, then object detection, speaking their results in that
-order. Time is virtual, advanced by modeled latencies, so a run is
-fully determined by (scenario, config, seed) and reports are
+order. The alert engine only decides; every spoken sentence and every
+log line is built here. Time is virtual, advanced by modeled latencies,
+so a run is fully determined by (scenario, config, seed) and reports are
 machine-independent. Wall-clock cost of the framework itself is measured
 by callers, never stored in the report.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import alerts, checks, perception
-from .alerts import AlertConfig, AlertState, format_distance_line
+from .alerts import AlertConfig, AlertState
 from .checks import require_finite_fields
 from .perception import (
     BoundingBox,
@@ -268,6 +269,13 @@ class RunReport:
     budget_pass: bool
 
 
+def format_distance_line(distance_cm: float) -> str:
+    """Device log line for one reading, frozen bit-exact."""
+    if distance_cm < 0:
+        raise ValueError("distance_cm must be non-negative")
+    return f"Measure Distance = {distance_cm:.1f} cm"
+
+
 @dataclass(frozen=True)
 class DeviceLog:
     """The device log of one run, as the records it is rendered from.
@@ -379,13 +387,13 @@ def run(
             distance_lines[k] = format_distance_line(m.distance_cm)
             line_due = False
 
-        event = alerts.on_measurement(state, m, alert_cfg)
-        if event is None:
+        if alerts.on_measurement(state, m, alert_cfg) is None:
             # the queue is empty: each alert's speak_all drains it
             continue
 
-        alert_messages[k] = event.message
-        queue.submit(event.message, Priority.ALERT)
+        message = f"Obstacle ahead at {m.distance_cm:.1f} centimeters"
+        alert_messages[k] = message
+        queue.submit(message, Priority.ALERT)
 
         if frame is None:
             frameless.add(k)

@@ -38,11 +38,14 @@ def data_path(name: str) -> Path:
 def resolve_table(path_or_name: str | Path) -> Path:
     """Resolve a user-supplied table argument.
 
-    Filesystem paths are used as given. Anything that does not exist on disk
-    is retried against the bundled data directory (with a leading ``data/``
-    stripped), so ``data/fig8_models.csv`` works from any working directory.
+    A path that exists is used as given. A missing bare name or
+    ``data/<name>`` is looked up in the bundled data directory, so
+    ``data/fig8_models.csv`` works from any working directory; any other
+    missing path raises FileNotFoundError.
     """
     p = Path(path_or_name)
     if p.is_file():
         return p
+    if p.parent not in (Path(), Path("data")):
+        raise FileNotFoundError(f"table not found: {p}")
     return data_path(p.name)

@@ -1,6 +1,6 @@
 """scripts/ab_bench.py counts a run that is not correct as failed, flags a
-metric whose median moves past its bound, and reports each side's median
-host pass and calibration seconds.
+metric whose median moves past its bound or whose base runs spread wider
+than it, and reports each side's median host pass and calibration seconds.
 
 git, the base extraction and the benchmark runs are stubbed, so only the
 script's own tally and report are under test.
@@ -104,6 +104,46 @@ def test_metric_outside_its_bound_is_flagged(monkeypatch, capsys, tmp_path, chan
         assert row["worse_by"] == pytest.approx(worse[name])
         assert row["outside_bound"] is (name in outside)
         assert lines[name].endswith("OUTSIDE BOUND") is (name in outside)
+
+
+@pytest.mark.parametrize(
+    "base, change, unresolved",
+    [
+        # base IQR 0.15 over median 1.0 is inside the 0.25 bound
+        ([0.9, 1.0, 1.1, 0.95, 1.05], [1.0, 1.0, 1.0, 1.0, 1.0], False),
+        # base IQR 0.6 over median 1.0 is wider than the bound
+        ([0.6, 1.0, 1.4, 0.8, 1.2], [1.0, 0.9, 1.1, 0.7, 1.3], True),
+        # as wide, but every change run beats every base run
+        ([0.6, 1.0, 1.4, 0.8, 1.2], [0.5, 0.4, 0.3, 0.45, 0.55], False),
+    ],
+    ids=["narrow", "wide", "wide-every-run-better"],
+)
+def test_metric_spread_wider_than_its_bound_is_unresolved(
+    monkeypatch, capsys, tmp_path, base, change, unresolved
+):
+    # setup_s (lower is better, bound 0.25) takes the values; the rest read 1.0
+    _stub_git(monkeypatch)
+    calls = {"base": 0, "change": 0}
+
+    def run_side(root, workload, seed):
+        side = "change" if root == ab_bench.ROOT else "base"
+        value = {"base": base, "change": change}[side][calls[side]]
+        calls[side] += 1
+        metrics = {name: {"value": value if name == "setup_s" else 1.0} for name in NAMES}
+        return {"correct": True, "failed": 0, "problems": [], "metrics": metrics}
+
+    monkeypatch.setattr(ab_bench, "run_side", run_side)
+    summary = tmp_path / "summary.json"
+    argv = ["--base", "base", "--workload", "replay-sparse", "--seeds", "1-5", "--json", str(summary)]
+    assert ab_bench.main(argv) == 0
+    rows = json.loads(summary.read_text())["metrics"]
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if "worse by" in line}
+    assert rows["setup_s"]["bound"] == 0.25
+    assert rows["setup_s"]["unresolved"] is unresolved
+    assert ("UNRESOLVED" in lines["setup_s"]) is unresolved
+    for name in NAMES:
+        if name != "setup_s":
+            assert rows[name]["unresolved"] is False and "UNRESOLVED" not in lines[name]
 
 
 _run_spec = importlib.util.spec_from_file_location("perfbench_run", ab_bench.ROOT / "perfbench" / "run.py")

@@ -42,6 +42,7 @@ from percept_cane.pipeline import (
     run,
     run_report_to_json,
 )
+from percept_cane.resources import data_path
 from percept_cane.sensor import (
     DistanceMeasurement,
     EchoSample,
@@ -94,12 +95,12 @@ FIG10_FRONTIER = {
 
 def test_c03_pareto_frontiers():
     with criterion(3, "bundled model frontiers match a pairwise dominance oracle"):
-        fig8 = load_model_table("fig8_models.csv")
+        fig8 = load_model_table(data_path("fig8_models.csv"))
         names8 = [m.display_name for m in pareto_frontier(fig8, "map_50")]
         assert names8 == ["mobilenet-ssd"]
         assert set(names8) == brute_force_frontier(fig8, "map_50")
 
-        fig10 = load_model_table("fig10_models.csv")
+        fig10 = load_model_table(data_path("fig10_models.csv"))
         names10 = {m.display_name for m in pareto_frontier(fig10, "map_50")}
         assert names10 == FIG10_FRONTIER
         assert names10 == brute_force_frontier(fig10, "map_50")
@@ -179,7 +180,7 @@ def test_c05_ap_matches_assignment_oracle():
             mean = sum(map_at(preds, truths, t) for t in MAP_RANGE_THRESHOLDS) / len(
                 MAP_RANGE_THRESHOLDS
             )
-            assert abs(map_range(preds, truths) - mean) <= 1e-12
+            assert map_range(preds, truths) == mean
 
 
 def test_c06_ocr_scoring():

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 
 import pytest
 
@@ -8,8 +7,6 @@ from percept_cane.alerts import (
     AlertConfig,
     AlertState,
     OutOfOrderError,
-    format_alert_speech,
-    format_distance_line,
     on_measurement,
 )
 from percept_cane.sensor import DistanceMeasurement, SensorConfig
@@ -29,11 +26,10 @@ def m(distance_cm: float, t: float, sensor: SensorConfig | None = None) -> Dista
 
 def test_fires_when_armed_and_below_threshold():
     state = AlertState()
-    event = on_measurement(state, m(53.4, 1.0), CFG)
-    assert event is not None
-    assert event.distance_cm == 53.4
-    assert event.timestamp_s == 1.0
-    assert event.message == "Obstacle ahead at 53.4 centimeters"
+    reading = m(53.4, 1.0)
+    # the engine returns the reading that fired, not a copy of it
+    assert on_measurement(state, reading, CFG) is reading
+    assert state.last_alert_s == 1.0
 
 
 def test_above_threshold_no_event():
@@ -97,7 +93,7 @@ def test_nan_timestamp_raises_first_and_after_finite():
     with pytest.raises(OutOfOrderError, match=r"^measurement at t=nan after t=5.0$"):
         on_measurement(state, _nan_stamped(50.0), CFG)
     # the rejected reading left no trace: the engine still fires
-    assert state.last_alert_s is None and state.last_seen_s == 5.0
+    assert state.last_alert_s == -math.inf and state.last_seen_s == 5.0
     assert on_measurement(state, m(50.0, 6.0), CFG) is not None
 
 
@@ -105,30 +101,6 @@ def test_equal_timestamps_allowed():
     state = AlertState()
     on_measurement(state, m(250.0, 5.0), CFG)
     assert on_measurement(state, m(250.0, 5.0), CFG) is None
-
-
-def test_format_distance_line():
-    assert format_distance_line(53.4) == "Measure Distance = 53.4 cm"
-    assert format_distance_line(0.0) == "Measure Distance = 0.0 cm"
-    assert format_distance_line(161.04) == "Measure Distance = 161.0 cm"
-
-
-def test_distance_line_round_trip():
-    rng = random.Random(3)
-    for _ in range(500):
-        d = round(rng.uniform(0, 400), 1)
-        match = re.fullmatch(r"Measure Distance = (\d+\.\d) cm", format_distance_line(d))
-        assert match is not None and float(match.group(1)) == d
-
-
-def test_format_distance_line_rejects_negative():
-    with pytest.raises(ValueError, match="^distance_cm must be non-negative$"):
-        format_distance_line(-1.0)
-
-
-def test_format_alert_speech():
-    assert format_alert_speech(53.4) == "Obstacle ahead at 53.4 centimeters"
-    assert format_alert_speech(100.0) == "Obstacle ahead at 100.0 centimeters"
 
 
 def test_config_invariants():

@@ -890,6 +890,40 @@ def test_run_with_config_override(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["alerts_fired"] == 0
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("models-pareto", "--table", "{}/typo-dir/fig10_models.csv"),
+        ("models-recommend", "--table", "{}/typo-dir/fig8_models.csv", "--budget", "3.0"),
+        ("sensor-bench", "--table", "/no/such/fig6_sensor_timings.csv"),
+        ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed",
+         "--profiles", "{}/typo-dir/engine_profiles.csv"),
+    ],
+    ids=["models-pareto", "models-recommend", "sensor-bench", "ocr-route"],
+)
+def test_missing_table_path_exits_one(argv, tmp_path, capsys):
+    # a path with a directory part never falls back to the bundled file of
+    # the same name, so a typo cannot print the bundled table's results
+    argv = [a.format(tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    missing = Path(argv[argv.index("--table" if "--table" in argv else "--profiles") + 1])
+    assert (code, out) == (1, "")
+    assert err == f"error: table not found: {missing}\n"
+
+
+@pytest.mark.parametrize("name", ["engine_profiles.csv", "data/engine_profiles.csv"])
+def test_bundled_names_resolve_from_any_directory(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    route = ("ocr-route", "--kind", "alphabets", "--compute", "cpu", "--policy", "accuracy")
+    assert run_cli(capsys, *route, "--profiles", name) == (0, "tesseract\n", "")
+    table = name.replace("engine_profiles", "fig10_models")
+    code, out, _ = run_cli(capsys, "models-pareto", "--table", table)
+    assert (code, out.splitlines()) == (0, FIG10_FRONTIER_ROWS)
+    table = name.replace("engine_profiles", "fig6_sensor_timings")
+    code, out, _ = run_cli(capsys, "sensor-bench", "--table", table)
+    assert (code, out.splitlines()[-1]) == (0, "mean,0.007137478")
+
+
 def test_missing_input_file_exits_one(capsys):
     code, out, err = run_cli(capsys, "run", "/nonexistent/scenario.json")
     assert code == 1

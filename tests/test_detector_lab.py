@@ -27,6 +27,7 @@ from percept_cane.detector_lab import (
     split_by_map_field,
 )
 from percept_cane.perception import BoundingBox
+from percept_cane.resources import data_path
 
 # -- IoU ---------------------------------------------------------------
 
@@ -414,6 +415,22 @@ def test_records_reject_empty_or_padded_names(tmp_path, image_id, label, field):
         load_predictions(preds_file)
 
 
+@pytest.mark.parametrize(
+    "image_id, label, field",
+    [("img1", " cat ", "label"), ("img1", "", "label"), ("img1 ", "cat", "image_id")],
+)
+def test_code_built_records_reject_empty_or_padded_names(image_id, label, field):
+    # built in code, a padded label never matched its unpadded twin and an
+    # empty one could match another empty one; both types now refuse them
+    b = BoundingBox(0.1, 0.2, 0.3, 0.4)
+    got = label if field == "label" else image_id
+    message = f"^{field} must be non-empty without leading or trailing whitespace, got {got!r}$"
+    with pytest.raises(ValueError, match=message):
+        map_at([PredictionBox("img1", "cat", 0.9, b)], [TruthBox(image_id, label, b)], 0.5)
+    with pytest.raises(ValueError, match=message):
+        map_at([PredictionBox(image_id, label, 0.9, b)], [TruthBox("img1", "cat", b)], 0.5)
+
+
 def test_records_keep_inner_spaces_in_labels(tmp_path):
     truths_file = tmp_path / "t.csv"
     truths_file.write_text("img 1,traffic light,0.1,0.2,0.3,0.4\n")
@@ -427,7 +444,7 @@ def test_records_keep_inner_spaces_in_labels(tmp_path):
 
 
 def test_load_single_map_table():
-    models = load_model_table("fig8_models.csv")
+    models = load_model_table(data_path("fig8_models.csv"))
     assert len(models) == 12
     by_name = {m.name: m for m in models}
     best = by_name["mobilenet-ssd"]
@@ -437,13 +454,20 @@ def test_load_single_map_table():
 
 
 def test_load_dual_map_table():
-    models = load_model_table("fig10_models.csv")
+    models = load_model_table(data_path("fig10_models.csv"))
     assert len(models) == 10
     nano320 = next(m for m in models if m.display_name == "nanodet-m@320")
     assert nano320.map_50 is None
     assert nano320.map_50_95 == 20.6
     lite640 = next(m for m in models if m.display_name == "yolov5-lite@640")
     assert (lite640.gflops, lite640.map_50, lite640.map_50_95) == (2.42, 45.7, 27.1)
+
+
+def test_load_model_table_reads_the_path_it_is_given(tmp_path, monkeypatch):
+    # the bundled-name rule belongs to the CLI, as for the other loaders
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        load_model_table("fig8_models.csv")
 
 
 def test_load_model_table_rejects_unknown_header(tmp_path):
@@ -457,14 +481,14 @@ def test_load_model_table_rejects_unknown_header(tmp_path):
 
 
 def test_frontier_single_map_table():
-    models = load_model_table("fig8_models.csv")
+    models = load_model_table(data_path("fig8_models.csv"))
     front = pareto_frontier(models)
     assert [m.name for m in front] == ["mobilenet-ssd"]
     assert brute_force_frontier(models, "map_50") == {"mobilenet-ssd"}
 
 
 def test_frontier_dual_map_table():
-    models = load_model_table("fig10_models.csv")
+    models = load_model_table(data_path("fig10_models.csv"))
     front = pareto_frontier(models, "map_50")
     names = {m.display_name for m in front}
     assert names == {
@@ -548,7 +572,7 @@ def test_frontier_contains_extreme_holders(rng):
 
 
 def test_recommend_reference_budgets():
-    models = load_model_table("fig8_models.csv")
+    models = load_model_table(data_path("fig8_models.csv"))
     assert recommend(models, 3.0).name == "mobilenet-ssd"
     assert recommend(models, 1000.0).name == "mobilenet-ssd"
     with pytest.raises(ValueError, match="mobilenet-ssd"):

@@ -23,6 +23,7 @@ from percept_cane.pipeline import (
     ScenarioEvent,
     StageStats,
     demo_scenario_path,
+    format_distance_line,
     load_config,
     load_scenario,
     run,
@@ -573,6 +574,44 @@ def test_device_log_renders_its_records(config):
     assert again.log == result.log
     assert again.log.render() == text
     assert run(scenario, cfg, seed=1).log.render() != text
+
+
+def test_alert_sentence_spoken_and_logged_at_one_decimal():
+    # two frameless alerts two seconds apart, the interval the engine needs
+    scenario = Scenario(
+        name="two-obstacles",
+        tick_s=1.0,
+        duration_s=3.0,
+        events=(ScenarioEvent(0.0, 53.4), ScenarioEvent(1.0, 300.0), ScenarioEvent(2.0, 100.0)),
+    )
+    report, transcript, log = run(scenario)
+    sentences = ["Obstacle ahead at 53.4 centimeters", "Obstacle ahead at 100.0 centimeters"]
+    assert report.alerts_fired == 2
+    assert transcript.texts() == sentences
+    alert_lines = [line for line in log.render().splitlines() if line.startswith("obstacle")]
+    assert alert_lines == [
+        f"obstacle alert at t={t} s: {sentence}"
+        for t, sentence in zip(("0.000", "2.000"), sentences)
+    ]
+
+
+def test_format_distance_line():
+    assert format_distance_line(53.4) == "Measure Distance = 53.4 cm"
+    assert format_distance_line(0.0) == "Measure Distance = 0.0 cm"
+    assert format_distance_line(161.04) == "Measure Distance = 161.0 cm"
+
+
+def test_distance_line_round_trip():
+    rng = random.Random(3)
+    for _ in range(500):
+        d = round(rng.uniform(0, 400), 1)
+        match = re.fullmatch(r"Measure Distance = (\d+\.\d) cm", format_distance_line(d))
+        assert match is not None and float(match.group(1)) == d
+
+
+def test_format_distance_line_rejects_negative():
+    with pytest.raises(ValueError, match="^distance_cm must be non-negative$"):
+        format_distance_line(-1.0)
 
 
 def test_zero_overhead_cycle_time_identity():

@@ -43,3 +43,12 @@ def test_resolve_table_falls_back_to_bundle():
 def test_resolve_table_missing():
     with pytest.raises(FileNotFoundError):
         resolve_table("definitely_absent.csv")
+
+
+@pytest.mark.parametrize(
+    "path", ["/no/such/fig8_models.csv", "typo-dir/fig8_models.csv", "../fig8_models.csv"]
+)
+def test_resolve_table_keeps_a_missing_path_with_a_directory(path):
+    # only a bare name or data/<name> falls back to the bundled file
+    with pytest.raises(FileNotFoundError, match=f"^table not found: {Path(path)}$"):
+        resolve_table(path)
