@@ -129,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--compute", choices=[c.value for c in ocr_lab.Compute], required=True)
     p.add_argument("--policy", choices=[r.value for r in ocr_lab.RoutePolicy], required=True)
-    p.add_argument(
-        "--profiles", default=ocr_lab.ENGINE_PROFILES_FILE, help="engine profile CSV (default: bundled)"
-    )
+    p.add_argument("--profiles", help="engine profile CSV (default: bundled)")
     _add_out(p)
 
     p = sub.add_parser("ocr-bench", help="run a mock engine over a generated corpus")
@@ -246,7 +244,8 @@ def _cmd_ocr_score(args) -> int:
 
 
 def _cmd_ocr_route(args) -> int:
-    profiles = ocr_lab.load_engine_profiles(resolve_table(args.profiles))
+    # no --profiles reads the bundled file, whatever the working directory holds
+    profiles = ocr_lab.load_engine_profiles(resolve_table(args.profiles) if args.profiles else None)
     engine = ocr_lab.route(args.kind, args.compute, args.policy, profiles)
     _write(engine + "\n", args.out)
     return EXIT_OK

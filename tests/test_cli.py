@@ -924,6 +924,17 @@ def test_bundled_names_resolve_from_any_directory(name, tmp_path, monkeypatch, c
     assert (code, out.splitlines()[-1]) == (0, "mean,0.007137478")
 
 
+def test_ocr_route_default_profiles_ignore_the_working_directory(tmp_path, monkeypatch, capsys):
+    # a file of the bundled name in the working directory is read only when named
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "engine_profiles.csv").write_text(
+        "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\nlocal,0.0,0.0,0.1,0.1\n"
+    )
+    route = ("ocr-route", "--kind", "alphabets", "--compute", "cpu", "--policy", "accuracy")
+    assert run_cli(capsys, *route) == (0, "tesseract\n", "")
+    assert run_cli(capsys, *route, "--profiles", "engine_profiles.csv") == (0, "local\n", "")
+
+
 def test_missing_input_file_exits_one(capsys):
     code, out, err = run_cli(capsys, "run", "/nonexistent/scenario.json")
     assert code == 1

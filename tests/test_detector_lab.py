@@ -420,8 +420,8 @@ def test_records_reject_empty_or_padded_names(tmp_path, image_id, label, field):
     [("img1", " cat ", "label"), ("img1", "", "label"), ("img1 ", "cat", "image_id")],
 )
 def test_code_built_records_reject_empty_or_padded_names(image_id, label, field):
-    # built in code, a padded label never matched its unpadded twin and an
-    # empty one could match another empty one; both types now refuse them
+    # a padded label would never match its unpadded twin, and an empty one
+    # would match another empty one, so both types refuse them when built
     b = BoundingBox(0.1, 0.2, 0.3, 0.4)
     got = label if field == "label" else image_id
     message = f"^{field} must be non-empty without leading or trailing whitespace, got {got!r}$"
