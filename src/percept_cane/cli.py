@@ -83,15 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
 
     p = sub.add_parser("sensor-bench", help="ranging timing table with mean line")
-    p.add_argument(
-        "--table", default=sensor.SENSOR_TIMINGS_FILE, help="timings CSV (default: bundled)"
-    )
+    p.add_argument("--table", help="timings CSV (default: the bundled fig6_sensor_timings.csv)")
     _add_out(p)
 
     p = sub.add_parser("models-pareto", help="compute-versus-accuracy frontier of a model table")
-    p.add_argument(
-        "--table", default="fig8_models.csv", help="model table CSV (default: bundled fig8)"
-    )
+    p.add_argument("--table", help="model table CSV (default: the bundled fig8_models.csv)")
     p.add_argument(
         "--map-field",
         choices=tuple(_MAP_FIELDS),
@@ -101,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
 
     p = sub.add_parser("models-recommend", help="best model within a gflops budget")
-    p.add_argument("--table", default="fig8_models.csv", help="model table CSV")
+    p.add_argument("--table", help="model table CSV (default: the bundled fig8_models.csv)")
     p.add_argument("--map-field", choices=tuple(_MAP_FIELDS), default="map50")
     p.add_argument("--budget", type=float, required=True, help="gflops budget")
     _add_out(p)
@@ -129,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--compute", choices=[c.value for c in ocr_lab.Compute], required=True)
     p.add_argument("--policy", choices=[r.value for r in ocr_lab.RoutePolicy], required=True)
-    p.add_argument("--profiles", help="engine profile CSV (default: bundled)")
+    p.add_argument("--profiles", help="engine profile CSV (default: the bundled engine_profiles.csv)")
     _add_out(p)
 
     p = sub.add_parser("ocr-bench", help="run a mock engine over a generated corpus")
@@ -176,7 +172,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sensor_bench(args) -> int:
-    samples = sensor.load_sensor_timings(resolve_table(args.table))
+    samples = sensor.load_sensor_timings(resolve_table(args.table, sensor.SENSOR_TIMINGS_FILE))
     _write(sensor.sensor_bench_csv(samples), args.out)
     return EXIT_OK
 
@@ -188,10 +184,11 @@ def _model_row(m: detector_lab.ModelSpec, map_field: str) -> str:
 def _eligible_models(args) -> tuple[str, list, list]:
     """The chosen mAP field and the table's rows with and without a value for it."""
     map_field = _MAP_FIELDS[args.map_field]
-    models = detector_lab.load_model_table(resolve_table(args.table))
+    table = resolve_table(args.table, detector_lab.MODEL_TABLE_FILE)
+    models = detector_lab.load_model_table(table)
     eligible, excluded = detector_lab.split_by_map_field(models, map_field)
     if not eligible:
-        raise ValueError(f"{args.table}: no row has a {args.map_field} value")
+        raise ValueError(f"{args.table or table.name}: no row has a {args.map_field} value")
     return map_field, eligible, excluded
 
 
@@ -215,9 +212,7 @@ def _cmd_models_recommend(args) -> int:
 def _cmd_models_eval(args) -> int:
     truths = detector_lab.load_truths(args.truths)
     preds = detector_lab.load_predictions(args.preds)
-    # one candidate table: entry 0 is map_at(preds, truths, 0.5)
-    values = detector_lab.map_by_threshold(preds, truths)
-    map50, map5095 = values[0], sum(values) / len(values)
+    map50, map5095 = detector_lab.map50_and_range(preds, truths)
     _write(f"map50,{map50!r}\nmap5095,{map5095!r}\n", args.out)
     return EXIT_OK
 
@@ -244,8 +239,9 @@ def _cmd_ocr_score(args) -> int:
 
 
 def _cmd_ocr_route(args) -> int:
-    # no --profiles reads the bundled file, whatever the working directory holds
-    profiles = ocr_lab.load_engine_profiles(resolve_table(args.profiles) if args.profiles else None)
+    profiles = ocr_lab.load_engine_profiles(
+        resolve_table(args.profiles, ocr_lab.ENGINE_PROFILES_FILE)
+    )
     engine = ocr_lab.route(args.kind, args.compute, args.policy, profiles)
     _write(engine + "\n", args.out)
     return EXIT_OK

@@ -33,6 +33,7 @@ from .checks import read_csv, require_finite_fields
 from .perception import BoundingBox
 
 MAP_RANGE_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
+MODEL_TABLE_FILE = "fig8_models.csv"
 
 TRUTH_FIELDS = ("image_id", "label", "x_min", "y_min", "x_max", "y_max")
 PRED_FIELDS = ("image_id", "label", "confidence", "x_min", "y_min", "x_max", "y_max")
@@ -247,21 +248,24 @@ def map_at(
     return num * 100 / (den * len(labels))
 
 
-def map_by_threshold(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> list[float]:
-    """map_at at each of MAP_RANGE_THRESHOLDS (0.50, 0.55, ..., 0.95).
+def map50_and_range(
+    preds: Sequence[PredictionBox], truths: Sequence[TruthBox]
+) -> tuple[float, float]:
+    """map_at at 0.50 and map_range, matched from one candidate table.
 
-    All ten thresholds are matched from one candidate table; each value is
-    the one map_at returns for its threshold.
+    The mean is the exact sum of the ten thresholds' sums, each reduced by
+    its gcd, divided once, so no float sum rounds it on any Python.
     """
     labels = _truth_labels(truths)
     sums = _ap_sums(preds, truths, labels, MAP_RANGE_THRESHOLDS)
-    return [num * 100 / (den * len(labels)) for num, den in sums]
+    num, den = _exact_sum([(n // (g := math.gcd(n, d)), d // g) for n, d in sums])
+    num50, den50 = sums[0]
+    return num50 * 100 / (den50 * len(labels)), num * 100 / (den * len(labels) * len(sums))
 
 
 def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> float:
-    """Mean of map_at over the ten thresholds 0.50, 0.55, ..., 0.95."""
-    values = map_by_threshold(preds, truths)
-    return sum(values) / len(values)
+    """Exact mean of map_at over the ten thresholds 0.50, 0.55, ..., 0.95."""
+    return map50_and_range(preds, truths)[1]
 
 
 def _check_names(image_id: str, label: str) -> None:

@@ -302,10 +302,8 @@ def _profile(r: list[str]) -> EngineProfile:
     return EngineProfile(r[0].strip(), *map(float, r[1:]))
 
 
-def load_engine_profiles(path: str | Path | None = None) -> list[EngineProfile]:
+def load_engine_profiles(path: str | Path) -> list[EngineProfile]:
     """Load an engine profile CSV (columns by name); errors carry `path:line`."""
-    if path is None:
-        path = data_path(ENGINE_PROFILES_FILE)
     return read_csv(path, {_PROFILE_COLUMNS: _profile})
 
 

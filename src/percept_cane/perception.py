@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import Collection, Protocol
+from typing import Protocol
 
 from .checks import LINE_BREAK_OR_TAB, read_text
 from .resources import data_path
@@ -241,14 +241,6 @@ def load_class_vocabulary(path: str | Path | None = None) -> list[str]:
             f"{path}: expected {COCO_CLASS_COUNT} labels, found {len(labels)}"
         )
     return labels
-
-
-def validate_frame(frame: Frame, vocabulary: Collection[str]) -> None:
-    """Check frame labels against the loaded vocabulary (pass a set when
-    checking many frames)."""
-    for label in frame.object_labels:
-        if label not in vocabulary:
-            raise ValueError(f"frame {frame.frame_id!r}: label {label!r} not in vocabulary")
 
 
 # backend id -> (confusion rules, substitution rate) of its mock

@@ -23,13 +23,7 @@ from typing import NamedTuple, Sequence
 from . import alerts, checks, perception
 from .alerts import AlertConfig, AlertState
 from .checks import require_finite_fields
-from .perception import (
-    BoundingBox,
-    Frame,
-    OcrBackend,
-    load_class_vocabulary,
-    validate_frame,
-)
+from .perception import BoundingBox, Frame, OcrBackend, load_class_vocabulary
 from .resources import data_path
 from .sensor import SensorConfig, simulate_measurement
 from .speech import Priority, SpeechConfig, SpeechQueue, Transcript, speak_all
@@ -105,16 +99,19 @@ class Scenario:
         if self.duration_s / self.tick_s > MAX_TICKS:
             raise ValueError(f"duration_s / tick_s exceeds {MAX_TICKS} ticks")
         last = -math.inf
+        vocabulary: frozenset[str] | None = None  # read at the first label, if any
         for i, e in enumerate(self.events):
             if not last < e.t_s < math.inf:
                 raise ValueError(f"event {i}: event times must be finite and strictly increasing")
             last = e.t_s
             if not 0 <= e.distance_cm < math.inf:
                 raise ValueError(f"event {i}: distance_cm must be finite and non-negative")
+            f = e.frame
+            if f is None:
+                continue
             # a tab or line break spoken from a frame would forge transcript
             # lines; isprintable is False for each, and cheaper than the regex
-            f = e.frame
-            if f is not None and not "".join(f.texts + f.object_labels).isprintable():
+            if not "".join(f.texts + f.object_labels).isprintable():
                 for kind, items in (("text", f.texts), ("label", f.object_labels)):
                     for item in items:
                         if checks.LINE_BREAK_OR_TAB.search(item):
@@ -122,6 +119,13 @@ class Scenario:
                                 f"event {i}: frame {f.frame_id!r}: {kind} {item!r}"
                                 " must be one line without tabs"
                             )
+            if f.object_labels and vocabulary is None:
+                vocabulary = frozenset(load_class_vocabulary())
+            for label in f.object_labels:
+                if label not in vocabulary:
+                    raise ValueError(
+                        f"event {i}: frame {f.frame_id!r}: label {label!r} not in vocabulary"
+                    )
 
 
 def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple[str, ...]:
@@ -168,7 +172,7 @@ def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple[s
     return tuple(names)
 
 
-def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
+def _event(raw: object, i: int) -> ScenarioEvent:
     # the usual event, accepted by one test: finite float t and distance_cm,
     # distance_cm >= 0, and a frame object with all three of its keys; any
     # other event goes through the checks, which raise or accept it
@@ -200,9 +204,7 @@ def _event(raw: object, i: int, vocabulary: set[str]) -> ScenarioEvent:
     frame_id = checks.typed(frame_id, str, "frame_id")
     texts = _labelled_boxes(f.get("texts", []), "texts", "text", "region")
     labels = _labelled_boxes(f.get("objects", []), "objects", "label", "box")
-    frame = Frame(frame_id, labels, texts)
-    validate_frame(frame, vocabulary)
-    return ScenarioEvent(t_s, distance_cm, frame)
+    return ScenarioEvent(t_s, distance_cm, Frame(frame_id, labels, texts))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -214,13 +216,12 @@ def load_scenario(path: str | Path) -> Scenario:
     fails it is re-checked by :mod:`checks`, so every message is the same
     as when every entry is checked in full."""
     raw = checks.read_json(path)
-    allowed = set(load_class_vocabulary())
     events: list[ScenarioEvent] = []
     try:
         checks.keys(raw, ("name", "tick_s", "duration_s", "events"), name="scenario")
         for i, ev in enumerate(checks.typed(raw["events"], list, "events")):
             try:
-                events.append(_event(ev, i, allowed))
+                events.append(_event(ev, i))
             except ValueError as exc:
                 raise ValueError(f"event {i}: {exc}") from exc
         return Scenario(

@@ -35,14 +35,17 @@ def data_path(name: str) -> Path:
     return path
 
 
-def resolve_table(path_or_name: str | Path) -> Path:
-    """Resolve a user-supplied table argument.
+def resolve_table(path_or_name: str | Path | None, default_name: str) -> Path:
+    """Resolve a table option: the one rule for where a table is read from.
 
-    A path that exists is used as given. A missing bare name or
+    None names the bundled ``default_name``, never a file in the working
+    directory. A path that exists is used as given. A missing bare name or
     ``data/<name>`` is looked up in the bundled data directory, so
     ``data/fig8_models.csv`` works from any working directory; any other
     missing path raises FileNotFoundError.
     """
+    if path_or_name is None:
+        return data_path(default_name)
     p = Path(path_or_name)
     if p.is_file():
         return p

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .checks import number, read_csv, require_finite_fields
-from .resources import data_path
 
 SENSOR_TIMINGS_FILE = "fig6_sensor_timings.csv"
 _INF = math.inf
@@ -164,15 +163,12 @@ def mean_response_time(samples: Sequence[DistanceMeasurement]) -> float:
     return math.fsum(m.exec_time_s for m in samples) / len(samples)
 
 
-def load_sensor_timings(path: str | Path | None = None) -> list[DistanceMeasurement]:
+def load_sensor_timings(path: str | Path) -> list[DistanceMeasurement]:
     """Load a ``distance_cm,exec_time_s`` CSV as measurements.
 
-    Defaults to the bundled reference timing table. Range flags are derived
-    from the default :class:`SensorConfig`; timestamps are zero since the
-    file carries none.
+    Range flags are derived from the default :class:`SensorConfig`;
+    timestamps are zero since the file carries none.
     """
-    if path is None:
-        path = data_path(SENSOR_TIMINGS_FILE)
     cfg = SensorConfig()
 
     def measurement(row: list[str]) -> DistanceMeasurement:

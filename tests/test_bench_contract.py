@@ -10,6 +10,7 @@ workload.
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -116,16 +117,30 @@ def test_detect_eval_calls_iou_through_the_module_per_pair():
     ]
     pairs = sum(t.image_id == p.image_id and t.label == p.label for t in truths for p in preds)
     assert pairs == 4
-    untraced = detector_lab.map_by_threshold(preds, truths)
+    untraced = detector_lab.map50_and_range(preds, truths)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        traced = detector_lab.map_by_threshold(preds, truths)
+        traced = detector_lab.map50_and_range(preds, truths)
     finally:
         tracer.remove()
     _, _, counts = tracer.take()
     assert counts["detector_lab.iou_calls"] == pairs
     assert traced == untraced
+
+
+@pytest.mark.parametrize("seed", [6, 9])
+def test_detect_eval_map_range_is_the_exact_mean(seed, tmp_path):
+    # on these seeds' inputs, the built-in float sum of the ten map_at values
+    # over ten is one unit in the last place off the exact mean on Python 3.11
+    workload = workloads.WORKLOADS["detect-eval"]
+    workload.generate(seed, tmp_path)
+    truths, preds = workload.load(tmp_path)
+    labels = sorted({t.label for t in truths})
+    sums = detector_lab._ap_sums(preds, truths, labels, detector_lab.MAP_RANGE_THRESHOLDS)
+    exact = sum(Fraction(num * 100, den * len(labels)) for num, den in sums) / len(sums)
+    assert detector_lab.map_range(preds, truths) == float(exact)
+    assert detector_lab.map50_and_range(preds, truths)[1] == float(exact)
 
 
 @pytest.mark.parametrize(

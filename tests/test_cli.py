@@ -935,6 +935,38 @@ def test_ocr_route_default_profiles_ignore_the_working_directory(tmp_path, monke
     assert run_cli(capsys, *route, "--profiles", "engine_profiles.csv") == (0, "local\n", "")
 
 
+_DECOYS = {
+    "fig6_sensor_timings.csv": ("distance_cm,exec_time_s\n50,1.0\n", "mean,1.0"),
+    "fig8_models.csv": ("name,framework,gflops,mparams,map\nlocal-net,x,1.0,1.0,99.0\n", "local-net,1.0,99.0"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, decoy, bundled",
+    [
+        (("sensor-bench",), "fig6_sensor_timings.csv", "mean,0.007137478"),
+        (("models-pareto",), "fig8_models.csv", FIG8_FRONTIER_ROW),
+        (("models-recommend", "--budget", "3.0"), "fig8_models.csv", FIG8_FRONTIER_ROW),
+    ],
+    ids=["sensor-bench", "models-pareto", "models-recommend"],
+)
+def test_default_tables_ignore_the_working_directory(argv, decoy, bundled, tmp_path, monkeypatch, capsys):
+    # without --table the bundled file is read, never a file of its name here
+    monkeypatch.chdir(tmp_path)
+    text, decoy_line = _DECOYS[decoy]
+    (tmp_path / decoy).write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out.splitlines()[-1], err) == (0, bundled, "")
+    code, out, _ = run_cli(capsys, *argv, "--table", decoy)
+    assert (code, out.splitlines()[-1]) == (0, decoy_line)
+
+
+def test_default_model_table_names_itself_in_errors(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "models-pareto", "--map-field", "map5095")
+    assert (code, out, err) == (1, "", "error: fig8_models.csv: no row has a map5095 value\n")
+
+
 def test_missing_input_file_exits_one(capsys):
     code, out, err = run_cli(capsys, "run", "/nonexistent/scenario.json")
     assert code == 1

@@ -20,7 +20,7 @@ from percept_cane.detector_lab import (
     load_predictions,
     load_truths,
     map_at,
-    map_by_threshold,
+    map50_and_range,
     map_range,
     pareto_frontier,
     recommend,
@@ -226,6 +226,11 @@ def test_map_range_perfect_and_partial():
     assert map_range(wide, truths) == 50.0
 
 
+def _exact_mean(values: list[Fraction]) -> float:
+    """The correctly rounded mean of exact values, as map_range promises."""
+    return float(sum(values) / len(values))
+
+
 def test_map_range_equals_mean_of_map_at(rng):
     for _ in range(20):
         truths = [t(label, random_box(rng)) for label in ("cat", "dog") for _ in range(2)]
@@ -235,12 +240,15 @@ def test_map_range_equals_mean_of_map_at(rng):
             for _ in range(3)
         ]
         values = [map_at(preds, truths, thr) for thr in MAP_RANGE_THRESHOLDS]
-        assert map_range(preds, truths) == sum(values) / len(values)
-        # one table for all thresholds gives each map_at value exactly
-        by_threshold = map_by_threshold(preds, truths)
-        assert by_threshold[0] == map_at(preds, truths, 0.5)
-        assert by_threshold == values
-        assert map_range(preds, truths) == sum(by_threshold) / len(by_threshold)
+        exact = [
+            sum(brute_force_ap(preds, truths, label, thr) for label in ("cat", "dog")) * 50
+            for thr in MAP_RANGE_THRESHOLDS
+        ]
+        assert values == [float(v) for v in exact]
+        # the mean of the exact values, not of their rounded floats
+        assert map_range(preds, truths) == _exact_mean(exact)
+        # one table for all thresholds gives map_at at 0.5 exactly
+        assert map50_and_range(preds, truths) == (values[0], _exact_mean(exact))
 
 
 # Multi-label, multi-image fixtures for the threshold ladder: at most four
@@ -291,12 +299,12 @@ def test_map_ladder_matches_assignment_oracle():
     for _ in range(40):
         truths, preds = _multilabel_fixture(rng)
         labels = sorted({x.label for x in truths})
-        expected = []
+        exact = []
         for thr in MAP_RANGE_THRESHOLDS:
             mean = sum(brute_force_ap(preds, truths, label, thr) for label in labels) / len(labels)
-            expected.append(float(mean * 100))
-            assert map_at(preds, truths, thr) == expected[-1], (truths, preds, thr)
-        assert map_range(preds, truths) == sum(expected) / len(expected)
+            exact.append(mean * 100)
+            assert map_at(preds, truths, thr) == float(exact[-1]), (truths, preds, thr)
+        assert map_range(preds, truths) == _exact_mean(exact)
 
 
 # -- exact AP terms against the literal formula ------------------------
@@ -361,16 +369,15 @@ def test_map_matches_literal_formula_on_many_terms():
     labels = ("cat", "dog", "person", "traffic light")
     for _ in range(5):
         truths, preds, tp_ranks = _known_ranks_fixture(rng)
-        expected = []
+        exact = []
         for thr in MAP_RANGE_THRESHOLDS:
             aps = {label: literal_ap(*tp_ranks[label, thr]) for label in labels}
             assert sum(len(_interpolated_ap(*tp_ranks[label, thr])) for label in labels) > 16
-            expected.append(float(sum(aps.values()) / len(labels) * 100))
-            assert map_at(preds, truths, thr) == expected[-1]
+            exact.append(sum(aps.values()) / len(labels) * 100)
+            assert map_at(preds, truths, thr) == float(exact[-1])
             for label in labels:
                 assert average_precision(preds, truths, label, thr) == float(aps[label])
-        assert map_by_threshold(preds, truths) == expected
-        assert map_range(preds, truths) == sum(expected) / len(expected)
+        assert map50_and_range(preds, truths) == (float(exact[0]), _exact_mean(exact))
 
 
 # -- record files ------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import dp_align_confusions
 from percept_cane.ocr_lab import (
+    ENGINE_PROFILES_FILE,
     Compute,
     EngineProfile,
     OcrReport,
@@ -29,6 +30,7 @@ from percept_cane.ocr_lab import (
     score,
 )
 from percept_cane.perception import BackendError, build_ocr
+from percept_cane.resources import data_path
 
 NUMBER_RE = re.compile(r"^\d{5}\.\d{2}$")
 ALPHA_RE = re.compile(r"^[a-z]+ [a-z]+$")
@@ -240,7 +242,7 @@ def test_align_recovers_injected_substitutions(rng):
 
 
 def test_route_reference_matrix():
-    profiles = load_engine_profiles()
+    profiles = load_engine_profiles(data_path(ENGINE_PROFILES_FILE))
     assert route(SampleKind.ALPHABETS, Compute.CPU, RoutePolicy.ACCURACY, profiles) == "tesseract"
     assert route(SampleKind.NUMBERS, Compute.GPU, RoutePolicy.ACCURACY, profiles) == "easyocr"
     assert route(SampleKind.NUMBERS, Compute.CPU, RoutePolicy.SPEED, profiles) == "tesseract"
@@ -248,7 +250,7 @@ def test_route_reference_matrix():
 
 
 def test_route_accepts_plain_strings():
-    profiles = load_engine_profiles()
+    profiles = load_engine_profiles(data_path(ENGINE_PROFILES_FILE))
     assert route("alphabets", "cpu", "accuracy", profiles) == "tesseract"
 
 
@@ -263,7 +265,7 @@ def test_route_tie_break_by_engine_id():
 
 
 def test_engine_profiles_bundled_values():
-    profiles = {p.engine_id: p for p in load_engine_profiles()}
+    profiles = {p.engine_id: p for p in load_engine_profiles(data_path(ENGINE_PROFILES_FILE))}
     tess, easy = profiles["tesseract"], profiles["easyocr"]
     assert (tess.error_rate_numbers, tess.error_rate_alphabets) == (5.50, 0.70)
     assert (tess.speed_cpu_s, tess.speed_gpu_s) == (0.30, 0.25)

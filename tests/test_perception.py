@@ -20,7 +20,6 @@ from percept_cane.perception import (
     detect,
     extract_text,
     load_class_vocabulary,
-    validate_frame,
 )
 from percept_cane.pipeline import Scenario, load_scenario
 
@@ -277,13 +276,6 @@ def test_load_class_vocabulary_errors(tmp_path):
     tab.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match=r"tab\.txt:41: label must be one line without tabs$"):
         load_class_vocabulary(tab)
-
-
-def test_validate_frame_vocabulary():
-    vocab = load_class_vocabulary()
-    validate_frame(Frame("f0", ("chair",)), vocab)
-    with pytest.raises(ValueError, match="door"):
-        validate_frame(Frame("f0", ("door",)), vocab)
 
 
 def test_backend_registry():

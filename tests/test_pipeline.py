@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from oracles import reference_scenario_parts
 
 from percept_cane.alerts import AlertConfig, AlertState, on_measurement
-from percept_cane.perception import BoundingBox, Frame
+from percept_cane import pipeline
+from percept_cane.perception import BoundingBox, Frame, load_class_vocabulary
 from percept_cane.pipeline import (
     CYCLE_BUDGET_S,
     MAX_TICKS,
@@ -30,6 +31,7 @@ from percept_cane.pipeline import (
     run_report_to_csv,
     run_report_to_json,
 )
+from percept_cane.resources import DATA_ENV_VAR
 from percept_cane.sensor import SensorConfig, simulate_measurement
 from percept_cane.speech import SpeechConfig
 
@@ -331,6 +333,13 @@ NAN, INF = math.nan, math.inf
             r"event 1: frame 'f': text 'EXIT\\n0.000\\tALERT\\tforged' must be one line without tabs",
         ),
         (0.5, 5.0, ((0.0, 80.0, Frame("g", ("chair\t",))),), r"event 0: frame 'g': label 'chair\\t' must be one line without tabs"),
+        # a label the detector cannot know would be spoken as "Detected unicorn"
+        (
+            0.5,
+            5.0,
+            ((0.0, 80.0, Frame("ok", ("person",))), (1.0, 80.0, Frame("f", ("chair", "unicorn")))),
+            "event 1: frame 'f': label 'unicorn' not in vocabulary",
+        ),
         (
             0.5,
             5.0,
@@ -353,12 +362,39 @@ NAN, INF = math.nan, math.inf
         "negative-distance",
         "text-with-line-break",
         "label-with-tab",
+        "label-outside-vocabulary",
         "text-with-line-separator",
     ],
 )
 def test_scenario_rejects_values_it_cannot_model(tick_s, duration_s, events, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Scenario("x", tick_s, duration_s, tuple(ScenarioEvent(*e) for e in events))
+
+
+def test_data_directory_vocabulary_decides_code_built_labels(tmp_path, monkeypatch):
+    labels = [f"thing{i}" for i in range(79)] + ["unicorn"]
+    (tmp_path / "coco_labels.txt").write_text("\n".join(labels) + "\n")
+    monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
+    scenario = Scenario("x", 0.5, 3.0, (ScenarioEvent(0.0, 80.0, Frame("f", ("unicorn",))),))
+    assert "Detected unicorn" in run(scenario).transcript.texts()
+    with pytest.raises(ValueError, match="label 'chair' not in vocabulary"):
+        Scenario("x", 0.5, 3.0, (ScenarioEvent(0.0, 80.0, Frame("f", ("chair",))),))
+
+
+def test_scenario_reads_the_vocabulary_once_and_only_for_labels(monkeypatch):
+    reads = []
+
+    def counting():
+        reads.append(1)
+        return load_class_vocabulary()
+
+    monkeypatch.setattr(pipeline, "load_class_vocabulary", counting)
+    unlabelled = tuple(ScenarioEvent(float(t), 80.0, Frame(f"f{t}", (), ("EXIT",))) for t in range(3))
+    Scenario("x", 0.5, 5.0, unlabelled)
+    assert reads == []
+    labelled = tuple(ScenarioEvent(float(t), 80.0, Frame(f"f{t}", ("chair",))) for t in range(1, 4))
+    Scenario("x", 0.5, 5.0, unlabelled[:1] + labelled)
+    assert reads == [1]
 
 
 def test_code_built_frame_may_hold_other_unprintable_characters():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from percept_cane.resources import data_path
 from percept_cane.sensor import (
+    SENSOR_TIMINGS_FILE,
     DistanceMeasurement,
     EchoSample,
     SensorConfig,
@@ -132,7 +134,7 @@ def test_mean_response_time_basics():
 
 
 def test_load_sensor_timings_bundled():
-    samples = load_sensor_timings()
+    samples = load_sensor_timings(data_path(SENSOR_TIMINGS_FILE))
     assert [(m.distance_cm, m.exec_time_s) for m in samples] == FIG6_ROWS
     assert mean_response_time(samples) == FIG6_MEAN
     flags = [m.in_range for m in samples]
@@ -155,7 +157,7 @@ def test_load_sensor_timings_rejects_bad_files(tmp_path):
 
 
 def test_bench_csv_round_trips(tmp_path):
-    samples = load_sensor_timings()
+    samples = load_sensor_timings(data_path(SENSOR_TIMINGS_FILE))
     text = sensor_bench_csv(samples)
     assert text.splitlines()[-1] == "mean,0.007137478"
     out = tmp_path / "bench.csv"
