@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--compute", choices=[c.value for c in ocr_lab.Compute], required=True)
     p.add_argument("--policy", choices=[r.value for r in ocr_lab.RoutePolicy], required=True)
-    p.add_argument("--profiles", help="engine profile CSV (default: the bundled engine_profiles.csv)")
+    p.add_argument(
+        "--profiles", help="engine profile CSV (default: the bundled engine_profiles.csv)"
+    )
     _add_out(p)
 
     p = sub.add_parser("ocr-bench", help="run a mock engine over a generated corpus")
