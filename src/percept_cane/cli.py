@@ -3,9 +3,10 @@
 Subcommands cover the runtime (scenario replay, sensor bench) and the lab
 (model selection, detection metrics, OCR corpus/scoring/routing/bench).
 Data output goes to --out ("-" for standard output) as UTF-8 whatever the
-locale, and is byte-stable for a given argv and input files; wall-clock
-numbers only appear behind --verbose or --timing and never on standard
-output.
+locale, and is byte-stable for a given argv and input files. Wall-clock
+numbers appear only on request: run --verbose writes the wall time to
+standard error, and ocr-bench --timing puts the measured mean_speed_s in
+the report it writes to --out, which is then no longer byte-stable.
 
 Exit codes: 0 success, 1 bad input (usage, missing file, validation),
 2 runtime failure (backend errors, unexpected exceptions).
@@ -26,8 +27,6 @@ from .resources import DATA_ENV_VAR, resolve_table
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
-# --map-field value -> ModelSpec field
-_MAP_FIELDS = {"map50": "map_50", "map5095": "map_50_95"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="model table CSV (default: the bundled fig8_models.csv)")
     p.add_argument(
         "--map-field",
-        choices=tuple(_MAP_FIELDS),
+        choices=detector_lab.MAP_FIELDS,
         default="map50",
         help="which mAP column to use",
     )
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("models-recommend", help="best model within a gflops budget")
     p.add_argument("--table", help="model table CSV (default: the bundled fig8_models.csv)")
-    p.add_argument("--map-field", choices=tuple(_MAP_FIELDS), default="map50")
+    p.add_argument("--map-field", choices=detector_lab.MAP_FIELDS, default="map50")
     p.add_argument("--budget", type=float, required=True, help="gflops budget")
     _add_out(p)
 
@@ -180,24 +179,24 @@ def _cmd_sensor_bench(args) -> int:
 
 
 def _model_row(m: detector_lab.ModelSpec, map_field: str) -> str:
-    return f"{csv_cell(m.display_name)},{m.gflops!r},{m.map_value(map_field)!r}"
+    return f"{csv_cell(m.display_name)},{m.gflops!r},{getattr(m, map_field)!r}"
 
 
-def _eligible_models(args) -> tuple[str, list, list]:
-    """The chosen mAP field and the table's rows with and without a value for it."""
-    map_field = _MAP_FIELDS[args.map_field]
+def _eligible_models(args) -> tuple[list, list]:
+    """The table's rows with and without a value for --map-field; the
+    table's name leads split_by_map_field's error."""
     table = resolve_table(args.table, detector_lab.MODEL_TABLE_FILE)
     models = detector_lab.load_model_table(table)
-    eligible, excluded = detector_lab.split_by_map_field(models, map_field)
-    if not eligible:
-        raise ValueError(f"{args.table or table.name}: no row has a {args.map_field} value")
-    return map_field, eligible, excluded
+    try:
+        return detector_lab.split_by_map_field(models, args.map_field)
+    except ValueError as exc:
+        raise ValueError(f"{args.table or table.name}: {exc}") from None
 
 
 def _cmd_models_pareto(args) -> int:
-    map_field, eligible, excluded = _eligible_models(args)
-    front = detector_lab.pareto_frontier(eligible, map_field)
-    _write("".join(_model_row(m, map_field) + "\n" for m in front), args.out)
+    eligible, excluded = _eligible_models(args)
+    front = detector_lab.pareto_frontier(eligible, args.map_field)
+    _write("".join(_model_row(m, args.map_field) + "\n" for m in front), args.out)
     if excluded:
         names = ", ".join(m.display_name for m in excluded)
         sys.stderr.write(f"note: excluded rows without {args.map_field}: {names}\n")
@@ -205,9 +204,9 @@ def _cmd_models_pareto(args) -> int:
 
 
 def _cmd_models_recommend(args) -> int:
-    map_field, eligible, _ = _eligible_models(args)
-    choice = detector_lab.recommend(eligible, args.budget, map_field)
-    _write(_model_row(choice, map_field) + "\n", args.out)
+    eligible, _ = _eligible_models(args)
+    choice = detector_lab.recommend(eligible, args.budget, args.map_field)
+    _write(_model_row(choice, args.map_field) + "\n", args.out)
     return EXIT_OK
 
 

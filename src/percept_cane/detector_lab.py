@@ -34,6 +34,9 @@ from .perception import BoundingBox
 
 MAP_RANGE_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
 MODEL_TABLE_FILE = "fig8_models.csv"
+# The mAP columns of a model table, named as the dual-mAP header names them:
+# the ModelSpec fields and every map_field argument use these names.
+MAP_FIELDS = ("map50", "map5095")
 
 TRUTH_FIELDS = ("image_id", "label", "x_min", "y_min", "x_max", "y_max")
 PRED_FIELDS = ("image_id", "label", "confidence", "x_min", "y_min", "x_max", "y_max")
@@ -54,7 +57,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if iy <= 0:
         return 0.0
     inter = ix * iy
-    # the areas as BoundingBox.area computes them, without two method calls
+    # the two areas (width times height), less the overlap they both count
     union = (a.x_max - a.x_min) * (a.y_max - a.y_min) + (b.x_max - b.x_min) * (b.y_max - b.y_min) - inter
     if union <= 0:
         return 0.0
@@ -307,8 +310,8 @@ class ModelSpec:
     framework: str
     gflops: float
     mparams: float
-    map_50: float | None = None
-    map_50_95: float | None = None
+    map50: float | None = None
+    map5095: float | None = None
     input_size: int | None = None
     size_mb: float | None = None
 
@@ -322,7 +325,7 @@ class ModelSpec:
             raise ValueError(f"{self.name}: size_mb must be positive")
         if self.input_size is not None and self.input_size <= 0:
             raise ValueError(f"{self.name}: input_size must be positive")
-        for value in (self.map_50, self.map_50_95):
+        for value in (self.map50, self.map5095):
             if value is not None and not 0.0 <= value <= 100.0:
                 raise ValueError(f"{self.name}: mAP out of [0,100]: {value}")
 
@@ -333,13 +336,6 @@ class ModelSpec:
             return self.name
         return f"{self.name}@{self.input_size}"
 
-    def map_value(self, map_field: str) -> float | None:
-        if map_field == "map_50":
-            return self.map_50
-        if map_field == "map_50_95":
-            return self.map_50_95
-        raise ValueError(f"unknown mAP field {map_field!r}")
-
 
 def _opt_float(text: str) -> float | None:
     return None if text.strip() in ("", "-") else float(text)
@@ -347,7 +343,7 @@ def _opt_float(text: str) -> float | None:
 
 def _single_map_row(r: list[str]) -> ModelSpec:
     return ModelSpec(
-        name=r[0], framework=r[1], gflops=float(r[2]), mparams=float(r[3]), map_50=float(r[4])
+        name=r[0], framework=r[1], gflops=float(r[2]), mparams=float(r[3]), map50=float(r[4])
     )
 
 
@@ -357,8 +353,8 @@ def _dual_map_row(r: list[str]) -> ModelSpec:
         framework="",
         gflops=float(r[3]),
         mparams=float(r[4]),
-        map_50=_opt_float(r[6]),
-        map_50_95=_opt_float(r[7]),
+        map50=_opt_float(r[6]),
+        map5095=_opt_float(r[7]),
         input_size=int(r[2]),
         size_mb=float(r[5]),
     )
@@ -366,7 +362,7 @@ def _dual_map_row(r: list[str]) -> ModelSpec:
 
 _MODEL_TABLE_LAYOUTS = {
     ("name", "framework", "gflops", "mparams", "map"): _single_map_row,
-    ("id", "name", "input_size", "gflops", "mparams", "size_mb", "map50", "map5095"): _dual_map_row,
+    ("id", "name", "input_size", "gflops", "mparams", "size_mb", *MAP_FIELDS): _dual_map_row,
 }
 
 
@@ -377,37 +373,43 @@ def load_model_table(path: str | Path) -> list[ModelSpec]:
 
 
 def split_by_map_field(
-    models: Iterable[ModelSpec], map_field: str = "map_50"
+    models: Iterable[ModelSpec], map_field: str = "map50"
 ) -> tuple[list[ModelSpec], list[ModelSpec]]:
-    """Partition models into (eligible, excluded) on presence of the field."""
+    """Partition models into (eligible, excluded) on presence of the field.
+
+    The one eligibility rule of model selection: a field outside MAP_FIELDS
+    or a table with no eligible row raises ValueError.
+    """
+    if map_field not in MAP_FIELDS:
+        raise ValueError(f"unknown mAP field {map_field!r}")
     eligible: list[ModelSpec] = []
     excluded: list[ModelSpec] = []
     for m in models:
-        (eligible if m.map_value(map_field) is not None else excluded).append(m)
+        (eligible if getattr(m, map_field) is not None else excluded).append(m)
+    if not eligible:
+        raise ValueError(f"no row has a {map_field} value")
     return eligible, excluded
 
 
 def pareto_frontier(
-    models: Sequence[ModelSpec], map_field: str = "map_50"
+    models: Sequence[ModelSpec], map_field: str = "map50"
 ) -> list[ModelSpec]:
     """Models not weakly dominated under (min gflops, max mAP).
 
-    Rows missing the selected mAP field are excluded (use
-    :func:`split_by_map_field` to report them). Result is sorted by
-    ascending gflops, then name.
+    Rows missing the selected mAP field are excluded by
+    :func:`split_by_map_field`, which also raises its errors. Result is
+    sorted by ascending gflops, then name.
 
     One sort-and-sweep pass (Kung, Luccio & Preparata 1975): in ascending
     gflops, a model survives when its mAP beats every cheaper model's and is
     the best of its own gflops group, so exact duplicates survive together.
     """
     eligible, _ = split_by_map_field(models, map_field)
-    if not eligible:
-        raise ValueError(f"no models carry {map_field}; frontier undefined")
     front: list[ModelSpec] = []
     best_cheaper = -math.inf
     ordered = sorted(eligible, key=lambda m: m.gflops)
     for _, group in groupby(ordered, key=lambda m: m.gflops):
-        group_maps = [(m, m.map_value(map_field)) for m in group]
+        group_maps = [(m, getattr(m, map_field)) for m in group]
         top = max(v for _, v in group_maps)
         if top > best_cheaper:
             front.extend(m for m, v in group_maps if v == top)
@@ -417,17 +419,15 @@ def pareto_frontier(
 
 
 def recommend(
-    models: Sequence[ModelSpec], gflops_budget: float, map_field: str = "map_50"
+    models: Sequence[ModelSpec], gflops_budget: float, map_field: str = "map50"
 ) -> ModelSpec:
     """Highest-mAP model within the compute budget.
 
-    Ties break toward lower gflops, then lexicographic name. When nothing
-    fits, the error names the cheapest eligible model so the caller can see
-    how far off the budget is.
+    Eligibility is :func:`split_by_map_field`'s. Ties break toward lower
+    gflops, then lexicographic name. When nothing fits, the error names the
+    cheapest eligible model so the caller can see how far off the budget is.
     """
     eligible, _ = split_by_map_field(models, map_field)
-    if not eligible:
-        raise ValueError(f"no models carry {map_field}")
     in_budget = [m for m in eligible if m.gflops <= gflops_budget]
     if not in_budget:
         cheapest = min(eligible, key=lambda m: (m.gflops, m.name))
@@ -435,4 +435,4 @@ def recommend(
             f"no model fits {gflops_budget} gflops; cheapest is "
             f"{cheapest.display_name} at {cheapest.gflops} gflops"
         )
-    return min(in_budget, key=lambda m: (-(m.map_value(map_field) or 0.0), m.gflops, m.name))
+    return min(in_budget, key=lambda m: (-getattr(m, map_field), m.gflops, m.name))

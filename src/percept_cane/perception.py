@@ -64,9 +64,6 @@ class BoundingBox:
         if not (0.0 <= self.y_min <= self.y_max <= 1.0):
             raise ValueError(f"require 0 <= y_min <= y_max <= 1, got {self}")
 
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
 
 @dataclass(frozen=True)
 class Frame:

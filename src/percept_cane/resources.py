@@ -42,7 +42,8 @@ def resolve_table(path_or_name: str | Path | None, default_name: str) -> Path:
     directory. A path that exists is used as given. A missing bare name or
     ``data/<name>`` is looked up in the bundled data directory, so
     ``data/fig8_models.csv`` works from any working directory; any other
-    missing path raises FileNotFoundError.
+    missing path raises FileNotFoundError, as does a value that names no
+    file (``""``, ``.`` or ``..``).
     """
     if path_or_name is None:
         return data_path(default_name)
@@ -51,4 +52,6 @@ def resolve_table(path_or_name: str | Path | None, default_name: str) -> Path:
         return p
     if p.parent not in (Path(), Path("data")):
         raise FileNotFoundError(f"table not found: {p}")
+    if p.name in ("", ".."):  # "" and "." both parse to the empty name
+        raise FileNotFoundError(f"table not found: {str(path_or_name)!r}")
     return data_path(p.name)

@@ -17,29 +17,36 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-
-import numpy as np
+from functools import cache
 
 from percept_cane.detector_lab import ModelSpec, PredictionBox, TruthBox, iou
 from percept_cane.perception import BoundingBox, Frame
 from percept_cane.speech import Priority, SpeechMessage
 
 
+@cache
+def _cell_centers(n: int) -> list[float]:
+    """The sorted cell centers of an n-cell unit axis, built once per n
+    (callers only read the list)."""
+    return [(i + 0.5) / n for i in range(n)]
+
+
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 512) -> float:
     """IoU by counting n-by-n cell centers inside each region.
 
     Boxes and their intersection are axis-aligned, so the 2-D counts
-    factor into products of 1-D center counts.
+    factor into products of 1-D center counts. A 1-D count is the number
+    of the sorted centers ``(i + 0.5) / n`` in ``[lo, hi]``, edges included.
     """
-    centers = (np.arange(n) + 0.5) / n
+    centers = _cell_centers(n)
 
     def count_1d(lo: float, hi: float) -> int:
         if hi <= lo:
             return 0
-        return int(np.count_nonzero((centers >= lo) & (centers <= hi)))
+        return bisect_right(centers, hi) - bisect_left(centers, lo)
 
     area_a = count_1d(a.x_min, a.x_max) * count_1d(a.y_min, a.y_max)
     area_b = count_1d(b.x_min, b.x_max) * count_1d(b.y_min, b.y_max)
@@ -66,11 +73,13 @@ def brute_force_ap(
 ) -> Fraction:
     """AP by enumerating injective assignments and filtering.
 
-    Enumerates every way of assigning each prediction (in confidence order)
-    to a distinct truth or to nothing, keeps the assignments consistent
-    with take-the-best-available-candidate processing, checks exactly one
-    survives, and evaluates the interpolated AP formula literally on its
-    true-positive flags.
+    Enumerates, depth first, every way of assigning each prediction (in
+    confidence order) to a distinct truth or to nothing, keeps the
+    assignments consistent with take-the-best-available-candidate
+    processing, checks exactly one survives, and evaluates the interpolated
+    AP formula literally on its true-positive flags. Consistency of a
+    choice depends only on the choices before it, so a prefix that is
+    already inconsistent is dropped with every assignment it starts.
     """
     label_truths = [t for t in truths if t.label == label]
     if not label_truths:
@@ -87,34 +96,31 @@ def brute_force_ap(
         for pred in order
     ]
 
-    choices = [range(-1, n_truth) for _ in order]  # -1 = unmatched
+    def consistent_choice(p_idx: int, choice: int, available: set[int]) -> bool:
+        candidates = []
+        for t_idx in sorted(available):
+            v = overlap[p_idx][t_idx]
+            if v is None:
+                continue
+            if v >= iou_threshold:
+                candidates.append((v, t_idx))
+        if not candidates:
+            return choice == -1
+        return choice == max(candidates, key=lambda c: (c[0], -c[1]))[1]
+
     consistent: list[tuple[int, ...]] = []
-    for assignment in product(*choices):
-        used = [a for a in assignment if a >= 0]
-        if len(used) != len(set(used)):
-            continue
-        available = set(range(n_truth))
-        ok = True
-        for p_idx, choice in enumerate(assignment):
-            candidates = []
-            for t_idx in sorted(available):
-                v = overlap[p_idx][t_idx]
-                if v is None:
-                    continue
-                if v >= iou_threshold:
-                    candidates.append((v, t_idx))
-            if not candidates:
-                if choice != -1:
-                    ok = False
-                    break
-            else:
-                best = max(candidates, key=lambda c: (c[0], -c[1]))[1]
-                if choice != best:
-                    ok = False
-                    break
-                available.discard(best)
-        if ok:
-            consistent.append(assignment)
+
+    def extend(prefix: tuple[int, ...], available: set[int]) -> None:
+        if len(prefix) == len(order):
+            consistent.append(prefix)
+            return
+        for choice in range(-1, n_truth):  # -1 = unmatched
+            if choice >= 0 and choice not in available:
+                continue  # each truth is assigned at most once
+            if consistent_choice(len(prefix), choice, available):
+                extend(prefix + (choice,), available - {choice})
+
+    extend((), set(range(n_truth)))
     assert len(consistent) == 1, f"expected a unique consistent assignment, got {len(consistent)}"
     tp_flags = [a >= 0 for a in consistent[0]]
 
@@ -142,14 +148,14 @@ def literal_ap(tp_ranks: list[int], n_truth: int) -> Fraction:
 
 def brute_force_frontier(models: list[ModelSpec], map_field: str) -> set[str]:
     """Frontier membership by literal pairwise dominance checks."""
-    eligible = [m for m in models if m.map_value(map_field) is not None]
+    eligible = [m for m in models if getattr(m, map_field) is not None]
     front = set()
     for m in eligible:
         dominated = False
         for other in eligible:
             if other is m:
                 continue
-            om, mm = other.map_value(map_field), m.map_value(map_field)
+            om, mm = getattr(other, map_field), getattr(m, map_field)
             if other.gflops <= m.gflops and om >= mm and (other.gflops < m.gflops or om > mm):
                 dominated = True
                 break

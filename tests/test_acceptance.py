@@ -103,14 +103,14 @@ FIG10_FRONTIER = {
 def test_c03_pareto_frontiers():
     with criterion(3, "bundled model frontiers match a pairwise dominance oracle"):
         fig8 = load_model_table(data_path("fig8_models.csv"))
-        names8 = [m.display_name for m in pareto_frontier(fig8, "map_50")]
+        names8 = [m.display_name for m in pareto_frontier(fig8, "map50")]
         assert names8 == ["mobilenet-ssd"]
-        assert set(names8) == brute_force_frontier(fig8, "map_50")
+        assert set(names8) == brute_force_frontier(fig8, "map50")
 
         fig10 = load_model_table(data_path("fig10_models.csv"))
-        names10 = {m.display_name for m in pareto_frontier(fig10, "map_50")}
+        names10 = {m.display_name for m in pareto_frontier(fig10, "map50")}
         assert names10 == FIG10_FRONTIER
-        assert names10 == brute_force_frontier(fig10, "map_50")
+        assert names10 == brute_force_frontier(fig10, "map50")
 
 
 def test_c04_iou_grid_oracle():

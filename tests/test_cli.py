@@ -911,7 +911,23 @@ def test_missing_table_path_exits_one(argv, tmp_path, capsys):
     assert err == f"error: table not found: {missing}\n"
 
 
-@pytest.mark.parametrize("name", ["engine_profiles.csv", "data/engine_profiles.csv"])
+@pytest.mark.parametrize("value", ["", ".", ".."])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sensor-bench", "--table"),
+        ("models-pareto", "--table"),
+        ("models-recommend", "--budget", "3.0", "--table"),
+        ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed", "--profiles"),
+    ],
+    ids=["sensor-bench", "models-pareto", "models-recommend", "ocr-route"],
+)
+def test_table_option_naming_no_file_exits_one(argv, value, capsys):
+    # the message names the value as given, not the bundled data directory
+    assert run_cli(capsys, *argv, value) == (1, "", f"error: table not found: {value!r}\n")
+
+
+@pytest.mark.parametrize("name",["engine_profiles.csv", "data/engine_profiles.csv"])
 def test_bundled_names_resolve_from_any_directory(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     route = ("ocr-route", "--kind", "alphabets", "--compute", "cpu", "--policy", "accuracy")

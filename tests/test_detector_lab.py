@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +9,7 @@ import pytest
 from oracles import brute_force_ap, brute_force_frontier, grid_iou, literal_ap
 from conftest import random_box
 from percept_cane.detector_lab import (
+    MAP_FIELDS,
     MAP_RANGE_THRESHOLDS,
     _exact_sum,
     _interpolated_ap,
@@ -53,7 +55,7 @@ def test_iou_degenerate_union():
 def test_iou_underflowing_areas_is_zero():
     # both boxes have a positive side, but every product underflows to 0.0
     tiny = BoundingBox(0.0, 0.0, 1e-200, 1e-200)
-    assert tiny.area() == 0.0
+    assert (tiny.x_max - tiny.x_min) * (tiny.y_max - tiny.y_min) == 0.0
     assert iou(tiny, tiny) == 0.0
 
 
@@ -455,19 +457,19 @@ def test_load_single_map_table():
     assert len(models) == 12
     by_name = {m.name: m for m in models}
     best = by_name["mobilenet-ssd"]
-    assert (best.gflops, best.mparams, best.map_50) == (2.316, 5.783, 79.8377)
-    assert by_name["YOLO v3"].map_50 == 62.27
-    assert all(m.map_50_95 is None for m in models)
+    assert (best.gflops, best.mparams, best.map50) == (2.316, 5.783, 79.8377)
+    assert by_name["YOLO v3"].map50 == 62.27
+    assert all(m.map5095 is None for m in models)
 
 
 def test_load_dual_map_table():
     models = load_model_table(data_path("fig10_models.csv"))
     assert len(models) == 10
     nano320 = next(m for m in models if m.display_name == "nanodet-m@320")
-    assert nano320.map_50 is None
-    assert nano320.map_50_95 == 20.6
+    assert nano320.map50 is None
+    assert nano320.map5095 == 20.6
     lite640 = next(m for m in models if m.display_name == "yolov5-lite@640")
-    assert (lite640.gflops, lite640.map_50, lite640.map_50_95) == (2.42, 45.7, 27.1)
+    assert (lite640.gflops, lite640.map50, lite640.map5095) == (2.42, 45.7, 27.1)
 
 
 def test_load_model_table_reads_the_path_it_is_given(tmp_path, monkeypatch):
@@ -491,12 +493,12 @@ def test_frontier_single_map_table():
     models = load_model_table(data_path("fig8_models.csv"))
     front = pareto_frontier(models)
     assert [m.name for m in front] == ["mobilenet-ssd"]
-    assert brute_force_frontier(models, "map_50") == {"mobilenet-ssd"}
+    assert brute_force_frontier(models, "map50") == {"mobilenet-ssd"}
 
 
 def test_frontier_dual_map_table():
     models = load_model_table(data_path("fig10_models.csv"))
-    front = pareto_frontier(models, "map_50")
+    front = pareto_frontier(models, "map50")
     names = {m.display_name for m in front}
     assert names == {
         "yolo-fastest@320",
@@ -505,20 +507,20 @@ def test_frontier_dual_map_table():
         "yolov5-lite@640",
         "yolov5s@640",
     }
-    assert names == brute_force_frontier(models, "map_50")
-    eligible, excluded = split_by_map_field(models, "map_50")
+    assert names == brute_force_frontier(models, "map50")
+    eligible, excluded = split_by_map_field(models, "map50")
     assert {m.display_name for m in excluded} == {"nanodet-m@320", "nanodet-m@416"}
     assert len(eligible) == 8
 
 
 def test_frontier_single_model():
-    only = ModelSpec("solo", "fw", 1.0, 1.0, map_50=10.0)
+    only = ModelSpec("solo", "fw", 1.0, 1.0, map50=10.0)
     assert pareto_frontier([only]) == [only]
 
 
 def test_frontier_requires_eligible_rows():
     blank = ModelSpec("x", "fw", 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no row has a map50 value$"):
         pareto_frontier([blank])
 
 
@@ -529,7 +531,7 @@ def _random_models(rng, n):
             framework="fw",
             gflops=round(rng.uniform(0.1, 50.0), 2),
             mparams=1.0,
-            map_50=round(rng.uniform(1.0, 99.0), 2),
+            map50=round(rng.uniform(1.0, 99.0), 2),
         )
         for i in range(n)
     ]
@@ -539,15 +541,15 @@ def test_frontier_matches_oracle_on_random_tables(rng):
     for _ in range(100):
         models = _random_models(rng, rng.randint(1, 12))
         front = pareto_frontier(models)
-        assert {m.display_name for m in front} == brute_force_frontier(models, "map_50")
+        assert {m.display_name for m in front} == brute_force_frontier(models, "map50")
         # no member dominates another member
         for a in front:
             for b in front:
                 if a is not b:
                     assert not (
                         a.gflops <= b.gflops
-                        and a.map_50 >= b.map_50
-                        and (a.gflops < b.gflops or a.map_50 > b.map_50)
+                        and a.map50 >= b.map50
+                        and (a.gflops < b.gflops or a.map50 > b.map50)
                     )
 
 
@@ -556,11 +558,11 @@ def test_frontier_matches_oracle_with_ties_and_duplicates(rng):
     # duplicates are common
     for _ in range(200):
         models = [
-            ModelSpec(f"m{i}", "fw", rng.choice((1.0, 2.0, 3.0)), 1.0, map_50=rng.choice((10.0, 20.0, 30.0)))
+            ModelSpec(f"m{i}", "fw", rng.choice((1.0, 2.0, 3.0)), 1.0, map50=rng.choice((10.0, 20.0, 30.0)))
             for i in range(rng.randint(1, 8))
         ]
         front = pareto_frontier(models)
-        assert {m.display_name for m in front} == brute_force_frontier(models, "map_50")
+        assert {m.display_name for m in front} == brute_force_frontier(models, "map50")
 
 
 def test_frontier_contains_extreme_holders(rng):
@@ -569,9 +571,9 @@ def test_frontier_contains_extreme_holders(rng):
         front = pareto_frontier(models)
         names = {m.name for m in front}
         min_g = min(m.gflops for m in models)
-        max_m = max(m.map_50 for m in models)
+        max_m = max(m.map50 for m in models)
         cheapest = [m for m in models if m.gflops == min_g]
-        best = [m for m in models if m.map_50 == max_m]
+        best = [m for m in models if m.map50 == max_m]
         if len(cheapest) == 1:
             assert cheapest[0].name in names
         if len(best) == 1:
@@ -598,34 +600,43 @@ def test_recommend_optimality_scan(rng):
         assert choice.gflops <= budget
         for m in models:
             if m.gflops <= budget:
-                assert m.map_50 <= choice.map_50
+                assert m.map50 <= choice.map50
 
 
 def test_recommend_needs_a_model_with_the_field():
-    models = [ModelSpec("x", "fw", 1.0, 1.0, map_50=10.0)]
-    with pytest.raises(ValueError, match="^no models carry map_50_95$"):
-        recommend(models, 10.0, "map_50_95")
+    models = [ModelSpec("x", "fw", 1.0, 1.0, map50=10.0)]
+    with pytest.raises(ValueError, match="^no row has a map5095 value$"):
+        recommend(models, 10.0, "map5095")
 
 
 def test_recommend_tie_breaks():
-    a = ModelSpec("bravo", "fw", 2.0, 1.0, map_50=50.0)
-    b = ModelSpec("alpha", "fw", 2.0, 1.0, map_50=50.0)
-    c = ModelSpec("cheap", "fw", 1.0, 1.0, map_50=50.0)
+    a = ModelSpec("bravo", "fw", 2.0, 1.0, map50=50.0)
+    b = ModelSpec("alpha", "fw", 2.0, 1.0, map50=50.0)
+    c = ModelSpec("cheap", "fw", 1.0, 1.0, map50=50.0)
     assert recommend([a, b, c], 10.0).name == "cheap"  # lower gflops first
     assert recommend([a, b], 10.0).name == "alpha"  # then lexicographic
 
 
 def test_model_spec_invariants():
     with pytest.raises(ValueError):
-        ModelSpec("x", "fw", 0.0, 1.0, map_50=10.0)
+        ModelSpec("x", "fw", 0.0, 1.0, map50=10.0)
     with pytest.raises(ValueError):
-        ModelSpec("x", "fw", 1.0, 1.0, map_50=101.0)
+        ModelSpec("x", "fw", 1.0, 1.0, map50=101.0)
     with pytest.raises(ValueError):
-        ModelSpec("x", "fw", float("nan"), 1.0, map_50=10.0)
+        ModelSpec("x", "fw", float("nan"), 1.0, map50=10.0)
 
 
-def test_map_value_rejects_unknown_field():
-    spec = ModelSpec("x", "fw", 1.0, 1.0, map_50=10.0, map_50_95=5.0)
-    assert (spec.map_value("map_50"), spec.map_value("map_50_95")) == (10.0, 5.0)
-    with pytest.raises(ValueError, match="^unknown mAP field 'map_75'$"):
-        spec.map_value("map_75")
+def test_map_fields_are_the_dual_header_names():
+    # one name per mAP column: the table header, the ModelSpec field and
+    # the map_field argument
+    header = data_path("fig10_models.csv").read_text().splitlines()[0].split(",")
+    assert tuple(header[-2:]) == MAP_FIELDS
+    assert set(MAP_FIELDS) <= {f.name for f in fields(ModelSpec)}
+
+
+def test_split_by_map_field_rejects_unknown_field():
+    spec = ModelSpec("x", "fw", 1.0, 1.0, map50=10.0, map5095=5.0)
+    assert [split_by_map_field([spec], f) for f in MAP_FIELDS] == [([spec], [])] * 2
+    for call in (split_by_map_field, pareto_frontier, lambda m, f: recommend(m, 10.0, f)):
+        with pytest.raises(ValueError, match="^unknown mAP field 'map_75'$"):
+            call([spec], "map_75")

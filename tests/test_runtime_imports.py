@@ -1,11 +1,13 @@
-"""The runtime package imports nothing outside the standard library, and
-every name it imports is used."""
+"""The runtime package and the test oracles import nothing outside the
+standard library (and the package), and every name the package imports is
+used."""
 
 import ast
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "percept_cane"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def absolute_imports(path: Path) -> list[tuple[int, str]]:
@@ -19,16 +21,27 @@ def absolute_imports(path: Path) -> list[tuple[int, str]]:
     return found
 
 
-def test_runtime_is_stdlib_only():
-    modules = sorted(SRC.glob("*.py"))
-    assert len(modules) > 1
-    outside = [
+def outside_stdlib(modules: list[Path]) -> list[str]:
+    """``path:line: name`` of every import from outside the standard
+    library and ``percept_cane``."""
+    return [
         f"{path.name}:{line}: {name}"
         for path in modules
         for line, name in absolute_imports(path)
         if name != "percept_cane" and name not in sys.stdlib_module_names
     ]
-    assert outside == []
+
+
+def test_runtime_is_stdlib_only():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 1
+    assert outside_stdlib(modules) == []
+
+
+def test_oracles_are_stdlib_only():
+    # the reference implementations need nothing the runtime does not
+    assert absolute_imports(ORACLES)
+    assert outside_stdlib([ORACLES]) == []
 
 
 def unused_imports(path: Path) -> list[str]:
