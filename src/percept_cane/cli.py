@@ -182,30 +182,30 @@ def _model_row(m: detector_lab.ModelSpec, map_field: str) -> str:
     return f"{csv_cell(m.display_name)},{m.gflops!r},{getattr(m, map_field)!r}"
 
 
-def _eligible_models(args) -> tuple[list, list]:
-    """The table's rows with and without a value for --map-field; the
-    table's name leads split_by_map_field's error."""
+def _eligible_models(args) -> list:
+    """The table's rows with a value for --map-field; the rows without one
+    are named in a note on stderr, and the table's name leads
+    split_by_map_field's error."""
     table = resolve_table(args.table, detector_lab.MODEL_TABLE_FILE)
     models = detector_lab.load_model_table(table)
     try:
-        return detector_lab.split_by_map_field(models, args.map_field)
+        eligible, excluded = detector_lab.split_by_map_field(models, args.map_field)
     except ValueError as exc:
         raise ValueError(f"{args.table or table.name}: {exc}") from None
-
-
-def _cmd_models_pareto(args) -> int:
-    eligible, excluded = _eligible_models(args)
-    front = detector_lab.pareto_frontier(eligible, args.map_field)
-    _write("".join(_model_row(m, args.map_field) + "\n" for m in front), args.out)
     if excluded:
         names = ", ".join(m.display_name for m in excluded)
         sys.stderr.write(f"note: excluded rows without {args.map_field}: {names}\n")
+    return eligible
+
+
+def _cmd_models_pareto(args) -> int:
+    front = detector_lab.pareto_frontier(_eligible_models(args), args.map_field)
+    _write("".join(_model_row(m, args.map_field) + "\n" for m in front), args.out)
     return EXIT_OK
 
 
 def _cmd_models_recommend(args) -> int:
-    eligible, _ = _eligible_models(args)
-    choice = detector_lab.recommend(eligible, args.budget, args.map_field)
+    choice = detector_lab.recommend(_eligible_models(args), args.budget, args.map_field)
     _write(_model_row(choice, args.map_field) + "\n", args.out)
     return EXIT_OK
 

@@ -13,6 +13,7 @@ by callers, never stored in the report.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -214,7 +215,30 @@ def load_scenario(path: str | Path) -> Scenario:
 
     Each valid event and box entry passes one inline test; an entry that
     fails it is re-checked by :mod:`checks`, so every message is the same
-    as when every entry is checked in full."""
+    as when every entry is checked in full.
+
+    The cyclic garbage collector is paused for one file load (the JSON
+    decode, the checks and the ``Scenario`` build), then left as the caller
+    had it, enabled or not. The pause is process-wide: other threads run
+    without collections while the file loads. It is safe because nothing
+    the load builds can form a reference cycle: the decoded JSON tree holds
+    only dicts, lists, strs and numbers, and the frozen ``Scenario``,
+    ``ScenarioEvent`` and ``Frame`` records built from it refer only
+    downward, to tuples, strs and floats, so reference counting frees all
+    of it. The decoded tree is freed with the helper's frame,
+    before the collector comes back on. With the collector on, a dense
+    walk's tens of thousands of containers set off dozens of collections
+    that free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_scenario(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_scenario(path: str | Path) -> Scenario:
     raw = checks.read_json(path)
     events: list[ScenarioEvent] = []
     try:

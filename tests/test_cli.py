@@ -98,6 +98,20 @@ def test_models_recommend_budget_too_small(capsys):
     assert out == ""
     assert "mobilenet-ssd" in err and "2.316" in err
 
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        (("models-pareto",), "".join(row + "\n" for row in FIG10_FRONTIER_ROWS)),
+        (("models-recommend", "--budget", "2.0"), "yolov5-lite@320,1.43,36.2\n"),
+    ],
+    ids=["models-pareto", "models-recommend"],
+)
+def test_model_commands_note_the_rows_they_leave_out(command, out, capsys):
+    code, got, err = run_cli(capsys, *command, "--table", "fig10_models.csv")
+    assert (code, got) == (0, out)
+    assert err == "note: excluded rows without map50: nanodet-m@320, nanodet-m@416\n"
+
 def test_models_eval(tmp_path, capsys):
     truths = tmp_path / "truths.csv"
     truths.write_text(

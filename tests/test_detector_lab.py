@@ -183,6 +183,16 @@ def test_ap_matches_assignment_oracle_sampled():
             assert average_precision(preds, truths, "obj", thr) == float(expected)
 
 
+def test_ap_iou_tie_goes_to_the_first_truth():
+    t0, t1 = BoundingBox(0.0, 0.0, 0.5, 0.5), BoundingBox(0.5, 0.0, 1.0, 0.5)
+    straddle = BoundingBox(0.25, 0.0, 0.75, 0.5)
+    assert iou(straddle, t0) == iou(straddle, t1) == pytest.approx(1 / 3)
+    # the straddling prediction takes t0, the earlier truth, and leaves t1
+    # for the exact hit; taking t1 would make the exact hit a duplicate
+    preds = [p("cat", 0.9, straddle), p("cat", 0.8, t1)]
+    assert average_precision(preds, [t("cat", t0), t("cat", t1)], "cat", 0.3) == 1.0
+
+
 def test_ap_matches_oracle_with_tied_confidences():
     rng = random.Random(9)
     cases = list(_fixture_family(max_preds=3, equal_conf=True))
