@@ -225,10 +225,10 @@ def load_scenario(path: str | Path) -> Scenario:
     only dicts, lists, strs and numbers, and the frozen ``Scenario``,
     ``ScenarioEvent`` and ``Frame`` records built from it refer only
     downward, to tuples, strs and floats, so reference counting frees all
-    of it. The decoded tree is freed with the helper's frame,
-    before the collector comes back on. With the collector on, a dense
-    walk's tens of thousands of containers set off dozens of collections
-    that free nothing."""
+    of it. The decoded tree is freed with the helper's frame, before the
+    collector comes back on. With the collector on, a dense walk's tens of
+    thousands of containers set off dozens of collections that free
+    nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:
