@@ -25,7 +25,11 @@ seconds of a timed pass, of a calibration run and of one scenario or
 input load, read from the summary lines ``run.py`` prints: reference
 seconds divide a pass or a load by the calibration, so a ``wall_s`` or
 ``setup_s`` verdict that host seconds contradict shows up as a
-calibration that moved.
+calibration that moved. The calibration line covers the passes' runs
+only; beside it stands the implied host calibration of the set-up,
+``setup_cal_s = reference x load_s / setup_s``. It is approximate,
+since ``setup_s`` is a median of per-load ratios, not a ratio of
+medians.
 ``--json PATH`` also writes that summary as one JSON object: the base and
 head revisions (head is ``HEAD``, flagged ``head_dirty`` when the working
 tree differs from it), the workload, the seeds, the failed run count, and
@@ -33,7 +37,7 @@ per metric its unit, direction, bound, each side's values, median and
 quartiles, the change's wins, the base IQR, the relative worse move
 (``worse_by``, negative when the change is better), ``outside_bound`` and
 ``unresolved``, and under ``host`` each side's per-run values and median
-of ``pass_s``, ``cal_s`` and ``load_s``.
+of ``pass_s``, ``cal_s``, ``load_s`` and ``setup_cal_s``.
 A run fails when it does not finish or reports ``correct: false`` (failed
 operations, or a problem such as a digest that does not match); the script
 prints each failed run's problems and exits 1 if any run failed. Stdlib
@@ -65,6 +69,9 @@ HOST_LINES = {
     "cal_s": re.compile(r"\s*calibration loop (\S+) host s"),
     "load_s": re.compile(r"\s*setup_s .*\(host (\S+) s\)"),
 }
+# the reference seconds a calibration run is scaled to
+CAL_REF = re.compile(r"\s*calibration loop .*\(reference (\S+) s\)")
+HOST_NAMES = (*HOST_LINES, "setup_cal_s")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -91,7 +98,7 @@ def run_side(root: Path, workload: str, seed: int) -> dict:
         problem = f"did not finish (exit code {proc.returncode})"
         return {"correct": False, "failed": 1, "metrics": {}, "problems": [problem]}
     result = json.loads(lines[-1])
-    result["host"] = host_times(lines)
+    result["host"] = host_times(lines, value(result["metrics"], "setup_s"))
     prefix = "problem: "
     result["problems"] = [
         line.removeprefix(prefix) for line in proc.stderr.splitlines() if line.startswith(prefix)
@@ -99,22 +106,29 @@ def run_side(root: Path, workload: str, seed: int) -> dict:
     return result
 
 
-def host_times(lines: list[str]) -> dict[str, float]:
-    """The host seconds of ``HOST_LINES`` found in a run's stdout lines."""
-    found = {}
+def host_times(lines: list[str], setup_s: float) -> dict[str, float]:
+    """The host seconds of ``HOST_LINES`` found in a run's stdout lines, and
+    ``setup_cal_s``, the set-up's implied host calibration, when the
+    reference, ``load_s`` and a positive ``setup_s`` (reference s) are known."""
+    found, ref = {}, None
     for line in lines:
         for name, pattern in HOST_LINES.items():
             match = pattern.match(line)
             if match:
                 found[name] = float(match.group(1))
+        match = CAL_REF.match(line)
+        if match:
+            ref = float(match.group(1))
+    if ref is not None and "load_s" in found and setup_s > 0:
+        found["setup_cal_s"] = ref * found["load_s"] / setup_s
     return found
 
 
 def host_medians(runs: list[dict]) -> dict[str, dict]:
-    """Per ``HOST_LINES`` name, each run's value (NaN when absent) and the
+    """Per ``HOST_NAMES`` name, each run's value (NaN when absent) and the
     median of those present (NaN when none is)."""
     out = {}
-    for name in HOST_LINES:
+    for name in HOST_NAMES:
         values = [r.get("host", {}).get(name, math.nan) for r in runs]
         present = [v for v in values if not math.isnan(v)]
         out[name] = {"values": values, "median": statistics.median(present) if present else math.nan}
@@ -230,10 +244,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, row in rows.items():
         print(summarize(name, row))
     host = {side: host_medians(runs[side]) for side in ("base", "change")}
-    for name in HOST_LINES:
+    for name in HOST_NAMES:
         b, c = host["base"][name]["median"], host["change"][name]["median"]
         ratio = c / b if b else math.nan
-        print(f"host {name:<7} base {b:.6g}  change {c:.6g}  ratio {ratio:.3f}  (median host s)")
+        note = "implied, " if name == "setup_cal_s" else ""
+        print(f"host {name:<7} base {b:.6g}  change {c:.6g}  ratio {ratio:.3f}  ({note}median host s)")
     if args.json:
         summary = {
             "base": git("rev-parse", args.base + "^{commit}").stdout.strip(),

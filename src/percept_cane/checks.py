@@ -42,6 +42,23 @@ def number(value: object, name: str) -> float:
     return x
 
 
+def check_number_cells(cells: Sequence[str], columns: Sequence[str]) -> None:
+    """Reject a CSV row whose number ``cells`` (named by ``columns``) hold an
+    underscore, which ``float()`` and ``int()`` read (``2_316`` is 2316) and
+    JSON does not. Only a row that fails one joined test is scanned per cell."""
+    if "_" in "".join(cells):
+        for column, cell in zip(columns, cells):
+            if "_" in cell:
+                raise ValueError(f"{column} must be a number, got {cell!r}")
+
+
+def check_name(text: str, field: str) -> None:
+    """Reject an empty or whitespace-padded name: a padded label would never
+    match its unpadded twin. Inner spaces are allowed."""
+    if not text or text.strip() != text:
+        raise ValueError(f"{field} must be non-empty without leading or trailing whitespace, got {text!r}")
+
+
 def typed(value: object, cls: type[T], name: str) -> T:
     """``value`` when its type is exactly ``cls``, so a bool is no int."""
     if type(value) is not cls:

@@ -29,7 +29,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import read_csv, require_finite_fields
+from .checks import check_name, check_number_cells, read_csv, require_finite_fields
 from .perception import BoundingBox
 
 MAP_RANGE_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
@@ -71,7 +71,8 @@ class TruthBox:
     box: BoundingBox
 
     def __post_init__(self) -> None:
-        _check_names(self.image_id, self.label)
+        check_name(self.image_id, "image_id")
+        check_name(self.label, "label")
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,8 @@ class PredictionBox:
     box: BoundingBox
 
     def __post_init__(self) -> None:
-        _check_names(self.image_id, self.label)
+        check_name(self.image_id, "image_id")
+        check_name(self.label, "label")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence out of [0,1]: {self.confidence}")
 
@@ -271,23 +273,13 @@ def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> flo
     return map50_and_range(preds, truths)[1]
 
 
-def _check_names(image_id: str, label: str) -> None:
-    """Reject an empty or whitespace-padded image id or label: a padded
-    label would never match its unpadded twin. Inner spaces are allowed."""
-    if image_id and label and image_id.strip() == image_id and label.strip() == label:
-        return
-    for field, text in (("image_id", image_id), ("label", label)):
-        if not text or text.strip() != text:
-            raise ValueError(
-                f"{field} must be non-empty without leading or trailing whitespace, got {text!r}"
-            )
-
-
 def _truth(r: list[str]) -> TruthBox:
+    check_number_cells(r[2:], TRUTH_FIELDS[2:])
     return TruthBox(r[0], r[1], BoundingBox(*map(float, r[2:])))
 
 
 def _prediction(r: list[str]) -> PredictionBox:
+    check_number_cells(r[2:], PRED_FIELDS[2:])
     return PredictionBox(r[0], r[1], float(r[2]), BoundingBox(*map(float, r[3:])))
 
 
@@ -316,6 +308,7 @@ class ModelSpec:
     size_mb: float | None = None
 
     def __post_init__(self) -> None:
+        check_name(self.name, "name")
         require_finite_fields(self)
         if not self.gflops > 0:
             raise ValueError(f"{self.name}: gflops must be positive")
@@ -337,17 +330,23 @@ class ModelSpec:
         return f"{self.name}@{self.input_size}"
 
 
+_SINGLE_MAP_COLUMNS = ("name", "framework", "gflops", "mparams", "map")
+_DUAL_MAP_COLUMNS = ("id", "name", "input_size", "gflops", "mparams", "size_mb", *MAP_FIELDS)
+
+
 def _opt_float(text: str) -> float | None:
     return None if text.strip() in ("", "-") else float(text)
 
 
 def _single_map_row(r: list[str]) -> ModelSpec:
+    check_number_cells(r[2:], _SINGLE_MAP_COLUMNS[2:])
     return ModelSpec(
         name=r[0], framework=r[1], gflops=float(r[2]), mparams=float(r[3]), map50=float(r[4])
     )
 
 
 def _dual_map_row(r: list[str]) -> ModelSpec:
+    check_number_cells(r[2:], _DUAL_MAP_COLUMNS[2:])
     return ModelSpec(
         name=r[1],
         framework="",
@@ -360,10 +359,7 @@ def _dual_map_row(r: list[str]) -> ModelSpec:
     )
 
 
-_MODEL_TABLE_LAYOUTS = {
-    ("name", "framework", "gflops", "mparams", "map"): _single_map_row,
-    ("id", "name", "input_size", "gflops", "mparams", "size_mb", *MAP_FIELDS): _dual_map_row,
-}
+_MODEL_TABLE_LAYOUTS = {_SINGLE_MAP_COLUMNS: _single_map_row, _DUAL_MAP_COLUMNS: _dual_map_row}
 
 
 def load_model_table(path: str | Path) -> list[ModelSpec]:

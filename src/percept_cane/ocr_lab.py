@@ -21,7 +21,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .checks import csv_cell, read_csv, read_text, require_finite_fields
+from .checks import check_name, check_number_cells, csv_cell, read_csv, read_text, require_finite_fields
 from .perception import BackendError, OcrBackend
 from .resources import data_path
 
@@ -69,6 +69,7 @@ class EngineProfile:
     speed_gpu_s: float
 
     def __post_init__(self) -> None:
+        check_name(self.engine_id, "engine_id")
         require_finite_fields(self)
         for rate in (self.error_rate_numbers, self.error_rate_alphabets):
             if not 0.0 <= rate <= 100.0:
@@ -92,7 +93,6 @@ class OcrReport:
     kind: SampleKind
     total: int
     mismatches: int
-    error_rate: float
     confusions: dict[tuple[str, str], int] = field(default_factory=dict)
     mean_speed_s: float = 0.0
 
@@ -101,6 +101,11 @@ class OcrReport:
             raise ValueError("total must be positive")
         if not 0 <= self.mismatches <= self.total:
             raise ValueError("mismatches out of range")
+
+    @property
+    def error_rate(self) -> float:
+        """Percentage of samples that mismatch."""
+        return 100.0 * self.mismatches / self.total
 
 
 def _check_words(words: Sequence[str], bad: Callable[[int, str], str], empty: str) -> None:
@@ -235,7 +240,6 @@ def score(pairs: Sequence[tuple[str, str]], kind: SampleKind) -> OcrReport:
         kind=kind,
         total=len(pairs),
         mismatches=mismatches,
-        error_rate=100.0 * mismatches / len(pairs),
         confusions=dict(confusions),
     )
 
@@ -299,7 +303,8 @@ _PROFILE_COLUMNS = ("engine", "err_numbers", "err_alphabets", "speed_cpu_s", "sp
 
 
 def _profile(r: list[str]) -> EngineProfile:
-    return EngineProfile(r[0].strip(), *map(float, r[1:]))
+    check_number_cells(r[1:], _PROFILE_COLUMNS[1:])
+    return EngineProfile(r[0], *map(float, r[1:]))
 
 
 def load_engine_profiles(path: str | Path) -> list[EngineProfile]:

@@ -1,13 +1,13 @@
-"""Frame model, backend interfaces, and deterministic mock backends.
+"""Frame model, the OCR backend interface, and deterministic mock backends.
 
 Frames are symbolic: ground-truth object labels and texts instead of
 pixels, so downstream metrics are exactly checkable. A backend returns what
-the device speaks: a detector the labels it found, an OCR backend the texts
-it read, each as a list of strings. Mock backends derive every random
-decision (dropped detections, character substitutions) from a sha256 hash
-of the seed and the item's identity, never from shared RNG state, so
-outputs are independent of call order and safe for concurrent read-only
-use.
+the device speaks: the one detector, :class:`MockDetector`, the labels it
+found, an :class:`OcrBackend` the texts it read, each as a list of
+strings. Mock backends derive every random decision (dropped detections,
+character substitutions) from a sha256 hash of the seed and the item's
+identity, never from shared RNG state, so outputs are independent of call
+order and safe for concurrent read-only use.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ def _cut(probability: float) -> bytes:
     return lo.to_bytes(8, "big")
 
 
-class DetectorBackend(Protocol):
-    backend_id: str
-
-    def detect(self, frame: Frame) -> list[str]: ...
-
-
 class OcrBackend(Protocol):
     backend_id: str
 
@@ -123,7 +117,6 @@ class OcrBackend(Protocol):
 class MockDetector:
     """Returns the frame's labels back, less seeded misses."""
 
-    backend_id = "mock"
     miss_prob: float = 0.0
     seed: int = 0
 
@@ -198,13 +191,11 @@ class MockOcr:
         return [self.transcribe(text, f"{frame_id}/{j}") for j, text in enumerate(frame.texts)]
 
 
-def detect(frame: Frame, backend: DetectorBackend) -> list[str]:
-    try:
-        return backend.detect(frame)
-    except BackendError:
-        raise
-    except Exception as exc:
-        raise BackendError(getattr(backend, "backend_id", "?"), str(exc)) from exc
+def detect(frame: Frame, detector: MockDetector) -> list[str]:
+    """``detector.detect(frame)``. It stays a module function only because
+    the benchmark's tracer (``perfbench/tracing.py``) wraps
+    ``perception.detect`` by name."""
+    return detector.detect(frame)
 
 
 def extract_text(frame: Frame, backend: OcrBackend) -> list[str]:

@@ -20,7 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import number, read_csv, require_finite_fields
+from .checks import check_number_cells, number, read_csv, require_finite_fields
 
 SENSOR_TIMINGS_FILE = "fig6_sensor_timings.csv"
 _INF = math.inf
@@ -170,12 +170,14 @@ def load_sensor_timings(path: str | Path) -> list[DistanceMeasurement]:
     timestamps are zero since the file carries none.
     """
     cfg = SensorConfig()
+    columns = ("distance_cm", "exec_time_s")
 
     def measurement(row: list[str]) -> DistanceMeasurement:
+        check_number_cells(row, columns)
         d, t = number(float(row[0]), "distance_cm"), number(float(row[1]), "exec_time_s")
         return DistanceMeasurement(d, t, in_range=cfg.min_range_cm <= d <= cfg.max_range_cm)
 
-    return read_csv(path, {("distance_cm", "exec_time_s"): measurement})
+    return read_csv(path, {columns: measurement})
 
 
 def sensor_bench_csv(samples: Iterable[DistanceMeasurement]) -> str:

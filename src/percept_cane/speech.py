@@ -6,11 +6,11 @@ modeled duration, ``base_per_char_s * len(text) / default_rate`` from the
 run's ``SpeechConfig``. A drain starts at the time it is given and returns
 the time its last message ended. Alerts outrank perception results,
 which outrank informational messages; within a priority class order is
-FIFO. The queue keeps one FIFO deque per priority class. It is bounded:
-when a message would overfill it, the newest message of the lowest
-non-empty class (the incoming one included) is popped into a drop report
-rather than raising, so every submitted message is accounted for either in
-the transcript or in that report.
+FIFO. The queue is one deque in that speaking order. It is bounded: when a
+message would overfill it, the right end, which is the newest message of
+the lowest non-empty class (the incoming one included), is popped into a
+drop report rather than raising, so every submitted message is accounted
+for either in the transcript or in that report.
 """
 
 from __future__ import annotations
@@ -91,50 +91,37 @@ class SpeechConfig:
 
 
 class SpeechQueue:
-    """Bounded priority queue; single consumer, any number of producers.
-
-    One FIFO deque per priority class, highest class first; the right end
-    of each deque holds its newest message.
-    """
+    """Bounded priority queue in one deque, in speaking order: by priority
+    class, then FIFO. Single consumer, any number of producers."""
 
     def __init__(self, capacity: int = 64):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.dropped: list[SpeechMessage] = []
-        self._classes: tuple[deque[SpeechMessage], ...] = tuple(deque() for _ in Priority)
-        self._len = 0
+        self._messages: deque[SpeechMessage] = deque()
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._messages)
 
     def submit(self, text: str, priority: Priority) -> None:
         """Build a message and enqueue it."""
-        self.enqueue(
-            SpeechMessage(text, priority if type(priority) is Priority else Priority(priority))
-        )
+        self.enqueue(SpeechMessage(text, priority if type(priority) is Priority else Priority(priority)))
 
     def enqueue(self, msg: SpeechMessage) -> None:
-        """Store a message, evicting per drop policy when full.
-
-        At capacity the lowest-priority newest message (incoming included)
-        is dropped and appended to ``dropped``, the queue's drop report.
-        """
-        self._classes[msg.priority].append(msg)
-        if self._len < self.capacity:
-            self._len += 1
-            return
-        for messages in reversed(self._classes):
-            if messages:
-                self.dropped.append(messages.pop())
-                return
+        """Insert a message after every message of its class or a higher one;
+        over capacity, pop the right end (the newest message of the lowest
+        class, incoming included) into ``dropped``, the drop report."""
+        messages, priority = self._messages, msg.priority
+        i = len(messages)
+        while i and messages[i - 1].priority > priority:
+            i -= 1
+        messages.insert(i, msg)
+        if len(messages) > self.capacity:
+            self.dropped.append(messages.pop())
 
     def dequeue_next(self) -> SpeechMessage | None:
-        for messages in self._classes:
-            if messages:
-                self._len -= 1
-                return messages.popleft()
-        return None
+        return self._messages.popleft() if self._messages else None
 
 
 def speak_all(

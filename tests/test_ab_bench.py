@@ -1,6 +1,7 @@
 """scripts/ab_bench.py counts a run that is not correct as failed, flags a
 metric whose median moves past its bound or whose base runs spread wider
-than it, and reports each side's median host pass and calibration seconds.
+than it, and reports each side's median host pass and calibration seconds
+and the set-up calibration they imply.
 
 git, the base extraction and the benchmark runs are stubbed, so only the
 script's own tally and report are under test.
@@ -152,9 +153,9 @@ sys.modules[_run_spec.name] = perfbench_run  # its dataclasses look their module
 _run_spec.loader.exec_module(perfbench_run)
 
 
-def _summary(pass_s: float, cal_s: float, load_s: float = 0.02) -> str:
+def _summary(pass_s: float, cal_s: float, load_s: float = 0.02, setup_s: float = 0.01) -> str:
     """A run's stdout, summary lines rendered by perfbench/run.py itself."""
-    metrics = {"setup_s": (0.01, "s"), "wall_s": (0.2, "s"), "items_per_s": (5.0, "1/s")}
+    metrics = {"setup_s": (setup_s, "s"), "wall_s": (0.2, "s"), "items_per_s": (5.0, "1/s")}
     metrics["peak_rss_mb"] = (30.0, "MB")
     report = dict(workload="ocr-bench", seed=3, passes=9, operations=4, items="samples")
     report.update(host_wall_s=(pass_s / 2, pass_s, pass_s * 2), host_setup_s=load_s, cal_s=cal_s)
@@ -209,3 +210,32 @@ def test_host_times_absent_read_as_nan(monkeypatch):
     for name in ("cal_s", "load_s"):
         absent = medians[name]
         assert all(math.isnan(v) for v in absent["values"]) and math.isnan(absent["median"])
+
+
+def test_setup_calibration_is_implied_from_load_and_setup_s(monkeypatch, capsys, tmp_path):
+    # run.py prints only the passes' calibration; the set-up's is the
+    # reference 0.04 s times host load_s over reference setup_s
+    _stub_git(monkeypatch)
+    loads = {
+        "base": [(0.090, 0.08), (0.100, 0.08), (0.094, 0.08)],
+        "change": [(0.100, 0.08), (0.104, 0.08), (0.090, 0.06)],
+    }
+    calls = []
+
+    def fake_run(cmd, cwd, **kw):
+        side = "change" if Path(cwd) == ab_bench.ROOT else "base"
+        calls.append(side)
+        load_s, setup_s = loads[side][sum(s == side for s in calls) - 1]
+        return subprocess.CompletedProcess(cmd, 0, _summary(0.3, 0.05, load_s, setup_s), "")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    summary = tmp_path / "summary.json"
+    argv = ["--base", "base", "--workload", "replay-dense", "--seeds", "1-3", "--json", str(summary)]
+    assert ab_bench.main(argv) == 0
+    host = json.loads(summary.read_text())["host"]
+    assert host["base"]["setup_cal_s"]["values"] == pytest.approx([0.045, 0.050, 0.047])
+    assert host["change"]["setup_cal_s"]["values"] == pytest.approx([0.050, 0.052, 0.060])
+    assert host["base"]["setup_cal_s"]["median"] == pytest.approx(0.047)
+    assert host["change"]["setup_cal_s"]["median"] == pytest.approx(0.052)
+    out = capsys.readouterr().out
+    assert "host setup_cal_s base 0.047  change 0.052  ratio 1.106  (implied, median host s)" in out

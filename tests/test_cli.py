@@ -647,6 +647,58 @@ BAD_TABLES = {
         _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,1.8,-,20.6\n",
         ": no row has a map50 value",
     ),
+    # float() and int() read an underscore between digits; CSV number cells may not hold one
+    "truths-underscore-number": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,cat,0.1,0.1,0.5,0.5_0\n",
+        ":2: y_max must be a number, got '0.5_0'",
+    ),
+    "preds-underscore-number": (
+        ("models-eval", "--truths", "TRUTHS", "--preds", "{}"),
+        b"img1,cat,0.9_0,0.1,0.1,0.5,0.5\n",
+        ":1: confidence must be a number, got '0.9_0'",
+    ),
+    "models-underscore-gflops": (
+        ("models-pareto", "--table", "{}"),
+        b"name,framework,gflops,mparams,map\nssd,tf,2_316,4.0,70.0\n",
+        ":2: gflops must be a number, got '2_316'",
+    ),
+    "models-underscore-input-size": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1,nano,3_20,0.72,0.95,1.8,-,20.6\n",
+        ":2: input_size must be a number, got '3_20'",
+    ),
+    "profiles-underscore-number": (
+        ("ocr-route", "--kind", "alphabets", "--compute", "cpu", "--policy", "accuracy", "--profiles", "{}"),
+        b"engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\ntesseract,5_5,0.7,0.3,0.25\n",
+        ":2: err_numbers must be a number, got '5_5'",
+    ),
+    "sensor-underscore-number": (
+        ("sensor-bench", "--table", "{}"),
+        b"distance_cm,exec_time_s\n5_0,0.001\n",
+        ":2: distance_cm must be a number, got '5_0'",
+    ),
+    # a name is non-empty without leading or trailing whitespace
+    "models-empty-name": (
+        ("models-pareto", "--table", "{}"),
+        b"name,framework,gflops,mparams,map\n,tf,1.0,4.0,50.0\n",
+        ":2: name must be non-empty without leading or trailing whitespace, got ''",
+    ),
+    "models-padded-name": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1, nano,320,0.72,0.95,1.8,-,20.6\n",
+        ":2: name must be non-empty without leading or trailing whitespace, got ' nano'",
+    ),
+    "profiles-blank-engine": (
+        ("ocr-route", "--kind", "alphabets", "--compute", "cpu", "--policy", "accuracy", "--profiles", "{}"),
+        b"engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\ntesseract,5.5,0.7,0.3,0.25\n,1.9,0.1,0.82,0.07\n",
+        ":3: engine_id must be non-empty without leading or trailing whitespace, got ''",
+    ),
+    "profiles-padded-engine": (
+        ("ocr-route", "--kind", "alphabets", "--compute", "cpu", "--policy", "accuracy", "--profiles", "{}"),
+        b"engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n tesseract,5.5,0.7,0.3,0.25\n",
+        ":2: engine_id must be non-empty without leading or trailing whitespace, got ' tesseract'",
+    ),
     "pairs-wrong-kind": (
         ("ocr-score", "{}", "--kind", "numbers"),
         b"truth,output\nabc,abc\n",
@@ -698,7 +750,10 @@ def test_bad_table_names_path_and_line(case, tmp_path, capsys):
     path.write_bytes(content)
     preds = tmp_path / "preds.csv"
     preds.write_text("img1,cat,0.9,0.1,0.1,0.5,0.5\n")
-    argv = [str(path) if a == "{}" else str(preds) if a == "PREDS" else a for a in argv]
+    truths = tmp_path / "truths.csv"
+    truths.write_text("img1,cat,0.1,0.1,0.5,0.5\n")
+    others = {"{}": str(path), "PREDS": str(preds), "TRUTHS": str(truths)}
+    argv = [others.get(a, a) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}{message}")

@@ -650,3 +650,12 @@ def test_split_by_map_field_rejects_unknown_field():
     for call in (split_by_map_field, pareto_frontier, lambda m, f: recommend(m, 10.0, f)):
         with pytest.raises(ValueError, match="^unknown mAP field 'map_75'$"):
             call([spec], "map_75")
+
+
+@pytest.mark.parametrize("name", ["", " ", "nano ", " nano"])
+def test_model_spec_rejects_empty_or_padded_name(name):
+    # the dual layout leaves framework empty, so only the name is held to the rule
+    message = f"^name must be non-empty without leading or trailing whitespace, got {name!r}$"
+    with pytest.raises(ValueError, match=message):
+        ModelSpec(name, "", 1.0, 1.0, map50=10.0)
+    assert ModelSpec("yolo nano", "", 1.0, 1.0).name == "yolo nano"

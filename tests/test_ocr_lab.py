@@ -335,7 +335,6 @@ def test_report_round_trip_exports():
         kind=SampleKind.ALPHABETS,
         total=10,
         mismatches=2,
-        error_rate=20.0,
         confusions={("t", "r"): 2, ("l", "i"): 1},
         mean_speed_s=0.125,
     )
@@ -359,12 +358,29 @@ def test_report_csv_quotes_confusions_from_input():
     assert len(row) == 6 and row[4] == 'b>\n:1;b>\r:1;b>":1'
     # the mock engines' confusions stay plain bytes
     plain = {("t", "r"): 1, ("l", "i"): 1, ("h", "n"): 1, ("f", "t"): 1, ("d", "a"): 1, (".", "_"): 1}
-    report = OcrReport(SampleKind.NUMBERS, 6, 6, 100.0, plain, 0.0)
+    report = OcrReport(SampleKind.NUMBERS, 6, 6, plain, 0.0)
     assert report_to_csv(report).splitlines()[1] == "numbers,6,6,100.0,.>_:1;d>a:1;f>t:1;h>n:1;l>i:1;t>r:1,0.0"
 
 
 def test_report_invariants():
     with pytest.raises(ValueError):
-        OcrReport(kind=SampleKind.NUMBERS, total=0, mismatches=0, error_rate=0.0)
+        OcrReport(kind=SampleKind.NUMBERS, total=0, mismatches=0)
     with pytest.raises(ValueError):
-        OcrReport(kind=SampleKind.NUMBERS, total=5, mismatches=6, error_rate=0.0)
+        OcrReport(kind=SampleKind.NUMBERS, total=5, mismatches=6)
+
+
+def test_report_error_rate_is_derived_from_its_counts():
+    # a stored rate could disagree with the counts it summarizes
+    report = OcrReport(kind=SampleKind.NUMBERS, total=10, mismatches=1)
+    assert report.error_rate == 10.0
+    assert report_to_csv(report).splitlines()[1] == "numbers,10,1,10.0,,0.0"
+    with pytest.raises(TypeError):
+        OcrReport(kind=SampleKind.NUMBERS, total=10, mismatches=1, error_rate=99.0)
+
+
+@pytest.mark.parametrize("engine_id", ["", "  ", "tesseract ", " easyocr"])
+def test_engine_profile_rejects_empty_or_padded_engine_id(engine_id):
+    # routing returns the id as the answer, so a blank or padded one would print as such
+    message = f"^engine_id must be non-empty without leading or trailing whitespace, got {engine_id!r}$"
+    with pytest.raises(ValueError, match=message):
+        EngineProfile(engine_id, 5.5, 0.7, 0.3, 0.25)

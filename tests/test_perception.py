@@ -213,28 +213,20 @@ def test_backend_error_wrapping():
     class Exploding:
         backend_id = "boom"
 
-        def detect(self, frame):
-            raise RuntimeError("no camera")
-
         def extract(self, frame):
             raise RuntimeError("no lens")
 
     with pytest.raises(BackendError) as info:
-        detect(Frame("f0"), Exploding())
-    assert "boom" in str(info.value)
-    with pytest.raises(BackendError):
         extract_text(Frame("f0"), Exploding())
+    assert "boom" in str(info.value)
 
 
-@pytest.mark.parametrize("call", [detect, extract_text], ids=["detect", "extract_text"])
+@pytest.mark.parametrize("call", [extract_text], ids=["extract_text"])
 def test_backend_error_passes_through_unwrapped(call):
     err = BackendError("inner", "lens cap on")
 
     class Failing:
         backend_id = "outer"
-
-        def detect(self, frame):
-            raise err
 
         def extract(self, frame):
             raise err
@@ -279,7 +271,6 @@ def test_load_class_vocabulary_errors(tmp_path):
 
 
 def test_backend_registry():
-    assert MockDetector().backend_id == "mock"
     assert build_ocr("mock-tesseract").backend_id == "mock-tesseract"
     assert build_ocr("mock-easyocr").backend_id == "mock-easyocr"
     with pytest.raises(ValueError):
