@@ -274,12 +274,12 @@ def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> flo
 
 
 def _truth(r: list[str]) -> TruthBox:
-    check_number_cells(r[2:], TRUTH_FIELDS[2:])
+    check_number_cells(r, TRUTH_FIELDS, 2)
     return TruthBox(r[0], r[1], BoundingBox(*map(float, r[2:])))
 
 
 def _prediction(r: list[str]) -> PredictionBox:
-    check_number_cells(r[2:], PRED_FIELDS[2:])
+    check_number_cells(r, PRED_FIELDS, 2)
     return PredictionBox(r[0], r[1], float(r[2]), BoundingBox(*map(float, r[3:])))
 
 
@@ -339,14 +339,14 @@ def _opt_float(text: str) -> float | None:
 
 
 def _single_map_row(r: list[str]) -> ModelSpec:
-    check_number_cells(r[2:], _SINGLE_MAP_COLUMNS[2:])
+    check_number_cells(r, _SINGLE_MAP_COLUMNS, 2)
     return ModelSpec(
         name=r[0], framework=r[1], gflops=float(r[2]), mparams=float(r[3]), map50=float(r[4])
     )
 
 
 def _dual_map_row(r: list[str]) -> ModelSpec:
-    check_number_cells(r[2:], _DUAL_MAP_COLUMNS[2:])
+    check_number_cells(r, _DUAL_MAP_COLUMNS, 2)
     return ModelSpec(
         name=r[1],
         framework="",

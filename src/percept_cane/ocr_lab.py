@@ -303,7 +303,7 @@ _PROFILE_COLUMNS = ("engine", "err_numbers", "err_alphabets", "speed_cpu_s", "sp
 
 
 def _profile(r: list[str]) -> EngineProfile:
-    check_number_cells(r[1:], _PROFILE_COLUMNS[1:])
+    check_number_cells(r, _PROFILE_COLUMNS, 1)
     return EngineProfile(r[0], *map(float, r[1:]))
 
 

@@ -459,6 +459,17 @@ def test_records_keep_inner_spaces_in_labels(tmp_path):
     assert load_predictions(preds_file)[0].image_id == "img 1"
 
 
+def test_names_may_hold_underscores_but_number_cells_may_not(tmp_path):
+    # an underscore in a name sends the row to the per-cell scan, which
+    # passes its numbers and still catches one in a number cell
+    truths_file = tmp_path / "t.csv"
+    truths_file.write_text("img_1,traffic_light,0.1,0.2,0.3,0.4\n")
+    assert load_truths(truths_file)[0].image_id == "img_1"
+    truths_file.write_text("img_1,traffic_light,0.1,0.2,0.3,0.4_0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{truths_file}:1: ')}y_max must be a number, got '0.4_0'$"):
+        load_truths(truths_file)
+
+
 # -- model tables ------------------------------------------------------
 
 
