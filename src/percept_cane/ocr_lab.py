@@ -17,11 +17,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .checks import check_name, check_number_cells, csv_cell, read_csv, read_text, require_finite_fields
+from .checks import LINE_BREAK_OR_TAB, check_name, check_number_cells, csv_cell, read_csv, read_text, require_finite_fields
 from .perception import BackendError, OcrBackend
 from .resources import data_path
 
@@ -70,6 +69,9 @@ class EngineProfile:
 
     def __post_init__(self) -> None:
         check_name(self.engine_id, "engine_id")
+        # ocr-route prints the id as its one output line
+        if LINE_BREAK_OR_TAB.search(self.engine_id):
+            raise ValueError("engine_id must be one line without tabs")
         require_finite_fields(self)
         for rate in (self.error_rate_numbers, self.error_rate_alphabets):
             if not 0.0 <= rate <= 100.0:
@@ -129,15 +131,10 @@ def load_wordlist(path: str | Path | None = None) -> list[str]:
     return words
 
 
-def _below(getrandbits: Callable[[int], int], n: int) -> Iterator[int]:
-    """Endless ``randrange(n)`` draws: the rejection loop of CPython's
-    ``Random._randbelow``, so each value equals what ``Random.choice`` and
-    ``Random.randrange`` would draw from the same generator state."""
-    k = n.bit_length()
-    while True:
-        r = getrandbits(k)
-        if r < n:
-            yield r
+# Zero-padded digit strings. A numbers truth and a sample id are joined
+# from them: a format spec with a width costs more than the joins.
+_DIGITS3 = tuple(f"{i:03d}" for i in range(1000))
+_DIGITS2 = tuple(f"{i:02d}" for i in range(100))
 
 
 def generate_samples(
@@ -149,30 +146,60 @@ def generate_samples(
     """Deterministic benchmark corpus for one sample kind: the truths, in
     the order of their ids (:func:`sample_ids`).
 
-    Numbers follow the fixed NNNNN.NN shape; alphabets are two words drawn
-    from ``words`` (default: the bundled wordlist), every one of which must
-    have the alphabets truth shape, drawn or not. Each value is the one
-    ``randrange`` would draw next from ``random.Random(seed)``.
+    Numbers follow the fixed NNNNN.NN shape, joined from the zero-padded
+    digit tables; alphabets are two words drawn from ``words`` (default:
+    the bundled wordlist), every one of which must have the alphabets truth
+    shape, drawn or not. Each draw is the rejection loop of CPython's
+    ``Random._randbelow`` written inline, ``getrandbits(k)`` until the value
+    is below the bound, so each value is the one ``randrange`` (or
+    ``choice``) would draw next from ``random.Random(seed)``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     kind = SampleKind(kind)
     getrandbits = random.Random(seed).getrandbits
+    truths: list[str] = []
+    append = truths.append
     if kind is SampleKind.NUMBERS:
-        draws = zip(_below(getrandbits, 100000), _below(getrandbits, 100))
-        return [f"{a:05d}.{b:02d}" for a, b in islice(draws, n)]
+        digits3, digits2 = _DIGITS3, _DIGITS2
+        for _ in range(n):
+            a = getrandbits(17)  # (100000).bit_length()
+            while a >= 100000:
+                a = getrandbits(17)
+            b = getrandbits(7)  # (100).bit_length()
+            while b >= 100:
+                b = getrandbits(7)
+            append(f"{digits3[a // 100]}{digits2[a % 100]}.{digits2[b]}")
+        return truths
     if words is None:
         words = load_wordlist()
     _check_words(words, lambda i, w: f"words[{i}]: bad word {w!r}", "words: empty")
-    index = _below(getrandbits, len(words))
-    return [f"{words[a]} {words[b]}" for a, b in islice(zip(index, index), n)]
+    m = len(words)
+    k = m.bit_length()
+    for _ in range(n):
+        a = getrandbits(k)
+        while a >= m:
+            a = getrandbits(k)
+        b = getrandbits(k)
+        while b >= m:
+            b = getrandbits(k)
+        append(f"{words[a]} {words[b]}")
+    return truths
 
 
 def sample_ids(kind: SampleKind, n: int) -> list[str]:
-    """The ids of a corpus's first ``n`` samples, ``f"{kind}-{index:05d}"``."""
-    prefix = SampleKind(kind).value
-    # str.zfill(5) is format spec 05d for i >= 0, at half the cost
-    return [f"{prefix}-{str(i).zfill(5)}" for i in range(n)]
+    """The ids of a corpus's first ``n`` samples, ``f"{kind}-{index:05d}"``.
+
+    Built from the digit tables a hundreds block at a time: each block's
+    head (``_DIGITS3[h]``, or ``str(h)`` from block 1000 on, whose indices
+    have six or more digits) is followed by every ``_DIGITS2`` tail, and
+    the list is cut at ``n``.
+    """
+    prefix = f"{SampleKind(kind).value}-"
+    heads = [prefix + (_DIGITS3[h] if h < 1000 else str(h)) for h in range(-(-n // 100))]
+    ids = [head + tail for head in heads for tail in _DIGITS2]
+    del ids[n:]
+    return ids
 
 
 def align_confusions(truth: str, output: str) -> Counter[tuple[str, str]]:
@@ -288,8 +315,8 @@ def run_benchmark(
     append = pairs.append
     t0 = time.perf_counter()
     try:
-        for i, truth in enumerate(truths):
-            append((truth, transcribe(truth, key=ids[i])))
+        for truth, key in zip(truths, ids):
+            append((truth, transcribe(truth, key)))
     except BackendError as exc:
         raise BackendError(exc.backend_id, f"{ids[len(pairs)]}: {exc.cause}") from exc
     except Exception as exc:

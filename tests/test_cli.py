@@ -265,8 +265,8 @@ def test_models_pareto_non_numeric_gflops_names_line(tmp_path, capsys):
             ":2: speed_cpu_s must be finite, got nan",
         ),
         (
-            "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
-            '"tess\nact",5.5,0.7,0.3,0.25\neasyocr,1.9,fast,0.82,0.07\n',
+            "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s,note\n"
+            'tesseract,5.5,0.7,0.3,0.25,"two\nlines"\neasyocr,1.9,fast,0.82,0.07,\n',
             ":4: could not convert string to float: 'fast'",
         ),
         (
@@ -698,6 +698,17 @@ BAD_TABLES = {
         ("ocr-route", "--kind", "alphabets", "--compute", "cpu", "--policy", "accuracy", "--profiles", "{}"),
         b"engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n tesseract,5.5,0.7,0.3,0.25\n",
         ":2: engine_id must be non-empty without leading or trailing whitespace, got ' tesseract'",
+    ),
+    "profiles-engine-line-break": (
+        ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed", "--profiles", "{}"),
+        b'engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"fast\nengine",1.9,0.1,0.02,0.07\n'
+        b"tesseract,5.5,0.7,0.3,0.25\n",
+        ":3: engine_id must be one line without tabs",
+    ),
+    "profiles-engine-tab": (
+        ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed", "--profiles", "{}"),
+        b"engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\nfast\tengine,1.9,0.1,0.02,0.07\n",
+        ":2: engine_id must be one line without tabs",
     ),
     "pairs-wrong-kind": (
         ("ocr-score", "{}", "--kind", "numbers"),

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import dp_align_confusions
 from percept_cane.ocr_lab import (
+    _DIGITS2,
+    _DIGITS3,
     ENGINE_PROFILES_FILE,
     Compute,
     EngineProfile,
@@ -84,6 +86,23 @@ def test_generated_corpus_is_pinned(kind, seed):
     truths = generate_samples(SampleKind(kind), 2000, seed=seed)
     listing = "\n".join(f"{i},{t}" for i, t in zip(sample_ids(SampleKind(kind), 2000), truths))
     assert hashlib.sha256(listing.encode()).hexdigest() == CORPUS_SHA256[kind, seed]
+
+
+@pytest.mark.parametrize("kind", list(SampleKind))
+@pytest.mark.parametrize("n", [1, 99, 100, 101, 99_999, 100_000, 100_001, 100_150])
+def test_sample_ids_across_block_and_digit_count_boundaries(kind, n):
+    """Ids are built a hundreds block at a time and cut at ``n``; from index
+    100000 on they have six digits."""
+    assert sample_ids(kind, n) == [f"{kind.value}-{i:05d}" for i in range(n)]
+
+
+def test_digit_tables_render_every_zero_padding_shape():
+    """The five digits of a numbers truth, for every value the draw can
+    make: the corpus oracle rarely draws a value below 100."""
+    assert [_DIGITS3[a // 100] + _DIGITS2[a % 100] for a in range(100000)] == [
+        f"{a:05d}" for a in range(100000)
+    ]
+    assert list(_DIGITS2) == [f"{b:02d}" for b in range(100)]
 
 
 def _words(count: int) -> list[str]:
