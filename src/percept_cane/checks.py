@@ -27,6 +27,8 @@ _TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an obj
 # forge a line or a cell of the tab-separated transcript
 LINE_BREAK_OR_TAB = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
 _CSV_QUOTED = re.compile('[,"\r\n]')
+# one line each, as a csv.reader over newline="" text counts them
+_CSV_LINE_BREAK = re.compile("\r\n|\r|\n")
 
 
 def number(value: object, name: str) -> float:
@@ -144,14 +146,19 @@ def read_csv(path: str | Path, layouts: Mapping[tuple[str, ...], Callable[[list[
     naming the one layout's columns in any order among others; ``"exact"``, a
     required header equal to one layout's columns; ``"optional"``, a header
     when its first cell is the one layout's first column name. Rows must be as
-    wide as the header (else the layout). Every error is located at the
-    physical line the row ends on. No records is an error unless ``allow_empty``.
+    wide as the header (else the layout). An error in a row is located at the
+    physical line where its record starts; an error in reading the next
+    record (a ``csv.Error``, such as an unclosed quote or text after a
+    closing quote) at the line where reading stopped. No records is an error
+    unless ``allow_empty``.
     """
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    # strict: a quote left open at the end of the file is an error, not a
+    # cell that swallows the rest of it and its own record's line break
+    reader = csv.reader(io.StringIO(read_text(path), newline=""), strict=True)
     records: list[T] = []
     try:
         rows = filter(None, reader)  # a blank line reads as []
-        first = next(rows, None)
+        first = row = next(rows, None)
         cells = tuple(c.strip() for c in first or ())
         if header == "exact" and cells not in layouts:
             raise ValueError(f"unrecognized header {list(cells)}")
@@ -168,8 +175,11 @@ def read_csv(path: str | Path, layouts: Mapping[tuple[str, ...], Callable[[list[
             if len(row) != width:
                 raise ValueError(f"expected {width} fields" + ("" if pick else f", got {len(row)}"))
             records.append(parse([row[i] for i in pick] if pick else row))
-    except (csv.Error, ValueError) as exc:
+    except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc
+    except ValueError as exc:  # ``row`` was read whole: back up over its line breaks
+        line = reader.line_num - len(_CSV_LINE_BREAK.findall(",".join(row or ())))
+        raise ValueError(f"{path}:{line or 1}: {exc}") from exc
     if not records and not allow_empty:
         raise ValueError(f"{path}: no data rows")
     return records

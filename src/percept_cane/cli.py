@@ -2,11 +2,12 @@
 
 Subcommands cover the runtime (scenario replay, sensor bench) and the lab
 (model selection, detection metrics, OCR corpus/scoring/routing/bench).
-Data output goes to --out ("-" for standard output) as UTF-8 whatever the
-locale, and is byte-stable for a given argv and input files. Wall-clock
-numbers appear only on request: run --verbose writes the wall time to
-standard error, and ocr-bench --timing puts the measured mean_speed_s in
-the report it writes to --out, which is then no longer byte-stable.
+Each subcommand returns its output text, and ``main`` alone writes it to
+--out ("-" for standard output) as UTF-8 whatever the locale and picks the
+exit code. The output is byte-stable for a given argv and input files.
+Wall-clock numbers appear only on request: run --verbose writes the wall
+time to standard error, and ocr-bench --timing puts the measured
+mean_speed_s in the report, which is then no longer byte-stable.
 
 Exit codes: 0 success, 1 bad input (usage, missing file, validation),
 2 runtime failure (backend errors, unexpected exceptions).
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> str:
     cfg = pipeline.load_config(args.config) if args.config else pipeline.PipelineConfig()
     scenario = pipeline.load_scenario(args.scenario)
     t0 = time.perf_counter()
@@ -160,22 +161,19 @@ def _cmd_run(args) -> int:
     else:
         report_text = pipeline.run_report_to_csv(result.report)
     transcript = result.transcript.render() if args.print_transcript or args.transcript else ""
-    body = transcript + report_text if args.print_transcript else report_text
     # the files first: a failing standard output must not leave them unwritten
     if args.transcript:
         Path(args.transcript).write_text(transcript, encoding="utf-8")
     if args.log:
         Path(args.log).write_text(result.log.render(), encoding="utf-8")
-    _write(body, args.out)
     if args.verbose:
         sys.stderr.write(f"wall time: {wall_s * 1000:.1f} ms\n")
-    return EXIT_OK
+    return transcript + report_text if args.print_transcript else report_text
 
 
-def _cmd_sensor_bench(args) -> int:
+def _cmd_sensor_bench(args) -> str:
     samples = sensor.load_sensor_timings(resolve_table(args.table, sensor.SENSOR_TIMINGS_FILE))
-    _write(sensor.sensor_bench_csv(samples), args.out)
-    return EXIT_OK
+    return sensor.sensor_bench_csv(samples)
 
 
 def _model_row(m: detector_lab.ModelSpec, map_field: str) -> str:
@@ -198,66 +196,52 @@ def _eligible_models(args) -> list:
     return eligible
 
 
-def _cmd_models_pareto(args) -> int:
+def _cmd_models_pareto(args) -> str:
     front = detector_lab.pareto_frontier(_eligible_models(args), args.map_field)
-    _write("".join(_model_row(m, args.map_field) + "\n" for m in front), args.out)
-    return EXIT_OK
+    return "".join(_model_row(m, args.map_field) + "\n" for m in front)
 
 
-def _cmd_models_recommend(args) -> int:
+def _cmd_models_recommend(args) -> str:
     choice = detector_lab.recommend(_eligible_models(args), args.budget, args.map_field)
-    _write(_model_row(choice, args.map_field) + "\n", args.out)
-    return EXIT_OK
+    return _model_row(choice, args.map_field) + "\n"
 
 
-def _cmd_models_eval(args) -> int:
+def _cmd_models_eval(args) -> str:
     truths = detector_lab.load_truths(args.truths)
     preds = detector_lab.load_predictions(args.preds)
     map50, map5095 = detector_lab.map50_and_range(preds, truths)
-    _write(f"map50,{map50!r}\nmap5095,{map5095!r}\n", args.out)
-    return EXIT_OK
+    return f"map50,{map50!r}\nmap5095,{map5095!r}\n"
 
 
-def _cmd_ocr_gen(args) -> int:
+def _cmd_ocr_gen(args) -> str:
     kind = ocr_lab.SampleKind(args.kind)
     truths = ocr_lab.generate_samples(kind, args.n, args.seed)
     lines = ["sample_id,kind,truth"]
     lines.extend(f"{i},{kind.value},{t}" for i, t in zip(ocr_lab.sample_ids(kind, args.n), truths))
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_ocr_score(args) -> int:
+def _cmd_ocr_score(args) -> str:
     kind = ocr_lab.SampleKind(args.kind)
     report = ocr_lab.score(ocr_lab.load_pairs(args.pairs, kind), kind)
-    text = (
-        ocr_lab.report_to_json(report)
-        if args.format == "json"
-        else ocr_lab.report_to_csv(report)
-    )
-    _write(text, args.out)
-    return EXIT_OK
+    if args.format == "json":
+        return ocr_lab.report_to_json(report)
+    return ocr_lab.report_to_csv(report)
 
 
-def _cmd_ocr_route(args) -> int:
+def _cmd_ocr_route(args) -> str:
     profiles = ocr_lab.load_engine_profiles(
         resolve_table(args.profiles, ocr_lab.ENGINE_PROFILES_FILE)
     )
-    engine = ocr_lab.route(args.kind, args.compute, args.policy, profiles)
-    _write(engine + "\n", args.out)
-    return EXIT_OK
+    return ocr_lab.route(args.kind, args.compute, args.policy, profiles) + "\n"
 
 
-def _cmd_ocr_bench(args) -> int:
+def _cmd_ocr_bench(args) -> str:
     backend = build_ocr(args.engine, seed=args.seed)
     report = ocr_lab.run_benchmark(args.kind, args.n, backend, args.seed)
-    text = (
-        ocr_lab.report_to_json(report, include_speed=args.timing)
-        if args.format == "json"
-        else ocr_lab.report_to_csv(report, include_speed=args.timing)
-    )
-    _write(text, args.out)
-    return EXIT_OK
+    if args.format == "json":
+        return ocr_lab.report_to_json(report, include_speed=args.timing)
+    return ocr_lab.report_to_csv(report, include_speed=args.timing)
 
 
 _HANDLERS = {
@@ -280,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        _write(_HANDLERS[args.command](args), args.out)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -290,6 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - safety net
         sys.stderr.write(f"unexpected error: {exc}\n")
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -26,6 +26,9 @@ from .resources import data_path
 
 WORDLIST_FILE = "wordlist.txt"
 ENGINE_PROFILES_FILE = "engine_profiles.csv"
+# Upper bound on a corpus's sample count, checked before anything is
+# allocated; the benchmark corpus has 8,000 samples.
+MAX_SAMPLES = 1_000_000
 
 
 class SampleKind(str, Enum):
@@ -156,6 +159,8 @@ def generate_samples(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"n must be at most {MAX_SAMPLES}")
     kind = SampleKind(kind)
     getrandbits = random.Random(seed).getrandbits
     truths: list[str] = []
@@ -195,6 +200,8 @@ def sample_ids(kind: SampleKind, n: int) -> list[str]:
     have six or more digits) is followed by every ``_DIGITS2`` tail, and
     the list is cut at ``n``.
     """
+    if n > MAX_SAMPLES:
+        raise ValueError(f"n must be at most {MAX_SAMPLES}")
     prefix = f"{SampleKind(kind).value}-"
     heads = [prefix + (_DIGITS3[h] if h < 1000 else str(h)) for h in range(-(-n // 100))]
     ids = [head + tail for head in heads for tail in _DIGITS2]

@@ -587,6 +587,24 @@ BAD_TABLES = {
         _TRUTHS_HEADER + b'img1,"c\nat",0.1,0.1,0.5,0.5\nimg1,dog,0.1,abc,0.5,0.5\n',
         ":4: could not convert string to float: 'abc'",
     ),
+    "truths-multi-line-record-after-blank-line": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b'\nimg1,"c\nat",0.1,abc,0.5,0.5\n',
+        ":3: could not convert string to float: 'abc'",
+    ),
+    # CR LF is one line break, as is a lone CR
+    "truths-crlf-and-cr-in-record": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b'img1,"c\r\na\rt",0.1,abc,0.5,0.5\n',
+        ":2: could not convert string to float: 'abc'",
+    ),
+    # a record that cannot be read names the line where reading stopped,
+    # not the start of the record before it
+    "truths-over-limit-field-after-multi-line-record": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b'img1,"c\nat",0.1,0.1,0.5,0.5\nimg1,' + b"x" * 131073 + b",0.1,0.1,0.5,0.5\n",
+        ":4: field larger than field limit (131072)",
+    ),
     "truths-empty-label": (
         ("models-eval", "--truths", "{}", "--preds", "PREDS"),
         _TRUTHS_HEADER + b"img1,,0.1,0.1,0.5,0.5\n,cat,0.1,0.1,0.5,0.5\n",
@@ -703,7 +721,13 @@ BAD_TABLES = {
         ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed", "--profiles", "{}"),
         b'engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"fast\nengine",1.9,0.1,0.02,0.07\n'
         b"tesseract,5.5,0.7,0.3,0.25\n",
-        ":3: engine_id must be one line without tabs",
+        ":2: engine_id must be one line without tabs",
+    ),
+    # a row's error names the line where its record starts, whatever its cells span
+    "profiles-record-spanning-a-blank-line": (
+        ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed", "--profiles", "{}"),
+        b'engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"fast\n\nengine",1,1,1,abc\n',
+        ":2: could not convert string to float: 'abc'",
     ),
     "profiles-engine-tab": (
         ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed", "--profiles", "{}"),
@@ -750,6 +774,17 @@ BAD_TABLES = {
         ("ocr-score", "{}", "--kind", "alphabets"),
         b'truth,output\nhello,"he\nllo"\nworld\n',
         ":4: expected 2 fields, got 1",
+    ),
+    # an unclosed quote would swallow the rest of the file into one cell
+    "pairs-unclosed-quote": (
+        ("ocr-score", "{}", "--kind", "alphabets"),
+        b'truth,output\nabc,"abd\nxyz,xyz\n',
+        ":3: unexpected end of data",
+    ),
+    "pairs-text-after-closing-quote": (
+        ("ocr-score", "{}", "--kind", "alphabets"),
+        b'truth,output\nabc,"abd"e\n',
+        ":2: ',' expected after '\"'",
     ),
 }
 
@@ -880,6 +915,45 @@ def test_run_writes_artifacts(tmp_path, capsys):
     log = log_file.read_text()
     assert "Measure Distance = 80.0 cm" in log
     assert "time taken to execute " in log
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "SCENARIO", "--transcript", "{}/transcript.txt", "--log", "{}/log.txt"),
+        ("sensor-bench",),
+        ("models-pareto",),
+        ("models-recommend", "--budget", "3.0"),
+        ("models-eval", "--truths", "{}/truths.csv", "--preds", "{}/preds.csv"),
+        ("ocr-gen", "--kind", "numbers", "--n", "3"),
+        ("ocr-score", "{}/pairs.csv", "--kind", "numbers"),
+        ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed"),
+        ("ocr-bench", "--kind", "numbers", "--n", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_one(argv, tmp_path, capsys):
+    # main writes every subcommand's output; run's side files come first
+    from percept_cane.pipeline import demo_scenario_path
+
+    (tmp_path / "pairs.csv").write_text("truth,output\n12345.67,12345.61\n")
+    (tmp_path / "truths.csv").write_text("img1,cat,0.1,0.1,0.5,0.5\n")
+    (tmp_path / "preds.csv").write_text("img1,cat,0.9,0.1,0.1,0.5,0.5\n")
+    argv = [str(demo_scenario_path()) if a == "SCENARIO" else a.format(tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    if argv[0] == "run":
+        assert "Obstacle ahead" in (tmp_path / "transcript.txt").read_text()
+        assert (tmp_path / "log.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["ocr-gen", "ocr-bench"])
+def test_sample_count_over_the_cap_exits_one(command, capsys):
+    from percept_cane.ocr_lab import MAX_SAMPLES
+
+    argv = (command, "--kind", "numbers", "--n", str(MAX_SAMPLES + 1))
+    assert run_cli(capsys, *argv) == (1, "", f"error: n must be at most {MAX_SAMPLES}\n")
+
 
 def _cafe_run(tmp_path, *args: str) -> subprocess.CompletedProcess:
     """``run`` on the multi-event replay with one OCR text set to ``café``,

@@ -14,6 +14,7 @@ an intended change of output.
 """
 
 import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,25 @@ def test_drop_case_speaks_less_than_default():
     assert 0 < len(dropping) < len(default)
     # the alerts survive; only perception results are lost
     assert dropping.texts() == [e.text for e in default.entries if e.priority == Priority.ALERT]
+
+
+def _config_files(args) -> tuple[Path, ...]:
+    return tuple(Path(a).resolve() for a in args if a != "--config")
+
+
+def test_xpython_runs_the_golden_cases():
+    """scripts/xpython.py repeats CASES and MULTI_EVENT_CASES under names of
+    its own; both must name the same scenarios and, per scenario, the same
+    config files."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "xpython.py"
+    spec = importlib.util.spec_from_file_location("xpython", script)
+    xpython = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(xpython)
+    listed = {
+        Path(path).resolve(): sorted(_config_files(xpython.CONFIGS[c]) for c in configs)
+        for path, configs in xpython.SCENARIOS.values()
+    }
+    assert listed == {
+        demo_scenario_path().resolve(): sorted(_config_files(a) for a in CASES.values()),
+        MULTI_EVENT.resolve(): sorted(_config_files(a) for a in MULTI_EVENT_CASES.values()),
+    }

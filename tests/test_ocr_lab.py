@@ -4,6 +4,7 @@ import io
 import random
 import re
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from percept_cane.ocr_lab import (
     _DIGITS2,
     _DIGITS3,
     ENGINE_PROFILES_FILE,
+    MAX_SAMPLES,
     Compute,
     EngineProfile,
     OcrReport,
@@ -158,6 +160,20 @@ def test_generate_rejects_empty_words():
 def test_generate_rejects_zero():
     with pytest.raises(ValueError):
         generate_samples(SampleKind.NUMBERS, 0, seed=0)
+
+
+def test_sample_count_is_capped_before_anything_is_built():
+    message = f"n must be at most {MAX_SAMPLES}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            generate_samples(SampleKind.NUMBERS, MAX_SAMPLES + 1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            sample_ids(SampleKind.NUMBERS, MAX_SAMPLES + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # MAX_SAMPLES strings would take tens of MB
 
 
 def test_score_error_rate_definition():
