@@ -16,7 +16,7 @@ import json
 import math
 import re
 from dataclasses import fields
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from reprlib import repr as _show
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, get_type_hints
@@ -44,15 +44,34 @@ def number(value: object, name: str) -> float:
     return x
 
 
-def check_number_cells(row: Sequence[str], columns: Sequence[str], first: int = 0) -> None:
-    """Reject a CSV row whose number cells, those from ``first`` on (named by
-    ``columns``), hold an underscore, which ``float()`` and ``int()`` read
-    (``2_316`` is 2316) and JSON does not. One test of the joined row, names
-    included, passes most rows unsliced; only the rest are scanned per cell."""
+def number_cells(row: Sequence[str], columns: Sequence[str], first: int = 0,
+                 converters: Sequence[Callable[[str], object]] | None = None) -> list:
+    """The number cells of a CSV row, those from ``first`` on (named by
+    ``columns``), each converted by its entry of ``converters`` (default:
+    all ``float``).
+
+    A cell holding an underscore is rejected, which ``float()`` and ``int()``
+    read (``2_316`` is 2316) and JSON does not: one test of the joined row,
+    names included, passes most rows; only the rest are scanned per
+    cell. A cell that its converter rejects is named by its column, found by
+    converting the cells again one by one on that failing path only."""
+    cells = row[first:]
     if "_" in "".join(row):
-        for column, cell in zip(columns[first:], row[first:]):
+        for column, cell in zip(columns[first:], cells):
             if "_" in cell:
-                raise ValueError(f"{column} must be a number, got {cell!r}")
+                raise ValueError(f"{column} must be a number, got {_show(cell)}")
+    try:
+        if converters is None:
+            return list(map(float, cells))
+        return [convert(cell) for convert, cell in zip(converters, cells)]
+    except ValueError:
+        for column, convert, cell in zip(columns[first:], converters or repeat(float), cells):
+            try:
+                convert(cell)
+            except ValueError:
+                kind = _TYPE_NAMES.get(convert, "a number")
+                raise ValueError(f"{column} must be {kind}, got {_show(cell)}") from None
+        raise
 
 
 def check_name(text: str, field: str) -> None:

@@ -3,10 +3,12 @@
 Metrics side: IoU, per-class average precision with greedy confidence-order
 matching and all-point interpolation, mAP at one threshold and averaged over
 the 0.50-0.95 threshold ladder. One engine serves all three: it buckets the
-inputs once, ranks each label's predictions once and computes each
-same-label, same-image IoU once into a candidate table, then matches every
-requested threshold from that table (the COCO evaluation design). A call
-costs O(N log N + pairs) whatever the number of labels and thresholds.
+truths per label by image and the predictions per label once, ranks each
+label's predictions once and computes each same-label, same-image IoU once
+into a candidate table, then matches every requested threshold from that
+table (the COCO evaluation design), trying each prediction's best pair
+first. A call costs O(N log N + pairs) whatever the number of labels and
+thresholds.
 AP is exact: each precision plateau adds one term, a pair of plain
 integers (numerator, denominator), and the terms of all labels at one
 threshold are added by a balanced pairwise (binary-splitting) sum with no
@@ -29,7 +31,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import check_name, check_number_cells, read_csv, require_finite_fields
+from .checks import check_name, number_cells, read_csv, require_finite_fields
 from .perception import BoundingBox
 
 MAP_RANGE_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
@@ -97,47 +99,51 @@ def _ranked_candidates(
 ) -> list[tuple[_Candidates, int]]:
     """One candidate table per label: ([(rank, candidates)], truth count).
 
-    Truths are bucketed by (label, image) and predictions by label in one
-    pass each. Each label's predictions are ranked canonically: descending
-    confidence, then image id, then input position, so equal inputs give
-    equal outputs regardless of how the caller assembled them. A ranked
-    prediction's candidates are the same-label, same-image truths it
-    overlaps by at least ``min_threshold``, as (iou, truth input position)
-    pairs, best first, so on IoU ties the lowest position comes first.
-    Predictions (1-based rank) without candidates are left out: they are
-    false positives at every threshold. Every pair's IoU is computed once.
+    Truths are bucketed per label by image (``cells[label][image_id]``) and
+    predictions per label, in one pass each. Each label's predictions are
+    ranked canonically: descending confidence, then image id, then input
+    position, so equal inputs give equal outputs regardless of how the
+    caller assembled them. A ranked prediction's candidates are the truths
+    of its label's bucket for its image that it overlaps by at least
+    ``min_threshold``, as (iou, truth input position) pairs, best first, so
+    on IoU ties the lowest position comes first. Predictions (1-based rank)
+    without candidates are left out: they are false positives at every
+    threshold. Every pair's IoU is computed once.
     """
-    wanted = set(labels)
-    truth_cells: dict[tuple[str, str], list[tuple[int, BoundingBox]]] = {}
-    n_truth = dict.fromkeys(labels, 0)
+    cells: dict[str, dict[str, list[tuple[int, BoundingBox]]]] = {label: {} for label in labels}
     for t_idx, t in enumerate(truths):
-        if t.label in wanted:
-            truth_cells.setdefault((t.label, t.image_id), []).append((t_idx, t.box))
-            n_truth[t.label] += 1
-    for label, count in n_truth.items():
-        if count == 0:
+        by_image = cells.get(t.label)
+        if by_image is not None:
+            by_image.setdefault(t.image_id, []).append((t_idx, t.box))
+    for label, by_image in cells.items():
+        if not by_image:
             raise ValueError(f"no ground-truth instances of label {label!r}; AP undefined")
 
     # (-confidence, image id, input position, box): the tuple is its own
     # rank key, and the unique position means boxes are never compared
     by_label: dict[str, list[tuple[float, str, int, BoundingBox]]] = {label: [] for label in labels}
     for i, p in enumerate(preds):
-        if p.label in wanted:
-            by_label[p.label].append((-p.confidence, p.image_id, i, p.box))
+        ranked = by_label.get(p.label)
+        if ranked is not None:
+            ranked.append((-p.confidence, p.image_id, i, p.box))
 
     tables: list[tuple[_Candidates, int]] = []
     for label in labels:
+        by_image = cells[label]
         ranked = by_label[label]
         ranked.sort()
         candidates: _Candidates = []
         for rank, (_, image_id, _, box) in enumerate(ranked, start=1):
-            cell = truth_cells.get((label, image_id), ())
-            pairs = [(v, t_idx) for t_idx, t_box in cell if (v := iou(box, t_box)) >= min_threshold]
+            pairs = []
+            for t_idx, t_box in by_image.get(image_id, ()):
+                v = iou(box, t_box)
+                if v >= min_threshold:
+                    pairs.append((v, t_idx))
             if pairs:
                 # stable, so equal IoUs keep ascending truth position
                 pairs.sort(key=itemgetter(0), reverse=True)
                 candidates.append((rank, pairs))
-        tables.append((candidates, n_truth[label]))
+        tables.append((candidates, sum(map(len, by_image.values()))))
     return tables
 
 
@@ -145,11 +151,22 @@ def _tp_ranks(candidates: _Candidates, iou_threshold: float) -> list[int]:
     """Ranks of the true positives under greedy matching.
 
     Each prediction, in rank order, takes the best unmatched candidate at or
-    above the threshold; further hits on a matched truth are false positives.
+    above the threshold; further hits on a matched truth are false
+    positives. Its best pair is tested first: below the threshold the
+    prediction is a false positive, and an unmatched truth is taken. Only
+    when that truth is already matched are its pairs walked, best first,
+    for an unmatched truth at or above the threshold.
     """
     matched: set[int] = set()
     ranks: list[int] = []
     for rank, pairs in candidates:
+        v, t_idx = pairs[0]
+        if v < iou_threshold:
+            continue
+        if t_idx not in matched:
+            matched.add(t_idx)
+            ranks.append(rank)
+            continue
         for v, t_idx in pairs:
             if v < iou_threshold:
                 break
@@ -274,13 +291,12 @@ def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> flo
 
 
 def _truth(r: list[str]) -> TruthBox:
-    check_number_cells(r, TRUTH_FIELDS, 2)
-    return TruthBox(r[0], r[1], BoundingBox(*map(float, r[2:])))
+    return TruthBox(r[0], r[1], BoundingBox(*number_cells(r, TRUTH_FIELDS, 2)))
 
 
 def _prediction(r: list[str]) -> PredictionBox:
-    check_number_cells(r, PRED_FIELDS, 2)
-    return PredictionBox(r[0], r[1], float(r[2]), BoundingBox(*map(float, r[3:])))
+    confidence, *box = number_cells(r, PRED_FIELDS, 2)
+    return PredictionBox(r[0], r[1], confidence, BoundingBox(*box))
 
 
 def load_truths(path: str | Path) -> list[TruthBox]:
@@ -339,23 +355,23 @@ def _opt_float(text: str) -> float | None:
 
 
 def _single_map_row(r: list[str]) -> ModelSpec:
-    check_number_cells(r, _SINGLE_MAP_COLUMNS, 2)
-    return ModelSpec(
-        name=r[0], framework=r[1], gflops=float(r[2]), mparams=float(r[3]), map50=float(r[4])
-    )
+    gflops, mparams, map50 = number_cells(r, _SINGLE_MAP_COLUMNS, 2)
+    return ModelSpec(name=r[0], framework=r[1], gflops=gflops, mparams=mparams, map50=map50)
 
 
 def _dual_map_row(r: list[str]) -> ModelSpec:
-    check_number_cells(r, _DUAL_MAP_COLUMNS, 2)
+    input_size, gflops, mparams, size_mb, map50, map5095 = number_cells(
+        r, _DUAL_MAP_COLUMNS, 2, (int, float, float, float, _opt_float, _opt_float)
+    )
     return ModelSpec(
         name=r[1],
         framework="",
-        gflops=float(r[3]),
-        mparams=float(r[4]),
-        map50=_opt_float(r[6]),
-        map5095=_opt_float(r[7]),
-        input_size=int(r[2]),
-        size_mb=float(r[5]),
+        gflops=gflops,
+        mparams=mparams,
+        map50=map50,
+        map5095=map5095,
+        input_size=input_size,
+        size_mb=size_mb,
     )
 
 

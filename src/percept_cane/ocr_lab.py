@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .checks import LINE_BREAK_OR_TAB, check_name, check_number_cells, csv_cell, read_csv, read_text, require_finite_fields
+from .checks import LINE_BREAK_OR_TAB, check_name, csv_cell, number_cells, read_csv, read_text, require_finite_fields
 from .perception import BackendError, OcrBackend
 from .resources import data_path
 
@@ -200,6 +200,8 @@ def sample_ids(kind: SampleKind, n: int) -> list[str]:
     have six or more digits) is followed by every ``_DIGITS2`` tail, and
     the list is cut at ``n``.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n > MAX_SAMPLES:
         raise ValueError(f"n must be at most {MAX_SAMPLES}")
     prefix = f"{SampleKind(kind).value}-"
@@ -337,8 +339,7 @@ _PROFILE_COLUMNS = ("engine", "err_numbers", "err_alphabets", "speed_cpu_s", "sp
 
 
 def _profile(r: list[str]) -> EngineProfile:
-    check_number_cells(r, _PROFILE_COLUMNS, 1)
-    return EngineProfile(r[0], *map(float, r[1:]))
+    return EngineProfile(r[0], *number_cells(r, _PROFILE_COLUMNS, 1))
 
 
 def load_engine_profiles(path: str | Path) -> list[EngineProfile]:

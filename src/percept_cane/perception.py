@@ -123,19 +123,21 @@ class MockDetector:
     def __post_init__(self) -> None:
         if not 0.0 <= self.miss_prob <= 1.0:
             raise ValueError("miss_prob must be in [0,1]")
-        # a hash below the cut is a miss; not a field
+        # a hash below the cut is a miss, and every draw's token starts with
+        # the seed formatted once; not fields
         object.__setattr__(self, "_miss_cut", _cut(self.miss_prob))
+        object.__setattr__(self, "_drop_head", f"{self.seed}:drop:")
 
     def detect(self, frame: Frame) -> list[str]:
         """The frame's labels in order, less each one whose draw on (seed,
         "drop", frame id, index, label) falls below the cut of ``miss_prob``."""
         if self.miss_prob == 0:
             return list(frame.object_labels)
-        seed, frame_id, cut = self.seed, frame.frame_id, self._miss_cut
+        head, cut = f"{self._drop_head}{frame.frame_id}:", self._miss_cut
         return [
             label
             for i, label in enumerate(frame.object_labels)
-            if not sha256(f"{seed}:drop:{frame_id}:{i}:{label}".encode()).digest() < cut
+            if not sha256(f"{head}{i}:{label}".encode()).digest() < cut
         ]
 
 
@@ -161,9 +163,11 @@ class MockOcr:
             if LINE_BREAK_OR_TAB.search(rule[1]):
                 raise ValueError(f"confusion rule may not map to a tab or line break: {rule!r}")
         # (source, replacement) pairs, the last rule for a source winning,
-        # and the cut of a substitution draw; not fields
+        # the cut of a substitution draw and the head of its token, the seed
+        # formatted once; not fields
         object.__setattr__(self, "_rules", tuple(dict(self.confusion_rules).items()))
         object.__setattr__(self, "_sub_cut", _cut(self.substitution_rate))
+        object.__setattr__(self, "_sub_head", f"{self.seed}:sub:")
 
     def transcribe(self, text: str, key: str) -> str:
         """Visit only the positions of confusable characters; each draws on
@@ -174,7 +178,7 @@ class MockOcr:
             if ch not in text:
                 continue
             if head is None:
-                head, cut = f"{self.seed}:sub:{key}:", self._sub_cut
+                head, cut = f"{self._sub_head}{key}:", self._sub_cut
             i = text.find(ch)
             while i >= 0:
                 if sha256(f"{head}{i}:{ch}".encode()).digest() < cut:

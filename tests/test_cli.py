@@ -197,7 +197,7 @@ def test_models_eval_non_numeric_coordinate_names_line(tmp_path, capsys):
     err, truths, _ = _eval_with_bad_row(
         tmp_path, capsys, "img1,dog,0.1,abc,0.5,0.5\n", "img1,cat,0.9,0.1,0.1,0.5,0.5\n"
     )
-    assert err == f"error: {truths}:3: could not convert string to float: 'abc'\n"
+    assert err == f"error: {truths}:3: y_min must be a number, got 'abc'\n"
 
 
 def test_models_eval_confidence_out_of_range_names_line(tmp_path, capsys):
@@ -247,7 +247,7 @@ def test_models_pareto_short_row_names_line(tmp_path, capsys):
 
 def test_models_pareto_non_numeric_gflops_names_line(tmp_path, capsys):
     err, table = _pareto_with_row(tmp_path, capsys, "yolo,torch,fast,1.0,50.0\n")
-    assert err == f"error: {table}:3: could not convert string to float: 'fast'\n"
+    assert err == f"error: {table}:3: gflops must be a number, got 'fast'\n"
 
 
 @pytest.mark.parametrize(
@@ -257,7 +257,7 @@ def test_models_pareto_non_numeric_gflops_names_line(tmp_path, capsys):
         (
             "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
             "tesseract,5.5,0.7,0.3,0.25\neasyocr,1.9,fast,0.82,0.07\n",
-            ":3: could not convert string to float: 'fast'",
+            ":3: err_alphabets must be a number, got 'fast'",
         ),
         (
             "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
@@ -267,7 +267,7 @@ def test_models_pareto_non_numeric_gflops_names_line(tmp_path, capsys):
         (
             "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s,note\n"
             'tesseract,5.5,0.7,0.3,0.25,"two\nlines"\neasyocr,1.9,fast,0.82,0.07,\n',
-            ":4: could not convert string to float: 'fast'",
+            ":4: err_alphabets must be a number, got 'fast'",
         ),
         (
             "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
@@ -585,18 +585,18 @@ BAD_TABLES = {
     "truths-after-multi-line-field": (
         ("models-eval", "--truths", "{}", "--preds", "PREDS"),
         _TRUTHS_HEADER + b'img1,"c\nat",0.1,0.1,0.5,0.5\nimg1,dog,0.1,abc,0.5,0.5\n',
-        ":4: could not convert string to float: 'abc'",
+        ":4: y_min must be a number, got 'abc'",
     ),
     "truths-multi-line-record-after-blank-line": (
         ("models-eval", "--truths", "{}", "--preds", "PREDS"),
         _TRUTHS_HEADER + b'\nimg1,"c\nat",0.1,abc,0.5,0.5\n',
-        ":3: could not convert string to float: 'abc'",
+        ":3: y_min must be a number, got 'abc'",
     ),
     # CR LF is one line break, as is a lone CR
     "truths-crlf-and-cr-in-record": (
         ("models-eval", "--truths", "{}", "--preds", "PREDS"),
         _TRUTHS_HEADER + b'img1,"c\r\na\rt",0.1,abc,0.5,0.5\n',
-        ":2: could not convert string to float: 'abc'",
+        ":2: y_min must be a number, got 'abc'",
     ),
     # a record that cannot be read names the line where reading stopped,
     # not the start of the record before it
@@ -696,6 +696,38 @@ BAD_TABLES = {
         b"distance_cm,exec_time_s\n5_0,0.001\n",
         ":2: distance_cm must be a number, got '5_0'",
     ),
+    # a number cell that float() or int() rejects is named by its column
+    "preds-non-numeric-confidence": (
+        ("models-eval", "--truths", "TRUTHS", "--preds", "{}"),
+        b"img1,cat,high,0.1,0.1,0.5,0.5\n",
+        ":1: confidence must be a number, got 'high'",
+    ),
+    "models-non-integer-input-size": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1,nano,320.5,0.72,0.95,1.8,-,20.6\n",
+        ":2: input_size must be an integer, got '320.5'\n",
+    ),
+    "models-non-numeric-map": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,1.8,-,n/a\n",
+        ":2: map5095 must be a number, got 'n/a'\n",
+    ),
+    "sensor-non-numeric": (
+        ("sensor-bench", "--table", "{}"),
+        b"exec_time_s,distance_cm\n0.01,50\nslow,60\n",
+        ":3: exec_time_s must be a number, got 'slow'\n",
+    ),
+    # a long cell is shown shortened, whatever is wrong with it
+    "truths-long-non-numeric-cell": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,cat,0.1,0.1,0.5," + b"9" * 999 + b"x\n",
+        ":2: y_max must be a number, got '999999999999...999999999999x'\n",
+    ),
+    "truths-long-underscore-cell": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,cat,0.1,0.1,0.5," + b"9" * 999 + b"_9\n",
+        ":2: y_max must be a number, got '999999999999...99999999999_9'\n",
+    ),
     # a name is non-empty without leading or trailing whitespace
     "models-empty-name": (
         ("models-pareto", "--table", "{}"),
@@ -727,7 +759,7 @@ BAD_TABLES = {
     "profiles-record-spanning-a-blank-line": (
         ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed", "--profiles", "{}"),
         b'engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"fast\n\nengine",1,1,1,abc\n',
-        ":2: could not convert string to float: 'abc'",
+        ":2: speed_gpu_s must be a number, got 'abc'",
     ),
     "profiles-engine-tab": (
         ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed", "--profiles", "{}"),

@@ -268,11 +268,15 @@ def test_map_range_equals_mean_of_map_at(rng):
 # from a small set so ties occur, and x-shifted copies of truths spread their
 # IoUs across the ladder. One extra label pins a pair at IoU exactly 0.70;
 # another has a prediction at IoU 0.6 with two truths, where the lower truth
-# position must win (dyadic coordinates make the two IoUs bit-equal).
+# position must win (dyadic coordinates make the two IoUs bit-equal); in a
+# third, an exact hit takes a prediction's best truth first, and its other
+# truth overlaps it enough to match only up to threshold 0.55.
 _EXACT_TRUTH = BoundingBox(0.0, 0.0, 0.7, 1.0)
 _EXACT_PRED = BoundingBox(0.0, 0.0, 1.0, 1.0)
 _TIED_TRUTHS = (BoundingBox(0.0, 0.0, 0.5, 0.25), BoundingBox(0.25, 0.0, 0.75, 0.25))
 _TIED_PRED = BoundingBox(0.125, 0.0, 0.625, 0.25)
+_CONTESTED_TRUTHS = (BoundingBox(0.0, 0.5, 0.5, 0.75), BoundingBox(0.15, 0.5, 0.65, 0.75))
+_CONTESTED_PRED = BoundingBox(0.02, 0.5, 0.52, 0.75)
 
 
 def _x_shifted(rng, box):
@@ -299,6 +303,8 @@ def _multilabel_fixture(rng):
     preds.append(p("sign", 0.6, _EXACT_PRED, "b"))
     truths += [t("door", box, "c") for box in _TIED_TRUTHS]
     preds += [p("door", 0.9, _TIED_PRED, "c"), p("door", 0.6, _TIED_TRUTHS[0], "c")]
+    truths += [t("bench", box, "a") for box in _CONTESTED_TRUTHS]
+    preds += [p("bench", 0.9, _CONTESTED_TRUTHS[0], "a"), p("bench", 0.6, _CONTESTED_PRED, "a")]
     preds.append(p("bus", 0.9, _EXACT_PRED, "a"))  # label without truths: ignored
     rng.shuffle(preds)
     return truths, preds
@@ -307,6 +313,7 @@ def _multilabel_fixture(rng):
 def test_map_ladder_matches_assignment_oracle():
     assert iou(_EXACT_TRUTH, _EXACT_PRED) == 0.7 == MAP_RANGE_THRESHOLDS[4]
     assert iou(_TIED_PRED, _TIED_TRUTHS[0]) == iou(_TIED_PRED, _TIED_TRUTHS[1]) == 0.6
+    assert 0.55 < iou(_CONTESTED_PRED, _CONTESTED_TRUTHS[1]) < 0.6 < 0.9 < iou(_CONTESTED_PRED, _CONTESTED_TRUTHS[0])
     rng = random.Random(2718)
     for _ in range(40):
         truths, preds = _multilabel_fixture(rng)

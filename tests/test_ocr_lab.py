@@ -170,6 +170,9 @@ def test_sample_count_is_capped_before_anything_is_built():
             generate_samples(SampleKind.NUMBERS, MAX_SAMPLES + 1, seed=0)
         with pytest.raises(ValueError, match=message):
             sample_ids(SampleKind.NUMBERS, MAX_SAMPLES + 1)
+        for n in (0, -3):  # the floor generate_samples has too
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                sample_ids(SampleKind.NUMBERS, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -209,6 +209,33 @@ def test_mock_detector_misses_follow_sha256_formula(miss_prob):
         assert det.detect(frame) == kept
 
 
+class _CountingSeed(int):
+    """An int seed that counts how often it is formatted into a string."""
+
+    formats = 0
+
+    def __format__(self, spec: str) -> str:
+        self.formats += 1
+        return super().__format__(spec)
+
+
+def test_mock_backends_format_their_seed_once():
+    # each backend formats its seed into the head of its draw tokens once,
+    # not once per text or label; the tokens are those of the plain int
+    rules, frames = (("x", "y"),), [Frame(f"f{i}", ("person", "dog", "chair")) for i in range(40)]
+    texts = [(f"x{i}xx", f"k{i}") for i in range(40)]
+    for make, draw in (
+        (lambda seed: MockOcr("mock", rules, 0.5, seed), lambda b: [b.transcribe(*t) for t in texts]),
+        (lambda seed: MockDetector(0.5, seed), lambda b: [b.detect(f) for f in frames]),
+    ):
+        seed = _CountingSeed(7)
+        backend = make(seed)
+        drawn = draw(backend) + draw(backend)
+        assert seed.formats == 1
+        assert drawn == draw(make(7)) * 2
+        assert drawn != draw(make(8)) * 2
+
+
 def test_backend_error_wrapping():
     class Exploding:
         backend_id = "boom"
