@@ -14,10 +14,12 @@ thing.
 
 It prints each pair, then for every end-to-end metric of BENCHMARK.json:
 each side's median and quartiles (``statistics.quantiles(values, n=4)``),
-the number of pairs the change wins, the base's interquartile range, and
-how far the change's median moves from the base's in the metric's worse
-direction, relative to the base median, flagged ``OUTSIDE BOUND`` when
-that move exceeds the metric's ``bound``, and flagged ``UNRESOLVED`` when
+the number of pairs the change wins, the number of pairs in which the side
+that ran first reads worse (a run-order effect shows as a count near
+either end), the base's interquartile range, and how far the change's
+median moves from the base's in the metric's worse direction, relative to
+the base median, flagged ``OUTSIDE BOUND`` when that move exceeds the
+metric's ``bound``, and flagged ``UNRESOLVED`` when
 the base runs spread wider than the bound (base IQR over base median) and
 not every change run reads better than every base run: such a verdict
 cannot tell a move inside the bound from noise. Then each side's median host
@@ -34,7 +36,8 @@ medians.
 head revisions (head is ``HEAD``, flagged ``head_dirty`` when the working
 tree differs from it), the workload, the seeds, the failed run count, and
 per metric its unit, direction, bound, each side's values, median and
-quartiles, the change's wins, the base IQR, the relative worse move
+quartiles, the change's wins, the pairs whose first side read worse
+(``first_worse``), the base IQR, the relative worse move
 (``worse_by``, negative when the change is better), ``outside_bound`` and
 ``unresolved``, and under ``host`` each side's per-run values and median
 of ``pass_s``, ``cal_s``, ``load_s`` and ``setup_cal_s``.
@@ -147,8 +150,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(metric: dict, base: list[float], change: list[float]) -> dict:
-    """One end-to-end metric over all pairs: each side's spread and the wins."""
+def compare(metric: dict, base: list[float], change: list[float], base_first: list[bool]) -> dict:
+    """One end-to-end metric over all pairs: each side's spread, the wins,
+    and the pairs whose first side, base where ``base_first``, read worse."""
     sign = -1.0 if metric["better"] == "lower" else 1.0
     b, c = quartiles(base), quartiles(change)
     worse_by = -sign * (c["median"] - b["median"]) / b["median"] if b["median"] else float("nan")
@@ -161,6 +165,10 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
         "base": {**b, "values": base},
         "change": {**c, "values": change},
         "change_wins": sum(sign * (y - x) > 0 for x, y in zip(base, change)),
+        "first_worse": sum(
+            sign * (y - x) > 0 if first else sign * (x - y) > 0
+            for x, y, first in zip(base, change, base_first)
+        ),
         "pairs": len(base),
         "base_iqr": b["q3"] - b["q1"],
         "worse_by": worse_by,
@@ -176,6 +184,7 @@ def summarize(name: str, row: dict) -> str:
         f"{name:<12} base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]"
         f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
         f"  ratio {ratio:.3f}  change wins {row['change_wins']}/{row['pairs']}"
+        f"  first side worse {row['first_worse']}/{row['pairs']}"
         f"  |median gap| {abs(c['median'] - b['median']):.6g} vs base IQR {row['base_iqr']:.6g}"
         f"  worse by {row['worse_by']:+.1%} (bound {row['bound']:.0%})"
         + ("  UNRESOLVED" if row["unresolved"] else "")
@@ -214,12 +223,14 @@ def main(argv: list[str] | None = None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="ab_bench-"))
     failed = 0
     runs: dict[str, list[dict]] = {"base": [], "change": []}
+    base_first: list[bool] = []
     try:
         if not extract(args.base, tmp):
             return 1
         sides = {"base": tmp, "change": ROOT}
         for i, seed in enumerate(args.seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            base_first.append(order[0] == "base")
             for side in order:
                 result = run_side(sides[side], args.workload, seed)
                 if not result["correct"]:
@@ -239,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = {}
     for metric in end_to_end:
         base, change = ([value(r["metrics"], metric["name"]) for r in runs[side]] for side in ("base", "change"))
-        rows[metric["name"]] = compare(metric, base, change)
+        rows[metric["name"]] = compare(metric, base, change, base_first)
     print(f"\n{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}")
     for name, row in rows.items():
         print(summarize(name, row))

@@ -54,7 +54,11 @@ def number_cells(row: Sequence[str], columns: Sequence[str], first: int = 0,
     read (``2_316`` is 2316) and JSON does not: one test of the joined row,
     names included, passes most rows; only the rest are scanned per
     cell. A cell that its converter rejects is named by its column, found by
-    converting the cells again one by one on that failing path only."""
+    converting the cells again one by one on that failing path only.
+    A float that is NaN or an infinity (``nan``, ``inf``, ``1e999``) is
+    rejected as :func:`number` rejects it, named by its column. One sum of
+    the row's floats tests for one; only a non-finite sum, which an
+    overflow can also give, scans the cells."""
     cells = row[first:]
     if "_" in "".join(row):
         for column, cell in zip(columns[first:], cells):
@@ -62,8 +66,9 @@ def number_cells(row: Sequence[str], columns: Sequence[str], first: int = 0,
                 raise ValueError(f"{column} must be a number, got {_show(cell)}")
     try:
         if converters is None:
-            return list(map(float, cells))
-        return [convert(cell) for convert, cell in zip(converters, cells)]
+            values = list(map(float, cells))
+        else:
+            values = [convert(cell) for convert, cell in zip(converters, cells)]
     except ValueError:
         for column, convert, cell in zip(columns[first:], converters or repeat(float), cells):
             try:
@@ -72,6 +77,13 @@ def number_cells(row: Sequence[str], columns: Sequence[str], first: int = 0,
                 kind = _TYPE_NAMES.get(convert, "a number")
                 raise ValueError(f"{column} must be {kind}, got {_show(cell)}") from None
         raise
+    # an int cell is left out of the sum, where a huge one would overflow
+    floats = values if converters is None else [v for v in values if type(v) is float]
+    if not math.isfinite(sum(floats)):
+        for column, value in zip(columns[first:], values):
+            if type(value) is float and not math.isfinite(value):
+                raise ValueError(f"{column} must be finite, got {value}")
+    return values
 
 
 def check_name(text: str, field: str) -> None:

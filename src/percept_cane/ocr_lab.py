@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .checks import LINE_BREAK_OR_TAB, check_name, csv_cell, number_cells, read_csv, read_text, require_finite_fields
-from .perception import BackendError, OcrBackend
+from .perception import OcrBackend, transcribe_each
 from .resources import data_path
 
 WORDLIST_FILE = "wordlist.txt"
@@ -29,6 +29,10 @@ ENGINE_PROFILES_FILE = "engine_profiles.csv"
 # Upper bound on a corpus's sample count, checked before anything is
 # allocated; the benchmark corpus has 8,000 samples.
 MAX_SAMPLES = 1_000_000
+# Upper bound on the length of a truth or an output in a pairs file, checked
+# before any alignment, whose table grows with the product of the two
+# lengths; a generated truth has at most 17 characters.
+MAX_PAIR_CHARS = 256
 
 
 class SampleKind(str, Enum):
@@ -313,26 +317,16 @@ def run_benchmark(
 ) -> OcrReport:
     """Generate a corpus, run it through a backend, and score the output.
 
-    ``mean_speed_s`` is the time of the whole transcription loop over ``n``.
-    A failure names its sample, the one after the last pair made.
+    ``mean_speed_s`` is the time of the whole transcription over ``n``.
+    Samples are transcribed under their ids, so a failure names its sample.
     """
     kind = SampleKind(kind)
     truths = generate_samples(kind, n, seed, words=words)
     ids = sample_ids(kind, n)
-    transcribe = backend.transcribe
-    pairs: list[tuple[str, str]] = []
-    append = pairs.append
     t0 = time.perf_counter()
-    try:
-        for truth, key in zip(truths, ids):
-            append((truth, transcribe(truth, key)))
-    except BackendError as exc:
-        raise BackendError(exc.backend_id, f"{ids[len(pairs)]}: {exc.cause}") from exc
-    except Exception as exc:
-        sample_id = ids[len(pairs)]
-        raise BackendError(getattr(backend, "backend_id", "?"), f"{sample_id}: {exc}") from exc
+    outputs = transcribe_each(backend, truths, ids)
     elapsed = time.perf_counter() - t0
-    return replace(score(pairs, kind), mean_speed_s=elapsed / n)
+    return replace(score(list(zip(truths, outputs)), kind), mean_speed_s=elapsed / n)
 
 
 _PROFILE_COLUMNS = ("engine", "err_numbers", "err_alphabets", "speed_cpu_s", "speed_gpu_s")
@@ -349,12 +343,17 @@ def load_engine_profiles(path: str | Path) -> list[EngineProfile]:
 
 def load_pairs(path: str | Path, kind: SampleKind | str) -> list[tuple[str, str]]:
     """Read ``truth,output`` rows (header optional); every truth must have
-    the shape of ``kind``'s samples. Errors carry `path:line`."""
+    the shape of ``kind``'s samples, and no cell may be longer than
+    ``MAX_PAIR_CHARS``. Errors carry `path:line`."""
     kind = SampleKind(kind)
 
     def pair(row: list[str]) -> tuple[str, str]:
-        _check_truth("truth", kind, row[0])
-        return row[0], row[1]
+        truth, output = row
+        for name, text in (("truth", truth), ("output", output)):
+            if len(text) > MAX_PAIR_CHARS:
+                raise ValueError(f"{name} must be at most {MAX_PAIR_CHARS} characters")
+        _check_truth("truth", kind, truth)
+        return truth, output
 
     return read_csv(path, {("truth", "output"): pair}, header="optional")
 

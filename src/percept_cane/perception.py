@@ -2,12 +2,12 @@
 
 Frames are symbolic: ground-truth object labels and texts instead of
 pixels, so downstream metrics are exactly checkable. A backend returns what
-the device speaks: the one detector, :class:`MockDetector`, the labels it
-found, an :class:`OcrBackend` the texts it read, each as a list of
-strings. Mock backends derive every random decision (dropped detections,
-character substitutions) from a sha256 hash of the seed and the item's
-identity, never from shared RNG state, so outputs are independent of call
-order and safe for concurrent read-only use.
+the device speaks: the one detector, :class:`MockDetector`, the list of
+labels it found, an :class:`OcrBackend` one text as it read it. Mock
+backends derive every random decision (dropped detections, character
+substitutions) from a sha256 hash of the seed and the item's identity,
+never from shared RNG state, so outputs are independent of call order and
+safe for concurrent read-only use.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import Protocol
+from typing import Protocol, Sequence
 
 from .checks import LINE_BREAK_OR_TAB, read_text
 from .resources import data_path
@@ -108,8 +108,6 @@ def _cut(probability: float) -> bytes:
 class OcrBackend(Protocol):
     backend_id: str
 
-    def extract(self, frame: Frame) -> list[str]: ...
-
     def transcribe(self, text: str, key: str) -> str: ...
 
 
@@ -188,12 +186,6 @@ class MockOcr:
                 i = text.find(ch, i + 1)
         return text if chars is None else "".join(chars)
 
-    def extract(self, frame: Frame) -> list[str]:
-        """Each of the frame's texts as transcribed under the key
-        ``{frame_id}/{j}``, ``j`` its index in the frame."""
-        frame_id = frame.frame_id
-        return [self.transcribe(text, f"{frame_id}/{j}") for j, text in enumerate(frame.texts)]
-
 
 def detect(frame: Frame, detector: MockDetector) -> list[str]:
     """``detector.detect(frame)``. It stays a module function only because
@@ -202,13 +194,27 @@ def detect(frame: Frame, detector: MockDetector) -> list[str]:
     return detector.detect(frame)
 
 
-def extract_text(frame: Frame, backend: OcrBackend) -> list[str]:
+def transcribe_each(backend: OcrBackend, texts: Sequence[str], keys: Sequence[str]) -> list[str]:
+    """``backend.transcribe(text, key)`` for each text and its key, in order.
+    A failure raises a BackendError naming the key, from the original."""
+    transcribe = backend.transcribe
+    outputs: list[str] = []
+    append = outputs.append
     try:
-        return backend.extract(frame)
-    except BackendError:
-        raise
+        for text, key in zip(texts, keys):
+            append(transcribe(text, key))
+    except BackendError as exc:
+        raise BackendError(exc.backend_id, f"{keys[len(outputs)]}: {exc.cause}") from exc
     except Exception as exc:
-        raise BackendError(getattr(backend, "backend_id", "?"), str(exc)) from exc
+        raise BackendError(getattr(backend, "backend_id", "?"), f"{keys[len(outputs)]}: {exc}") from exc
+    return outputs
+
+
+def extract_text(frame: Frame, backend: OcrBackend) -> list[str]:
+    """The frame's texts as transcribed under the keys ``{frame_id}/{j}``,
+    ``j`` a text's index in the frame."""
+    frame_id = frame.frame_id
+    return transcribe_each(backend, frame.texts, [f"{frame_id}/{j}" for j in range(len(frame.texts))])
 
 
 def load_class_vocabulary(path: str | Path | None = None) -> list[str]:

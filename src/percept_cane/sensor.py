@@ -20,7 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import number, number_cells, read_csv, require_finite_fields
+from .checks import number_cells, read_csv, require_finite_fields
 
 SENSOR_TIMINGS_FILE = "fig6_sensor_timings.csv"
 _INF = math.inf
@@ -174,7 +174,6 @@ def load_sensor_timings(path: str | Path) -> list[DistanceMeasurement]:
 
     def measurement(row: list[str]) -> DistanceMeasurement:
         d, t = number_cells(row, columns)
-        d, t = number(d, "distance_cm"), number(t, "exec_time_s")
         return DistanceMeasurement(d, t, in_range=cfg.min_range_cm <= d <= cfg.max_range_cm)
 
     return read_csv(path, {columns: measurement})

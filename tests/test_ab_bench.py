@@ -1,7 +1,8 @@
 """scripts/ab_bench.py counts a run that is not correct as failed, flags a
 metric whose median moves past its bound or whose base runs spread wider
-than it, and reports each side's median host pass and calibration seconds
-and the set-up calibration they imply.
+than it, counts the pairs whose first side read worse, and reports each
+side's median host pass and calibration seconds and the set-up calibration
+they imply.
 
 git, the base extraction and the benchmark runs are stubbed, so only the
 script's own tally and report are under test.
@@ -145,6 +146,36 @@ def test_metric_spread_wider_than_its_bound_is_unresolved(
     for name in NAMES:
         if name != "setup_s":
             assert rows[name]["unresolved"] is False and "UNRESOLVED" not in lines[name]
+
+
+def test_pairs_whose_first_side_read_worse_are_counted(monkeypatch, capsys, tmp_path):
+    # the side that runs first alternates, base first in the first pair;
+    # every metric reads 2.0 on the first run of each of the first three
+    # pairs and 1.0 elsewhere, so the fourth pair is a tie
+    _stub_git(monkeypatch)
+    calls = []
+
+    def run_side(root, workload, seed):
+        calls.append(root)
+        pair, position = divmod(len(calls) - 1, 2)
+        value = 2.0 if position == 0 and pair < 3 else 1.0
+        metrics = {name: {"value": value} for name in NAMES}
+        return {"correct": True, "failed": 0, "problems": [], "metrics": metrics}
+
+    monkeypatch.setattr(ab_bench, "run_side", run_side)
+    summary = tmp_path / "summary.json"
+    argv = ["--base", "base", "--workload", "ocr-bench", "--seeds", "1-4", "--json", str(summary)]
+    assert ab_bench.main(argv) == 0
+    assert [root == ab_bench.ROOT for root in calls] == [False, True, True, False] * 2
+    rows = json.loads(summary.read_text())["metrics"]
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if "worse by" in line}
+    for metric in END_TO_END:
+        name = metric["name"]
+        # a higher first read is worse where lower is better
+        first_worse, change_wins = (3, 2) if metric["better"] == "lower" else (0, 1)
+        assert rows[name]["first_worse"] == first_worse
+        assert rows[name]["change_wins"] == change_wins
+        assert f"change wins {change_wins}/4  first side worse {first_worse}/4" in lines[name]
 
 
 _run_spec = importlib.util.spec_from_file_location("perfbench_run", ab_bench.ROOT / "perfbench" / "run.py")

@@ -696,6 +696,33 @@ BAD_TABLES = {
         b"distance_cm,exec_time_s\n5_0,0.001\n",
         ":2: distance_cm must be a number, got '5_0'",
     ),
+    # a float cell that reads as NaN or an infinity is named by its column
+    "truths-nan-box": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,cat,nan,0.1,0.5,0.5\n",
+        ":2: x_min must be finite, got nan",
+    ),
+    "truths-overflowing-box": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,cat,0.1,0.1,1e999,0.5\n",
+        ":2: x_max must be finite, got inf",
+    ),
+    "preds-nan-confidence": (
+        ("models-eval", "--truths", "TRUTHS", "--preds", "{}"),
+        b"img1,cat,nan,0.1,0.1,0.5,0.5\n",
+        ":1: confidence must be finite, got nan",
+    ),
+    "profiles-nan-error-rate": (
+        ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "accuracy", "--profiles", "{}"),
+        b"engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\ntesseract,nan,0.7,0.3,0.25\n",
+        ":2: err_numbers must be finite, got nan",
+    ),
+    # an integer cell too large for a float stays out of the test
+    "models-huge-input-size-and-inf-size": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1,nano," + b"9" * 400 + b",0.72,0.95,-inf,-,20.6\n",
+        ":2: size_mb must be finite, got -inf",
+    ),
     # a number cell that float() or int() rejects is named by its column
     "preds-non-numeric-confidence": (
         ("models-eval", "--truths", "TRUTHS", "--preds", "{}"),
@@ -766,6 +793,17 @@ BAD_TABLES = {
         b"engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\nfast\tengine,1.9,0.1,0.02,0.07\n",
         ":2: engine_id must be one line without tabs",
     ),
+    # a pair's alignment table grows with the product of its lengths
+    "pairs-truth-over-cap": (
+        ("ocr-score", "{}", "--kind", "alphabets"),
+        b"truth,output\n" + b"a" * 257 + b",abc\n",
+        ":2: truth must be at most 256 characters",
+    ),
+    "pairs-output-over-cap": (
+        ("ocr-score", "{}", "--kind", "numbers"),
+        b"truth,output\n12345.67," + b"1" * 257 + b"\n",
+        ":2: output must be at most 256 characters",
+    ),
     "pairs-wrong-kind": (
         ("ocr-score", "{}", "--kind", "numbers"),
         b"truth,output\nabc,abc\n",
@@ -835,6 +873,13 @@ def test_bad_table_names_path_and_line(case, tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}{message}")
+
+
+def test_finite_cells_whose_sum_overflows_are_accepted(tmp_path, capsys):
+    table = tmp_path / "timings.csv"
+    table.write_text("distance_cm,exec_time_s\n1e308,1e308\n")
+    code, out, _ = run_cli(capsys, "sensor-bench", "--table", str(table))
+    assert (code, out) == (0, "distance_cm,exec_time_s\n1e+308,1e+308\nmean,1e+308\n")
 
 
 def test_accepted_table_layouts(tmp_path, capsys):
@@ -1198,9 +1243,6 @@ def test_backend_failure_exits_two(tmp_path, capsys, monkeypatch):
 
     class Boom:
         backend_id = "boom"
-
-        def extract(self, frame):
-            raise RuntimeError("device lost")
 
         def transcribe(self, text, key):
             raise RuntimeError("device lost")

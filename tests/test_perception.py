@@ -21,6 +21,7 @@ from percept_cane.perception import (
     extract_text,
     load_class_vocabulary,
 )
+from percept_cane.ocr_lab import run_benchmark
 from percept_cane.pipeline import Scenario, load_scenario
 
 
@@ -139,13 +140,13 @@ def test_mock_ocr_substitution_preserves_length():
 
 def test_mock_ocr_transcribe_matches_extract():
     # at a fractional rate the draws depend on the key, so this pins the key
-    # extract passes for the text at index j: "{frame_id}/{j}"
+    # extract_text passes for the text at index j: "{frame_id}/{j}"
     rules, rate, seed = (("x", "y"),), 0.5, 9
     ocr = MockOcr("mock", rules, rate, seed)
     texts = ("axbx", "xxxx", "xaxbx", "bxxb", "xxax")
     for frame_id in ("fr", "door"):
         want = [loop_transcribe(rules, rate, seed, text, f"{frame_id}/{j}") for j, text in enumerate(texts)]
-        assert ocr.extract(Frame(frame_id, texts=texts)) == want
+        assert extract_text(Frame(frame_id, texts=texts), ocr) == want
         shifted = [loop_transcribe(rules, rate, seed, text, f"{frame_id}/{j + 1}") for j, text in enumerate(texts)]
         assert want != shifted
 
@@ -236,32 +237,43 @@ def test_mock_backends_format_their_seed_once():
         assert drawn != draw(make(8)) * 2
 
 
-def test_backend_error_wrapping():
-    class Exploding:
-        backend_id = "boom"
+class FailsSecond:
+    """Transcribes the first text as it is and raises ``error`` on the second."""
 
-        def extract(self, frame):
-            raise RuntimeError("no lens")
+    backend_id = "outer"
 
+    def __init__(self, error):
+        self.error, self.keys = error, []
+
+    def transcribe(self, text, key):
+        self.keys.append(key)
+        if len(self.keys) == 2:
+            raise self.error
+        return text
+
+
+@pytest.mark.parametrize(
+    "error, backend_id",
+    [(BackendError("inner", "lens cap on"), "inner"), (RuntimeError("lens cap on"), "outer")],
+    ids=["backend-error", "runtime-error"],
+)
+@pytest.mark.parametrize(
+    "call, keys",
+    [
+        (lambda backend: extract_text(Frame("door", texts=("EXIT", "PULL", "PUSH")), backend), ["door/0", "door/1"]),
+        (lambda backend: run_benchmark("numbers", 3, backend, seed=0), ["numbers-00000", "numbers-00001"]),
+    ],
+    ids=["extract_text", "run_benchmark"],
+)
+def test_backend_failure_names_its_key(call, keys, error, backend_id):
+    # a BackendError raised inside the backend keeps its backend id; any
+    # other error takes the backend's; both gain the key they failed on
+    backend = FailsSecond(error)
     with pytest.raises(BackendError) as info:
-        extract_text(Frame("f0"), Exploding())
-    assert "boom" in str(info.value)
-
-
-@pytest.mark.parametrize("call", [extract_text], ids=["extract_text"])
-def test_backend_error_passes_through_unwrapped(call):
-    err = BackendError("inner", "lens cap on")
-
-    class Failing:
-        backend_id = "outer"
-
-        def extract(self, frame):
-            raise err
-
-    with pytest.raises(BackendError) as info:
-        call(Frame("f0"), Failing())
-    assert info.value is err
-    assert str(info.value) == "backend 'inner' failed: lens cap on"
+        call(backend)
+    assert backend.keys == keys
+    assert str(info.value) == f"backend {backend_id!r} failed: {keys[1]}: lens cap on"
+    assert info.value.__cause__ is error
 
 
 def test_load_class_vocabulary_bundled():

@@ -14,7 +14,7 @@ from oracles import reference_scenario_parts
 
 from percept_cane.alerts import AlertConfig, AlertState, on_measurement
 from percept_cane import pipeline
-from percept_cane.perception import BoundingBox, Frame, load_class_vocabulary
+from percept_cane.perception import BackendError, BoundingBox, Frame, load_class_vocabulary
 from percept_cane.pipeline import (
     CYCLE_BUDGET_S,
     MAX_TICKS,
@@ -745,6 +745,22 @@ def test_alert_without_frame_degrades_gracefully():
     assert any("no frame" in line for line in log.render().splitlines())
     assert report.stages["ocr"].count == 0
     assert report.stages["detect"].count == 0
+
+
+def test_ocr_failure_names_the_frame_and_text():
+    # the backend fails on the frame's second text, whose key is "door/1"
+    class FailsSecond:
+        backend_id = "flaky"
+
+        def transcribe(self, text, key):
+            if key.endswith("/1"):
+                raise RuntimeError("lens cap on")
+            return text
+
+    frame = Frame("door", texts=("EXIT", "PULL"))
+    scenario = Scenario(name="door", tick_s=0.5, duration_s=2.0, events=(ScenarioEvent(0.0, 80.0, frame),))
+    with pytest.raises(BackendError, match=r"^backend 'flaky' failed: door/1: lens cap on$"):
+        run(scenario, ocr=FailsSecond())
 
 
 def test_nan_distance_in_code_built_scenario_raises():
