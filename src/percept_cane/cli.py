@@ -2,6 +2,8 @@
 
 Subcommands cover the runtime (scenario replay, sensor bench) and the lab
 (model selection, detection metrics, OCR corpus/scoring/routing/bench).
+``build_parser`` declares each subcommand once, with its handler and
+options; an option that several subcommands take is one module constant.
 Each subcommand returns its output text, and ``main`` alone writes it to
 --out ("-" for standard output) as UTF-8 whatever the locale and picks the
 exit code. The output is byte-stable for a given argv and input files.
@@ -49,8 +51,19 @@ def _write(text: str, out: str) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default="-", help="output file, or - for stdout (default)")
+def _opt(*flags: str, **kwargs) -> tuple:
+    """The arguments of one ``add_argument`` call."""
+    return flags, kwargs
+
+
+_OUT = _opt("--out", default="-", help="output file, or - for stdout (default)")
+_KIND = _opt("--kind", choices=[k.value for k in ocr_lab.SampleKind], required=True)
+_N = _opt("--n", type=int, required=True, help="sample count")
+_SEED = _opt("--seed", type=int, default=0, help="seeds every random draw (default: 0)")
+_FORMAT = _opt("--format", choices=("csv", "json"), default="csv", help="report format")
+_MAP_FIELD = _opt("--map-field", choices=detector_lab.MAP_FIELDS, default="map50",
+                  help="which mAP column to use")
+_MODEL_TABLE = _opt("--table", help="model table CSV (default: the bundled fig8_models.csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,90 +76,70 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    kinds = [k.value for k in ocr_lab.SampleKind]
 
-    p = sub.add_parser("run", help="replay a scenario through the device loop")
-    p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--config", help="pipeline config JSON file")
-    p.add_argument("--seed", type=int, default=0, help="seeds the jitter, miss and OCR draws")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
-    p.add_argument("--transcript", help="also write the transcript to this file")
-    p.add_argument("--log", help="also write the device log to this file")
-    p.add_argument(
-        "--print-transcript",
-        action="store_true",
-        help="print the transcript before the report",
+    def command(name: str, handler, help: str, *options: tuple) -> None:
+        """Declare subcommand ``name``: its options in usage order, then --out."""
+        p = sub.add_parser(name, help=help)
+        for flags, kwargs in (*options, _OUT):
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler)
+
+    command(
+        "run", _cmd_run, "replay a scenario through the device loop",
+        _opt("scenario", help="scenario JSON file"),
+        _opt("--config", help="pipeline config JSON file"),
+        _SEED,
+        _FORMAT,
+        _opt("--transcript", help="also write the transcript to this file"),
+        _opt("--log", help="also write the device log to this file"),
+        _opt("--print-transcript", action="store_true",
+             help="print the transcript before the report"),
+        _opt("--verbose", action="store_true", help="wall-clock timing to stderr"),
     )
-    p.add_argument(
-        "--verbose", action="store_true", help="wall-clock timing to stderr"
+    command(
+        "sensor-bench", _cmd_sensor_bench, "ranging timing table with mean line",
+        _opt("--table", help="timings CSV (default: the bundled fig6_sensor_timings.csv)"),
     )
-    _add_out(p)
-
-    p = sub.add_parser("sensor-bench", help="ranging timing table with mean line")
-    p.add_argument("--table", help="timings CSV (default: the bundled fig6_sensor_timings.csv)")
-    _add_out(p)
-
-    p = sub.add_parser("models-pareto", help="compute-versus-accuracy frontier of a model table")
-    p.add_argument("--table", help="model table CSV (default: the bundled fig8_models.csv)")
-    p.add_argument(
-        "--map-field",
-        choices=detector_lab.MAP_FIELDS,
-        default="map50",
-        help="which mAP column to use",
+    command(
+        "models-pareto", _cmd_models_pareto, "compute-versus-accuracy frontier of a model table",
+        _MODEL_TABLE,
+        _MAP_FIELD,
     )
-    _add_out(p)
-
-    p = sub.add_parser("models-recommend", help="best model within a gflops budget")
-    p.add_argument("--table", help="model table CSV (default: the bundled fig8_models.csv)")
-    p.add_argument("--map-field", choices=detector_lab.MAP_FIELDS, default="map50")
-    p.add_argument("--budget", type=float, required=True, help="gflops budget")
-    _add_out(p)
-
-    p = sub.add_parser("models-eval", help="score predictions against ground truth")
-    p.add_argument("--truths", required=True, help="truth records: image_id,label,x0,y0,x1,y1")
-    p.add_argument(
-        "--preds", required=True, help="prediction records: image_id,label,conf,x0,y0,x1,y1"
+    command(
+        "models-recommend", _cmd_models_recommend, "best model within a gflops budget",
+        _MODEL_TABLE,
+        _MAP_FIELD,
+        _opt("--budget", type=float, required=True, help="gflops budget"),
     )
-    _add_out(p)
-
-    p = sub.add_parser("ocr-gen", help="generate a benchmark corpus")
-    p.add_argument("--kind", choices=kinds, required=True)
-    p.add_argument("--n", type=int, required=True, help="sample count")
-    p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
-
-    p = sub.add_parser("ocr-score", help="score recognition output pairs")
-    p.add_argument("pairs", help="CSV of truth,output rows")
-    p.add_argument("--kind", choices=kinds, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_out(p)
-
-    p = sub.add_parser("ocr-route", help="pick an engine from benchmark profiles")
-    p.add_argument("--kind", choices=kinds, required=True)
-    p.add_argument("--compute", choices=[c.value for c in ocr_lab.Compute], required=True)
-    p.add_argument("--policy", choices=[r.value for r in ocr_lab.RoutePolicy], required=True)
-    p.add_argument(
-        "--profiles", help="engine profile CSV (default: the bundled engine_profiles.csv)"
+    command(
+        "models-eval", _cmd_models_eval, "score predictions against ground truth",
+        _opt("--truths", required=True, help="truth records: image_id,label,x0,y0,x1,y1"),
+        _opt("--preds", required=True, help="prediction records: image_id,label,conf,x0,y0,x1,y1"),
     )
-    _add_out(p)
-
-    p = sub.add_parser("ocr-bench", help="run a mock engine over a generated corpus")
-    p.add_argument("--kind", choices=kinds, required=True)
-    p.add_argument(
-        "--engine",
-        default="mock-tesseract",
-        help=f"backend id: {', '.join(OCR_BACKENDS)}",
+    command("ocr-gen", _cmd_ocr_gen, "generate a benchmark corpus", _KIND, _N, _SEED)
+    command(
+        "ocr-score", _cmd_ocr_score, "score recognition output pairs",
+        _opt("pairs", help="CSV of truth,output rows"),
+        _KIND,
+        _FORMAT,
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument(
-        "--timing",
-        action="store_true",
-        help="include measured mean_speed_s (breaks byte-stable output)",
+    command(
+        "ocr-route", _cmd_ocr_route, "pick an engine from benchmark profiles",
+        _KIND,
+        _opt("--compute", choices=[c.value for c in ocr_lab.Compute], required=True),
+        _opt("--policy", choices=[r.value for r in ocr_lab.RoutePolicy], required=True),
+        _opt("--profiles", help="engine profile CSV (default: the bundled engine_profiles.csv)"),
     )
-    _add_out(p)
-
+    command(
+        "ocr-bench", _cmd_ocr_bench, "run a mock engine over a generated corpus",
+        _KIND,
+        _opt("--engine", default="mock-tesseract", help=f"backend id: {', '.join(OCR_BACKENDS)}"),
+        _N,
+        _SEED,
+        _FORMAT,
+        _opt("--timing", action="store_true",
+             help="include measured mean_speed_s (breaks byte-stable output)"),
+    )
     return parser
 
 
@@ -214,16 +207,15 @@ def _cmd_models_eval(args) -> str:
 
 
 def _cmd_ocr_gen(args) -> str:
-    kind = ocr_lab.SampleKind(args.kind)
-    truths = ocr_lab.generate_samples(kind, args.n, args.seed)
+    truths = ocr_lab.generate_samples(args.kind, args.n, args.seed)
+    ids = ocr_lab.sample_ids(args.kind, args.n)
     lines = ["sample_id,kind,truth"]
-    lines.extend(f"{i},{kind.value},{t}" for i, t in zip(ocr_lab.sample_ids(kind, args.n), truths))
+    lines.extend(f"{i},{args.kind},{t}" for i, t in zip(ids, truths))
     return "\n".join(lines) + "\n"
 
 
 def _cmd_ocr_score(args) -> str:
-    kind = ocr_lab.SampleKind(args.kind)
-    report = ocr_lab.score(ocr_lab.load_pairs(args.pairs, kind), kind)
+    report = ocr_lab.score(ocr_lab.load_pairs(args.pairs, args.kind), args.kind)
     if args.format == "json":
         return ocr_lab.report_to_json(report)
     return ocr_lab.report_to_csv(report)
@@ -244,19 +236,6 @@ def _cmd_ocr_bench(args) -> str:
     return ocr_lab.report_to_csv(report, include_speed=args.timing)
 
 
-_HANDLERS = {
-    "run": _cmd_run,
-    "sensor-bench": _cmd_sensor_bench,
-    "models-pareto": _cmd_models_pareto,
-    "models-recommend": _cmd_models_recommend,
-    "models-eval": _cmd_models_eval,
-    "ocr-gen": _cmd_ocr_gen,
-    "ocr-score": _cmd_ocr_score,
-    "ocr-route": _cmd_ocr_route,
-    "ocr-bench": _cmd_ocr_bench,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -264,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _write(_HANDLERS[args.command](args), args.out)
+        _write(args.handler(args), args.out)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

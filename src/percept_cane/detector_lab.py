@@ -31,7 +31,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import check_name, number_cells, read_csv, require_finite_fields
+from .checks import check_name, number, number_cells, read_csv, require_finite_fields
 from .perception import BoundingBox
 
 MAP_RANGE_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
@@ -436,9 +436,11 @@ def recommend(
     """Highest-mAP model within the compute budget.
 
     Eligibility is :func:`split_by_map_field`'s. Ties break toward lower
-    gflops, then lexicographic name. When nothing fits, the error names the
+    gflops, then lexicographic name. The budget must be a finite number
+    (:func:`checks.number`). When nothing fits, the error names the
     cheapest eligible model so the caller can see how far off the budget is.
     """
+    number(gflops_budget, "budget")
     eligible, _ = split_by_map_field(models, map_field)
     in_budget = [m for m in eligible if m.gflops <= gflops_budget]
     if not in_budget:

@@ -1,15 +1,17 @@
+import argparse
 import csv
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from percept_cane.cli import main
+from percept_cane.cli import build_parser, main
 
 FIG8_FRONTIER_ROW = "mobilenet-ssd,2.316,79.8377"
 
@@ -97,6 +99,13 @@ def test_models_recommend_budget_too_small(capsys):
     assert code == 1
     assert out == ""
     assert "mobilenet-ssd" in err and "2.316" in err
+
+@pytest.mark.parametrize(
+    "budget, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e400", "inf")]
+)
+def test_models_recommend_budget_must_be_finite(budget, shown, capsys):
+    code, out, err = run_cli(capsys, "models-recommend", f"--budget={budget}")
+    assert (code, out, err) == (1, "", f"error: budget must be finite, got {shown}\n")
 
 
 @pytest.mark.parametrize(
@@ -1232,6 +1241,121 @@ def test_bad_choice_exits_one(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "run", "--help")[0] == 0
+
+_HELP = ("help", "==SUPPRESS==", None, False, None)
+_OUT = ("out", "-", None, False, None)
+_KIND = ("kind", None, None, True, ("alphabets", "numbers"))
+_FORMAT = ("format", "csv", None, False, ("csv", "json"))
+_SEED = ("seed", 0, "int", False, None)
+_N = ("n", None, "int", True, None)
+_MODEL_TABLE = ("table", None, None, False, None)
+_MAP_FIELD = ("map_field", "map50", None, False, ("map50", "map5095"))
+
+# per subcommand: the whitespace-normalised usage line and each action's
+# (dest, default, type name, required, choices), in declaration order
+PARSER_SURFACE = {
+    "run": (
+        "usage: percept-cane run [-h] [--config CONFIG] [--seed SEED] [--format {csv,json}]"
+        " [--transcript TRANSCRIPT] [--log LOG] [--print-transcript] [--verbose] [--out OUT]"
+        " scenario",
+        [
+            _HELP,
+            ("scenario", None, None, True, None),
+            ("config", None, None, False, None),
+            _SEED,
+            _FORMAT,
+            ("transcript", None, None, False, None),
+            ("log", None, None, False, None),
+            ("print_transcript", False, None, False, None),
+            ("verbose", False, None, False, None),
+            _OUT,
+        ],
+    ),
+    "sensor-bench": (
+        "usage: percept-cane sensor-bench [-h] [--table TABLE] [--out OUT]",
+        [_HELP, ("table", None, None, False, None), _OUT],
+    ),
+    "models-pareto": (
+        "usage: percept-cane models-pareto [-h] [--table TABLE] [--map-field {map50,map5095}]"
+        " [--out OUT]",
+        [_HELP, _MODEL_TABLE, _MAP_FIELD, _OUT],
+    ),
+    "models-recommend": (
+        "usage: percept-cane models-recommend [-h] [--table TABLE] [--map-field {map50,map5095}]"
+        " --budget BUDGET [--out OUT]",
+        [_HELP, _MODEL_TABLE, _MAP_FIELD, ("budget", None, "float", True, None), _OUT],
+    ),
+    "models-eval": (
+        "usage: percept-cane models-eval [-h] --truths TRUTHS --preds PREDS [--out OUT]",
+        [_HELP, ("truths", None, None, True, None), ("preds", None, None, True, None), _OUT],
+    ),
+    "ocr-gen": (
+        "usage: percept-cane ocr-gen [-h] --kind {alphabets,numbers} --n N [--seed SEED]"
+        " [--out OUT]",
+        [_HELP, _KIND, _N, _SEED, _OUT],
+    ),
+    "ocr-score": (
+        "usage: percept-cane ocr-score [-h] --kind {alphabets,numbers} [--format {csv,json}]"
+        " [--out OUT] pairs",
+        [_HELP, ("pairs", None, None, True, None), _KIND, _FORMAT, _OUT],
+    ),
+    "ocr-route": (
+        "usage: percept-cane ocr-route [-h] --kind {alphabets,numbers} --compute {cpu,gpu}"
+        " --policy {accuracy,speed} [--profiles PROFILES] [--out OUT]",
+        [
+            _HELP,
+            _KIND,
+            ("compute", None, None, True, ("cpu", "gpu")),
+            ("policy", None, None, True, ("accuracy", "speed")),
+            ("profiles", None, None, False, None),
+            _OUT,
+        ],
+    ),
+    "ocr-bench": (
+        "usage: percept-cane ocr-bench [-h] --kind {alphabets,numbers} [--engine ENGINE] --n N"
+        " [--seed SEED] [--format {csv,json}] [--timing] [--out OUT]",
+        [
+            _HELP,
+            _KIND,
+            ("engine", "mock-tesseract", None, False, None),
+            _N,
+            _SEED,
+            _FORMAT,
+            ("timing", False, None, False, None),
+            _OUT,
+        ],
+    ),
+}
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+def test_parser_surface():
+    subparsers = _subparsers()
+    assert list(subparsers) == list(PARSER_SURFACE)
+    for name, p in subparsers.items():
+        usage, actions = PARSER_SURFACE[name]
+        assert " ".join(p.format_usage().split()) == usage, name
+        got = [
+            (a.dest, a.default, a.type and a.type.__name__, a.required, a.choices and tuple(a.choices))
+            for a in p._actions
+        ]
+        assert got == actions, name
+
+@pytest.mark.parametrize("command", list(PARSER_SURFACE))
+def test_subcommand_help_exits_zero(command, capsys):
+    # argparse %-formats the help strings only when it prints them
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: percept-cane {command} ")
+
+def test_readme_shows_every_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    shown = set(re.findall(r"^\$ percept-cane ([\w-]+)", cli_section, re.M))
+    assert [name for name in _subparsers() if name not in shown] == []
 
 def test_version_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--version")

@@ -33,7 +33,7 @@ from percept_cane.ocr_lab import (
     sample_ids,
     score,
 )
-from percept_cane.perception import BackendError, build_ocr
+from percept_cane.perception import build_ocr
 from percept_cane.resources import data_path
 
 NUMBER_RE = re.compile(r"^\d{5}\.\d{2}$")
@@ -331,41 +331,6 @@ def test_benchmark_easyocr_numbers_in_band():
     # only the decimal point is confusable in a number sample
     assert set(report.confusions) <= {(".", "_")}
     assert 0.5 <= report.error_rate <= 4.0
-
-
-def test_benchmark_wraps_backend_failures():
-    class Broken:
-        backend_id = "broken"
-
-        def transcribe(self, text, key):
-            raise RuntimeError("lens cap on")
-
-    with pytest.raises(BackendError, match="numbers-00000"):
-        run_benchmark(SampleKind.NUMBERS, 3, Broken(), seed=0)
-
-
-@pytest.mark.parametrize(
-    "error", [BackendError("flaky", "lens cap on"), RuntimeError("lens cap on")], ids=["backend", "runtime"]
-)
-def test_benchmark_failure_names_the_failing_sample(error):
-    class FailsThird:
-        backend_id = "flaky"
-
-        def __init__(self):
-            self.keys = []
-
-        def transcribe(self, text, key):
-            self.keys.append(key)
-            if len(self.keys) == 3:
-                raise error
-            return text
-
-    backend = FailsThird()
-    with pytest.raises(BackendError) as info:
-        run_benchmark(SampleKind.NUMBERS, 5, backend, seed=0)
-    assert backend.keys == ["numbers-00000", "numbers-00001", "numbers-00002"]
-    assert str(info.value) == "backend 'flaky' failed: numbers-00002: lens cap on"
-    assert info.value.__cause__ is error
 
 
 def test_report_round_trip_exports():

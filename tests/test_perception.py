@@ -21,7 +21,7 @@ from percept_cane.perception import (
     extract_text,
     load_class_vocabulary,
 )
-from percept_cane.ocr_lab import run_benchmark
+from percept_cane.ocr_lab import SampleKind, run_benchmark
 from percept_cane.pipeline import Scenario, load_scenario
 
 
@@ -262,8 +262,12 @@ class FailsSecond:
     [
         (lambda backend: extract_text(Frame("door", texts=("EXIT", "PULL", "PUSH")), backend), ["door/0", "door/1"]),
         (lambda backend: run_benchmark("numbers", 3, backend, seed=0), ["numbers-00000", "numbers-00001"]),
+        (
+            lambda backend: run_benchmark(SampleKind.NUMBERS, 3, backend, seed=0),
+            ["numbers-00000", "numbers-00001"],
+        ),
     ],
-    ids=["extract_text", "run_benchmark"],
+    ids=["extract_text", "run_benchmark", "run_benchmark-enum-kind"],
 )
 def test_backend_failure_names_its_key(call, keys, error, backend_id):
     # a BackendError raised inside the backend keeps its backend id; any
