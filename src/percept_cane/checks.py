@@ -4,8 +4,10 @@ Every input file is read here: JSON through :func:`read_json` and the
 decoders, CSV through :func:`read_csv`, other text through
 :func:`read_text`. A malformed input raises ValueError that starts with
 the file's path; a bad CSV row, or bytes that are not UTF-8 in a text
-file, add the physical line. JSON types are strict: a number is an int or
-a float, never a bool, and finite; an int is an int; a str is a str.
+file, add the physical line. CSV cells are converted per column, and a
+table error still names the line where the first failing record starts.
+JSON types are strict: a number is an int or a float, never a bool, and
+finite; an int is an int; a str is a str.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import json
 import math
 import re
 from dataclasses import fields
-from itertools import chain, repeat
+from itertools import chain, cycle
 from pathlib import Path
 from reprlib import repr as _show
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar, get_type_hints
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
 
 T = TypeVar("T")
 _TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -29,6 +31,9 @@ LINE_BREAK_OR_TAB = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
 _CSV_QUOTED = re.compile('[,"\r\n]')
 # one line each, as a csv.reader over newline="" text counts them
 _CSV_LINE_BREAK = re.compile("\r\n|\r|\n")
+# a CSV layout's column names -> its table function, which takes one
+# sequence of cells per column and returns the records
+_Layouts = Mapping[tuple[str, ...], Callable[..., list]]
 
 
 def number(value: object, name: str) -> float:
@@ -44,45 +49,59 @@ def number(value: object, name: str) -> float:
     return x
 
 
-def number_cells(row: Sequence[str], columns: Sequence[str], first: int = 0,
-                 converters: Sequence[Callable[[str], object]] | None = None) -> list:
-    """The number cells of a CSV row, those from ``first`` on (named by
-    ``columns``), each converted by its entry of ``converters`` (default:
-    all ``float``).
+def _call(convert: Callable[[str], object], cell: str) -> object:
+    return convert(cell)
 
-    A cell holding an underscore is rejected, which ``float()`` and ``int()``
-    read (``2_316`` is 2316) and JSON does not: one test of the joined row,
-    names included, passes most rows; only the rest are scanned per
-    cell. A cell that its converter rejects is named by its column, found by
-    converting the cells again one by one on that failing path only.
-    A float that is NaN or an infinity (``nan``, ``inf``, ``1e999``) is
-    rejected as :func:`number` rejects it, named by its column. One sum of
-    the row's floats tests for one; only a non-finite sum, which an
-    overflow can also give, scans the cells."""
-    cells = row[first:]
-    if "_" in "".join(row):
-        for column, cell in zip(columns[first:], cells):
-            if "_" in cell:
-                raise ValueError(f"{column} must be a number, got {_show(cell)}")
+
+def number_cells(columns: Sequence[Sequence[str]], names: Sequence[str],
+                 converters: Sequence[Callable[[str], object]] | None = None) -> list[list]:
+    """Columns of CSV number cells, named by ``names``, each converted by
+    its entry of ``converters`` (default: all ``float``), in three phases,
+    each over every column before the next starts:
+
+    * a cell holding an underscore is rejected, which ``float()`` and
+      ``int()`` read (``2_316`` is 2316) and JSON does not; one test of each
+      joined column passes most tables;
+    * a cell that its converter rejects is named by its column, found by
+      converting that column's cells again one by one on the failing path
+      only;
+    * a float that is NaN or an infinity (``nan``, ``inf``, ``1e999``) is
+      rejected as :func:`number` rejects it, named by its column.
+
+    Every phase is row-local, so on one-row columns the first failing
+    column of the row is named, as a row-by-row reader names it."""
+    if converters is None:
+        converters = [float] * len(columns)
+    for name, cells in zip(names, columns):
+        if "_" in "".join(cells):
+            bad = next(cell for cell in cells if "_" in cell)
+            raise ValueError(f"{name} must be a number, got {_show(bad)}")
+    # converted row by row, so that a row's numbers lie together in memory
+    # as a row-by-row reader leaves them: the detection metrics read a box's
+    # four coordinates together
+    cells = chain.from_iterable(zip(*columns))
     try:
-        if converters is None:
-            values = list(map(float, cells))
+        if len(set(converters)) == 1:  # no Python call per cell
+            flat = list(map(converters[0], cells))
         else:
-            values = [convert(cell) for convert, cell in zip(converters, cells)]
+            flat = list(map(_call, cycle(converters), cells))
     except ValueError:
-        for column, convert, cell in zip(columns[first:], converters or repeat(float), cells):
-            try:
-                convert(cell)
-            except ValueError:
-                kind = _TYPE_NAMES.get(convert, "a number")
-                raise ValueError(f"{column} must be {kind}, got {_show(cell)}") from None
+        for name, convert, column in zip(names, converters, columns):
+            for cell in column:
+                try:
+                    convert(cell)
+                except ValueError:
+                    kind = _TYPE_NAMES.get(convert, "a number")
+                    raise ValueError(f"{name} must be {kind}, got {_show(cell)}") from None
         raise
-    # an int cell is left out of the sum, where a huge one would overflow
-    floats = values if converters is None else [v for v in values if type(v) is float]
-    if not math.isfinite(sum(floats)):
-        for column, value in zip(columns[first:], values):
-            if type(value) is float and not math.isfinite(value):
-                raise ValueError(f"{column} must be finite, got {value}")
+    values = [flat[k::len(columns)] for k in range(len(columns))]
+    for name, convert, column in zip(names, converters, values):
+        # an int column is left out, where a huge int would overflow;
+        # filter(None, ...) skips an absent optional value (None) and the
+        # zeros, which are finite
+        if convert is not int and not all(map(math.isfinite, filter(None, column))):
+            bad = next(v for v in filter(None, column) if not math.isfinite(v))
+            raise ValueError(f"{name} must be finite, got {bad}")
     return values
 
 
@@ -168,49 +187,100 @@ def csv_cell(text: str) -> str:
     return text
 
 
-def read_csv(path: str | Path, layouts: Mapping[tuple[str, ...], Callable[[list[str]], T]],
-             header: str = "named", allow_empty: bool = False) -> list[T]:
-    """One record per non-blank row: ``layouts`` maps column names to the
-    function that makes a record of a row's values in that order.
-
-    The first non-blank row is, by ``header``: ``"named"``, a required header
-    naming the one layout's columns in any order among others; ``"exact"``, a
-    required header equal to one layout's columns; ``"optional"``, a header
-    when its first cell is the one layout's first column name. Rows must be as
-    wide as the header (else the layout). An error in a row is located at the
-    physical line where its record starts; an error in reading the next
-    record (a ``csv.Error``, such as an unclosed quote or text after a
-    closing quote) at the line where reading stopped. No records is an error
-    unless ``allow_empty``.
-    """
+def _csv_rows(text: str) -> tuple[csv.reader, Iterator[list[str]]]:
+    """A strict reader over ``text`` and its non-blank rows."""
     # strict: a quote left open at the end of the file is an error, not a
     # cell that swallows the rest of it and its own record's line break
-    reader = csv.reader(io.StringIO(read_text(path), newline=""), strict=True)
-    records: list[T] = []
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    return reader, filter(None, reader)  # a blank line reads as []
+
+
+def _layout(first: list[str] | None, rows: Iterator[list[str]], layouts: _Layouts, header: str):
+    """The table function that the first non-blank row ``first`` picks, the
+    row width, the indices of the function's columns in a row when a named
+    header picks them (else None), and the data rows (``first`` again when
+    it is no header)."""
+    cells = tuple(c.strip() for c in first or ())
+    if header == "exact" and cells not in layouts:
+        raise ValueError(f"unrecognized header {list(cells)}")
+    (columns,) = [cells] if header == "exact" else layouts
+    table, width = layouts[columns], len(columns)
+    if header == "named":
+        missing = [c for c in columns if c not in cells]
+        if missing:
+            raise ValueError(f"missing columns {missing}")
+        return table, len(cells), [cells.index(c) for c in columns], rows
+    if header == "optional" and first and cells[0] != columns[0]:
+        rows = chain([first], rows)
+    return table, width, None, rows
+
+
+def _width_error(row: list[str], width: int, pick: list[int] | None) -> ValueError:
+    return ValueError(f"expected {width} fields" + ("" if pick else f", got {len(row)}"))
+
+
+def _read_columns(text: str, layouts: _Layouts, header: str) -> list:
+    """The records of ``text``: every row's cells in one flat list, then
+    the layout's table function called once, on one slice per column."""
+    _, rows = _csv_rows(text)
+    table, width, pick, rows = _layout(next(rows, None), rows, layouts, header)
+    flat: list[str] = []
+    extend = flat.extend
+    for row in rows:
+        if len(row) != width:
+            raise _width_error(row, width, pick)
+        extend(row)
+    return table(*(flat[k::width] for k in pick or range(width)))
+
+
+def _locate_error(path: str | Path, text: str, layouts: _Layouts, header: str) -> None:
+    """Read ``text`` again row by row, calling the table function on
+    one-row columns, and raise the first failure as ``path:line: message``:
+    a row's error at the line where its record starts, a ``csv.Error`` at
+    the line where reading stopped. Returns when no row fails alone."""
+    reader, rows = _csv_rows(text)
+    row = None
     try:
-        rows = filter(None, reader)  # a blank line reads as []
-        first = row = next(rows, None)
-        cells = tuple(c.strip() for c in first or ())
-        if header == "exact" and cells not in layouts:
-            raise ValueError(f"unrecognized header {list(cells)}")
-        (columns,) = [cells] if header == "exact" else layouts
-        parse, width, pick = layouts[columns], len(columns), None
-        if header == "optional" and first and cells[0] != columns[0]:
-            rows = chain([first], rows)
-        elif header == "named":
-            missing = [c for c in columns if c not in cells]
-            if missing:
-                raise ValueError(f"missing columns {missing}")
-            width, pick = len(cells), [cells.index(c) for c in columns]
+        row = next(rows, None)
+        table, width, pick, rows = _layout(row, rows, layouts, header)
         for row in rows:
             if len(row) != width:
-                raise ValueError(f"expected {width} fields" + ("" if pick else f", got {len(row)}"))
-            records.append(parse([row[i] for i in pick] if pick else row))
+                raise _width_error(row, width, pick)
+            table(*([row[k]] for k in pick or range(width)))
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc
     except ValueError as exc:  # ``row`` was read whole: back up over its line breaks
         line = reader.line_num - len(_CSV_LINE_BREAK.findall(",".join(row or ())))
         raise ValueError(f"{path}:{line or 1}: {exc}") from exc
+
+
+def read_csv(path: str | Path, layouts: _Layouts, header: str = "named", allow_empty: bool = False) -> list:
+    """The records of a CSV file: ``layouts`` maps column names to the table
+    function that makes the records from one sequence of cells per column,
+    in that order, one record per non-blank row.
+
+    The first non-blank row is, by ``header``: ``"named"``, a required header
+    naming the one layout's columns in any order among others; ``"exact"``, a
+    required header equal to one layout's columns; ``"optional"``, a header
+    when its first cell is the one layout's first column name. Rows must be as
+    wide as the header (else the layout). No records is an error unless
+    ``allow_empty``.
+
+    Cells are read into one flat list and converted per column. Every check
+    of a table function must be row-local, so that a table passes exactly
+    when each of its rows passes alone: when the read or the table function
+    fails, the text is read again row by row to name the first failing
+    record, at the physical line where it starts; an error in reading the
+    next record (a ``csv.Error``, such as an unclosed quote or text after a
+    closing quote) is named at the line where reading stopped, when no
+    earlier row fails.
+    """
+    text = read_text(path)
+    try:
+        records = _read_columns(text, layouts, header)
+    except (ValueError, csv.Error) as exc:
+        _locate_error(path, text, layouts, header)
+        raise ValueError(f"{path}: {exc}") from exc  # no row fails alone
     if not records and not allow_empty:
         raise ValueError(f"{path}: no data rows")
     return records

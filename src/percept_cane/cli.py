@@ -143,16 +143,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _render(args, report, to_csv, to_json, **options) -> str:
+    """``report`` in the --format that ``args`` names: the one reading of
+    that option."""
+    return (to_json if args.format == "json" else to_csv)(report, **options)
+
+
 def _cmd_run(args) -> str:
     cfg = pipeline.load_config(args.config) if args.config else pipeline.PipelineConfig()
     scenario = pipeline.load_scenario(args.scenario)
     t0 = time.perf_counter()
     result = pipeline.run(scenario, cfg, seed=args.seed)
     wall_s = time.perf_counter() - t0
-    if args.format == "json":
-        report_text = pipeline.run_report_to_json(result.report)
-    else:
-        report_text = pipeline.run_report_to_csv(result.report)
+    report_text = _render(args, result.report, pipeline.run_report_to_csv, pipeline.run_report_to_json)
     transcript = result.transcript.render() if args.print_transcript or args.transcript else ""
     # the files first: a failing standard output must not leave them unwritten
     if args.transcript:
@@ -216,9 +219,7 @@ def _cmd_ocr_gen(args) -> str:
 
 def _cmd_ocr_score(args) -> str:
     report = ocr_lab.score(ocr_lab.load_pairs(args.pairs, args.kind), args.kind)
-    if args.format == "json":
-        return ocr_lab.report_to_json(report)
-    return ocr_lab.report_to_csv(report)
+    return _render(args, report, ocr_lab.report_to_csv, ocr_lab.report_to_json)
 
 
 def _cmd_ocr_route(args) -> str:
@@ -231,9 +232,7 @@ def _cmd_ocr_route(args) -> str:
 def _cmd_ocr_bench(args) -> str:
     backend = build_ocr(args.engine, seed=args.seed)
     report = ocr_lab.run_benchmark(args.kind, args.n, backend, args.seed)
-    if args.format == "json":
-        return ocr_lab.report_to_json(report, include_speed=args.timing)
-    return ocr_lab.report_to_csv(report, include_speed=args.timing)
+    return _render(args, report, ocr_lab.report_to_csv, ocr_lab.report_to_json, include_speed=args.timing)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -290,24 +290,25 @@ def map_range(preds: Sequence[PredictionBox], truths: Sequence[TruthBox]) -> flo
     return map50_and_range(preds, truths)[1]
 
 
-def _truth(r: list[str]) -> TruthBox:
-    return TruthBox(r[0], r[1], BoundingBox(*number_cells(r, TRUTH_FIELDS, 2)))
+def _truths(image_ids: list[str], labels: list[str], *cells: list[str]) -> list[TruthBox]:
+    boxes = map(BoundingBox, *number_cells(cells, TRUTH_FIELDS[2:]))
+    return list(map(TruthBox, image_ids, labels, boxes))
 
 
-def _prediction(r: list[str]) -> PredictionBox:
-    confidence, *box = number_cells(r, PRED_FIELDS, 2)
-    return PredictionBox(r[0], r[1], confidence, BoundingBox(*box))
+def _predictions(image_ids: list[str], labels: list[str], *cells: list[str]) -> list[PredictionBox]:
+    confidences, *coords = number_cells(cells, PRED_FIELDS[2:])
+    return list(map(PredictionBox, image_ids, labels, confidences, map(BoundingBox, *coords)))
 
 
 def load_truths(path: str | Path) -> list[TruthBox]:
     """Read truth records (6 comma-separated fields, header optional)."""
-    return read_csv(path, {TRUTH_FIELDS: _truth}, "optional")
+    return read_csv(path, {TRUTH_FIELDS: _truths}, "optional")
 
 
 def load_predictions(path: str | Path) -> list[PredictionBox]:
     """Read prediction records (7 fields, confidence third, header optional);
     a file without any is an empty list."""
-    return read_csv(path, {PRED_FIELDS: _prediction}, "optional", allow_empty=True)
+    return read_csv(path, {PRED_FIELDS: _predictions}, "optional", allow_empty=True)
 
 
 @dataclass(frozen=True)
@@ -354,28 +355,20 @@ def _opt_float(text: str) -> float | None:
     return None if text.strip() in ("", "-") else float(text)
 
 
-def _single_map_row(r: list[str]) -> ModelSpec:
-    gflops, mparams, map50 = number_cells(r, _SINGLE_MAP_COLUMNS, 2)
-    return ModelSpec(name=r[0], framework=r[1], gflops=gflops, mparams=mparams, map50=map50)
+def _single_map_table(names: list[str], frameworks: list[str], *cells: list[str]) -> list[ModelSpec]:
+    gflops, mparams, map50 = number_cells(cells, _SINGLE_MAP_COLUMNS[2:])
+    return list(map(ModelSpec, names, frameworks, gflops, mparams, map50))
 
 
-def _dual_map_row(r: list[str]) -> ModelSpec:
+def _dual_map_table(ids: list[str], names: list[str], *cells: list[str]) -> list[ModelSpec]:
     input_size, gflops, mparams, size_mb, map50, map5095 = number_cells(
-        r, _DUAL_MAP_COLUMNS, 2, (int, float, float, float, _opt_float, _opt_float)
+        cells, _DUAL_MAP_COLUMNS[2:], (int, float, float, float, _opt_float, _opt_float)
     )
-    return ModelSpec(
-        name=r[1],
-        framework="",
-        gflops=gflops,
-        mparams=mparams,
-        map50=map50,
-        map5095=map5095,
-        input_size=input_size,
-        size_mb=size_mb,
-    )
+    # ModelSpec's field order; this layout has no framework
+    return list(map(ModelSpec, names, repeat(""), gflops, mparams, map50, map5095, input_size, size_mb))
 
 
-_MODEL_TABLE_LAYOUTS = {_SINGLE_MAP_COLUMNS: _single_map_row, _DUAL_MAP_COLUMNS: _dual_map_row}
+_MODEL_TABLE_LAYOUTS = {_SINGLE_MAP_COLUMNS: _single_map_table, _DUAL_MAP_COLUMNS: _dual_map_table}
 
 
 def load_model_table(path: str | Path) -> list[ModelSpec]:

@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .checks import LINE_BREAK_OR_TAB, check_name, csv_cell, number_cells, read_csv, read_text, require_finite_fields
+from .checks import LINE_BREAK_OR_TAB, check_name, csv_cell, number, number_cells, read_csv, read_text, require_finite_fields
 from .perception import OcrBackend, transcribe_each
 from .resources import data_path
 
@@ -110,6 +110,7 @@ class OcrReport:
             raise ValueError("total must be positive")
         if not 0 <= self.mismatches <= self.total:
             raise ValueError("mismatches out of range")
+        number(self.mean_speed_s, "mean_speed_s")  # ocr-bench --timing prints it
 
     @property
     def error_rate(self) -> float:
@@ -332,13 +333,13 @@ def run_benchmark(
 _PROFILE_COLUMNS = ("engine", "err_numbers", "err_alphabets", "speed_cpu_s", "speed_gpu_s")
 
 
-def _profile(r: list[str]) -> EngineProfile:
-    return EngineProfile(r[0], *number_cells(r, _PROFILE_COLUMNS, 1))
+def _profiles(engines: list[str], *cells: list[str]) -> list[EngineProfile]:
+    return list(map(EngineProfile, engines, *number_cells(cells, _PROFILE_COLUMNS[1:])))
 
 
 def load_engine_profiles(path: str | Path) -> list[EngineProfile]:
     """Load an engine profile CSV (columns by name); errors carry `path:line`."""
-    return read_csv(path, {_PROFILE_COLUMNS: _profile})
+    return read_csv(path, {_PROFILE_COLUMNS: _profiles})
 
 
 def load_pairs(path: str | Path, kind: SampleKind | str) -> list[tuple[str, str]]:
@@ -347,15 +348,15 @@ def load_pairs(path: str | Path, kind: SampleKind | str) -> list[tuple[str, str]
     ``MAX_PAIR_CHARS``. Errors carry `path:line`."""
     kind = SampleKind(kind)
 
-    def pair(row: list[str]) -> tuple[str, str]:
-        truth, output = row
-        for name, text in (("truth", truth), ("output", output)):
-            if len(text) > MAX_PAIR_CHARS:
+    def pairs(truths: list[str], outputs: list[str]) -> list[tuple[str, str]]:
+        for name, texts in (("truth", truths), ("output", outputs)):
+            if max(map(len, texts), default=0) > MAX_PAIR_CHARS:
                 raise ValueError(f"{name} must be at most {MAX_PAIR_CHARS} characters")
-        _check_truth("truth", kind, truth)
-        return truth, output
+        for truth in truths:
+            _check_truth("truth", kind, truth)
+        return list(zip(truths, outputs))
 
-    return read_csv(path, {("truth", "output"): pair}, header="optional")
+    return read_csv(path, {("truth", "output"): pairs}, header="optional")
 
 
 def _confusion_items(report: OcrReport) -> list[tuple[str, str, int]]:

@@ -172,11 +172,12 @@ def load_sensor_timings(path: str | Path) -> list[DistanceMeasurement]:
     cfg = SensorConfig()
     columns = ("distance_cm", "exec_time_s")
 
-    def measurement(row: list[str]) -> DistanceMeasurement:
-        d, t = number_cells(row, columns)
-        return DistanceMeasurement(d, t, in_range=cfg.min_range_cm <= d <= cfg.max_range_cm)
+    def measurements(distances: list[str], times: list[str]) -> list[DistanceMeasurement]:
+        d, t = number_cells((distances, times), columns)
+        in_range = [cfg.min_range_cm <= x <= cfg.max_range_cm for x in d]
+        return list(map(DistanceMeasurement, d, t, in_range))
 
-    return read_csv(path, {columns: measurement})
+    return read_csv(path, {columns: measurements})
 
 
 def sensor_bench_csv(samples: Iterable[DistanceMeasurement]) -> str:

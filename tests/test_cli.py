@@ -753,6 +753,23 @@ BAD_TABLES = {
         b"exec_time_s,distance_cm\n0.01,50\nslow,60\n",
         ":3: exec_time_s must be a number, got 'slow'\n",
     ),
+    # in one row, an underscore anywhere comes first, then the first cell
+    # that float() rejects, then the first NaN or infinity
+    "truths-two-non-numeric-cells": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,cat,abc,0.1,xyz,0.5\n",
+        ":2: x_min must be a number, got 'abc'",
+    ),
+    "truths-underscore-after-non-numeric": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,cat,abc,0.1,0.5_0,0.5\n",
+        ":2: x_max must be a number, got '0.5_0'",
+    ),
+    "truths-non-numeric-after-nan": (
+        ("models-eval", "--truths", "{}", "--preds", "PREDS"),
+        _TRUTHS_HEADER + b"img1,cat,nan,abc,0.5,0.5\n",
+        ":2: y_min must be a number, got 'abc'",
+    ),
     # a long cell is shown shortened, whatever is wrong with it
     "truths-long-non-numeric-cell": (
         ("models-eval", "--truths", "{}", "--preds", "PREDS"),
@@ -889,6 +906,81 @@ def test_finite_cells_whose_sum_overflows_are_accepted(tmp_path, capsys):
     table.write_text("distance_cm,exec_time_s\n1e308,1e308\n")
     code, out, _ = run_cli(capsys, "sensor-bench", "--table", str(table))
     assert (code, out) == (0, "distance_cm,exec_time_s\n1e+308,1e+308\nmean,1e+308\n")
+
+
+# An early row's error wins over any later one, whichever check finds it.
+_EARLY_BAD_NUMBER = _TRUTHS_HEADER + b"img1,cat,0.1,abc,0.5,0.5\nimg1,cat,0.1,0.1,0.5,0.5\n"
+
+
+@pytest.mark.parametrize(
+    "later",
+    [
+        b"img1,cat,0.1,0.1,0.5\n",
+        b'img1,"cat,0.1,0.1,0.5,0.5\n',
+        b"img1," + b"x" * 131073 + b",0.1,0.1,0.5,0.5\n",
+        b"img1,cat,0.1,0.1,0.5,0.5_0\n",
+    ],
+    ids=["wrong-width", "unclosed-quote", "over-limit-field", "underscore-number"],
+)
+def test_an_early_bad_number_wins_over_a_later_error(later, tmp_path, capsys):
+    truths = tmp_path / "truths.csv"
+    truths.write_bytes(_EARLY_BAD_NUMBER + later)
+    code, out, err = run_cli(capsys, "models-eval", "--truths", str(truths), "--preds", str(truths))
+    assert (code, out, err) == (1, "", f"error: {truths}:2: y_min must be a number, got 'abc'\n")
+
+
+def test_an_early_bad_name_wins_over_a_later_bad_number(tmp_path, capsys):
+    truths = tmp_path / "truths.csv"
+    truths.write_bytes(_TRUTHS_HEADER + b"img1, cat,0.1,0.1,0.5,0.5\nimg1,cat,nan,abc,0.5,0.5\n")
+    code, out, err = run_cli(capsys, "models-eval", "--truths", str(truths), "--preds", str(truths))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {truths}:2: label must be non-empty without leading or trailing whitespace, got ' cat'\n"
+    )
+
+
+def test_a_table_error_that_no_row_shows_is_still_raised(tmp_path):
+    from percept_cane.checks import read_csv
+
+    def one_row_only(cells):  # a table-level check, which no loader has
+        if len(cells) > 1:
+            raise ValueError("more than one row")
+        return cells
+
+    table = tmp_path / "t.csv"
+    table.write_text("a\n1\n2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(table))}: more than one row$"):
+        read_csv(table, {("a",): one_row_only})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("models-eval", "--truths", "TRUTHS", "--preds", "PREDS"),
+        ("models-pareto",),
+        ("models-pareto", "--table", "fig10_models.csv", "--map-field", "map5095"),
+        ("ocr-route", "--kind", "numbers", "--compute", "cpu", "--policy", "speed"),
+        ("sensor-bench",),
+        ("ocr-score", "PAIRS", "--kind", "numbers"),
+    ],
+    ids=["detection", "single-map-models", "dual-map-models", "profiles", "sensor", "pairs"],
+)
+def test_a_valid_table_never_enters_the_row_locator(argv, tmp_path, capsys, monkeypatch):
+    from percept_cane import checks
+
+    truths, preds = _seeded_detection_files(tmp_path)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("truth,output\n12345.67,12345.61\n00000.00,00000.00\n")
+    files = {"TRUTHS": str(truths), "PREDS": str(preds), "PAIRS": str(pairs)}
+    entered = []
+    locate = checks._locate_error
+    monkeypatch.setattr(checks, "_locate_error", lambda *a: entered.append(a) or locate(*a))
+    assert run_cli(capsys, *(files.get(a, a) for a in argv))[0] == 0
+    assert entered == []
+    # the spy sees an invalid table
+    pairs.write_text("truth,output\n12345.67\n")
+    assert run_cli(capsys, "ocr-score", str(pairs), "--kind", "numbers")[0] == 1
+    assert len(entered) == 1
 
 
 def test_accepted_table_layouts(tmp_path, capsys):

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from percept_cane.cli import main
+from percept_cane.detector_lab import PRED_FIELDS, TRUTH_FIELDS, load_predictions, load_truths
 from percept_cane.pipeline import demo_scenario_path
 
 SETTINGS = settings(
@@ -265,3 +266,64 @@ def test_generated_pairs_exit_0_or_name_their_path(content, kind, tmp_path, caps
     path = tmp_path / "pairs.csv"
     path.write_bytes(content)
     assert_located(*run_cli(capsys, ["ocr-score", str(path), "--kind", kind]), path)
+
+
+# One corruption of a valid detection row: (cell offset, new text), or a
+# cell dropped or added.
+CORRUPTIONS = st.sampled_from(
+    [(-1, "abc"), (-1, "0.5_0"), (-3, "nan"), (1, " cat"), (-4, "0.95"), "drop", "add"]
+)
+
+
+@st.composite
+def corrupted_detection_rows(draw, width: int) -> list[list[str]]:
+    """Up to six valid detection rows of ``width`` cells, at most three of
+    them corrupted: a bad number, an underscore, a NaN, a padded label,
+    x_min above x_max, or a wrong width."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        x0, y0 = draw(st.sampled_from(["0.1", "0.2"])), draw(st.sampled_from(["0.1", "0.3"]))
+        conf = ["0.7"] if width == 7 else []
+        rows.append([draw(st.sampled_from(["img1", "img2"])), draw(st.sampled_from(["cat", "dog"])),
+                     *conf, x0, y0, "0.5", "0.6"])
+    for index, corruption in draw(st.lists(st.tuples(st.integers(0, 5), CORRUPTIONS), max_size=3)):
+        row = rows[index % len(rows)]
+        if corruption == "drop":
+            del row[-1]
+        elif corruption == "add":
+            row.append("0.1")
+        else:
+            row[corruption[0]] = corruption[1]
+    return rows
+
+
+def _located_load(load, path, text: str) -> str | None:
+    path.write_text(text)
+    try:
+        load(path)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    layout=st.sampled_from([("truths", TRUTH_FIELDS, load_truths), ("preds", PRED_FIELDS, load_predictions)]),
+    data=st.data(),
+)
+def test_a_table_loads_exactly_when_each_row_loads_alone(layout, data, tmp_path):
+    """The whole file fails with the first failing one-row file's message,
+    its line mapped, and loads when every one-row file does."""
+    name, fields, load = layout
+    rows = data.draw(corrupted_detection_rows(len(fields)))
+    header = ",".join(fields) + "\n"
+    whole, one = tmp_path / f"{name}.csv", tmp_path / f"{name}-row.csv"
+    expected = None
+    for i, row in enumerate(rows):
+        message = _located_load(load, one, header + ",".join(row) + "\n")
+        if message is not None:
+            prefix = f"{one}:2: "
+            assert message.startswith(prefix), message
+            expected = f"{whole}:{i + 2}: {message[len(prefix):]}"
+            break
+    assert _located_load(load, whole, header + "".join(",".join(r) + "\n" for r in rows)) == expected

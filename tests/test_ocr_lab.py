@@ -372,6 +372,13 @@ def test_report_invariants():
         OcrReport(kind=SampleKind.NUMBERS, total=5, mismatches=6)
 
 
+@pytest.mark.parametrize("speed", [float("nan"), float("inf"), float("-inf")])
+def test_report_rejects_a_non_finite_mean_speed(speed):
+    # ocr-bench --timing prints the mean speed
+    with pytest.raises(ValueError, match=f"^mean_speed_s must be finite, got {speed}$"):
+        OcrReport(kind=SampleKind.NUMBERS, total=10, mismatches=1, mean_speed_s=speed)
+
+
 def test_report_error_rate_is_derived_from_its_counts():
     # a stored rate could disagree with the counts it summarizes
     report = OcrReport(kind=SampleKind.NUMBERS, total=10, mismatches=1)
