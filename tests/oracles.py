@@ -8,23 +8,28 @@ instead of whatever the frontier code does, a binary heap with a victim
 scan instead of per-priority deques, a per-character hash loop instead of
 a scan for confusable characters, the full edit-distance table for every
 pair instead of a position-wise shortcut, public constructors for every loaded box
-instead of the loader's checked fast path. Slow is fine; different is the
-point.
+instead of the loader's checked fast path, and a device loop that applies
+events one at a time, keeps its speech queue in a plain list and writes
+every log line as it goes. Slow is fine; different is the point.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 import math
+import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 
+from percept_cane.alerts import AlertConfig, AlertState, on_measurement
 from percept_cane.detector_lab import ModelSpec, PredictionBox, TruthBox, iou
-from percept_cane.perception import BoundingBox, Frame
-from percept_cane.speech import Priority, SpeechMessage
+from percept_cane.perception import BoundingBox, Frame, MockDetector, build_ocr
+from percept_cane.sensor import SensorConfig, simulate_measurement
+from percept_cane.speech import Priority, SpeechConfig, SpeechMessage
 
 
 @cache
@@ -278,3 +283,125 @@ def reference_scenario_parts(
             frame = Frame(raw.get("frame_id", f"frame-{i:03d}"), labels, texts)
         events.append((float(event["t"]), float(event["distance_cm"]), frame))
     return doc["name"], float(doc["tick_s"]), float(doc["duration_s"]), events
+
+
+# the perception section's defaults, written out here rather than read from
+# the pipeline's config class
+REFERENCE_PERCEPTION = {"ocr": "mock-tesseract", "miss_prob": 0.0, "ocr_latency_s": 0.2, "detect_latency_s": 0.1}
+
+
+def _reference_stats(durations: list[float]) -> dict:
+    if not durations:
+        return {"count": 0, "mean_s": 0.0, "max_s": 0.0}
+    return {"count": len(durations), "mean_s": math.fsum(durations) / len(durations), "max_s": max(durations)}
+
+
+def reference_run(doc: dict, config: dict, seed: int = 0) -> dict:
+    """Replay a scenario document under a config document (sections as in a
+    config file, each holding keyword arguments) the slow way, and return
+    its rendered outputs: ``transcript`` and ``log`` text, the ``csv`` and
+    ``json`` reports, and the ``submitted`` and ``dropped`` messages.
+
+    Tick k runs at ``k * tick_s`` while that time is before the duration.
+    Each tick applies every pending event at or before it, one at a time,
+    ranges, writes its two log lines and feeds the alert engine. An alert
+    submits its sentence, then, with a frame, each OCR output and each
+    detected label; the queue is a plain list of ``(priority, text)`` in
+    submission order, an overfull queue drops its newest message of the
+    lowest priority, and a drain speaks the lowest priority first, oldest
+    first. Each message lasts ``base_per_char_s * len(text) / default_rate``.
+    """
+    _, tick_s, duration_s, events = reference_scenario_parts(doc)
+    sensor = SensorConfig(**config.get("sensor", {}))
+    alert = AlertConfig(**config.get("alert", {}))
+    speech = SpeechConfig(**config.get("speech", {}))
+    perception = {**REFERENCE_PERCEPTION, **config.get("perception", {})}
+    rng = random.Random(seed)
+    detector = MockDetector(miss_prob=perception["miss_prob"], seed=seed)
+    ocr = build_ocr(perception["ocr"], seed=seed)
+    state = AlertState()
+
+    pending = list(events)
+    distance, frame = 2.0 * sensor.max_range_cm, None
+    queue: list[tuple[Priority, str]] = []
+    submitted: list[tuple[Priority, str]] = []
+    dropped: list[tuple[Priority, str]] = []
+    spoken: list[tuple[float, Priority, str]] = []
+    log: list[str] = []
+    exec_times: list[float] = []
+    speech_times: list[float] = []
+    cycle_times: list[float] = []
+    framed = 0
+
+    def submit(priority: Priority, text: str) -> None:
+        submitted.append((priority, text))
+        queue.append((priority, text))
+        if len(queue) > speech.capacity:
+            victim = max(range(len(queue)), key=lambda i: (queue[i][0], i))
+            dropped.append(queue.pop(victim))
+
+    now = 0.0
+    k = 0
+    while (t := k * tick_s) < duration_s:
+        while pending and pending[0][0] <= t:
+            _, distance, frame = pending.pop(0)
+        now = max(now, t)
+        start = now
+        m = simulate_measurement(distance, sensor, rng, timestamp_s=t)
+        now += m.exec_time_s
+        exec_times.append(m.exec_time_s)
+        log.append(f"Measure Distance = {m.distance_cm:.1f} cm")
+        log.append(f"time taken to execute {m.exec_time_s}")
+        k += 1
+        if on_measurement(state, m, alert) is None:
+            continue
+        sentence = f"Obstacle ahead at {m.distance_cm:.1f} centimeters"
+        log.append(f"obstacle alert at t={t:.3f} s: {sentence}")
+        submit(Priority.ALERT, sentence)
+        if frame is None:
+            log.append(f"warning: no frame at t={t:.3f} s; ranging-only alert")
+        else:
+            framed += 1
+            outputs = [ocr.transcribe(text, f"{frame.frame_id}/{j}") for j, text in enumerate(frame.texts)]
+            now += perception["ocr_latency_s"]
+            for text in outputs:
+                submit(Priority.PERCEPTION, f"Text detected: {text}")
+            labels = detector.detect(frame)
+            now += perception["detect_latency_s"]
+            for label in labels:
+                submit(Priority.PERCEPTION, f"Detected {label}")
+        drain_start = now
+        while queue:
+            first = min(range(len(queue)), key=lambda i: (queue[i][0], i))
+            priority, text = queue.pop(first)
+            spoken.append((now, priority, text))
+            now += speech.base_per_char_s * len(text) / speech.default_rate
+        speech_times.append(now - drain_start)
+        cycle_times.append(now - start)
+
+    latencies = [perception["ocr_latency_s"]] * framed, [perception["detect_latency_s"]] * framed
+    stages = {
+        "sensor": _reference_stats(exec_times),
+        "alert": {"count": len(exec_times), "mean_s": 0.0, "max_s": 0.0},
+        "ocr": _reference_stats(latencies[0]),
+        "detect": _reference_stats(latencies[1]),
+        "speech": _reference_stats(speech_times),
+    }
+    end_to_end = _reference_stats(cycle_times)
+    report = {
+        "alerts_fired": len(cycle_times),
+        "budget_pass": end_to_end["mean_s"] <= 5.0,
+        "end_to_end": end_to_end,
+        "stages": stages,
+    }
+    rows = [("stage", "count", "mean_s", "max_s")]
+    rows += [(name, s["count"], repr(s["mean_s"]), repr(s["max_s"])) for name, s in stages.items()]
+    rows.append(("end_to_end", end_to_end["count"], repr(end_to_end["mean_s"]), repr(end_to_end["max_s"])))
+    return {
+        "transcript": "".join(f"{t:.3f}\t{p.name}\t{text}\n" for t, p, text in spoken),
+        "log": "".join(line + "\n" for line in log),
+        "csv": "".join(",".join(map(str, row)) + "\n" for row in rows),
+        "json": json.dumps(report, indent=2, sort_keys=True) + "\n",
+        "submitted": submitted,
+        "dropped": dropped,
+    }
