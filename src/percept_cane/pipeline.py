@@ -27,7 +27,7 @@ from .checks import require_finite_fields
 from .perception import BoundingBox, Frame, OcrBackend, load_class_vocabulary
 from .resources import data_path
 from .sensor import SensorConfig, simulate_measurement
-from .speech import Priority, SpeechConfig, SpeechQueue, Transcript, speak_all
+from .speech import Priority, SpeechConfig, SpeechMessage, SpeechQueue, Transcript, speak_all
 
 SCENARIO_DEMO_FILE = "scenario_demo.json"
 # Upper bound on ceil(duration_s / tick_s), checked before any tick runs;
@@ -307,12 +307,15 @@ class DeviceLog:
 
     Every tick logs its distance line, then ``time taken to execute`` with
     the sensor's exec time; an alert tick then logs the alert and, when no
-    frame was active, a warning. A run records only what cannot be derived
-    later: the distance line by the tick it was first formatted on (once per
-    event), the alert message by its tick, and the ticks of frameless
-    alerts. The exec times are the ones the sensor stage stats come from.
+    frame was active, a warning. A run keeps the distance line by the tick
+    it was first formatted on (once per event), and one record per alert
+    cycle, as columns with one index per cycle: its tick, whether a frame
+    was active, and its speech and whole-cycle seconds. The alert sentence
+    is kept once: ``messages`` is the transcript's own list, whose i-th
+    ``ALERT`` is cycle i's, as an alert enters an empty queue and outranks
+    the rest, so it is never dropped.
 
-    The records are dicts and sets of ints and strs, which add no object
+    Lists, dicts and sets of ints, floats, bools and strs add no object
     that the garbage collector tracks; a tuple per event, kept as long as
     the result, shifts full collections into the replay loop.
     """
@@ -320,21 +323,25 @@ class DeviceLog:
     tick_s: float
     exec_times: Sequence[float]
     distance_lines: dict[int, str]
-    alert_messages: dict[int, str]
-    frameless: set[int]
+    ticks: Sequence[int]
+    framed: Sequence[bool]
+    speech_s: Sequence[float]
+    cycle_s: Sequence[float]
+    messages: Sequence[SpeechMessage]
 
     def render(self) -> str:
         """The whole log text, each line ending in ``\\n``."""
+        sentences = (m.text for m in self.messages if m.priority == Priority.ALERT)
+        notes: dict[int, str] = {}
+        for k, framed, sentence in zip(self.ticks, self.framed, sentences):
+            t = k * self.tick_s  # the same float the tick loop used
+            warning = "" if framed else f"warning: no frame at t={t:.3f} s; ranging-only alert\n"
+            notes[k] = f"obstacle alert at t={t:.3f} s: {sentence}\n{warning}"
         parts: list[str] = []
         line = ""
         for k, exec_time_s in enumerate(self.exec_times):
             line = self.distance_lines.get(k, line)
-            parts.append(f"{line}\ntime taken to execute {exec_time_s}\n")
-            if k in self.alert_messages:
-                t = k * self.tick_s  # the same float the tick loop used
-                parts.append(f"obstacle alert at t={t:.3f} s: {self.alert_messages[k]}\n")
-                if k in self.frameless:
-                    parts.append(f"warning: no frame at t={t:.3f} s; ranging-only alert\n")
+            parts.append(f"{line}\ntime taken to execute {exec_time_s}\n{notes.get(k, '')}")
         return "".join(parts)
 
 
@@ -373,11 +380,9 @@ def run(
     state = AlertState()
     transcript = Transcript()
     distance_lines: dict[int, str] = {}
-    alert_messages: dict[int, str] = {}
-    frameless: set[int] = set()
     exec_times: list[float] = []
-    speech_times: list[float] = []
-    cycle_times: list[float] = []
+    # one record per alert cycle: its tick, framed or not, speech and cycle seconds
+    ticks, framed, speech_s, cycle_s = [], [], [], []
 
     sensor_cfg = cfg.sensor
     # world state before any event applies: far away, no frame
@@ -416,13 +421,10 @@ def run(
             # the queue is empty: each alert's speak_all drains it
             continue
 
-        message = f"Obstacle ahead at {m.distance_cm:.1f} centimeters"
-        alert_messages[k] = message
-        queue.submit(message, Priority.ALERT)
-
-        if frame is None:
-            frameless.add(k)
-        else:
+        queue.submit(f"Obstacle ahead at {m.distance_cm:.1f} centimeters", Priority.ALERT)
+        ticks.append(k)
+        framed.append(frame is not None)
+        if frame is not None:
             texts = perception.extract_text(frame, ocr)
             now += ocr_latency_s
             for text in texts:
@@ -434,26 +436,21 @@ def run(
 
         before = now
         now = speak_all(queue, transcript, now, speech_cfg)
-        speech_times.append(now - before)
-        cycle_times.append(now - cycle_start)
+        speech_s.append(now - before)
+        cycle_s.append(now - cycle_start)
 
-    framed = len(alert_messages) - len(frameless)
+    n_framed = sum(framed)
     stages = {
         "sensor": StageStats.of(exec_times),
         # the alert stage is a placeholder: zero seconds on every tick
         "alert": StageStats(len(exec_times), 0.0, 0.0),
-        "ocr": StageStats.of([ocr_latency_s] * framed),
-        "detect": StageStats.of([detect_latency_s] * framed),
-        "speech": StageStats.of(speech_times),
+        "ocr": StageStats.of([ocr_latency_s] * n_framed),
+        "detect": StageStats.of([detect_latency_s] * n_framed),
+        "speech": StageStats.of(speech_s),
     }
-    end_to_end = StageStats.of(cycle_times)
-    report = RunReport(
-        stages=stages,
-        end_to_end=end_to_end,
-        alerts_fired=len(alert_messages),
-        budget_pass=end_to_end.mean_s <= CYCLE_BUDGET_S,
-    )
-    log = DeviceLog(tick_s, exec_times, distance_lines, alert_messages, frameless)
+    end_to_end = StageStats.of(cycle_s)
+    report = RunReport(stages, end_to_end, len(ticks), end_to_end.mean_s <= CYCLE_BUDGET_S)
+    log = DeviceLog(tick_s, exec_times, distance_lines, ticks, framed, speech_s, cycle_s, transcript.messages)
     return RunResult(report=report, transcript=transcript, log=log)
 
 

@@ -72,7 +72,7 @@ def test_run_calls_wrapped_layers_per_call():
     # alerted frame is the latest event's at the alert tick
     alerted = [
         [e for e in scenario.events if e.t_s <= k * scenario.tick_s][-1].frame
-        for k in result.log.alert_messages
+        for k in result.log.ticks
     ]
     assert counts["perception.transcribe"] == sum(len(f.texts) for f in alerted if f) == 1
     assert counts["speech.submit"] == len(result.transcript) == 3

@@ -661,11 +661,12 @@ def test_device_log_renders_its_records(config):
     assert sum(line.startswith("warning: no frame at t=") for line in lines) == warnings
     assert lines[0] == "Measure Distance = 250.0 cm"
     assert lines[1].startswith("time taken to execute ")
-    # the records behind the text: one exec time per tick, one alert message
-    # per alert and one frameless tick per warning
+    # the records behind the text: one exec time per tick, one cycle record
+    # per alert, one unframed cycle per warning, one ALERT sentence per cycle
     assert len(result.log.exec_times) == 180
-    assert len(result.log.alert_messages) == alerts
-    assert len(result.log.frameless) == warnings
+    assert len(result.log.ticks) == len(result.log.cycle_s) == alerts
+    assert result.log.framed.count(False) == warnings
+    assert result.log.messages is result.transcript.messages
 
     again = run(scenario, cfg)
     assert again.log == result.log
