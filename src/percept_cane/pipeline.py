@@ -288,10 +288,34 @@ class StageStats:
 
 @dataclass(frozen=True)
 class RunReport:
+    """What a run did, in virtual seconds. The CSV report renders the stages
+    and ``end_to_end``; the JSON report renders every field.
+
+    Every submitted message is spoken or dropped: ``messages_submitted`` is
+    the transcript's length plus the drops, counted per priority name in
+    ``messages_dropped`` and listed in drop order in ``dropped_texts``.
+    ``alert_latency`` spans each alert tick's time to the start of its
+    spoken ``ALERT``, and the cycle percentiles are nearest-rank ones.
+    """
+
     stages: dict[str, StageStats]
     end_to_end: StageStats
     alerts_fired: int
     budget_pass: bool
+    messages_submitted: int
+    messages_dropped: dict[str, int]
+    dropped_texts: list[str]
+    alert_latency: StageStats
+    cycle_p50_s: float
+    cycle_p95_s: float
+
+
+def _nearest_rank(values: Sequence[float], percent: int) -> float:
+    """The smallest value that at least ``percent`` % of ``values`` do not
+    exceed (0.0 for no values)."""
+    if not values:
+        return 0.0
+    return sorted(values)[-(-percent * len(values) // 100) - 1]
 
 
 def format_distance_line(distance_cm: float) -> str:
@@ -449,7 +473,20 @@ def run(
         "speech": StageStats.of(speech_s),
     }
     end_to_end = StageStats.of(cycle_s)
-    report = RunReport(stages, end_to_end, len(ticks), end_to_end.mean_s <= CYCLE_BUDGET_S)
+    dropped = queue.dropped
+    alert_starts = (t for t, m in zip(transcript.times, transcript.messages) if m.priority == Priority.ALERT)
+    report = RunReport(
+        stages,
+        end_to_end,
+        len(ticks),
+        end_to_end.mean_s <= CYCLE_BUDGET_S,
+        messages_submitted=len(transcript) + len(dropped),
+        messages_dropped={p.name: sum(m.priority == p for m in dropped) for p in Priority},
+        dropped_texts=[m.text for m in dropped],
+        alert_latency=StageStats.of([start - k * tick_s for start, k in zip(alert_starts, ticks)]),
+        cycle_p50_s=_nearest_rank(cycle_s, 50),
+        cycle_p95_s=_nearest_rank(cycle_s, 95),
+    )
     log = DeviceLog(tick_s, exec_times, distance_lines, ticks, framed, speech_s, cycle_s, transcript.messages)
     return RunResult(report=report, transcript=transcript, log=log)
 

@@ -296,6 +296,12 @@ def _reference_stats(durations: list[float]) -> dict:
     return {"count": len(durations), "mean_s": math.fsum(durations) / len(durations), "max_s": max(durations)}
 
 
+def _percentile(values: list[float], percent: int) -> float:
+    """The least of ``values`` that at least ``percent`` % of them do not
+    exceed, by counting, or 0.0 for no values."""
+    return min((v for v in values if 100 * sum(x <= v for x in values) >= percent * len(values)), default=0.0)
+
+
 def reference_run(doc: dict, config: dict, seed: int = 0) -> dict:
     """Replay a scenario document under a config document (sections as in a
     config file, each holding keyword arguments) the slow way, and return
@@ -331,6 +337,7 @@ def reference_run(doc: dict, config: dict, seed: int = 0) -> dict:
     exec_times: list[float] = []
     speech_times: list[float] = []
     cycle_times: list[float] = []
+    alert_latencies: list[float] = []
     framed = 0
 
     def submit(priority: Priority, text: str) -> None:
@@ -371,6 +378,7 @@ def reference_run(doc: dict, config: dict, seed: int = 0) -> dict:
             for label in labels:
                 submit(Priority.PERCEPTION, f"Detected {label}")
         drain_start = now
+        alert_latencies.append(now - t)  # the alert outranks the rest, so it is spoken first
         while queue:
             first = min(range(len(queue)), key=lambda i: (queue[i][0], i))
             priority, text = queue.pop(first)
@@ -393,6 +401,12 @@ def reference_run(doc: dict, config: dict, seed: int = 0) -> dict:
         "budget_pass": end_to_end["mean_s"] <= 5.0,
         "end_to_end": end_to_end,
         "stages": stages,
+        "messages_submitted": len(submitted),
+        "messages_dropped": {p.name: [d[0] for d in dropped].count(p) for p in Priority},
+        "dropped_texts": [text for _, text in dropped],
+        "alert_latency": _reference_stats(alert_latencies),
+        "cycle_p50_s": _percentile(cycle_times, 50),
+        "cycle_p95_s": _percentile(cycle_times, 95),
     }
     rows = [("stage", "count", "mean_s", "max_s")]
     rows += [(name, s["count"], repr(s["mean_s"]), repr(s["max_s"])) for name, s in stages.items()]

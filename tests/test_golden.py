@@ -15,13 +15,14 @@ an intended change of output.
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from percept_cane.cli import main
-from percept_cane.pipeline import demo_scenario_path, load_config, load_scenario, run
-from percept_cane.speech import Priority
+from percept_cane.pipeline import PipelineConfig, demo_scenario_path, load_config, load_scenario, run
+from percept_cane.speech import Priority, SpeechConfig, SpeechQueue
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = {"demo": [], "stress": ["--config", str(GOLDEN / "stress_config.json")]}
@@ -58,25 +59,25 @@ MULTI_EVENT_SHA256 = {
         "b284325ebedc5ba68163a51ac69509d41de4ceaa6447a104d0a0a20b0f553cbe",
         "9decbbcd5be55fc093466da9caa8b196943e7af358e3140573c4906010a02283",
         "d8490f5cd5e439ecc632199e8df4cd38258b6348a82e1989c0afd76d51097541",
-        "17b17202fbbfdc261583c6d409bfc050d14d97b4cb242a6e839cb113809b6f6b",
+        "c2440df719e98968e316ad332ec991e69108cf0b7658b2bca6390ba7dbd2d41d",
     ),
     "stress": (
         "97b33b946deebaa7b3d389539e388615dd96df0bdc793ba56d5f3820f139a160",
         "228525927ad135e874f38750e08af665768bd43bd4068c94e109b4a469c266f3",
         "b12424c1fe741711e9ba725901cfe286e5999656640173aef62d68b7bc39f386",
-        "aa18e793462a21ef70ee5521e19259c759cd0b4116d7e8fe1599f2132843f639",
+        "d5383b2a11fd9274bcd1bf0ce87379b5b67d6d9c8be566c00864bf5a35148bfb",
     ),
     "drop": (
         "d0372cc8626b6359e0b0935ea7bf7d2c474cae006020509f0d82fcb48cb5ddd9",
         "9decbbcd5be55fc093466da9caa8b196943e7af358e3140573c4906010a02283",
         "ab8894a40862e9c4cf1fd0bb1f2f35ef49df112ae1b863a7e452435f0ff59b61",
-        "5a05ce1f89c83921cba09bfa85a0f792e37723609682f8005482f50a207aaa5c",
+        "1674ec5b0c53fd5b2f2a2019aa7106bbeedbd59ec3448396e1c97b883569e56c",
     ),
     "rate": (
         "efaa22191256d47e1cb66a1df9a9de8bbe3e8753c57fc5e41e33889f37a1b916",
         "9decbbcd5be55fc093466da9caa8b196943e7af358e3140573c4906010a02283",
         "1b4a7688560f1554f3436bd12e845d953e6bc9e94495a043a929633de2536ab3",
-        "6b1251a47043efb9d15ea6082d5c96ac8df1b3a0f0c38dfb8c8d8b1e1611af22",
+        "19cfac95bc381939d2185d3c88bd153260ac91a4eeb2095fb03284f8bd0313c0",
     ),
 }
 
@@ -102,6 +103,52 @@ def test_drop_case_speaks_less_than_default():
     assert 0 < len(dropping) < len(default)
     # the alerts survive; only perception results are lost
     assert dropping.texts() == [e.text for e in default.entries if e.priority == Priority.ALERT]
+
+
+# every golden run, and the multi-event walk with a queue of one to three
+ACCOUNTED_RUNS = {
+    **{f"demo-{case}": (demo_scenario_path(), args) for case, args in CASES.items()},
+    **{f"multi-{case}": (MULTI_EVENT, args) for case, args in MULTI_EVENT_CASES.items()},
+    **{f"multi-capacity-{c}": (MULTI_EVENT, SpeechConfig(capacity=c)) for c in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCOUNTED_RUNS))
+def test_every_submitted_message_is_spoken_or_dropped(case, monkeypatch):
+    scenario, config = ACCOUNTED_RUNS[case]
+    if isinstance(config, SpeechConfig):
+        cfg = PipelineConfig(speech=config)
+    else:
+        cfg = load_config(config[1]) if config else None
+    submitted = []
+    submit = SpeechQueue.submit
+
+    def counted(queue, text, priority):
+        submitted.append(text)
+        submit(queue, text, priority)
+
+    monkeypatch.setattr(SpeechQueue, "submit", counted)
+    report, transcript, _ = run(load_scenario(scenario), cfg)
+    assert report.messages_submitted == len(submitted) > 0
+    assert len(transcript) + sum(report.messages_dropped.values()) == len(submitted)
+    assert sorted(transcript.texts() + report.dropped_texts) == sorted(submitted)
+    assert report.messages_dropped["ALERT"] == 0
+    if case.startswith("multi-capacity"):
+        assert report.dropped_texts
+
+
+def test_a_queue_drop_and_a_detector_miss_report_differently(tmp_path, capsys):
+    # both speak the demo's alert and its one text, and lose its one detection
+    reports = []
+    for config in ({"speech": {"capacity": 2}}, {"perception": {"miss_prob": 0.3}}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(demo_scenario_path()), "--config", str(path), "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] != reports[1]
+    dropping, missing = map(json.loads, reports)
+    assert (dropping["messages_submitted"], dropping["dropped_texts"]) == (3, ["Detected chair"])
+    assert (missing["messages_submitted"], missing["dropped_texts"]) == (2, [])
 
 
 def _config_files(args) -> tuple[Path, ...]:

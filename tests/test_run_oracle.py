@@ -139,7 +139,8 @@ def test_run_matches_reference_run(doc, config, seed):
     dropped = queues[0].dropped if queues else []
     assert len({id(q) for q in queues}) <= 1
     assert submits == expected["submitted"]
-    assert len(result.transcript) + len(dropped) == len(submits)
+    assert len(result.transcript) + len(dropped) == len(submits) == result.report.messages_submitted
+    assert sum(result.report.messages_dropped.values()) == len(dropped)
     assert [(m.priority, m.text) for m in dropped] == expected["dropped"]
 
     times = result.transcript.times
