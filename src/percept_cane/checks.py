@@ -205,18 +205,18 @@ def _layout(first: list[str] | None, rows: Iterator[list[str]], layouts: _Layout
         raise ValueError(f"unrecognized header {list(cells)}")
     (columns,) = [cells] if header == "exact" else layouts
     table, width = layouts[columns], len(columns)
-    if header == "named":
+    if header == "optional" and not (cells and cells[0] in columns):  # no header
+        return table, width, None, chain([first], rows) if first else rows
+    if header != "exact":  # a header, read as a "named" one
         missing = [c for c in columns if c not in cells]
         if missing:
             raise ValueError(f"missing columns {missing}")
         return table, len(cells), [cells.index(c) for c in columns], rows
-    if header == "optional" and first and cells[0] != columns[0]:
-        rows = chain([first], rows)
     return table, width, None, rows
 
 
-def _width_error(row: list[str], width: int, pick: list[int] | None) -> ValueError:
-    return ValueError(f"expected {width} fields" + ("" if pick else f", got {len(row)}"))
+def _width_error(row: list[str], width: int) -> ValueError:
+    return ValueError(f"expected {width} fields, got {len(row)}")
 
 
 def _read_columns(text: str, layouts: _Layouts, header: str) -> list:
@@ -228,7 +228,7 @@ def _read_columns(text: str, layouts: _Layouts, header: str) -> list:
     extend = flat.extend
     for row in rows:
         if len(row) != width:
-            raise _width_error(row, width, pick)
+            raise _width_error(row, width)
         extend(row)
     return table(*(flat[k::width] for k in pick or range(width)))
 
@@ -245,7 +245,7 @@ def _locate_error(path: str | Path, text: str, layouts: _Layouts, header: str) -
         table, width, pick, rows = _layout(row, rows, layouts, header)
         for row in rows:
             if len(row) != width:
-                raise _width_error(row, width, pick)
+                raise _width_error(row, width)
             table(*([row[k]] for k in pick or range(width)))
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc
@@ -262,9 +262,10 @@ def read_csv(path: str | Path, layouts: _Layouts, header: str = "named", allow_e
     The first non-blank row is, by ``header``: ``"named"``, a required header
     naming the one layout's columns in any order among others; ``"exact"``, a
     required header equal to one layout's columns; ``"optional"``, a header
-    when its first cell is the one layout's first column name. Rows must be as
-    wide as the header (else the layout). No records is an error unless
-    ``allow_empty``.
+    read as a ``"named"`` one when its first cell names any of the one
+    layout's columns, and else the first data row, the columns then taken in
+    the layout's order. Rows must be as wide as the header (else the layout).
+    No records is an error unless ``allow_empty``.
 
     Cells are read into one flat list and converted per column. Every check
     of a table function must be row-local, so that a table passes exactly

@@ -113,8 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     command(
         "models-eval", _cmd_models_eval, "score predictions against ground truth",
-        _opt("--truths", required=True, help="truth records: image_id,label,x0,y0,x1,y1"),
-        _opt("--preds", required=True, help="prediction records: image_id,label,conf,x0,y0,x1,y1"),
+        _opt("--truths", required=True, help="truth records: image_id,label,x_min,y_min,x_max,y_max"),
+        _opt("--preds", required=True,
+             help="prediction records: image_id,label,confidence,x_min,y_min,x_max,y_max"),
     )
     command("ocr-gen", _cmd_ocr_gen, "generate a benchmark corpus", _KIND, _N, _SEED)
     command(

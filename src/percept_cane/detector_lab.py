@@ -301,13 +301,14 @@ def _predictions(image_ids: list[str], labels: list[str], *cells: list[str]) -> 
 
 
 def load_truths(path: str | Path) -> list[TruthBox]:
-    """Read truth records (6 comma-separated fields, header optional)."""
+    """Read truth records (6 comma-separated fields; a header, if any, names
+    them in any order)."""
     return read_csv(path, {TRUTH_FIELDS: _truths}, "optional")
 
 
 def load_predictions(path: str | Path) -> list[PredictionBox]:
-    """Read prediction records (7 fields, confidence third, header optional);
-    a file without any is an empty list."""
+    """Read prediction records (7 fields, confidence third; a header, if any,
+    names them in any order); a file without any is an empty list."""
     return read_csv(path, {PRED_FIELDS: _predictions}, "optional", allow_empty=True)
 
 

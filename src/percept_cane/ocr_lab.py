@@ -343,9 +343,9 @@ def load_engine_profiles(path: str | Path) -> list[EngineProfile]:
 
 
 def load_pairs(path: str | Path, kind: SampleKind | str) -> list[tuple[str, str]]:
-    """Read ``truth,output`` rows (header optional); every truth must have
-    the shape of ``kind``'s samples, and no cell may be longer than
-    ``MAX_PAIR_CHARS``. Errors carry `path:line`."""
+    """Read ``truth,output`` rows (a header, if any, names them in any
+    order); every truth must have the shape of ``kind``'s samples, and no
+    cell may be longer than ``MAX_PAIR_CHARS``. Errors carry `path:line`."""
     kind = SampleKind(kind)
 
     def pairs(truths: list[str], outputs: list[str]) -> list[tuple[str, str]]:

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from percept_cane.cli import build_parser, main
 
@@ -48,8 +50,8 @@ def test_sensor_bench_stdout(capsys):
         ("nan,0.01", "distance_cm must be finite, got nan"),
         ("50,inf", "exec_time_s must be finite, got inf"),
         ("50,-1", "exec_time_s must be finite and positive"),
-        ("60,0.02,99", "expected 2 fields"),
-        ("60", "expected 2 fields"),
+        ("60,0.02,99", "expected 2 fields, got 3"),
+        ("60", "expected 2 fields, got 1"),
         ("9" * 140_000 + ",0.01", "field larger than field limit (131072)"),
     ],
     ids=["nan-distance", "inf-exec-time", "negative-exec-time", "long-row", "short-row", "huge-field"],
@@ -1000,9 +1002,9 @@ def test_accepted_table_layouts(tmp_path, capsys):
     assert run_cli(capsys, *argv, "--policy", "accuracy")[:2] == (0, "easyocr\n")
 
     truths = tmp_path / "truths.csv"
-    truths.write_text("image_id,label,x0,y0,x1,y1\nimg1,cat,0.1,0.1,0.5,0.5\n")
+    truths.write_text("image_id,label,x_min,y_min,x_max,y_max\nimg1,cat,0.1,0.1,0.5,0.5\n")
     preds = tmp_path / "preds.csv"
-    preds.write_text("image_id,label,confidence,x0,y0,x1,y1\n")
+    preds.write_text("image_id,label,confidence,x_min,y_min,x_max,y_max\n")
     code, out, _ = run_cli(capsys, "models-eval", "--truths", str(truths), "--preds", str(preds))
     assert (code, out) == (0, "map50,0.0\nmap5095,0.0\n")
 
@@ -1010,6 +1012,91 @@ def test_accepted_table_layouts(tmp_path, capsys):
     pairs.write_text("12345.67,12345.61\n\n00000.00,00000.00\n")
     code, out, _ = run_cli(capsys, "ocr-score", str(pairs), "--kind", "numbers")
     assert (code, out.splitlines()[1]) == (0, "numbers,2,1,50.0,7>1:1,0.0")
+
+
+TRUTH_COLUMNS = ("image_id", "label", "x_min", "y_min", "x_max", "y_max")
+PRED_COLUMNS = ("image_id", "label", "confidence", "x_min", "y_min", "x_max", "y_max")
+
+
+def _table(columns, order, rows) -> str:
+    """A CSV table whose header names ``columns`` in ``order``, each row's
+    cells moved with their column."""
+    lines = [",".join(columns[i] for i in order)]
+    lines += [",".join(row[i] for i in order) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_TRUTH_ROWS = [("a", "person", "0.1", "0.1", "0.5", "0.5"), ("b", "cat", "0.2", "0.3", "0.6", "0.9")]
+_PRED_ROWS = [
+    ("a", "person", "0.9", "0.1", "0.1", "0.5", "0.5"),
+    ("b", "cat", "0.4", "0.25", "0.3", "0.6", "0.85"),
+    ("b", "cat", "0.7", "0.0", "0.0", "0.1", "0.1"),
+]
+
+
+def test_prediction_header_with_confidence_last_is_read_by_name(tmp_path, capsys):
+    truths, preds = tmp_path / "truths.csv", tmp_path / "preds.csv"
+    truths.write_text("image_id,label,x_min,y_min,x_max,y_max\na,person,0.1,0.1,0.5,0.5\n")
+    preds.write_text("image_id,label,x_min,y_min,x_max,y_max,confidence\na,person,0.1,0.1,0.5,0.5,0.9\n")
+    code, out, _ = run_cli(capsys, "models-eval", "--truths", str(truths), "--preds", str(preds))
+    assert (code, out.splitlines()[0]) == (0, "map50,100.0")
+
+
+def test_pairs_header_in_any_order_is_read_by_name(tmp_path, capsys):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("output,truth\nabd,abc\n")
+    code, out, _ = run_cli(capsys, "ocr-score", str(pairs), "--kind", "alphabets")
+    # one pair, truth abc read as abd; the header is not scored
+    assert (code, out.splitlines()[1]) == (0, "alphabets,1,1,100.0,c>d:1,0.0")
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(truth_order=st.permutations(range(6)), pred_order=st.permutations(range(7)), pair_order=st.permutations(range(2)))
+def test_permuted_headers_read_the_same_records(truth_order, pred_order, pair_order, tmp_path, capsys):
+    outputs = []
+    for truth_cols, pred_cols, pair_cols in [(range(6), range(7), range(2)), (truth_order, pred_order, pair_order)]:
+        truths, preds, pairs = tmp_path / "truths.csv", tmp_path / "preds.csv", tmp_path / "pairs.csv"
+        truths.write_text(_table(TRUTH_COLUMNS, truth_cols, _TRUTH_ROWS))
+        preds.write_text(_table(PRED_COLUMNS, pred_cols, _PRED_ROWS))
+        pairs.write_text(_table(("truth", "output"), pair_cols, [("left door", "ieft door"), ("fire", "fire")]))
+        outputs.append(run_cli(capsys, "models-eval", "--truths", str(truths), "--preds", str(preds)))
+        outputs.append(run_cli(capsys, "ocr-score", str(pairs), "--kind", "alphabets"))
+    assert outputs[0][0] == outputs[1][0] == 0
+    assert outputs[:2] == outputs[2:]
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("models-eval", "--truths", "{}", "--preds", "PREDS"),
+         "image_id,label,x_min,y_mn,x_max,y_max\na,cat,0.1,0.1,0.5,0.5\n", "missing columns ['y_min']"),
+        (("models-eval", "--truths", "{}", "--preds", "PREDS"),
+         "image_id,label,x_min,y_min,x_max\na,cat,0.1,0.1,0.5\n", "missing columns ['y_max']"),
+        (("models-eval", "--truths", "TRUTHS", "--preds", "{}"),
+         "image_id,label,x_min,y_min,x_max,y_max,conf\na,cat,0.1,0.1,0.5,0.5,0.9\n",
+         "missing columns ['confidence']"),
+        (("models-eval", "--truths", "TRUTHS", "--preds", "{}"),
+         "label,image_id,x0,y0,x1,y1,confidence\n", "missing columns ['x_min', 'y_min', 'x_max', 'y_max']"),
+        (("ocr-score", "{}", "--kind", "alphabets"), "output,truht\nabc,abc\n", "missing columns ['truth']"),
+        # a first row that is neither a header nor valid data is a data row
+        # that fails, at line 1
+        (("models-eval", "--truths", "{}", "--preds", "PREDS"),
+         "imageid,label,x_min,y_min,x_max,y_max\na,cat,0.1,0.1,0.5,0.5\n", "x_min must be a number, got 'x_min'"),
+        (("ocr-score", "{}", "--kind", "numbers"), "truths,output\n12345.67,12345.67\n",
+         "truth: not NNNNN.NN: 'truths'"),
+    ],
+    ids=["truths-misspelt", "truths-missing", "preds-misspelt", "preds-renamed", "pairs-misspelt",
+         "truths-not-a-header", "pairs-not-a-header"],
+)
+def test_bad_header_exits_1_at_line_1(argv, text, message, tmp_path, capsys):
+    table, truths, preds = tmp_path / "table.csv", tmp_path / "truths.csv", tmp_path / "preds.csv"
+    table.write_text(text)
+    truths.write_text("image_id,label,x_min,y_min,x_max,y_max\na,cat,0.1,0.1,0.5,0.5\n")
+    preds.write_text("")
+    argv = [str(table) if a == "{}" else str(truths) if a == "TRUTHS" else str(preds) if a == "PREDS" else a
+            for a in argv]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {table}:1: {message}\n")
 
 
 def test_ocr_gen_deterministic(capsys):
