@@ -30,9 +30,16 @@ from .sensor import SensorConfig, simulate_measurement
 from .speech import Priority, SpeechConfig, SpeechMessage, SpeechQueue, Transcript, speak_all
 
 SCENARIO_DEMO_FILE = "scenario_demo.json"
-# Upper bound on ceil(duration_s / tick_s), checked before any tick runs;
-# the largest benchmark walk has 6,000 ticks.
+# Upper bounds checked before any tick runs. MAX_TICKS bounds
+# duration_s / tick_s; the largest benchmark walk has 6,000 ticks.
 MAX_TICKS = 1_000_000
+# An alert submits one message plus one per text and label of its frame,
+# and at most one alert fires per tick, so ticks * (1 + the largest
+# frame's texts and labels) bounds a run's messages. The benchmark walks
+# ask for at most 31,200 and a frameless MAX_TICKS walk for 1,000,000;
+# each message kept costs ~200 bytes, so a run keeps at most ~0.4 GB.
+MAX_FRAME_ITEMS = 1_000
+MAX_MESSAGES = 2_000_000
 STAGE_NAMES = ("sensor", "alert", "ocr", "detect", "speech")
 # a run passes its budget when its mean alert cycle takes at most this long
 CYCLE_BUDGET_S = 5.0
@@ -100,6 +107,7 @@ class Scenario:
         if self.duration_s / self.tick_s > MAX_TICKS:
             raise ValueError(f"duration_s / tick_s exceeds {MAX_TICKS} ticks")
         last = -math.inf
+        largest = 0  # the most texts and labels in one frame
         vocabulary: frozenset[str] | None = None  # read at the first label, if any
         for i, e in enumerate(self.events):
             if not last < e.t_s < math.inf:
@@ -110,6 +118,12 @@ class Scenario:
             f = e.frame
             if f is None:
                 continue
+            n_items = len(f.texts) + len(f.object_labels)
+            if n_items > MAX_FRAME_ITEMS:
+                raise ValueError(
+                    f"event {i}: frame {f.frame_id!r}: {n_items} texts and labels exceed {MAX_FRAME_ITEMS}"
+                )
+            largest = max(largest, n_items)
             # a tab or line break spoken from a frame would forge transcript
             # lines; isprintable is False for each, and cheaper than the regex
             if not "".join(f.texts + f.object_labels).isprintable():
@@ -127,6 +141,10 @@ class Scenario:
                     raise ValueError(
                         f"event {i}: frame {f.frame_id!r}: label {label!r} not in vocabulary"
                     )
+        if self.duration_s / self.tick_s * (1 + largest) > MAX_MESSAGES:
+            raise ValueError(
+                f"duration_s / tick_s times {1 + largest} messages per alert exceeds {MAX_MESSAGES} messages"
+            )
 
 
 def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple[str, ...]:
@@ -268,6 +286,9 @@ class StageStats:
     mean_s: float
     max_s: float
 
+    def __post_init__(self) -> None:
+        require_finite_fields(self)
+
     @staticmethod
     def of(durations: Sequence[float]) -> "StageStats":
         if not durations:
@@ -352,6 +373,10 @@ class DeviceLog:
     speech_s: Sequence[float]
     cycle_s: Sequence[float]
     messages: Sequence[SpeechMessage]
+
+    def __post_init__(self) -> None:
+        if not 0 < self.tick_s < math.inf:  # False for NaN too
+            raise ValueError("tick_s must be finite and positive")
 
     def render(self) -> str:
         """The whole log text, each line ending in ``\\n``."""

@@ -17,7 +17,10 @@ from percept_cane import pipeline
 from percept_cane.perception import BackendError, BoundingBox, Frame, load_class_vocabulary
 from percept_cane.pipeline import (
     CYCLE_BUDGET_S,
+    MAX_FRAME_ITEMS,
+    MAX_MESSAGES,
     MAX_TICKS,
+    DeviceLog,
     PerceptionConfig,
     PipelineConfig,
     Scenario,
@@ -365,6 +368,65 @@ def test_scenario_invariants():
 
 
 NAN, INF = math.nan, math.inf
+
+
+def test_frame_over_the_item_cap_is_rejected():
+    # one more text than the cap leaves for the frame's labels
+    frame = Frame("f", ("chair",) * 10, ("EXIT",) * (MAX_FRAME_ITEMS - 9))
+    message = f"^event 0: frame 'f': {MAX_FRAME_ITEMS + 1} texts and labels exceed {MAX_FRAME_ITEMS}$"
+    with pytest.raises(ValueError, match=message):
+        Scenario("x", tick_s=1.0, duration_s=10.0, events=(ScenarioEvent(0.0, 80.0, frame),))
+
+
+def test_ticks_times_messages_per_alert_over_the_cap_is_rejected():
+    # each alert would submit three messages, one over the cap in all
+    ticks = MAX_MESSAGES // 3 + 1
+    assert ticks <= MAX_TICKS and ticks * 3 == MAX_MESSAGES + 1
+    frame = Frame("f", ("chair",), ("EXIT",))
+    with pytest.raises(ValueError, match=f"^duration_s / tick_s times 3 messages per alert exceeds {MAX_MESSAGES} messages$"):
+        Scenario("x", tick_s=1.0, duration_s=float(ticks), events=(ScenarioEvent(0.0, 80.0, frame),))
+
+
+@pytest.mark.parametrize(
+    "cap, value, frame, duration_s, message",
+    [
+        ("MAX_FRAME_ITEMS", 2, {"texts": 2, "objects": 1}, 5.0, "event 0: frame 'f': 3 texts and labels exceed 2"),
+        ("MAX_MESSAGES", 50, {"texts": 1, "objects": 1}, 17.0, "duration_s / tick_s times 3 messages per alert exceeds 50 messages"),
+    ],
+)
+def test_scenario_over_a_message_cap_runs_no_tick(cap, value, frame, duration_s, message, tmp_path, monkeypatch, capsys):
+    from percept_cane.cli import main
+
+    monkeypatch.setattr(pipeline, cap, value)
+    ticks = []
+    monkeypatch.setattr(pipeline, "simulate_measurement", lambda *args, **kwargs: ticks.append(args))
+    doc = {
+        "name": "capped",
+        "tick_s": 1.0,
+        "duration_s": duration_s,
+        "events": [{"t": 0.0, "distance_cm": 80.0, "frame": {
+            "frame_id": "f",
+            "texts": [{"text": "EXIT", "region": [0.1, 0.1, 0.5, 0.5]}] * frame["texts"],
+            "objects": [{"label": "chair", "box": [0.1, 0.1, 0.5, 0.5]}] * frame["objects"],
+        }}],
+    }
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert ticks == []
+
+
+@pytest.mark.parametrize("args, field", [((1, NAN, 0.0), "mean_s"), ((1, 0.0, INF), "max_s"), ((1, -INF, 0.0), "mean_s")])
+def test_stage_stats_rejects_a_non_finite_field(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        StageStats(*args)
+
+
+@pytest.mark.parametrize("tick_s", [NAN, INF, 0.0, -0.5])
+def test_device_log_rejects_a_tick_that_is_not_finite_and_positive(tick_s):
+    with pytest.raises(ValueError, match="^tick_s must be finite and positive$"):
+        DeviceLog(tick_s, [], {}, [], [], [], [], [])
 
 
 @pytest.mark.parametrize(
