@@ -501,10 +501,10 @@ def run(
     dropped = queue.dropped
     alert_starts = (t for t, m in zip(transcript.times, transcript.messages) if m.priority == Priority.ALERT)
     report = RunReport(
-        stages,
-        end_to_end,
-        len(ticks),
-        end_to_end.mean_s <= CYCLE_BUDGET_S,
+        stages=stages,
+        end_to_end=end_to_end,
+        alerts_fired=len(ticks),
+        budget_pass=end_to_end.mean_s <= CYCLE_BUDGET_S,
         messages_submitted=len(transcript) + len(dropped),
         messages_dropped={p.name: sum(m.priority == p for m in dropped) for p in Priority},
         dropped_texts=[m.text for m in dropped],

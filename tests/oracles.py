@@ -287,7 +287,9 @@ def reference_scenario_parts(
 
 # the perception section's defaults, written out here rather than read from
 # the pipeline's config class
-REFERENCE_PERCEPTION = {"ocr": "mock-tesseract", "miss_prob": 0.0, "ocr_latency_s": 0.2, "detect_latency_s": 0.1}
+REFERENCE_PERCEPTION = {
+    "ocr": "mock-tesseract", "miss_prob": 0.0, "ocr_latency_s": 0.2, "detect_latency_s": 0.1
+}
 
 
 def _reference_stats(durations: list[float]) -> dict:
@@ -378,21 +380,21 @@ def reference_run(doc: dict, config: dict, seed: int = 0) -> dict:
             for label in labels:
                 submit(Priority.PERCEPTION, f"Detected {label}")
         drain_start = now
-        alert_latencies.append(now - t)  # the alert outranks the rest, so it is spoken first
         while queue:
             first = min(range(len(queue)), key=lambda i: (queue[i][0], i))
             priority, text = queue.pop(first)
+            if priority is Priority.ALERT:
+                alert_latencies.append(now - t)
             spoken.append((now, priority, text))
             now += speech.base_per_char_s * len(text) / speech.default_rate
         speech_times.append(now - drain_start)
         cycle_times.append(now - start)
 
-    latencies = [perception["ocr_latency_s"]] * framed, [perception["detect_latency_s"]] * framed
     stages = {
         "sensor": _reference_stats(exec_times),
         "alert": {"count": len(exec_times), "mean_s": 0.0, "max_s": 0.0},
-        "ocr": _reference_stats(latencies[0]),
-        "detect": _reference_stats(latencies[1]),
+        "ocr": _reference_stats([perception["ocr_latency_s"]] * framed),
+        "detect": _reference_stats([perception["detect_latency_s"]] * framed),
         "speech": _reference_stats(speech_times),
     }
     end_to_end = _reference_stats(cycle_times)
