@@ -17,7 +17,7 @@ import gc
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -309,26 +309,69 @@ class StageStats:
 
 @dataclass(frozen=True)
 class RunReport:
-    """What a run did, in virtual seconds. The CSV report renders the stages
-    and ``end_to_end``; the JSON report renders every field.
+    """What a run did, in virtual seconds. The CSV report renders ``stages``
+    and ``end_to_end``; the JSON report renders those, ``alerts_fired``,
+    ``budget_pass`` and the properties below.
 
-    Every submitted message is spoken or dropped: ``messages_submitted`` is
-    the transcript's length plus the drops, counted per priority name in
-    ``messages_dropped`` and listed in drop order in ``dropped_texts``.
-    ``alert_latency`` spans each alert tick's time to the start of its
-    spoken ``ALERT``, and the cycle percentiles are nearest-rank ones.
+    The properties account for every message and time each cycle. They are
+    folded when read, from the records the report keeps: the device log
+    (the cycle record and the spoken messages), the start time of each
+    spoken message and the queue's drop report. So a caller that renders
+    only the CSV report never pays for them.
     """
 
     stages: dict[str, StageStats]
     end_to_end: StageStats
     alerts_fired: int
     budget_pass: bool
-    messages_submitted: int
-    messages_dropped: dict[str, int]
-    dropped_texts: list[str]
-    alert_latency: StageStats
-    cycle_p50_s: float
-    cycle_p95_s: float
+    log: DeviceLog = field(repr=False)
+    spoken_at_s: Sequence[float] = field(repr=False)
+    dropped: Sequence[SpeechMessage] = field(repr=False)
+
+    @property
+    def messages_submitted(self) -> int:
+        """Every submitted message is spoken or dropped."""
+        return len(self.log.messages) + len(self.dropped)
+
+    @property
+    def messages_dropped(self) -> dict[str, int]:
+        """The dropped messages per priority name, zeros included."""
+        return {p.name: sum(m.priority == p for m in self.dropped) for p in Priority}
+
+    @property
+    def dropped_texts(self) -> list[str]:
+        """The dropped messages' texts, in drop order."""
+        return [m.text for m in self.dropped]
+
+    @property
+    def alert_latency(self) -> StageStats:
+        """From each alert's tick time to the start of its spoken ``ALERT``."""
+        log = self.log
+        starts = (t for t, m in zip(self.spoken_at_s, log.messages) if m.priority == Priority.ALERT)
+        return StageStats.of([start - k * log.tick_s for start, k in zip(starts, log.ticks)])
+
+    @property
+    def cycle_p50_s(self) -> float:
+        return _nearest_rank(self.log.cycle_s, 50)
+
+    @property
+    def cycle_p95_s(self) -> float:
+        return _nearest_rank(self.log.cycle_s, 95)
+
+
+# the fields and properties of RunReport that the JSON report renders
+_JSON_FIELDS = (
+    "stages",
+    "end_to_end",
+    "alerts_fired",
+    "budget_pass",
+    "messages_submitted",
+    "messages_dropped",
+    "dropped_texts",
+    "alert_latency",
+    "cycle_p50_s",
+    "cycle_p95_s",
+)
 
 
 def _nearest_rank(values: Sequence[float], percent: int) -> float:
@@ -498,21 +541,16 @@ def run(
         "speech": StageStats.of(speech_s),
     }
     end_to_end = StageStats.of(cycle_s)
-    dropped = queue.dropped
-    alert_starts = (t for t, m in zip(transcript.times, transcript.messages) if m.priority == Priority.ALERT)
+    log = DeviceLog(tick_s, exec_times, distance_lines, ticks, framed, speech_s, cycle_s, transcript.messages)
     report = RunReport(
         stages=stages,
         end_to_end=end_to_end,
         alerts_fired=len(ticks),
         budget_pass=end_to_end.mean_s <= CYCLE_BUDGET_S,
-        messages_submitted=len(transcript) + len(dropped),
-        messages_dropped={p.name: sum(m.priority == p for m in dropped) for p in Priority},
-        dropped_texts=[m.text for m in dropped],
-        alert_latency=StageStats.of([start - k * tick_s for start, k in zip(alert_starts, ticks)]),
-        cycle_p50_s=_nearest_rank(cycle_s, 50),
-        cycle_p95_s=_nearest_rank(cycle_s, 95),
+        log=log,
+        spoken_at_s=transcript.times,
+        dropped=queue.dropped,
     )
-    log = DeviceLog(tick_s, exec_times, distance_lines, ticks, framed, speech_s, cycle_s, transcript.messages)
     return RunResult(report=report, transcript=transcript, log=log)
 
 
@@ -527,4 +565,5 @@ def run_report_to_csv(report: RunReport) -> str:
 
 
 def run_report_to_json(report: RunReport) -> str:
-    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+    doc = {name: getattr(report, name) for name in _JSON_FIELDS}
+    return json.dumps(doc, default=asdict, indent=2, sort_keys=True) + "\n"
