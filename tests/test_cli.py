@@ -1052,7 +1052,11 @@ def test_pairs_header_in_any_order_is_read_by_name(tmp_path, capsys):
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(truth_order=st.permutations(range(6)), pred_order=st.permutations(range(7)), pair_order=st.permutations(range(2)))
+@given(
+    truth_order=st.permutations(range(6)),
+    pred_order=st.permutations(range(7)),
+    pair_order=st.permutations(range(2)),
+)
 def test_permuted_headers_read_the_same_records(truth_order, pred_order, pair_order, tmp_path, capsys):
     outputs = []
     for truth_cols, pred_cols, pair_cols in [(range(6), range(7), range(2)), (truth_order, pred_order, pair_order)]:

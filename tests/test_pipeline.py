@@ -14,6 +14,7 @@ from oracles import reference_scenario_parts
 
 from percept_cane.alerts import AlertConfig, AlertState, on_measurement
 from percept_cane import pipeline
+from percept_cane.cli import main
 from percept_cane.perception import BackendError, BoundingBox, Frame, load_class_vocabulary
 from percept_cane.pipeline import (
     CYCLE_BUDGET_S,
@@ -383,7 +384,8 @@ def test_ticks_times_messages_per_alert_over_the_cap_is_rejected():
     ticks = MAX_MESSAGES // 3 + 1
     assert ticks <= MAX_TICKS and ticks * 3 == MAX_MESSAGES + 1
     frame = Frame("f", ("chair",), ("EXIT",))
-    with pytest.raises(ValueError, match=f"^duration_s / tick_s times 3 messages per alert exceeds {MAX_MESSAGES} messages$"):
+    message = f"^duration_s / tick_s times 3 messages per alert exceeds {MAX_MESSAGES} messages$"
+    with pytest.raises(ValueError, match=message):
         Scenario("x", tick_s=1.0, duration_s=float(ticks), events=(ScenarioEvent(0.0, 80.0, frame),))
 
 
@@ -391,12 +393,15 @@ def test_ticks_times_messages_per_alert_over_the_cap_is_rejected():
     "cap, value, frame, duration_s, message",
     [
         ("MAX_FRAME_ITEMS", 2, {"texts": 2, "objects": 1}, 5.0, "event 0: frame 'f': 3 texts and labels exceed 2"),
-        ("MAX_MESSAGES", 50, {"texts": 1, "objects": 1}, 17.0, "duration_s / tick_s times 3 messages per alert exceeds 50 messages"),
+        (
+            "MAX_MESSAGES", 50, {"texts": 1, "objects": 1}, 17.0,
+            "duration_s / tick_s times 3 messages per alert exceeds 50 messages",
+        ),
     ],
 )
-def test_scenario_over_a_message_cap_runs_no_tick(cap, value, frame, duration_s, message, tmp_path, monkeypatch, capsys):
-    from percept_cane.cli import main
-
+def test_scenario_over_a_message_cap_runs_no_tick(
+    cap, value, frame, duration_s, message, tmp_path, monkeypatch, capsys
+):
     monkeypatch.setattr(pipeline, cap, value)
     ticks = []
     monkeypatch.setattr(pipeline, "simulate_measurement", lambda *args, **kwargs: ticks.append(args))
@@ -417,7 +422,9 @@ def test_scenario_over_a_message_cap_runs_no_tick(cap, value, frame, duration_s,
     assert ticks == []
 
 
-@pytest.mark.parametrize("args, field", [((1, NAN, 0.0), "mean_s"), ((1, 0.0, INF), "max_s"), ((1, -INF, 0.0), "mean_s")])
+@pytest.mark.parametrize(
+    "args, field", [((1, NAN, 0.0), "mean_s"), ((1, 0.0, INF), "max_s"), ((1, -INF, 0.0), "mean_s")]
+)
 def test_stage_stats_rejects_a_non_finite_field(args, field):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
         StageStats(*args)
