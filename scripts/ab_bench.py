@@ -33,8 +33,9 @@ only; beside it stands the implied host calibration of the set-up,
 since ``setup_s`` is a median of per-load ratios, not a ratio of
 medians.
 ``--json PATH`` also writes that summary as one JSON object: the base and
-head revisions (head is ``HEAD``, flagged ``head_dirty`` when the working
-tree differs from it), the workload, the seeds, the failed run count, and
+head revisions (head is ``HEAD``, flagged ``head_dirty`` when what a run
+executes, ``src/``, ``perfbench/`` or ``BENCHMARK.json``, differs from it
+in the working tree, untracked files included), the workload, the seeds, the failed run count, and
 per metric its unit, direction, bound, each side's values, median and
 quartiles, the change's wins, the pairs whose first side read worse
 (``first_worse``), the base IQR, the relative worse move
@@ -65,6 +66,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
 SHARED = ("perfbench", "BENCHMARK.json")
+# the paths a benchmark run executes
+EXECUTED = ("src", *SHARED)
 # host seconds in run.py's summary lines: the median timed pass, the
 # median calibration run and the median load behind setup_s
 HOST_LINES = {
@@ -87,6 +90,13 @@ def parse_seeds(text: str) -> list[int]:
 
 def git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+
+
+def differs(revision: str, paths: tuple[str, ...]) -> bool:
+    """Whether ``paths`` in the working tree differ from ``revision``,
+    untracked files included."""
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", *paths).stdout
+    return bool(untracked) or git("diff", "--quiet", revision, "--", *paths).returncode != 0
 
 
 def run_side(root: Path, workload: str, seed: int) -> dict:
@@ -213,8 +223,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if git("rev-parse", "--verify", "--quiet", args.base + "^{commit}").returncode != 0:
         parser.error(f"unknown revision {args.base!r}")
-    untracked = git("ls-files", "--others", "--exclude-standard", "--", *SHARED).stdout
-    if untracked or git("diff", "--quiet", args.base, "--", *SHARED).returncode != 0:
+    if differs(args.base, SHARED):
         sys.stderr.write(f"refusing: {' or '.join(SHARED)} differ from {args.base}\n")
         return 1
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -264,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         summary = {
             "base": git("rev-parse", args.base + "^{commit}").stdout.strip(),
             "head": git("rev-parse", "HEAD").stdout.strip(),
-            "head_dirty": git("diff", "--quiet", "HEAD").returncode != 0,
+            "head_dirty": differs("HEAD", EXECUTED),
             "workload": args.workload,
             "seeds": args.seeds,
             "seconds": SECONDS,

@@ -162,7 +162,7 @@ def _cmd_run(args) -> str:
     if args.transcript:
         Path(args.transcript).write_text(transcript, encoding="utf-8")
     if args.log:
-        Path(args.log).write_text(result.log.render(), encoding="utf-8")
+        Path(args.log).write_text(result.report.render_log(), encoding="utf-8")
     if args.verbose:
         sys.stderr.write(f"wall time: {wall_s * 1000:.1f} ms\n")
     return transcript + report_text if args.print_transcript else report_text

@@ -17,7 +17,7 @@ import gc
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -36,10 +36,13 @@ MAX_TICKS = 1_000_000
 # An alert submits one message plus one per text and label of its frame,
 # and at most one alert fires per tick, so ticks * (1 + the largest
 # frame's texts and labels) bounds a run's messages. The benchmark walks
-# ask for at most 31,200 and a frameless MAX_TICKS walk for 1,000,000;
-# each message kept costs ~200 bytes, so a run keeps at most ~0.4 GB.
+# ask for at most 31,200 and a frameless MAX_TICKS walk for 1,000,000.
+# A kept message with a MAX_TEXT_CHARS text (the wordlist's have at most
+# 17) costs ~270 bytes if ASCII and ~640 if every character lies outside
+# the BMP (tracemalloc, 5,000 messages), so a run keeps at most ~1.3 GB.
 MAX_FRAME_ITEMS = 1_000
 MAX_MESSAGES = 2_000_000
+MAX_TEXT_CHARS = 100
 STAGE_NAMES = ("sensor", "alert", "ocr", "detect", "speech")
 # a run passes its budget when its mean alert cycle takes at most this long
 CYCLE_BUDGET_S = 5.0
@@ -124,9 +127,17 @@ class Scenario:
                     f"event {i}: frame {f.frame_id!r}: {n_items} texts and labels exceed {MAX_FRAME_ITEMS}"
                 )
             largest = max(largest, n_items)
+            joined = "".join(f.texts + f.object_labels)
+            # no text can be over the cap when the texts and labels together are not
+            if len(joined) > MAX_TEXT_CHARS:
+                longest = max(map(len, f.texts), default=0)
+                if longest > MAX_TEXT_CHARS:
+                    raise ValueError(
+                        f"event {i}: frame {f.frame_id!r}: a text of {longest} characters exceeds {MAX_TEXT_CHARS}"
+                    )
             # a tab or line break spoken from a frame would forge transcript
             # lines; isprintable is False for each, and cheaper than the regex
-            if not "".join(f.texts + f.object_labels).isprintable():
+            if not joined.isprintable():
                 for kind, items in (("text", f.texts), ("label", f.object_labels)):
                     for item in items:
                         if checks.LINE_BREAK_OR_TAB.search(item):
@@ -307,73 +318,6 @@ class StageStats:
         return StageStats(len(durations), total / len(durations), max(durations))
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """What a run did, in virtual seconds. The CSV report renders ``stages``
-    and ``end_to_end``; the JSON report renders those, ``alerts_fired``,
-    ``budget_pass`` and the properties below.
-
-    The properties account for every message and time each cycle. They are
-    folded when read, from the records the report keeps: the device log
-    (the cycle record and the spoken messages), the start time of each
-    spoken message and the queue's drop report. So a caller that renders
-    only the CSV report never pays for them.
-    """
-
-    stages: dict[str, StageStats]
-    end_to_end: StageStats
-    alerts_fired: int
-    budget_pass: bool
-    log: DeviceLog = field(repr=False)
-    spoken_at_s: Sequence[float] = field(repr=False)
-    dropped: Sequence[SpeechMessage] = field(repr=False)
-
-    @property
-    def messages_submitted(self) -> int:
-        """Every submitted message is spoken or dropped."""
-        return len(self.log.messages) + len(self.dropped)
-
-    @property
-    def messages_dropped(self) -> dict[str, int]:
-        """The dropped messages per priority name, zeros included."""
-        return {p.name: sum(m.priority == p for m in self.dropped) for p in Priority}
-
-    @property
-    def dropped_texts(self) -> list[str]:
-        """The dropped messages' texts, in drop order."""
-        return [m.text for m in self.dropped]
-
-    @property
-    def alert_latency(self) -> StageStats:
-        """From each alert's tick time to the start of its spoken ``ALERT``."""
-        log = self.log
-        starts = (t for t, m in zip(self.spoken_at_s, log.messages) if m.priority == Priority.ALERT)
-        return StageStats.of([start - k * log.tick_s for start, k in zip(starts, log.ticks)])
-
-    @property
-    def cycle_p50_s(self) -> float:
-        return _nearest_rank(self.log.cycle_s, 50)
-
-    @property
-    def cycle_p95_s(self) -> float:
-        return _nearest_rank(self.log.cycle_s, 95)
-
-
-# the fields and properties of RunReport that the JSON report renders
-_JSON_FIELDS = (
-    "stages",
-    "end_to_end",
-    "alerts_fired",
-    "budget_pass",
-    "messages_submitted",
-    "messages_dropped",
-    "dropped_texts",
-    "alert_latency",
-    "cycle_p50_s",
-    "cycle_p95_s",
-)
-
-
 def _nearest_rank(values: Sequence[float], percent: int) -> float:
     """The smallest value that at least ``percent`` % of ``values`` do not
     exceed (0.0 for no values)."""
@@ -389,19 +333,23 @@ def format_distance_line(distance_cm: float) -> str:
     return f"Measure Distance = {distance_cm:.1f} cm"
 
 
-@dataclass(frozen=True)
-class DeviceLog:
-    """The device log of one run, as the records it is rendered from.
+@dataclass(frozen=True, repr=False)
+class RunReport:
+    """The one record of a run, in virtual seconds. Every report value and
+    the log text are folded from its fields when read, so a caller pays
+    only for what it renders: the CSV report folds ``stages`` and
+    ``end_to_end``, the JSON report every property, and only
+    ``render_log`` formats the per-tick lines.
 
-    Every tick logs its distance line, then ``time taken to execute`` with
-    the sensor's exec time; an alert tick then logs the alert and, when no
-    frame was active, a warning. A run keeps the distance line by the tick
-    it was first formatted on (once per event), and one record per alert
-    cycle, as columns with one index per cycle: its tick, whether a frame
-    was active, and its speech and whole-cycle seconds. The alert sentence
-    is kept once: ``messages`` is the transcript's own list, whose i-th
-    ``ALERT`` is cycle i's, as an alert enters an empty queue and outranks
-    the rest, so it is never dropped.
+    Per tick, ``exec_times`` holds the sensor's exec time, and
+    ``distance_lines`` the distance line by the tick it was first formatted
+    on (once per event). Per alert cycle, as columns with one index per
+    cycle: its tick, whether a frame was active, and its speech and
+    whole-cycle seconds. ``spoken_at_s`` and ``messages`` are the
+    transcript's own two lists. The alert sentence is kept once: the i-th
+    ``ALERT`` message is cycle i's, as an alert enters an empty queue and
+    outranks the rest, so it is never dropped. ``dropped`` is the queue's
+    drop report.
 
     Lists, dicts and sets of ints, floats, bools and strs add no object
     that the garbage collector tracks; a tuple per event, kept as long as
@@ -409,20 +357,82 @@ class DeviceLog:
     """
 
     tick_s: float
+    ocr_latency_s: float
+    detect_latency_s: float
     exec_times: Sequence[float]
     distance_lines: dict[int, str]
     ticks: Sequence[int]
     framed: Sequence[bool]
     speech_s: Sequence[float]
     cycle_s: Sequence[float]
+    spoken_at_s: Sequence[float]
     messages: Sequence[SpeechMessage]
+    dropped: Sequence[SpeechMessage]
 
     def __post_init__(self) -> None:
         if not 0 < self.tick_s < math.inf:  # False for NaN too
             raise ValueError("tick_s must be finite and positive")
 
-    def render(self) -> str:
-        """The whole log text, each line ending in ``\\n``."""
+    @property
+    def stages(self) -> dict[str, StageStats]:
+        """Per stage of ``STAGE_NAMES``; the alert stage is a placeholder,
+        zero seconds on every tick."""
+        n_framed = sum(self.framed)
+        return {
+            "sensor": StageStats.of(self.exec_times),
+            "alert": StageStats(len(self.exec_times), 0.0, 0.0),
+            "ocr": StageStats.of([self.ocr_latency_s] * n_framed),
+            "detect": StageStats.of([self.detect_latency_s] * n_framed),
+            "speech": StageStats.of(self.speech_s),
+        }
+
+    @property
+    def end_to_end(self) -> StageStats:
+        """Each alert cycle, from its tick to the end of its speech."""
+        return StageStats.of(self.cycle_s)
+
+    @property
+    def alerts_fired(self) -> int:
+        return len(self.ticks)
+
+    @property
+    def budget_pass(self) -> bool:
+        return self.end_to_end.mean_s <= CYCLE_BUDGET_S
+
+    @property
+    def messages_submitted(self) -> int:
+        """Every submitted message is spoken or dropped."""
+        return len(self.messages) + len(self.dropped)
+
+    @property
+    def messages_dropped(self) -> dict[str, int]:
+        """The dropped messages per priority name, zeros included."""
+        return {p.name: sum(m.priority == p for m in self.dropped) for p in Priority}
+
+    @property
+    def dropped_texts(self) -> list[str]:
+        """The dropped messages' texts, in drop order."""
+        return [m.text for m in self.dropped]
+
+    @property
+    def alert_latency(self) -> StageStats:
+        """From each alert's tick time to the start of its spoken ``ALERT``."""
+        starts = (t for t, m in zip(self.spoken_at_s, self.messages) if m.priority == Priority.ALERT)
+        return StageStats.of([start - k * self.tick_s for start, k in zip(starts, self.ticks)])
+
+    @property
+    def cycle_p50_s(self) -> float:
+        return _nearest_rank(self.cycle_s, 50)
+
+    @property
+    def cycle_p95_s(self) -> float:
+        return _nearest_rank(self.cycle_s, 95)
+
+    def render_log(self) -> str:
+        """The device log text, each line ending in ``\\n``. Every tick logs
+        its distance line, then ``time taken to execute`` with the sensor's
+        exec time; an alert tick then logs the alert and, when no frame was
+        active, a warning."""
         sentences = (m.text for m in self.messages if m.priority == Priority.ALERT)
         notes: dict[int, str] = {}
         for k, framed, sentence in zip(self.ticks, self.framed, sentences):
@@ -440,7 +450,6 @@ class DeviceLog:
 class RunResult(NamedTuple):
     report: RunReport
     transcript: Transcript
-    log: DeviceLog
 
 
 def run(
@@ -459,7 +468,9 @@ def run(
     ranging-only announcement with a logged warning.
 
     ``seed`` seeds the sensor jitter, the detector's misses and the OCR
-    substitutions; an ``ocr`` backend passed in keeps its own seed.
+    substitutions; an ``ocr`` backend passed in keeps its own seed. The
+    result holds the transcript and the run's record, from which the
+    reports and the log are folded when read.
     """
     cfg = cfg or PipelineConfig()
     rng = random.Random(seed)
@@ -531,33 +542,18 @@ def run(
         speech_s.append(now - before)
         cycle_s.append(now - cycle_start)
 
-    n_framed = sum(framed)
-    stages = {
-        "sensor": StageStats.of(exec_times),
-        # the alert stage is a placeholder: zero seconds on every tick
-        "alert": StageStats(len(exec_times), 0.0, 0.0),
-        "ocr": StageStats.of([ocr_latency_s] * n_framed),
-        "detect": StageStats.of([detect_latency_s] * n_framed),
-        "speech": StageStats.of(speech_s),
-    }
-    end_to_end = StageStats.of(cycle_s)
-    log = DeviceLog(tick_s, exec_times, distance_lines, ticks, framed, speech_s, cycle_s, transcript.messages)
     report = RunReport(
-        stages=stages,
-        end_to_end=end_to_end,
-        alerts_fired=len(ticks),
-        budget_pass=end_to_end.mean_s <= CYCLE_BUDGET_S,
-        log=log,
-        spoken_at_s=transcript.times,
-        dropped=queue.dropped,
+        tick_s, ocr_latency_s, detect_latency_s, exec_times, distance_lines,
+        ticks, framed, speech_s, cycle_s, transcript.times, transcript.messages, queue.dropped,
     )
-    return RunResult(report=report, transcript=transcript, log=log)
+    return RunResult(report, transcript)
 
 
 def run_report_to_csv(report: RunReport) -> str:
     lines = ["stage,count,mean_s,max_s"]
+    stages = report.stages
     for name in STAGE_NAMES:
-        s = report.stages[name]
+        s = stages[name]
         lines.append(f"{name},{s.count},{s.mean_s!r},{s.max_s!r}")
     e = report.end_to_end
     lines.append(f"end_to_end,{e.count},{e.mean_s!r},{e.max_s!r}")
@@ -565,5 +561,7 @@ def run_report_to_csv(report: RunReport) -> str:
 
 
 def run_report_to_json(report: RunReport) -> str:
-    doc = {name: getattr(report, name) for name in _JSON_FIELDS}
+    """Every property of ``RunReport``, folded in the order the class declares them."""
+    names = (name for name, v in vars(RunReport).items() if isinstance(v, property))
+    doc = {name: getattr(report, name) for name in names}
     return json.dumps(doc, default=asdict, indent=2, sort_keys=True) + "\n"

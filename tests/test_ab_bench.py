@@ -64,6 +64,39 @@ def test_incorrect_runs_count_as_failed(monkeypatch, capsys, tmp_path, change, f
         assert err == ""
 
 
+@pytest.mark.parametrize(
+    "edited, untracked, dirty",
+    [
+        (("ROADMAP.md", "CHANGES.md"), ("notes.txt",), False),
+        (("src/percept_cane/pipeline.py",), (), True),
+        ((), ("src/percept_cane/new.py",), True),
+    ],
+    ids=["docs-only", "tracked-src", "untracked-src"],
+)
+def test_head_dirty_looks_only_at_what_a_run_executes(monkeypatch, tmp_path, edited, untracked, dirty):
+    # a stubbed working tree: git answers for the paths each call names
+    def under(files, args):
+        paths = args[args.index("--") + 1 :] if "--" in args else ("",)
+        return [f for f in files if any(f == p or f.startswith(p + "/") or not p for p in paths)]
+
+    def git(*args):
+        if args[0] == "diff":
+            return subprocess.CompletedProcess(args, 1 if under(edited, args) else 0, "", "")
+        listed = "".join(f + "\n" for f in under(untracked, args)) if args[0] == "ls-files" else ""
+        return subprocess.CompletedProcess(args, 0, listed, "")
+
+    monkeypatch.setattr(ab_bench, "git", git)
+    monkeypatch.setattr(ab_bench, "extract", lambda revision, dest: True)
+    metrics = {name: {"value": 1.0} for name in NAMES}
+    monkeypatch.setattr(
+        ab_bench, "run_side", lambda root, workload, seed: {"correct": True, "failed": 0, "metrics": metrics}
+    )
+    summary = tmp_path / "summary.json"
+    argv = ["--base", "base", "--workload", "replay-dense", "--seeds", "1", "--json", str(summary)]
+    assert ab_bench.main(argv) == 0
+    assert json.loads(summary.read_text())["head_dirty"] is dirty
+
+
 def test_run_side_reads_problems_from_stderr(monkeypatch):
     stdout = "wall_s 1.0\n" + json.dumps({"correct": False, "failed": 0, "metrics": {}}) + "\n"
     stderr = "problem: ocr-bench: digest mismatch\nnote: other\n"

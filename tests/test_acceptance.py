@@ -232,7 +232,7 @@ def test_c08_end_to_end_determinism():
         report_json = run_report_to_json(first.report)
         assert rendered == second.transcript.render()
         assert report_json == run_report_to_json(second.report)
-        assert first.log == second.log
+        assert first.report == second.report
 
         texts = first.transcript.texts()
         alert_i = next(i for i, s in enumerate(texts) if s.startswith("Obstacle ahead"))

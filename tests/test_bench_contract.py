@@ -48,7 +48,7 @@ def test_wrapped_attribute_resolves(owner, attr):
 
 
 def outputs(result):
-    return result.transcript.render(), run_report_to_csv(result.report), result.log.render()
+    return result.transcript.render(), run_report_to_csv(result.report), result.report.render_log()
 
 
 def test_run_calls_wrapped_layers_per_call():
@@ -72,7 +72,7 @@ def test_run_calls_wrapped_layers_per_call():
     # alerted frame is the latest event's at the alert tick
     alerted = [
         [e for e in scenario.events if e.t_s <= k * scenario.tick_s][-1].frame
-        for k in result.log.ticks
+        for k in result.report.ticks
     ]
     assert counts["perception.transcribe"] == sum(len(f.texts) for f in alerted if f) == 1
     assert counts["speech.submit"] == len(result.transcript) == 3

@@ -1185,6 +1185,29 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "Measure Distance = 80.0 cm" in log
     assert "time taken to execute " in log
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_run_whose_report_fails_writes_no_side_file(fmt, tmp_path, capsys):
+    # the report's folds raise when it is rendered, after the run returned;
+    # neither side file may be written before that
+    from percept_cane.pipeline import demo_scenario_path
+
+    config = tmp_path / "config.json"
+    config.write_text('{"perception":{"ocr_latency_s":1e308,"detect_latency_s":1e308}}')
+    transcript_file, log_file = tmp_path / "transcript.txt", tmp_path / "device.log"
+    code, out, err = run_cli(
+        capsys,
+        "run", str(demo_scenario_path()),
+        "--config", str(config),
+        "--format", fmt,
+        "--transcript", str(transcript_file),
+        "--log", str(log_file),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not transcript_file.exists()
+    assert not log_file.exists()
+
 @pytest.mark.parametrize(
     "argv",
     [

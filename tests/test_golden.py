@@ -128,7 +128,7 @@ def test_every_submitted_message_is_spoken_or_dropped(case, monkeypatch):
         submit(queue, text, priority)
 
     monkeypatch.setattr(SpeechQueue, "submit", counted)
-    report, transcript, _ = run(load_scenario(scenario), cfg)
+    report, transcript = run(load_scenario(scenario), cfg)
     assert report.messages_submitted == len(submitted) > 0
     assert len(transcript) + sum(report.messages_dropped.values()) == len(submitted)
     assert sorted(transcript.texts() + report.dropped_texts) == sorted(submitted)

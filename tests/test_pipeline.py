@@ -21,9 +21,9 @@ from percept_cane.pipeline import (
     MAX_FRAME_ITEMS,
     MAX_MESSAGES,
     MAX_TICKS,
-    DeviceLog,
     PerceptionConfig,
     PipelineConfig,
+    RunReport,
     Scenario,
     ScenarioEvent,
     StageStats,
@@ -397,6 +397,7 @@ def test_ticks_times_messages_per_alert_over_the_cap_is_rejected():
             "MAX_MESSAGES", 50, {"texts": 1, "objects": 1}, 17.0,
             "duration_s / tick_s times 3 messages per alert exceeds 50 messages",
         ),
+        ("MAX_TEXT_CHARS", 3, {"texts": 1, "objects": 0}, 5.0, "event 0: frame 'f': a text of 4 characters exceeds 3"),
     ],
 )
 def test_scenario_over_a_message_cap_runs_no_tick(
@@ -433,7 +434,7 @@ def test_stage_stats_rejects_a_non_finite_field(args, field):
 @pytest.mark.parametrize("tick_s", [NAN, INF, 0.0, -0.5])
 def test_device_log_rejects_a_tick_that_is_not_finite_and_positive(tick_s):
     with pytest.raises(ValueError, match="^tick_s must be finite and positive$"):
-        DeviceLog(tick_s, [], {}, [], [], [], [], [])
+        RunReport(tick_s, 0.0, 0.0, [], {}, [], [], [], [], [], [], [])
 
 
 @pytest.mark.parametrize(
@@ -595,7 +596,7 @@ def test_load_config_rejects_unknown(tmp_path):
 
 def test_demo_run_single_alert_cycle():
     result = run(load_scenario(demo_scenario_path()))
-    report, transcript, log = result
+    report, transcript = result
     assert report.alerts_fired == 1
     texts = transcript.texts()
     assert len(texts) == 3
@@ -607,7 +608,7 @@ def test_demo_run_single_alert_cycle():
     assert report.stages["ocr"].count == 1
     assert report.stages["detect"].count == 1
     assert report.end_to_end.count == 1
-    lines = log.render().splitlines()
+    lines = report.render_log().splitlines()
     assert "Measure Distance = 80.0 cm" in lines
     assert any(line.startswith("time taken to execute ") for line in lines)
 
@@ -622,7 +623,7 @@ def test_stage_order_invariant_in_transcript():
 
 
 def test_quiet_scenario_silent():
-    report, transcript, _ = run(quiet_scenario())
+    report, transcript = run(quiet_scenario())
     assert report.alerts_fired == 0
     assert len(transcript) == 0
     assert report.end_to_end.count == 0
@@ -636,7 +637,7 @@ def test_run_stops_at_duration_when_ceil_overshoots():
     assert math.ceil(scenario.duration_s / scenario.tick_s) == 8
     assert 7 * scenario.tick_s == scenario.duration_s
     result = run(scenario)
-    assert len(result.log.exec_times) == 7
+    assert len(result.report.exec_times) == 7
     assert result.report.stages["sensor"].count == 7
 
 
@@ -646,8 +647,8 @@ def test_run_deterministic_repeat():
     b = run(scenario)
     assert a.transcript.render() == b.transcript.render()
     assert run_report_to_json(a.report) == run_report_to_json(b.report)
-    assert a.log == b.log
-    assert a.log.render() == b.log.render()
+    assert a.report == b.report
+    assert a.report.render_log() == b.report.render_log()
 
 
 def test_run_seed_changes_timings():
@@ -722,7 +723,7 @@ def test_device_log_renders_its_records(config):
     alerts, warnings = MULTI_EVENT_NOTES[config]
     assert result.report.alerts_fired == alerts
 
-    text = result.log.render()
+    text = result.report.render_log()
     assert text.endswith("\n")
     lines = text.splitlines()
     assert len(lines) == 2 * 180 + alerts + warnings
@@ -732,15 +733,16 @@ def test_device_log_renders_its_records(config):
     assert lines[1].startswith("time taken to execute ")
     # the records behind the text: one exec time per tick, one cycle record
     # per alert, one unframed cycle per warning, one ALERT sentence per cycle
-    assert len(result.log.exec_times) == 180
-    assert len(result.log.ticks) == len(result.log.cycle_s) == alerts
-    assert result.log.framed.count(False) == warnings
-    assert result.log.messages is result.transcript.messages
+    assert len(result.report.exec_times) == 180
+    assert len(result.report.ticks) == len(result.report.cycle_s) == alerts
+    assert result.report.framed.count(False) == warnings
+    assert result.report.messages is result.transcript.messages
+    assert result.report.spoken_at_s is result.transcript.times
 
     again = run(scenario, cfg)
-    assert again.log == result.log
-    assert again.log.render() == text
-    assert run(scenario, cfg, seed=1).log.render() != text
+    assert again.report == result.report
+    assert again.report.render_log() == text
+    assert run(scenario, cfg, seed=1).report.render_log() != text
 
 
 def test_alert_sentence_spoken_and_logged_at_one_decimal():
@@ -751,11 +753,11 @@ def test_alert_sentence_spoken_and_logged_at_one_decimal():
         duration_s=3.0,
         events=(ScenarioEvent(0.0, 53.4), ScenarioEvent(1.0, 300.0), ScenarioEvent(2.0, 100.0)),
     )
-    report, transcript, log = run(scenario)
+    report, transcript = run(scenario)
     sentences = ["Obstacle ahead at 53.4 centimeters", "Obstacle ahead at 100.0 centimeters"]
     assert report.alerts_fired == 2
     assert transcript.texts() == sentences
-    alert_lines = [line for line in log.render().splitlines() if line.startswith("obstacle")]
+    alert_lines = [line for line in report.render_log().splitlines() if line.startswith("obstacle")]
     assert alert_lines == [
         f"obstacle alert at t={t} s: {sentence}"
         for t, sentence in zip(("0.000", "2.000"), sentences)
@@ -787,7 +789,7 @@ def test_zero_overhead_cycle_time_identity():
         perception=PerceptionConfig(ocr_latency_s=0.0, detect_latency_s=0.0),
     )
     scenario = load_scenario(demo_scenario_path())
-    report, transcript, _ = run(scenario, cfg)
+    report, transcript = run(scenario, cfg)
     exec_time = (
         cfg.sensor.overhead_base_s
         + cfg.sensor.overhead_per_cm_s * 80.0
@@ -809,10 +811,10 @@ def test_alert_without_frame_degrades_gracefully():
         events=(ScenarioEvent(0.0, 90.0),),
     )
     cfg = PipelineConfig(alert=AlertConfig(min_interval_s=100.0))
-    report, transcript, log = run(scenario, cfg)
+    report, transcript = run(scenario, cfg)
     assert report.alerts_fired == 1
     assert transcript.texts() == ["Obstacle ahead at 90.0 centimeters"]
-    assert any("no frame" in line for line in log.render().splitlines())
+    assert any("no frame" in line for line in report.render_log().splitlines())
     assert report.stages["ocr"].count == 0
     assert report.stages["detect"].count == 0
 
@@ -851,7 +853,7 @@ def test_below_min_range_never_alerts():
         duration_s=3.0,
         events=(ScenarioEvent(0.0, 20.0),),
     )
-    report, transcript, _ = run(scenario)
+    report, transcript = run(scenario)
     assert report.alerts_fired == 0
     assert len(transcript) == 0
 

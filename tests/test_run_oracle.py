@@ -100,7 +100,7 @@ def build(doc: dict, config: dict) -> tuple[Scenario, PipelineConfig]:
 def rendered(result) -> dict:
     return {
         "transcript": result.transcript.render(),
-        "log": result.log.render(),
+        "log": result.report.render_log(),
         "csv": run_report_to_csv(result.report),
         "json": run_report_to_json(result.report),
     }
