@@ -35,10 +35,10 @@ medians.
 ``--json PATH`` also writes that summary as one JSON object: the base and
 head revisions (head is ``HEAD``, flagged ``head_dirty`` when what a run
 executes, ``src/``, ``perfbench/`` or ``BENCHMARK.json``, differs from it
-in the working tree, untracked files included), the workload, the seeds, the failed run count, and
-per metric its unit, direction, bound, each side's values, median and
-quartiles, the change's wins, the pairs whose first side read worse
-(``first_worse``), the base IQR, the relative worse move
+in the working tree, untracked files included), the workload, the seeds,
+the failed run count, and per metric its unit, direction, bound, each
+side's values, median and quartiles, the change's wins, the pairs whose
+first side read worse (``first_worse``), the base IQR, the relative worse move
 (``worse_by``, negative when the change is better), ``outside_bound`` and
 ``unresolved``, and under ``host`` each side's per-run values and median
 of ``pass_s``, ``cal_s``, ``load_s`` and ``setup_cal_s``.

@@ -2,7 +2,7 @@
 metric whose median moves past its bound or whose base runs spread wider
 than it, counts the pairs whose first side read worse, and reports each
 side's median host pass and calibration seconds and the set-up calibration
-they imply.
+they imply, and flags ``head_dirty`` only for the paths a run executes.
 
 git, the base extraction and the benchmark runs are stubbed, so only the
 script's own tally and report are under test.
