@@ -7,12 +7,16 @@ the file's path; a bad CSV row, or bytes that are not UTF-8 in a text
 file, add the physical line. CSV cells are converted per column, and a
 table error still names the line where the first failing record starts.
 JSON types are strict: a number is an int or a float, never a bool, and
-finite; an int is an int; a str is a str.
+finite; an int is an int; a str is a str. :func:`collector_paused` is the
+one pause of the cyclic garbage collector, shared by the scenario loader
+and the AP engine.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import io
 import json
 import math
@@ -24,6 +28,7 @@ from reprlib import repr as _show
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
 
 T = TypeVar("T")
+F = TypeVar("F", bound=Callable[..., object])
 _TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 # a tab or any character str.splitlines breaks on; a text holding one could
 # forge a line or a cell of the tab-separated transcript
@@ -158,6 +163,34 @@ def require_finite_fields(obj: object) -> None:
         value = getattr(obj, f.name)
         if isinstance(value, float):
             number(value, f.name)
+
+
+def collector_paused(fn: F) -> F:
+    """``fn`` run with the cyclic garbage collector paused.
+
+    The wrapper notes whether the collector is enabled, disables it, calls
+    ``fn`` and, in a ``finally``, enables it again only if it was on at
+    entry, so the caller finds it as it was, whether ``fn`` returns or
+    raises. The pause is process-wide: other threads run without
+    collections until ``fn`` returns.
+
+    Use it only for a call that builds no reference cycle and calls no
+    caller-supplied code. Then reference counting frees everything the call
+    drops, so a collection during the call frees nothing, and no code the
+    caller wrote runs, and builds cycles, while the collector is off.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def read_text(path: str | Path) -> str:

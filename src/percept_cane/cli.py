@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, handler, help: str, *options: tuple) -> None:
         """Declare subcommand ``name``: its options in usage order, then --out."""
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, description=help)
         for flags, kwargs in (*options, _OUT):
             p.add_argument(*flags, **kwargs)
         p.set_defaults(handler=handler)
@@ -112,7 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
         _opt("--budget", type=float, required=True, help="gflops budget"),
     )
     command(
-        "models-eval", _cmd_models_eval, "score predictions against ground truth",
+        "models-eval", _cmd_models_eval,
+        "score predictions against ground truth: mAP at IoU 0.50 and over 0.50-0.95, each AP "
+        "all-point interpolated, with greedy confidence-order matching and no per-image "
+        "detection cap (not COCO's 101-point AP)",
         _opt("--truths", required=True, help="truth records: image_id,label,x_min,y_min,x_max,y_max"),
         _opt("--preds", required=True,
              help="prediction records: image_id,label,confidence,x_min,y_min,x_max,y_max"),

@@ -31,7 +31,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import check_name, number, number_cells, read_csv, require_finite_fields
+from .checks import check_name, collector_paused, number, number_cells, read_csv, require_finite_fields
 from .perception import BoundingBox
 
 MAP_RANGE_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
@@ -221,6 +221,7 @@ def _exact_sum(terms: Sequence[tuple[int, int]], lo: int = 0, hi: int | None = N
     return n1 * d2 + n2 * d1, d1 * d2
 
 
+@collector_paused
 def _ap_sums(
     preds: Sequence[PredictionBox],
     truths: Sequence[TruthBox],
@@ -228,7 +229,11 @@ def _ap_sums(
     thresholds: Sequence[float],
 ) -> list[tuple[int, int]]:
     """Exact AP summed over labels, one (numerator, denominator) per
-    threshold, from one table."""
+    threshold, from one table.
+
+    The collector is paused: the tables are lists, tuples and numbers that
+    form no cycle, and reference counting frees them when this returns.
+    """
     for threshold in thresholds:
         if not 0.0 < threshold < 1.0:
             raise ValueError("iou_threshold must be in (0,1)")

@@ -13,7 +13,6 @@ by callers, never stored in the report.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import random
@@ -237,6 +236,7 @@ def _event(raw: object, i: int) -> ScenarioEvent:
     return ScenarioEvent(t_s, distance_cm, Frame(frame_id, labels, texts))
 
 
+@checks.collector_paused
 def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario JSON file; object labels must be in the bundled COCO
     vocabulary (``coco_labels.txt``, swapped by pointing ``PERCEPT_CANE_DATA``
@@ -246,28 +246,18 @@ def load_scenario(path: str | Path) -> Scenario:
     fails it is re-checked by :mod:`checks`, so every message is the same
     as when every entry is checked in full.
 
-    The cyclic garbage collector is paused for one file load (the JSON
-    decode, the checks and the ``Scenario`` build), then left as the caller
-    had it, enabled or not. The pause is process-wide: other threads run
-    without collections while the file loads. It is safe because nothing
-    the load builds can form a reference cycle: the decoded JSON tree holds
-    only dicts, lists, strs and numbers, and the frozen ``Scenario``,
+    The load (the JSON decode, the checks and the ``Scenario`` build) runs
+    with the cyclic garbage collector paused by
+    :func:`checks.collector_paused`, which is process-wide and leaves the
+    collector as the caller had it. It is safe because nothing the load
+    builds can form a reference cycle: the decoded JSON tree holds only
+    dicts, lists, strs and numbers, and the frozen ``Scenario``,
     ``ScenarioEvent`` and ``Frame`` records built from it refer only
     downward, to tuples, strs and floats, so reference counting frees all
-    of it. The decoded tree is freed with the helper's frame, before the
+    of it. The decoded tree is freed with this function's frame, before the
     collector comes back on. With the collector on, a dense walk's tens of
     thousands of containers set off dozens of collections that free
     nothing."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _load_scenario(path)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _load_scenario(path: str | Path) -> Scenario:
     raw = checks.read_json(path)
     events: list[ScenarioEvent] = []
     try:

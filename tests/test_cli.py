@@ -1557,6 +1557,13 @@ def test_subcommand_help_exits_zero(command, capsys):
     assert code == 0
     assert out.startswith(f"usage: percept-cane {command} ")
 
+def test_models_eval_help_names_its_ap(capsys):
+    code, out, _ = run_cli(capsys, "models-eval", "--help")
+    text = " ".join(out.split())
+    assert code == 0
+    assert "all-point interpolated" in text and "no per-image detection cap" in text
+    assert "not COCO's 101-point AP" in text
+
 def test_readme_shows_every_subcommand():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]

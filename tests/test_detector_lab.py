@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from dataclasses import fields
@@ -7,7 +8,7 @@ from itertools import product
 import pytest
 
 from oracles import brute_force_ap, brute_force_frontier, grid_iou, literal_ap
-from conftest import random_box
+from conftest import random_box, scored_detections
 from percept_cane.detector_lab import (
     MAP_FIELDS,
     MAP_RANGE_THRESHOLDS,
@@ -324,6 +325,40 @@ def test_map_ladder_matches_assignment_oracle():
             exact.append(mean * 100)
             assert map_at(preds, truths, thr) == float(exact[-1]), (truths, preds, thr)
         assert map_range(preds, truths) == _exact_mean(exact)
+
+
+_SCORED = scored_detections(1000)
+
+
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda preds, truths: map_at(preds, truths, 0.5),
+        lambda preds, truths: map50_and_range(preds, truths),
+        lambda preds, truths: average_precision(preds, truths, "person", 0.5),
+    ],
+    ids=["map_at", "map50_and_range", "average_precision"],
+)
+def test_scoring_runs_no_collection(score, collector_on):
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    score(*_SCORED)  # warm, as in a benchmark pass: the free lists are filled
+    # a young collection zeroes the count of new objects and, unlike a full
+    # one, keeps the free lists
+    gc.collect(0)
+    gc.callbacks.append(count)
+    try:
+        score(*_SCORED)
+        during = len(starts)
+    finally:
+        gc.callbacks.remove(count)
+    # with the collector on, the candidate tables of ~2,500 truths and
+    # ~3,000 predictions set off collections that free nothing
+    assert during == 0
 
 
 # -- exact AP terms against the literal formula ------------------------

@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import scored_detections
 from oracles import reference_scenario_parts
 
 from percept_cane.alerts import AlertConfig, AlertState, on_measurement
 from percept_cane import pipeline
 from percept_cane.cli import main
+from percept_cane.detector_lab import average_precision, map50_and_range, map_at
 from percept_cane.perception import BackendError, BoundingBox, Frame, load_class_vocabulary
 from percept_cane.pipeline import (
     CYCLE_BUDGET_S,
@@ -302,15 +304,6 @@ def _dense_walk(path: Path, n_events: int = 2_000) -> Path:
     return path
 
 
-@pytest.fixture
-def collector_on():
-    was_enabled = gc.isenabled()
-    gc.enable()
-    yield
-    if not was_enabled:
-        gc.disable()
-
-
 def test_load_scenario_runs_no_collection(tmp_path, collector_on):
     path = _dense_walk(tmp_path / "dense.json")
     starts = []
@@ -334,19 +327,37 @@ def test_load_scenario_runs_no_collection(tmp_path, collector_on):
     assert during == 0
 
 
+def _malformed_load(path: Path) -> None:
+    path.write_text(path.read_text().replace('"chair"', '"door"'))
+    load_scenario(path)
+
+
+_DETECTIONS = scored_detections(3)
+# each call that pauses the collector -> (the call, given a 3-event walk;
+# the message of the error it raises, or None)
+PAUSED_CALLS = {
+    "valid": (load_scenario, None),
+    "malformed": (_malformed_load, "door"),
+    "map_at": (lambda _: map_at(*_DETECTIONS, 0.5), None),
+    "map50_and_range": (lambda _: map50_and_range(*_DETECTIONS), None),
+    "average_precision": (lambda _: average_precision(*_DETECTIONS, "person", 0.5), None),
+    "threshold": (lambda _: map_at(*_DETECTIONS, 1.0), r"iou_threshold must be in \(0,1\)"),
+    "no-truths": (lambda _: average_precision(*_DETECTIONS, "zebra", 0.5), "no ground-truth instances"),
+}
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-@pytest.mark.parametrize("malformed", [False, True], ids=["valid", "malformed"])
-def test_load_scenario_leaves_the_collector_as_it_found_it(enabled, malformed, tmp_path, collector_on):
+@pytest.mark.parametrize("call", list(PAUSED_CALLS))
+def test_load_scenario_leaves_the_collector_as_it_found_it(enabled, call, tmp_path, collector_on):
     path = _dense_walk(tmp_path / "walk.json", n_events=3)
-    if malformed:
-        path.write_text(path.read_text().replace('"chair"', '"door"'))
+    run_call, error = PAUSED_CALLS[call]
     if not enabled:
         gc.disable()
-    if malformed:
-        with pytest.raises(ValueError, match="door"):
-            load_scenario(path)
+    if error:
+        with pytest.raises(ValueError, match=error):
+            run_call(path)
     else:
-        load_scenario(path)
+        run_call(path)
     assert gc.isenabled() is enabled
 
 
