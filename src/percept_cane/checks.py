@@ -176,8 +176,8 @@ def collector_paused(fn: F) -> F:
 
     Use it only for a call that builds no reference cycle and calls no
     caller-supplied code. Then reference counting frees everything the call
-    drops, so a collection during the call frees nothing, and no code the
-    caller wrote runs, and builds cycles, while the collector is off.
+    drops, so a collection during the call would free nothing, and no code
+    passed in by a caller can build cycles while the collector is off.
     """
 
     @functools.wraps(fn)

@@ -24,6 +24,27 @@ def collector_on():
         gc.disable()
 
 
+def collections_during(call):
+    """``call()``'s result and how many collections started while it ran.
+
+    The count is read before anything else is allocated: the first
+    allocation after a paused call may start the collection it held back.
+    """
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        result = call()
+        during = len(starts)
+    finally:
+        gc.callbacks.remove(count)
+    return result, during
+
+
 def random_box(rng: random.Random, min_side: float = 0.1, max_side: float = 0.6) -> BoundingBox:
     """Box sized so a 512-grid estimate of any IoU stays within 0.01."""
     w = rng.uniform(min_side, max_side)

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from oracles import brute_force_ap, brute_force_frontier, grid_iou, literal_ap
-from conftest import random_box, scored_detections
+from conftest import collections_during, random_box, scored_detections
 from percept_cane.detector_lab import (
     MAP_FIELDS,
     MAP_RANGE_THRESHOLDS,
@@ -340,22 +340,11 @@ _SCORED = scored_detections(1000)
     ids=["map_at", "map50_and_range", "average_precision"],
 )
 def test_scoring_runs_no_collection(score, collector_on):
-    starts = []
-
-    def count(phase, info):
-        if phase == "start":
-            starts.append(info["generation"])
-
     score(*_SCORED)  # warm, as in a benchmark pass: the free lists are filled
     # a young collection zeroes the count of new objects and, unlike a full
     # one, keeps the free lists
     gc.collect(0)
-    gc.callbacks.append(count)
-    try:
-        score(*_SCORED)
-        during = len(starts)
-    finally:
-        gc.callbacks.remove(count)
+    _, during = collections_during(lambda: score(*_SCORED))
     # with the collector on, the candidate tables of ~2,500 truths and
     # ~3,000 predictions set off collections that free nothing
     assert during == 0

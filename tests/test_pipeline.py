@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import scored_detections
+from conftest import collections_during, scored_detections
 from oracles import reference_scenario_parts
 
 from percept_cane.alerts import AlertConfig, AlertState, on_measurement
@@ -306,20 +306,7 @@ def _dense_walk(path: Path, n_events: int = 2_000) -> Path:
 
 def test_load_scenario_runs_no_collection(tmp_path, collector_on):
     path = _dense_walk(tmp_path / "dense.json")
-    starts = []
-
-    def count(phase, info):
-        if phase == "start":
-            starts.append(info["generation"])
-
-    gc.callbacks.append(count)
-    try:
-        scenario = load_scenario(path)
-        # read before anything is allocated: the first allocation after the
-        # load may start the collection the load held back
-        during = len(starts)
-    finally:
-        gc.callbacks.remove(count)
+    scenario, during = collections_during(lambda: load_scenario(path))
     assert len(scenario.events) == 2_000
     assert sum(len(e.frame.texts) + len(e.frame.object_labels) for e in scenario.events) == 16_000
     # with the collector on, the ~40,000 decoded containers set off dozens
