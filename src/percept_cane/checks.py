@@ -22,7 +22,7 @@ import json
 import math
 import re
 from dataclasses import fields
-from itertools import chain, cycle
+from itertools import chain
 from pathlib import Path
 from reprlib import repr as _show
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
@@ -54,29 +54,27 @@ def number(value: object, name: str) -> float:
     return x
 
 
-def _call(convert: Callable[[str], object], cell: str) -> object:
-    return convert(cell)
-
-
 def number_cells(columns: Sequence[Sequence[str]], names: Sequence[str],
-                 converters: Sequence[Callable[[str], object]] | None = None) -> list[list]:
-    """Columns of CSV number cells, named by ``names``, each converted by
-    its entry of ``converters`` (default: all ``float``), in three phases,
-    each over every column before the next starts:
+                 convert: Callable[[str], object] = float) -> list[list]:
+    """Columns of CSV number cells, named by ``names``, each cell converted
+    by ``convert``, in three phases, each over every column before the next
+    starts:
 
     * a cell holding an underscore is rejected, which ``float()`` and
       ``int()`` read (``2_316`` is 2316) and JSON does not; one test of each
       joined column passes most tables;
-    * a cell that its converter rejects is named by its column, found by
+    * a cell that ``convert`` rejects is named by its column, found by
       converting that column's cells again one by one on the failing path
       only;
-    * a float that is NaN or an infinity (``nan``, ``inf``, ``1e999``) is
-      rejected as :func:`number` rejects it, named by its column.
+    * unless ``convert`` is ``int``, whose huge values would overflow the
+      test, a value that is NaN or an infinity (``nan``, ``inf``, ``1e999``)
+      is rejected as :func:`number` rejects it, named by its column.
 
-    Every phase is row-local, so on one-row columns the first failing
-    column of the row is named, as a row-by-row reader names it."""
-    if converters is None:
-        converters = [float] * len(columns)
+    Every phase is row-local, so on one-row columns the column named is the
+    first failing one in the first phase that fails: an underscore anywhere
+    in the row beats an earlier cell that will not convert. A caller with
+    several converters makes one call per converter, and the first failing
+    call names the error."""
     for name, cells in zip(names, columns):
         if "_" in "".join(cells):
             bad = next(cell for cell in cells if "_" in cell)
@@ -84,29 +82,25 @@ def number_cells(columns: Sequence[Sequence[str]], names: Sequence[str],
     # converted row by row, so that a row's numbers lie together in memory
     # as a row-by-row reader leaves them: the detection metrics read a box's
     # four coordinates together
-    cells = chain.from_iterable(zip(*columns))
     try:
-        if len(set(converters)) == 1:  # no Python call per cell
-            flat = list(map(converters[0], cells))
-        else:
-            flat = list(map(_call, cycle(converters), cells))
+        flat = list(map(convert, chain.from_iterable(zip(*columns))))
     except ValueError:
-        for name, convert, column in zip(names, converters, columns):
+        kind = _TYPE_NAMES.get(convert, "a number")
+        for name, column in zip(names, columns):
             for cell in column:
                 try:
                     convert(cell)
                 except ValueError:
-                    kind = _TYPE_NAMES.get(convert, "a number")
                     raise ValueError(f"{name} must be {kind}, got {_show(cell)}") from None
         raise
     values = [flat[k::len(columns)] for k in range(len(columns))]
-    for name, convert, column in zip(names, converters, values):
-        # an int column is left out, where a huge int would overflow;
-        # filter(None, ...) skips an absent optional value (None) and the
-        # zeros, which are finite
-        if convert is not int and not all(map(math.isfinite, filter(None, column))):
-            bad = next(v for v in filter(None, column) if not math.isfinite(v))
-            raise ValueError(f"{name} must be finite, got {bad}")
+    if convert is not int:
+        for name, column in zip(names, values):
+            # filter(None, ...) skips an absent optional value (None) and the
+            # zeros, which are finite
+            if not all(map(math.isfinite, filter(None, column))):
+                bad = next(v for v in filter(None, column) if not math.isfinite(v))
+                raise ValueError(f"{name} must be finite, got {bad}")
     return values
 
 
@@ -228,45 +222,45 @@ def _csv_rows(text: str) -> tuple[csv.reader, Iterator[list[str]]]:
     return reader, filter(None, reader)  # a blank line reads as []
 
 
-def _layout(first: list[str] | None, rows: Iterator[list[str]], layouts: _Layouts, header: str):
+def _layout(first: list[str] | None, rows: Iterator[list[str]], layouts: _Layouts, optional_header: bool):
     """The table function that the first non-blank row ``first`` picks, the
-    row width, the indices of the function's columns in a row when a named
-    header picks them (else None), and the data rows (``first`` again when
-    it is no header)."""
+    row width, the indices of the function's columns in a row, and the data
+    rows. With several layouts, ``first`` must equal one layout's columns: a
+    named header in the layout's order. With one, it names the columns, or
+    it is data, read in the layout's order, when ``optional_header`` and its
+    first cell names none of them."""
     cells = tuple(c.strip() for c in first or ())
-    if header == "exact" and cells not in layouts:
+    columns = cells if len(layouts) > 1 else next(iter(layouts))
+    if columns not in layouts:
         raise ValueError(f"unrecognized header {list(cells)}")
-    (columns,) = [cells] if header == "exact" else layouts
-    table, width = layouts[columns], len(columns)
-    if header == "optional" and not (cells and cells[0] in columns):  # no header
-        return table, width, None, chain([first], rows) if first else rows
-    if header != "exact":  # a header, read as a "named" one
-        missing = [c for c in columns if c not in cells]
-        if missing:
-            raise ValueError(f"missing columns {missing}")
-        return table, len(cells), [cells.index(c) for c in columns], rows
-    return table, width, None, rows
+    table = layouts[columns]
+    if optional_header and not (cells and cells[0] in columns):  # no header
+        return table, len(columns), range(len(columns)), chain([first], rows) if first else rows
+    missing = [c for c in columns if c not in cells]
+    if missing:
+        raise ValueError(f"missing columns {missing}")
+    return table, len(cells), [cells.index(c) for c in columns], rows
 
 
 def _width_error(row: list[str], width: int) -> ValueError:
     return ValueError(f"expected {width} fields, got {len(row)}")
 
 
-def _read_columns(text: str, layouts: _Layouts, header: str) -> list:
+def _read_columns(text: str, layouts: _Layouts, optional_header: bool) -> list:
     """The records of ``text``: every row's cells in one flat list, then
     the layout's table function called once, on one slice per column."""
     _, rows = _csv_rows(text)
-    table, width, pick, rows = _layout(next(rows, None), rows, layouts, header)
+    table, width, pick, rows = _layout(next(rows, None), rows, layouts, optional_header)
     flat: list[str] = []
     extend = flat.extend
     for row in rows:
         if len(row) != width:
             raise _width_error(row, width)
         extend(row)
-    return table(*(flat[k::width] for k in pick or range(width)))
+    return table(*(flat[k::width] for k in pick))
 
 
-def _locate_error(path: str | Path, text: str, layouts: _Layouts, header: str) -> None:
+def _locate_error(path: str | Path, text: str, layouts: _Layouts, optional_header: bool) -> None:
     """Read ``text`` again row by row, calling the table function on
     one-row columns, and raise the first failure as ``path:line: message``:
     a row's error at the line where its record starts, a ``csv.Error`` at
@@ -275,11 +269,11 @@ def _locate_error(path: str | Path, text: str, layouts: _Layouts, header: str) -
     row = None
     try:
         row = next(rows, None)
-        table, width, pick, rows = _layout(row, rows, layouts, header)
+        table, width, pick, rows = _layout(row, rows, layouts, optional_header)
         for row in rows:
             if len(row) != width:
                 raise _width_error(row, width)
-            table(*([row[k]] for k in pick or range(width)))
+            table(*([row[k]] for k in pick))
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc
     except ValueError as exc:  # ``row`` was read whole: back up over its line breaks
@@ -287,18 +281,18 @@ def _locate_error(path: str | Path, text: str, layouts: _Layouts, header: str) -
         raise ValueError(f"{path}:{line or 1}: {exc}") from exc
 
 
-def read_csv(path: str | Path, layouts: _Layouts, header: str = "named", allow_empty: bool = False) -> list:
+def read_csv(path: str | Path, layouts: _Layouts, optional_header: bool = False, allow_empty: bool = False) -> list:
     """The records of a CSV file: ``layouts`` maps column names to the table
     function that makes the records from one sequence of cells per column,
     in that order, one record per non-blank row.
 
-    The first non-blank row is, by ``header``: ``"named"``, a required header
-    naming the one layout's columns in any order among others; ``"exact"``, a
-    required header equal to one layout's columns; ``"optional"``, a header
-    read as a ``"named"`` one when its first cell names any of the one
-    layout's columns, and else the first data row, the columns then taken in
-    the layout's order. Rows must be as wide as the header (else the layout).
-    No records is an error unless ``allow_empty``.
+    The first non-blank row is a header. With several layouts it must equal
+    one layout's columns, which picks the layout, else it is an
+    ``unrecognized header``. With one layout it names the layout's columns
+    in any order among others; with ``optional_header`` too, a first row
+    whose first cell names none of them is the first data row instead, its
+    columns taken in the layout's order. Rows must be as wide as the header
+    (else the layout). No records is an error unless ``allow_empty``.
 
     Cells are read into one flat list and converted per column. Every check
     of a table function must be row-local, so that a table passes exactly
@@ -311,9 +305,9 @@ def read_csv(path: str | Path, layouts: _Layouts, header: str = "named", allow_e
     """
     text = read_text(path)
     try:
-        records = _read_columns(text, layouts, header)
+        records = _read_columns(text, layouts, optional_header)
     except (ValueError, csv.Error) as exc:
-        _locate_error(path, text, layouts, header)
+        _locate_error(path, text, layouts, optional_header)
         raise ValueError(f"{path}: {exc}") from exc  # no row fails alone
     if not records and not allow_empty:
         raise ValueError(f"{path}: no data rows")

@@ -308,13 +308,13 @@ def _predictions(image_ids: list[str], labels: list[str], *cells: list[str]) -> 
 def load_truths(path: str | Path) -> list[TruthBox]:
     """Read truth records (6 comma-separated fields; a header, if any, names
     them in any order)."""
-    return read_csv(path, {TRUTH_FIELDS: _truths}, "optional")
+    return read_csv(path, {TRUTH_FIELDS: _truths}, optional_header=True)
 
 
 def load_predictions(path: str | Path) -> list[PredictionBox]:
     """Read prediction records (7 fields, confidence third; a header, if any,
     names them in any order); a file without any is an empty list."""
-    return read_csv(path, {PRED_FIELDS: _predictions}, "optional", allow_empty=True)
+    return read_csv(path, {PRED_FIELDS: _predictions}, optional_header=True, allow_empty=True)
 
 
 @dataclass(frozen=True)
@@ -366,10 +366,10 @@ def _single_map_table(names: list[str], frameworks: list[str], *cells: list[str]
     return list(map(ModelSpec, names, frameworks, gflops, mparams, map50))
 
 
-def _dual_map_table(ids: list[str], names: list[str], *cells: list[str]) -> list[ModelSpec]:
-    input_size, gflops, mparams, size_mb, map50, map5095 = number_cells(
-        cells, _DUAL_MAP_COLUMNS[2:], (int, float, float, float, _opt_float, _opt_float)
-    )
+def _dual_map_table(ids: list[str], names: list[str], sizes: list[str], *cells: list[str]) -> list[ModelSpec]:
+    (input_size,) = number_cells([sizes], _DUAL_MAP_COLUMNS[2:3], int)
+    gflops, mparams, size_mb = number_cells(cells[:3], _DUAL_MAP_COLUMNS[3:6])
+    map50, map5095 = number_cells(cells[3:], MAP_FIELDS, _opt_float)
     # ModelSpec's field order; this layout has no framework
     return list(map(ModelSpec, names, repeat(""), gflops, mparams, map50, map5095, input_size, size_mb))
 
@@ -380,7 +380,7 @@ _MODEL_TABLE_LAYOUTS = {_SINGLE_MAP_COLUMNS: _single_map_table, _DUAL_MAP_COLUMN
 def load_model_table(path: str | Path) -> list[ModelSpec]:
     """Load a model comparison CSV in the layout its header names (see
     `_MODEL_TABLE_LAYOUTS`; `-` marks an absent value). Errors carry `path:line`."""
-    return read_csv(path, _MODEL_TABLE_LAYOUTS, header="exact")
+    return read_csv(path, _MODEL_TABLE_LAYOUTS)
 
 
 def split_by_map_field(

@@ -356,7 +356,7 @@ def load_pairs(path: str | Path, kind: SampleKind | str) -> list[tuple[str, str]
             _check_truth("truth", kind, truth)
         return list(zip(truths, outputs))
 
-    return read_csv(path, {("truth", "output"): pairs}, header="optional")
+    return read_csv(path, {("truth", "output"): pairs}, optional_header=True)
 
 
 def _confusion_items(report: OcrReport) -> list[tuple[str, str, int]]:

@@ -362,6 +362,7 @@ class RunReport:
     def __post_init__(self) -> None:
         if not 0 < self.tick_s < math.inf:  # False for NaN too
             raise ValueError("tick_s must be finite and positive")
+        require_finite_fields(self)
 
     @property
     def stages(self) -> dict[str, StageStats]:

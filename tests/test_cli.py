@@ -750,6 +750,29 @@ BAD_TABLES = {
         _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,1.8,-,n/a\n",
         ":2: map5095 must be a number, got 'n/a'\n",
     ),
+    "models-nan-map5095": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,1.8,-,nan\n",
+        ":2: map5095 must be finite, got nan\n",
+    ),
+    # the dual layout converts input_size, then the three floats, then the
+    # two mAPs: the first group with a bad cell names it
+    "models-non-integer-input-size-before-underscore-gflops": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,1.8,-,20.6\n2,small,abc,1_0,0.95,1.8,-,20.6\n",
+        ":3: input_size must be an integer, got 'abc'\n",
+    ),
+    # a model table's header must equal one of its two layouts' column lists
+    "models-unrecognized-header": (
+        ("models-pareto", "--table", "{}"),
+        b"name,gflops,mparams,map\nssd,2.0,4.0,70.0\n",
+        ":1: unrecognized header ['name', 'gflops', 'mparams', 'map']\n",
+    ),
+    "models-dual-header-swapped-columns": (
+        ("models-pareto", "--table", "{}", "--map-field", "map5095"),
+        b"id,name,input_size,mparams,gflops,size_mb,map50,map5095\n1,nano,320,0.95,0.72,1.8,-,20.6\n",
+        ":1: unrecognized header ['id', 'name', 'input_size', 'mparams', 'gflops', 'size_mb', 'map50', 'map5095']\n",
+    ),
     "sensor-non-numeric": (
         ("sensor-bench", "--table", "{}"),
         b"exec_time_s,distance_cm\n0.01,50\nslow,60\n",
