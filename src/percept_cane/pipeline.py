@@ -73,17 +73,15 @@ class PipelineConfig:
     speech: SpeechConfig = SpeechConfig()
 
 
+def _config(raw: object) -> PipelineConfig:
+    sections = {f.name: type(f.default) for f in fields(PipelineConfig)}
+    checks.keys(raw, (), sections, "config")
+    return PipelineConfig(**{k: checks.decode(sections[k], v, f"config section {k!r}") for k, v in raw.items()})
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a pipeline config JSON; absent sections keep their defaults."""
-    raw = checks.read_json(path)
-    sections = {f.name: type(f.default) for f in fields(PipelineConfig)}
-    try:
-        checks.keys(raw, (), sections, "config")
-        return PipelineConfig(
-            **{k: checks.decode(sections[k], v, f"config section {k!r}") for k, v in raw.items()}
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return checks.read_json(path, _config)
 
 
 @dataclass(frozen=True)
@@ -254,27 +252,27 @@ def load_scenario(path: str | Path) -> Scenario:
     dicts, lists, strs and numbers, and the frozen ``Scenario``,
     ``ScenarioEvent`` and ``Frame`` records built from it refer only
     downward, to tuples, strs and floats, so reference counting frees all
-    of it. The decoded tree is freed with this function's frame, before the
-    collector comes back on. With the collector on, a dense walk's tens of
-    thousands of containers set off dozens of collections that free
-    nothing."""
-    raw = checks.read_json(path)
+    of it. The decoded tree is freed as :func:`checks.read_json` returns,
+    before the collector comes back on. With the collector on, a dense
+    walk's tens of thousands of containers set off dozens of collections
+    that free nothing."""
+    return checks.read_json(path, _scenario)
+
+
+def _scenario(raw: object) -> Scenario:
+    checks.keys(raw, ("name", "tick_s", "duration_s", "events"), name="scenario")
     events: list[ScenarioEvent] = []
-    try:
-        checks.keys(raw, ("name", "tick_s", "duration_s", "events"), name="scenario")
-        for i, ev in enumerate(checks.typed(raw["events"], list, "events")):
-            try:
-                events.append(_event(ev, i))
-            except ValueError as exc:
-                raise ValueError(f"event {i}: {exc}") from exc
-        return Scenario(
-            name=checks.typed(raw["name"], str, "name"),
-            tick_s=checks.number(raw["tick_s"], "tick_s"),
-            duration_s=checks.number(raw["duration_s"], "duration_s"),
-            events=tuple(events),
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    for i, ev in enumerate(checks.typed(raw["events"], list, "events")):
+        try:
+            events.append(_event(ev, i))
+        except ValueError as exc:
+            raise ValueError(f"event {i}: {exc}") from exc
+    return Scenario(
+        name=checks.typed(raw["name"], str, "name"),
+        tick_s=checks.number(raw["tick_s"], "tick_s"),
+        duration_s=checks.number(raw["duration_s"], "duration_s"),
+        events=tuple(events),
+    )
 
 
 def demo_scenario_path() -> Path:

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import csv
 import io
 import json
@@ -318,7 +319,8 @@ class _Raw(str):
 _GOOD_EVENT = {"t": 0.0, "distance_cm": 80.0}
 _TEXT = {"text": "EXIT", "region": [0.1, 0.1, 0.4, 0.4]}
 # (scenario events, scenario keys, config document or raw file content,
-# expected message after "path: ")
+# expected message after "path: ", or after "path" when it names the line
+# as ":line: ...")
 BAD_INPUTS = {
     "event-without-t": ([_GOOD_EVENT, {"distance_cm": 80.0}], "event 1: missing key 't'"),
     "text-without-region": (
@@ -471,7 +473,14 @@ BAD_INPUTS = {
         [{**_GOOD_EVENT, "frame": {"frame_id": "f", "texts": [], "objects": []}, "speed": 3}],
         "event 0: unknown keys ['speed']\n",
     ),
-    "not-utf8": (b'{"name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+    "not-utf8": (b'{"name": "caf\xe9"}', ":1: 'utf-8' codec can't decode byte 0xe9"),
+    "not-utf8-on-line-3": (b'{\n"name":\n"caf\xe9"}', ":3: 'utf-8' codec can't decode byte 0xe9"),
+    # valid documents in encodings that json.loads would detect in bytes
+    "utf16": (
+        json.dumps({"name": "u", "tick_s": 0.5, "duration_s": 5.0, "events": [_GOOD_EVENT]}).encode("utf-16"),
+        ":1: 'utf-8' codec can't decode byte 0x",
+    ),
+    "config-utf32": (json.dumps({"speech": {"capacity": 2}}).encode("utf-32"), ":1: 'utf-8' codec can't decode byte 0x"),
     "deep-nesting": (_Raw("[" * 100_000), "maximum recursion depth exceeded"),
     "config-fractional-capacity": (
         {"speech": {"capacity": 2.5}},
@@ -523,7 +532,7 @@ BAD_INPUTS = {
         {"perception": {"miss_prob": 2}},
         "config section 'perception': miss_prob must be in [0,1]",
     ),
-    "config-not-utf8": (b'{"speech": \xfe}', "'utf-8' codec can't decode byte 0xfe"),
+    "config-not-utf8": (b'{"speech": \xfe}', ":1: 'utf-8' codec can't decode byte 0xfe"),
     "config-zero-capacity": (
         {"speech": {"capacity": 0}},
         "config section 'speech': capacity must be at least 1\n",
@@ -566,7 +575,7 @@ def test_run_rejects_malformed_input_with_location(case, tmp_path, capsys):
         argv = ["run", str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: {path}: {message}")
+    assert err.startswith(f"error: {path}{'' if message.startswith(':') else ': '}{message}")
 
 
 def test_run_report_reads_integer_latency_as_float(tmp_path, capsys):
@@ -1014,6 +1023,9 @@ def test_accepted_table_layouts(tmp_path, capsys):
     sensor_table.write_text("note,exec_time_s,distance_cm\nwarm,0.004,10\n,0.01,50\n")
     code, out, _ = run_cli(capsys, "sensor-bench", "--table", str(sensor_table))
     assert (code, out) == (0, "distance_cm,exec_time_s\n10.0,0.004\n50.0,0.01\nmean,0.007\n")
+    # a leading UTF-8 byte order mark is dropped, and hides no column name
+    sensor_table.write_bytes(codecs.BOM_UTF8 + b"distance_cm,exec_time_s\n10,0.004\n50,0.01\n")
+    assert run_cli(capsys, "sensor-bench", "--table", str(sensor_table))[:2] == (code, out)
 
     profiles = tmp_path / "profiles.csv"
     profiles.write_text(
@@ -1232,6 +1244,34 @@ def test_run_whose_report_fails_writes_no_side_file(fmt, tmp_path, capsys):
     assert not log_file.exists()
 
 @pytest.mark.parametrize(
+    "options, message",
+    [
+        (("--transcript", "-"), "--transcript cannot be '-': only --out writes to standard output"),
+        (("--log", "-"), "--log cannot be '-': only --out writes to standard output"),
+        (("--out", "same.txt", "--transcript", "{}/same.txt"), "--out and --transcript name the same file"),
+        (("--out", "same.txt", "--log", "{}/same.txt"), "--out and --log name the same file"),
+        (("--transcript", "same.txt", "--log", "{}/./same.txt"), "--transcript and --log name the same file"),
+    ],
+    ids=["transcript-stdout", "log-stdout", "out-transcript", "out-log", "transcript-log"],
+)
+def test_run_rejects_colliding_outputs(options, message, tmp_path, monkeypatch, capsys):
+    # "-" would name a file called "-", and two outputs on one file would
+    # overwrite each other; paths are compared resolved, before any input
+    # is read
+    from percept_cane import pipeline
+
+    loads = []
+    load_scenario = pipeline.load_scenario
+    monkeypatch.setattr(pipeline, "load_scenario", lambda path: loads.append(path) or load_scenario(path))
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(tmp_path) for a in options]
+    code, out, err = run_cli(capsys, "run", str(pipeline.demo_scenario_path()), *argv)
+    assert (code, out, loads) == (1, "", [])
+    assert err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("run", "SCENARIO", "--transcript", "{}/transcript.txt", "--log", "{}/log.txt"),
@@ -1352,12 +1392,14 @@ def test_run_with_config_override(tmp_path, capsys):
     from percept_cane.pipeline import demo_scenario_path
 
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"alert": {"threshold_cm": 10.0}}')
-    code, out, _ = run_cli(
-        capsys, "run", str(demo_scenario_path()), "--config", str(cfg), "--format", "json"
-    )
-    assert code == 0
-    assert json.loads(out)["alerts_fired"] == 0
+    # a leading UTF-8 byte order mark is dropped
+    for bom in (b"", codecs.BOM_UTF8):
+        cfg.write_bytes(bom + b'{"alert": {"threshold_cm": 10.0}}')
+        code, out, _ = run_cli(
+            capsys, "run", str(demo_scenario_path()), "--config", str(cfg), "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["alerts_fired"] == 0
 
 @pytest.mark.parametrize(
     "argv",

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 
@@ -10,6 +11,7 @@ from percept_cane.perception import (
     EASYOCR_SUB_RATE,
     OCR_BACKENDS,
     TESSERACT_SUB_RATE,
+    COCO_LABELS_FILE,
     BackendError,
     BoundingBox,
     Frame,
@@ -23,6 +25,7 @@ from percept_cane.perception import (
 )
 from percept_cane.ocr_lab import SampleKind, run_benchmark
 from percept_cane.pipeline import Scenario, load_scenario
+from percept_cane.resources import DATA_ENV_VAR, data_path
 
 
 def test_bounding_box_invariants():
@@ -280,11 +283,16 @@ def test_backend_failure_names_its_key(call, keys, error, backend_id):
     assert info.value.__cause__ is error
 
 
-def test_load_class_vocabulary_bundled():
+def test_load_class_vocabulary_bundled(tmp_path, monkeypatch):
     labels = load_class_vocabulary()
     assert len(labels) == 80
     assert labels[0] == "person"
     assert len(set(labels)) == 80
+    # a leading UTF-8 byte order mark is dropped, not read into the first label
+    bundled = data_path(COCO_LABELS_FILE).read_bytes()
+    (tmp_path / COCO_LABELS_FILE).write_bytes(codecs.BOM_UTF8 + bundled)
+    monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
+    assert load_class_vocabulary() == labels
 
 
 def test_load_class_vocabulary_errors(tmp_path):
