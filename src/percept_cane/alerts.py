@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .checks import require_finite_fields
+from .checks import check_fields, ranged
 from .sensor import DistanceMeasurement
 
 
@@ -24,18 +24,12 @@ class OutOfOrderError(ValueError):
 
 @dataclass(frozen=True)
 class AlertConfig:
-    threshold_cm: float = 100.0
-    min_interval_s: float = 2.0
-    rearm_margin_cm: float = 0.0
+    threshold_cm: float = ranged(100.0, 0, above=True)
+    min_interval_s: float = ranged(2.0, 0)
+    rearm_margin_cm: float = ranged(0.0, 0)
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
-        if self.threshold_cm <= 0:
-            raise ValueError("threshold_cm must be positive")
-        if self.min_interval_s < 0:
-            raise ValueError("min_interval_s must be non-negative")
-        if self.rearm_margin_cm < 0:
-            raise ValueError("rearm_margin_cm must be non-negative")
+        check_fields(self)
 
 
 @dataclass

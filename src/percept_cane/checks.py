@@ -22,7 +22,7 @@ import io
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import field, fields
 from itertools import chain
 from pathlib import Path
 from reprlib import repr as _show
@@ -152,12 +152,32 @@ def decode(cls: type[T], raw: object, where: str) -> T:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def require_finite_fields(obj: object) -> None:
-    """Reject a dataclass instance whose float fields hold NaN or an infinity."""
+def ranged(default: T, lo: float, hi: float | None = None, *, above: bool = False) -> T:
+    """A dataclass field with ``default`` whose value must be at least ``lo``
+    (above it, with ``above``) and at most ``hi``, if given: the one home
+    of the range, enforced by :func:`check_fields` and :func:`check_range`."""
+    return field(default=default, metadata={"range": (lo, hi, above)})
+
+
+def check_range(cls: type, name: str, value: float) -> None:
+    """Reject ``value`` outside the range that field ``name`` of dataclass ``cls`` declares."""
+    lo, hi, above = cls.__dataclass_fields__[name].metadata["range"]
+    if not ((lo < value if above else lo <= value) and (hi is None or value <= hi)):  # NaN fails too
+        if hi is not None:
+            raise ValueError(f"{name} must be in {'(' if above else '['}{lo:g},{hi:g}]")
+        words = (f"at least {lo:g}", f"above {lo:g}") if lo else ("non-negative", "positive")
+        raise ValueError(f"{name} must be {words[above]}")
+
+
+def check_fields(obj: object) -> None:
+    """Reject a dataclass instance whose float fields hold NaN or an
+    infinity, and then one with a field outside its declared range."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float):
+        if isinstance(value := getattr(obj, f.name), float):
             number(value, f.name)
+    for f in fields(obj):
+        if "range" in f.metadata:
+            check_range(type(obj), f.name, getattr(obj, f.name))
 
 
 def collector_paused(fn: F) -> F:

@@ -31,7 +31,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import check_name, collector_paused, number, number_cells, read_csv, require_finite_fields
+from .checks import check_fields, check_name, collector_paused, number, number_cells, read_csv
 from .perception import BoundingBox
 
 MAP_RANGE_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
@@ -329,7 +329,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         check_name(self.name, "name")
-        require_finite_fields(self)
+        check_fields(self)
         if not self.gflops > 0:
             raise ValueError(f"{self.name}: gflops must be positive")
         if not self.mparams > 0:

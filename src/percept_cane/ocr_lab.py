@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .checks import LINE_BREAK_OR_TAB, check_name, csv_cell, number, number_cells, read_csv, read_text, require_finite_fields
+from .checks import LINE_BREAK_OR_TAB, check_fields, check_name, csv_cell, number, number_cells, read_csv, read_text
 from .perception import OcrBackend, transcribe_each
 from .resources import data_path
 
@@ -79,7 +79,7 @@ class EngineProfile:
         # ocr-route prints the id as its one output line
         if LINE_BREAK_OR_TAB.search(self.engine_id):
             raise ValueError("engine_id must be one line without tabs")
-        require_finite_fields(self)
+        check_fields(self)
         for rate in (self.error_rate_numbers, self.error_rate_alphabets):
             if not 0.0 <= rate <= 100.0:
                 raise ValueError(f"{self.engine_id}: error rate out of [0,100]")

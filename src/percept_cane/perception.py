@@ -17,7 +17,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .checks import LINE_BREAK_OR_TAB, read_text
+from .checks import LINE_BREAK_OR_TAB, check_fields, ranged, read_text
 from .resources import data_path
 
 COCO_LABELS_FILE = "coco_labels.txt"
@@ -115,12 +115,11 @@ class OcrBackend(Protocol):
 class MockDetector:
     """Returns the frame's labels back, less seeded misses."""
 
-    miss_prob: float = 0.0
+    miss_prob: float = ranged(0.0, 0, 1)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.miss_prob <= 1.0:
-            raise ValueError("miss_prob must be in [0,1]")
+        check_fields(self)
         # a hash below the cut is a miss, and every draw's token starts with
         # the seed formatted once; not fields
         object.__setattr__(self, "_miss_cut", _cut(self.miss_prob))
@@ -149,12 +148,11 @@ class MockOcr:
 
     backend_id: str = "mock"
     confusion_rules: tuple[tuple[str, str], ...] = ()
-    substitution_rate: float = 0.0
+    substitution_rate: float = ranged(0.0, 0, 1)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.substitution_rate <= 1.0:
-            raise ValueError("substitution_rate must be in [0,1]")
+        check_fields(self)
         for rule in self.confusion_rules:
             if len(rule) != 2 or len(rule[0]) != 1 or len(rule[1]) != 1:
                 raise ValueError(f"confusion rule must map one char to one char: {rule!r}")

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from . import alerts, checks, perception
 from .alerts import AlertConfig, AlertState
-from .checks import require_finite_fields
+from .checks import check_fields, ranged
 from .perception import BoundingBox, Frame, OcrBackend, load_class_vocabulary
 from .resources import data_path
 from .sensor import SensorConfig, simulate_measurement
@@ -52,17 +52,13 @@ class PerceptionConfig:
     """The OCR backend, the detector's miss rate and modeled per-call stage latencies."""
 
     ocr: str = "mock-tesseract"
-    miss_prob: float = 0.0
-    ocr_latency_s: float = 0.2
-    detect_latency_s: float = 0.1
+    miss_prob: float = ranged(0.0, 0, 1)
+    ocr_latency_s: float = ranged(0.2, 0)
+    detect_latency_s: float = ranged(0.1, 0)
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
-        if self.ocr_latency_s < 0 or self.detect_latency_s < 0:
-            raise ValueError("stage latencies must be non-negative")
-        # building the backends checks the OCR id and miss_prob, which only perception knows
-        perception.MockDetector(miss_prob=self.miss_prob)
-        perception.build_ocr(self.ocr)
+        check_fields(self)
+        perception.build_ocr(self.ocr)  # checks the OCR id, which only perception knows
 
 
 @dataclass(frozen=True)
@@ -286,7 +282,7 @@ class StageStats:
     max_s: float
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
+        check_fields(self)
 
     @staticmethod
     def of(durations: Sequence[float]) -> "StageStats":
@@ -360,7 +356,7 @@ class RunReport:
     def __post_init__(self) -> None:
         if not 0 < self.tick_s < math.inf:  # False for NaN too
             raise ValueError("tick_s must be finite and positive")
-        require_finite_fields(self)
+        check_fields(self)
 
     @property
     def stages(self) -> dict[str, StageStats]:

@@ -20,7 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import number_cells, read_csv, require_finite_fields
+from .checks import check_fields, number_cells, read_csv, ranged
 
 SENSOR_TIMINGS_FILE = "fig6_sensor_timings.csv"
 _INF = math.inf
@@ -30,23 +30,17 @@ _INF = math.inf
 class SensorConfig:
     """Static parameters of the simulated ranging sensor."""
 
-    speed_of_sound_mps: float = 343.0
-    min_range_cm: float = 40.0
-    max_range_cm: float = 300.0
-    overhead_base_s: float = 0.003
-    overhead_per_cm_s: float = 6e-5
-    jitter_std_s: float = 0.0015
+    speed_of_sound_mps: float = ranged(343.0, 0, above=True)
+    min_range_cm: float = ranged(40.0, 0, above=True)
+    max_range_cm: float = ranged(300.0, 0, above=True)
+    overhead_base_s: float = ranged(0.003, 0)
+    overhead_per_cm_s: float = ranged(6e-5, 0)
+    jitter_std_s: float = ranged(0.0015, 0)
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
-        if self.speed_of_sound_mps <= 0:
-            raise ValueError("speed_of_sound_mps must be positive")
-        if not 0 < self.min_range_cm < self.max_range_cm:
+        check_fields(self)
+        if not self.min_range_cm < self.max_range_cm:
             raise ValueError("require 0 < min_range_cm < max_range_cm")
-        if self.overhead_base_s < 0 or self.overhead_per_cm_s < 0:
-            raise ValueError("overheads must be non-negative")
-        if self.jitter_std_s < 0:
-            raise ValueError("jitter_std_s must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from .checks import require_finite_fields
+from .checks import check_fields, check_range, ranged
 
 
 class Priority(IntEnum):
@@ -76,18 +76,12 @@ class Transcript:
 
 @dataclass(frozen=True)
 class SpeechConfig:
-    base_per_char_s: float = 0.05
-    default_rate: float = 1.0
-    capacity: int = 64
+    base_per_char_s: float = ranged(0.05, 0, above=True)
+    default_rate: float = ranged(1.0, 0, above=True)
+    capacity: int = ranged(64, 1)
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
-        if self.base_per_char_s <= 0:
-            raise ValueError("base_per_char_s must be positive")
-        if self.default_rate <= 0:
-            raise ValueError("default_rate must be positive")
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
+        check_fields(self)
 
 
 class SpeechQueue:
@@ -95,8 +89,7 @@ class SpeechQueue:
     class, then FIFO. Single consumer, any number of producers."""
 
     def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
+        check_range(SpeechConfig, "capacity", capacity)
         self.capacity = capacity
         self.dropped: list[SpeechMessage] = []
         self._messages: deque[SpeechMessage] = deque()
