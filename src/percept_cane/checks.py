@@ -3,8 +3,8 @@
 Every input file is read here, its bytes decoded by :func:`read_text`
 alone: JSON through :func:`read_json` and the decoders, CSV through
 :func:`read_csv`. A malformed input raises ValueError that starts with
-the file's path; a bad CSV row, or bytes that are not UTF-8 in any file,
-add the physical line. CSV cells are converted per column, and a table
+the file's path; a bad CSV row, or bytes that are not UTF-8 or are NUL in
+any file, add the physical line. CSV cells are converted per column, and a table
 error still names the line where the first failing record starts.
 JSON types are strict: a number is an int or a float, never a bool, and
 finite; an int is an int; a str is a str. :func:`collector_paused` is the
@@ -35,6 +35,8 @@ _TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an obj
 # forge a line or a cell of the tab-separated transcript
 LINE_BREAK_OR_TAB = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
 _CSV_QUOTED = re.compile('[,"\r\n]')
+# a lone surrogate: a JSON \u escape can put one in a str, and no UTF-8 output can write it
+_SURROGATE = re.compile("[\ud800-\udfff]")
 # one line each, as a csv.reader over newline="" text counts them
 _CSV_LINE_BREAK = re.compile("\r\n|\r|\n")
 # a CSV layout's column names -> its table function, which takes one
@@ -117,6 +119,14 @@ def typed(value: object, cls: type[T], name: str) -> T:
     if type(value) is not cls:
         raise ValueError(f"{name} must be {_TYPE_NAMES[cls]}, got {_show(value)}".lstrip())
     return value
+
+
+def string(value: object, name: str) -> str:
+    """``value`` when it is a str that holds no lone surrogate."""
+    text = typed(value, str, name)
+    if not text.isascii() and _SURROGATE.search(text):
+        raise ValueError(f"{name} must hold no lone surrogate, got {text!r}")
+    return text
 
 
 def box(value: object, name: str) -> tuple[float, float, float, float]:
@@ -209,13 +219,18 @@ def collector_paused(fn: F) -> F:
 
 
 def read_text(path: str | Path) -> str:
-    """A file's text, strict UTF-8 less one leading BOM; bad bytes are named ``path:line``."""
+    """A file's text, strict UTF-8 less one leading BOM; bad bytes and a NUL
+    byte are named ``path:line``."""
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{line}: {exc}") from exc
+    if "\0" in text:  # no input file needs one, and UTF-16 text without a BOM is full of them
+        line = text.count("\n", 0, text.index("\0")) + 1
+        raise ValueError(f"{path}:{line}: NUL byte; input files are UTF-8 text, not UTF-16 or UTF-32")
+    return text
 
 
 def read_json(path: str | Path, build: Callable[[object], T]) -> T:

@@ -42,6 +42,11 @@ MAP_FIELDS = ("map50", "map5095")
 
 TRUTH_FIELDS = ("image_id", "label", "x_min", "y_min", "x_max", "y_max")
 PRED_FIELDS = ("image_id", "label", "confidence", "x_min", "y_min", "x_max", "y_max")
+# Upper bound on the same-label, same-image (truth, prediction) pairs of one
+# call, checked before any IoU is computed: the candidate table's time and
+# memory grow with their count. It is ~10x the 96,000 of the 32k-prediction
+# AP fixture (scripts/ap_scale.py), and seed-0 detect-eval makes 7,168.
+MAX_IOU_PAIRS = 1_000_000
 
 # One label's candidate table: (rank, [(iou, truth input position), ...]) for
 # each ranked prediction that overlaps a truth enough to match, best first.
@@ -108,7 +113,8 @@ def _ranked_candidates(
     ``min_threshold``, as (iou, truth input position) pairs, best first, so
     on IoU ties the lowest position comes first. Predictions (1-based rank)
     without candidates are left out: they are false positives at every
-    threshold. Every pair's IoU is computed once.
+    threshold. Every pair's IoU is computed once, and more than
+    ``MAX_IOU_PAIRS`` pairs are refused before the first.
     """
     cells: dict[str, dict[str, list[tuple[int, BoundingBox]]]] = {label: {} for label in labels}
     for t_idx, t in enumerate(truths):
@@ -123,6 +129,14 @@ def _ranked_candidates(
         ranked = by_label.get(p.label)
         if ranked is not None:
             ranked.append((-p.confidence, p.image_id, i, p.box))
+    n_pairs = sum(
+        len(cells[label].get(image_id, ())) for label, ranked in by_label.items() for _, image_id, _, _ in ranked
+    )
+    if n_pairs > MAX_IOU_PAIRS:
+        raise ValueError(
+            f"{len(truths)} truths and {len(preds)} predictions make {n_pairs} same-label, same-image"
+            f" pairs, more than MAX_IOU_PAIRS ({MAX_IOU_PAIRS})"
+        )
 
     tables: list[tuple[_Candidates, int]] = []
     for label, by_image in cells.items():

@@ -132,10 +132,19 @@ def _check_words(words: Sequence[str], bad: Callable[[int, str], str], empty: st
 
 
 def load_wordlist(path: str | Path | None = None) -> list[str]:
+    """The whitespace-separated words of a wordlist file; a bad one is named ``path:line``."""
     if path is None:
         path = data_path(WORDLIST_FILE)
-    words = read_text(path).split()
-    _check_words(words, lambda _, w: f"{path}: bad wordlist entry {w!r}", f"{path}: empty wordlist")
+    text = read_text(path)
+    words = text.split()
+
+    def bad(_: int, word: str) -> str:
+        # the first bad word is the first occurrence of that word; every line
+        # break that splitlines knows is whitespace to split
+        line = next(n for n, row in enumerate(text.splitlines(), start=1) if word in row.split())
+        return f"{path}:{line}: bad wordlist entry {word!r}"
+
+    _check_words(words, bad, f"{path}: empty wordlist")
     return words
 
 

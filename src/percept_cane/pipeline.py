@@ -185,7 +185,7 @@ def _labelled_boxes(entries: object, name: str, label: str, box: str) -> tuple[s
                 continue
         try:
             checks.keys(entry, (label, box))
-            text = checks.typed(entry[label], str, label)
+            text = checks.string(entry[label], label)
             if checks.LINE_BREAK_OR_TAB.search(text):
                 raise ValueError(f"{label} must be one line without tabs")
             BoundingBox(*checks.box(entry[box], box))
@@ -224,7 +224,7 @@ def _event(raw: object, i: int) -> ScenarioEvent:
             return ScenarioEvent(t_s, distance_cm)
         checks.keys(f, (), ("frame_id", "texts", "objects"), "frame")
         frame_id = f.get("frame_id", f"frame-{i:03d}")
-    frame_id = checks.typed(frame_id, str, "frame_id")
+    frame_id = checks.string(frame_id, "frame_id")
     texts = _labelled_boxes(f.get("texts", []), "texts", "text", "region")
     labels = _labelled_boxes(f.get("objects", []), "objects", "label", "box")
     return ScenarioEvent(t_s, distance_cm, Frame(frame_id, labels, texts))
@@ -264,7 +264,7 @@ def _scenario(raw: object) -> Scenario:
         except ValueError as exc:
             raise ValueError(f"event {i}: {exc}") from exc
     return Scenario(
-        name=checks.typed(raw["name"], str, "name"),
+        name=checks.string(raw["name"], "name"),
         tick_s=checks.number(raw["tick_s"], "tick_s"),
         duration_s=checks.number(raw["duration_s"], "duration_s"),
         events=tuple(events),

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from oracles import brute_force_ap, literal_ap
-from percept_cane.detector_lab import MAP_RANGE_THRESHOLDS
+from percept_cane.detector_lab import MAP_RANGE_THRESHOLDS, MAX_IOU_PAIRS, average_precision
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "ap_scale.py"
@@ -36,3 +36,10 @@ def test_ap_scale_runs_at_a_tiny_size():
     ranks = ap_scale.falling_precision_ranks(50)
     assert float(ap[1]) == float(literal_ap(ranks, 51))
     assert lines[3] == "min of 1 process_time runs each"
+
+
+def test_default_fixture_fits_the_pair_cap():
+    # 8,000 images of 3 truths and 4 predictions: 96,000 pairs
+    preds, truths = ap_scale.fixture(8000)
+    assert len(preds) * 3 == 96_000 <= MAX_IOU_PAIRS
+    assert 0 < average_precision(preds, truths, ap_scale.LABEL, 0.5) <= 1

@@ -145,6 +145,17 @@ def test_models_eval(tmp_path, capsys):
     assert code == 0
     assert out.splitlines() == ["map50,100.0", "map5095,95.0"]
 
+
+def test_models_eval_over_the_pair_cap_exits_1(tmp_path, capsys, monkeypatch):
+    from percept_cane import detector_lab
+
+    truths, preds = _seeded_detection_files(tmp_path)
+    monkeypatch.setattr(detector_lab, "MAX_IOU_PAIRS", 10)
+    code, out, err = run_cli(capsys, "models-eval", "--truths", str(truths), "--preds", str(preds))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: \d+ truths and \d+ predictions make \d+ same-label, same-image pairs, "
+                        r"more than MAX_IOU_PAIRS \(10\)\n", err)
+
 def _seeded_detection_files(tmp_path, seed=31):
     """~50 images over six labels: jittered hits, misses, false positives.
 
@@ -481,6 +492,26 @@ BAD_INPUTS = {
         ":1: 'utf-8' codec can't decode byte 0x",
     ),
     "config-utf32": (json.dumps({"speech": {"capacity": 2}}).encode("utf-32"), ":1: 'utf-8' codec can't decode byte 0x"),
+    # without a BOM, UTF-16 ASCII text is valid UTF-8 holding NUL bytes
+    "utf16-without-bom": (
+        json.dumps({"name": "u", "tick_s": 0.5, "duration_s": 5.0, "events": [_GOOD_EVENT]}).encode("utf-16-le"),
+        ":1: NUL byte; input files are UTF-8 text, not UTF-16 or UTF-32\n",
+    ),
+    "nul-on-line-2": (b'{"name":\n"a\x00b"}', ":2: NUL byte"),
+    # a JSON \u escape can hold a lone surrogate, which no UTF-8 output can write
+    "surrogate-name": ({"name": "a\ud800"}, "name must hold no lone surrogate, got 'a\\ud800'\n"),
+    "surrogate-frame-id": (
+        [{**_GOOD_EVENT, "frame": {"frame_id": "\ud800", "texts": [{**_TEXT, "text": "tot"}], "objects": []}}],
+        "event 0: frame_id must hold no lone surrogate, got '\\ud800'\n",
+    ),
+    "surrogate-text": (
+        [{**_GOOD_EVENT, "frame": {"texts": [{**_TEXT, "text": "t\ud800t"}]}}],
+        "event 0: texts[0]: text must hold no lone surrogate, got 't\\ud800t'\n",
+    ),
+    "surrogate-label": (
+        [{**_GOOD_EVENT, "frame": {"objects": [{"label": "chair\udfff", "box": [0.1, 0.1, 0.4, 0.4]}]}}],
+        "event 0: objects[0]: label must hold no lone surrogate, got 'chair\\udfff'\n",
+    ),
     "deep-nesting": (_Raw("[" * 100_000), "maximum recursion depth exceeded"),
     "config-fractional-capacity": (
         {"speech": {"capacity": 2.5}},

@@ -194,6 +194,28 @@ def test_ap_iou_tie_goes_to_the_first_truth():
     assert average_precision(preds, [t("cat", t0), t("cat", t1)], "cat", 0.3) == 1.0
 
 
+def test_pair_cap_refuses_before_any_iou(monkeypatch):
+    from percept_cane import detector_lab
+
+    calls = []
+    monkeypatch.setattr(detector_lab, "iou", lambda a, b: calls.append((a, b)) or iou(a, b))
+    box = BoundingBox(0.1, 0.1, 0.4, 0.4)
+    # 3 truths x 2 predictions of cat in img1, 1 x 1 in img2, and a dog pair
+    # that average_precision on cat leaves out
+    truths = [t("cat", box)] * 3 + [TruthBox("img2", "cat", box), t("dog", box)]
+    preds = [p("cat", 0.9, box), p("cat", 0.8, box), PredictionBox("img2", "cat", 0.7, box), p("dog", 0.6, box)]
+    monkeypatch.setattr(detector_lab, "MAX_IOU_PAIRS", 6)
+    for score, n_pairs in (
+        (lambda: map50_and_range(preds, truths), 8),
+        (lambda: map_at(preds, truths, 0.5), 8),
+        (lambda: average_precision(preds, truths, "cat", 0.5), 7),
+    ):
+        message = f"5 truths and 4 predictions make {n_pairs} same-label, same-image pairs, more than MAX_IOU_PAIRS (6)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            score()
+    assert not calls
+
+
 def test_ap_matches_oracle_with_tied_confidences():
     rng = random.Random(9)
     cases = list(_fixture_family(max_preds=3, equal_conf=True))

@@ -54,6 +54,13 @@ def test_wordlist_rejects_non_ascii_letters(tmp_path):
         load_wordlist(path)
 
 
+def test_wordlist_names_the_line_of_a_bad_entry(tmp_path):
+    path = tmp_path / "wordlist.txt"
+    path.write_text("apple\nbanana cherry\n\nBad1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: bad wordlist entry 'Bad1'$"):
+        load_wordlist(path)
+
+
 def test_generate_number_samples():
     (truth,) = generate_samples(SampleKind.NUMBERS, 1, seed=3)
     assert NUMBER_RE.match(truth)

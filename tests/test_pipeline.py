@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +18,7 @@ from percept_cane.alerts import AlertConfig, AlertState, on_measurement
 from percept_cane import pipeline
 from percept_cane.cli import main
 from percept_cane.detector_lab import average_precision, map50_and_range, map_at
-from percept_cane.perception import BackendError, BoundingBox, Frame, load_class_vocabulary
+from percept_cane.perception import BackendError, BoundingBox, Frame, MockDetector, MockOcr, load_class_vocabulary
 from percept_cane.pipeline import (
     CYCLE_BUDGET_S,
     MAX_FRAME_ITEMS,
@@ -39,7 +40,7 @@ from percept_cane.pipeline import (
 )
 from percept_cane.resources import DATA_ENV_VAR
 from percept_cane.sensor import SensorConfig, simulate_measurement
-from percept_cane.speech import SpeechConfig
+from percept_cane.speech import SpeechConfig, SpeechQueue
 
 
 def quiet_scenario() -> Scenario:
@@ -569,16 +570,67 @@ def test_load_config_sections(tmp_path):
 README = Path(__file__).parents[1] / "README.md"
 
 
+def _interval(f) -> str:
+    """A declared range in the README's interval notation, such as ``(0, ∞)``."""
+    if "range" not in f.metadata:
+        return "one of three ids"  # the OCR backend, the one string field
+    lo, hi, above = f.metadata["range"]
+    return f"{'(' if above else '['}{lo:g}, " + ("∞)" if hi is None else f"{hi:g}]")
+
+
 def test_readme_documents_every_config_field():
-    # a row of the README's config table: | `section` | `field` | `default` | ...
-    rows = re.findall(r"^ *\| `(\w+)` \| `(\w+)` \| `([^`]*)` \|", README.read_text(), re.M)
+    # a row of the README's config table: | `section` | `field` | `default` | range | ...
+    rows = re.findall(r"^ *\| `(\w+)` \| `(\w+)` \| `([^`]*)` \| ([^|]*?) \|", README.read_text(), re.M)
     settable = [
-        (section.name, f.name, json.dumps(f.default))
+        (section.name, f.name, json.dumps(f.default), _interval(f))
         for section in fields(PipelineConfig)
         for f in fields(section.default)
     ]
     assert rows == settable
     assert len(settable) == 16
+
+
+# a range in the README's notation -> the message for a value outside it
+_OUTSIDE = {
+    "(0, ∞)": "must be positive",
+    "[0, ∞)": "must be non-negative",
+    "[1, ∞)": "must be at least 1",
+    "[0, 1]": "must be in [0,1]",
+}
+# every number field of a config section, and the ranged fields of the mocks
+_NUMBER_FIELDS = [
+    (cls, f)
+    for cls in [type(section.default) for section in fields(PipelineConfig)]
+    for f in fields(cls)
+    if get_type_hints(cls)[f.name] in (int, float)
+] + [(cls, f) for cls in (MockDetector, MockOcr) for f in fields(cls) if "range" in f.metadata]
+
+
+@pytest.mark.parametrize(
+    "cls, f", _NUMBER_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in _NUMBER_FIELDS]
+)
+def test_number_field_declares_a_range_that_its_class_enforces(cls, f):
+    """Each bound is tried on both sides: a closed bound itself and the next
+    value past it, an open bound itself and the next value inside it."""
+    lo, hi, above = f.metadata["range"]
+    message = f"^{f.name} {re.escape(_OUTSIDE[_interval(f)])}$"
+    kind = get_type_hints(cls)[f.name]
+    step = (lambda x, toward: x + (1 if toward > x else -1)) if kind is int else math.nextafter
+    sides = [(lo, -math.inf, above)] + ([(hi, math.inf, False)] if hi is not None else [])
+    for bound, outward, is_open in sides:
+        inside, outside = (step(bound, -outward), bound) if is_open else (bound, step(bound, outward))
+        if (cls, f.name, inside) == (SensorConfig, "max_range_cm", 5e-324):
+            # no positive min_range_cm lies below the least positive float
+            with pytest.raises(ValueError, match=r"^require 0 < min_range_cm < max_range_cm$"):
+                cls(**{f.name: kind(inside)})
+        else:
+            assert getattr(cls(**{f.name: kind(inside)}), f.name) == inside
+        with pytest.raises(ValueError, match=message):
+            cls(**{f.name: kind(outside)})
+        if (cls, f.name) == (SpeechConfig, "capacity"):
+            SpeechQueue(inside)
+            with pytest.raises(ValueError, match=message):
+                SpeechQueue(outside)
 
 
 def test_load_config_rejects_unknown(tmp_path):
