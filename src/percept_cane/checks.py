@@ -7,7 +7,10 @@ the file's path; a bad CSV row, or bytes that are not UTF-8 or are NUL in
 any file, add the physical line. CSV cells are converted per column, and a table
 error still names the line where the first failing record starts.
 JSON types are strict: a number is an int or a float, never a bool, and
-finite; an int is an int; a str is a str. :func:`collector_paused` is the
+finite; an int is an int; a str is a str. Every number field's range lives
+on its field, declared by :func:`ranged` and enforced by
+:func:`check_fields` or :func:`check_range`; a class's own checks are
+the rules that join several fields. :func:`collector_paused` is the
 one pause of the cyclic garbage collector, shared by the scenario loader
 and the AP engine.
 """
@@ -39,6 +42,9 @@ _CSV_QUOTED = re.compile('[,"\r\n]')
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # one line each, as a csv.reader over newline="" text counts them
 _CSV_LINE_BREAK = re.compile("\r\n|\r|\n")
+# Upper bound on a CSV table's data rows, checked once the rows are split
+# and before any record is built; the largest benchmark table has ~2,600.
+MAX_ROWS = 1_000_000
 # a CSV layout's column names -> its table function, which takes one
 # sequence of cells per column and returns the records
 _Layouts = Mapping[tuple[str, ...], Callable[..., list]]
@@ -163,14 +169,18 @@ def decode(cls: type[T], raw: object, where: str) -> T:
 
 
 def ranged(default: T, lo: float, hi: float | None = None, *, above: bool = False) -> T:
-    """A dataclass field with ``default`` whose value must be at least ``lo``
-    (above it, with ``above``) and at most ``hi``, if given: the one home
-    of the range, enforced by :func:`check_fields` and :func:`check_range`."""
+    """A dataclass field with ``default`` (``dataclasses.MISSING`` for
+    none) whose value must be at least ``lo`` (above it, with ``above``)
+    and at most ``hi``, if given: the one home of the range, enforced by
+    :func:`check_fields` and :func:`check_range`."""
     return field(default=default, metadata={"range": (lo, hi, above)})
 
 
-def check_range(cls: type, name: str, value: float) -> None:
-    """Reject ``value`` outside the range that field ``name`` of dataclass ``cls`` declares."""
+def check_range(cls: type, name: str, value: float | None) -> None:
+    """Reject ``value`` outside the range that field ``name`` of dataclass
+    ``cls`` declares; None, an absent optional value, passes."""
+    if value is None:
+        return
     lo, hi, above = cls.__dataclass_fields__[name].metadata["range"]
     if not ((lo < value if above else lo <= value) and (hi is None or value <= hi)):  # NaN fails too
         if hi is not None:
@@ -278,9 +288,10 @@ def _layout(first: list[str] | None, rows: Iterator[list[str]], layouts: _Layout
     return table, len(cells), [cells.index(c) for c in columns], rows
 
 
-def _read_columns(text: str, layouts: _Layouts, optional_header: bool) -> list:
-    """The records of ``text``: every row's cells in one flat list, then
-    the layout's table function called once, on one slice per column."""
+def _split_rows(text: str, layouts: _Layouts, optional_header: bool) -> tuple[Callable[..., list], list[list[str]]]:
+    """The table function that ``text`` picks, and the cells of its data
+    rows as one list per column of the function: every row's cells are
+    read into one flat list, then sliced once per column."""
     _, rows = _csv_rows(text)
     table, width, pick, rows = _layout(next(rows, None), rows, layouts, optional_header)
     flat: list[str] = []
@@ -289,7 +300,7 @@ def _read_columns(text: str, layouts: _Layouts, optional_header: bool) -> list:
         if len(row) != width:
             raise ValueError(f"expected {width} fields, got {len(row)}")
         extend(row)
-    return table(*(flat[k::width] for k in pick))
+    return table, [flat[k::width] for k in pick]
 
 
 def _locate_error(path: str | Path, text: str, layouts: _Layouts, optional_header: bool) -> None:
@@ -326,21 +337,29 @@ def read_csv(path: str | Path, layouts: _Layouts, optional_header: bool = False,
     columns taken in the layout's order. Rows must be as wide as the header
     (else the layout). No records is an error unless ``allow_empty``.
 
-    Cells are read into one flat list and converted per column. Every check
-    of a table function must be row-local, so that a table passes exactly
-    when each of its rows passes alone: when the read or the table function
-    fails, the text is read again row by row to name the first failing
-    record, at the physical line where it starts; an error in reading the
-    next record (a ``csv.Error``, such as an unclosed quote or text after a
-    closing quote) is named at the line where reading stopped, when no
-    earlier row fails.
+    Cells are read into one flat list and converted per column. More than
+    ``MAX_ROWS`` data rows is an error, raised before the table function
+    builds any record. Every check of a table function must be row-local,
+    so that a table passes exactly when each of its rows passes alone: when
+    the read or the table function fails, the text is read again row by row
+    to name the first failing record, at the physical line where it starts;
+    an error in reading the next record (a ``csv.Error``, such as an
+    unclosed quote or text after a closing quote) is named at the line
+    where reading stopped, when no earlier row fails.
     """
     text = read_text(path)
     try:
-        records = _read_columns(text, layouts, optional_header)
+        table, columns = _split_rows(text, layouts, optional_header)
     except (ValueError, csv.Error) as exc:
         _locate_error(path, text, layouts, optional_header)
         raise ValueError(f"{path}: {exc}") from exc  # no row fails alone
+    if len(columns[0]) > MAX_ROWS:
+        raise ValueError(f"{path}: {len(columns[0])} rows exceed {MAX_ROWS}")
+    try:
+        records = table(*columns)
+    except ValueError as exc:
+        _locate_error(path, text, layouts, optional_header)
+        raise ValueError(f"{path}: {exc}") from exc
     if not records and not allow_empty:
         raise ValueError(f"{path}: no data rows")
     return records

@@ -25,13 +25,13 @@ pass, and budgeted recommendation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .checks import check_fields, check_name, collector_paused, number, number_cells, read_csv
+from .checks import check_fields, check_name, check_range, collector_paused, number, number_cells, ranged, read_csv
 from .perception import BoundingBox
 
 MAP_RANGE_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
@@ -86,14 +86,14 @@ class TruthBox:
 class PredictionBox:
     image_id: str
     label: str
-    confidence: float
+    confidence: float = ranged(MISSING, 0, 1)
     box: BoundingBox
 
     def __post_init__(self) -> None:
         check_name(self.image_id, "image_id")
         check_name(self.label, "label")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence out of [0,1]: {self.confidence}")
+        # one field, not check_fields: a detection table builds one record per row
+        check_range(PredictionBox, "confidence", self.confidence)
 
 
 def _ranked_candidates(
@@ -125,13 +125,12 @@ def _ranked_candidates(
     # (-confidence, image id, input position, box): the tuple is its own
     # rank key, and the unique position means boxes are never compared
     by_label: dict[str, list[tuple[float, str, int, BoundingBox]]] = {label: [] for label in labels}
+    n_pairs = 0
     for i, p in enumerate(preds):
         ranked = by_label.get(p.label)
         if ranked is not None:
             ranked.append((-p.confidence, p.image_id, i, p.box))
-    n_pairs = sum(
-        len(cells[label].get(image_id, ())) for label, ranked in by_label.items() for _, image_id, _, _ in ranked
-    )
+            n_pairs += len(cells[p.label].get(p.image_id, ()))
     if n_pairs > MAX_IOU_PAIRS:
         raise ValueError(
             f"{len(truths)} truths and {len(preds)} predictions make {n_pairs} same-label, same-image"
@@ -334,27 +333,16 @@ class ModelSpec:
 
     name: str
     framework: str
-    gflops: float
-    mparams: float
-    map50: float | None = None
-    map5095: float | None = None
-    input_size: int | None = None
-    size_mb: float | None = None
+    gflops: float = ranged(MISSING, 0, above=True)
+    mparams: float = ranged(MISSING, 0, above=True)
+    map50: float | None = ranged(None, 0, 100)
+    map5095: float | None = ranged(None, 0, 100)
+    input_size: int | None = ranged(None, 0, above=True)
+    size_mb: float | None = ranged(None, 0, above=True)
 
     def __post_init__(self) -> None:
         check_name(self.name, "name")
         check_fields(self)
-        if not self.gflops > 0:
-            raise ValueError(f"{self.name}: gflops must be positive")
-        if not self.mparams > 0:
-            raise ValueError(f"{self.name}: mparams must be positive")
-        if self.size_mb is not None and not self.size_mb > 0:
-            raise ValueError(f"{self.name}: size_mb must be positive")
-        if self.input_size is not None and self.input_size <= 0:
-            raise ValueError(f"{self.name}: input_size must be positive")
-        for value in (self.map50, self.map5095):
-            if value is not None and not 0.0 <= value <= 100.0:
-                raise ValueError(f"{self.name}: mAP out of [0,100]: {value}")
 
     @property
     def display_name(self) -> str:

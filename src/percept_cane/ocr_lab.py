@@ -15,12 +15,12 @@ import random
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .checks import LINE_BREAK_OR_TAB, check_fields, check_name, csv_cell, number, number_cells, read_csv, read_text
+from .checks import LINE_BREAK_OR_TAB, check_fields, check_name, csv_cell, number_cells, ranged, read_csv, read_text
 from .perception import OcrBackend, transcribe_each
 from .resources import data_path
 
@@ -69,10 +69,10 @@ def _check_truth(label: str, kind: SampleKind, truth: str) -> None:
 @dataclass(frozen=True)
 class EngineProfile:
     engine_id: str
-    error_rate_numbers: float
-    error_rate_alphabets: float
-    speed_cpu_s: float
-    speed_gpu_s: float
+    error_rate_numbers: float = ranged(MISSING, 0, 100)
+    error_rate_alphabets: float = ranged(MISSING, 0, 100)
+    speed_cpu_s: float = ranged(MISSING, 0, above=True)
+    speed_gpu_s: float = ranged(MISSING, 0, above=True)
 
     def __post_init__(self) -> None:
         check_name(self.engine_id, "engine_id")
@@ -80,11 +80,6 @@ class EngineProfile:
         if LINE_BREAK_OR_TAB.search(self.engine_id):
             raise ValueError("engine_id must be one line without tabs")
         check_fields(self)
-        for rate in (self.error_rate_numbers, self.error_rate_alphabets):
-            if not 0.0 <= rate <= 100.0:
-                raise ValueError(f"{self.engine_id}: error rate out of [0,100]")
-        if self.speed_cpu_s <= 0 or self.speed_gpu_s <= 0:
-            raise ValueError(f"{self.engine_id}: speeds must be positive")
 
     def error_rate(self, kind: SampleKind) -> float:
         if kind is SampleKind.NUMBERS:
@@ -100,17 +95,15 @@ class EngineProfile:
 @dataclass(frozen=True)
 class OcrReport:
     kind: SampleKind
-    total: int
-    mismatches: int
+    total: int = ranged(MISSING, 0, above=True)
+    mismatches: int = ranged(MISSING, 0)
     confusions: dict[tuple[str, str], int] = field(default_factory=dict)
-    mean_speed_s: float = 0.0
+    mean_speed_s: float = ranged(0.0, 0)
 
     def __post_init__(self) -> None:
-        if self.total <= 0:
-            raise ValueError("total must be positive")
-        if not 0 <= self.mismatches <= self.total:
+        check_fields(self)
+        if self.mismatches > self.total:
             raise ValueError("mismatches out of range")
-        number(self.mean_speed_s, "mean_speed_s")  # ocr-bench --timing prints it
 
     @property
     def error_rate(self) -> float:
@@ -139,9 +132,10 @@ def load_wordlist(path: str | Path | None = None) -> list[str]:
     words = text.split()
 
     def bad(_: int, word: str) -> str:
-        # the first bad word is the first occurrence of that word; every line
-        # break that splitlines knows is whitespace to split
-        line = next(n for n, row in enumerate(text.splitlines(), start=1) if word in row.split())
+        # the first bad word is the first occurrence of that word; lines end
+        # at "\n", as read_text counts them, and the other line breaks that
+        # str.splitlines knows are whitespace that splits words within a line
+        line = next(n for n, row in enumerate(text.split("\n"), start=1) if word in row.split())
         return f"{path}:{line}: bad wordlist entry {word!r}"
 
     _check_words(words, bad, f"{path}: empty wordlist")

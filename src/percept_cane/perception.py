@@ -217,12 +217,16 @@ def extract_text(frame: Frame, backend: OcrBackend) -> list[str]:
 
 def load_class_vocabulary(path: str | Path | None = None) -> list[str]:
     """Load the detector vocabulary: exactly 80 unique non-empty labels,
-    each without a tab."""
+    one per line, each without a tab or another line break; lines end at
+    ``\n``, as :func:`read_text` counts them."""
     if path is None:
         path = data_path(COCO_LABELS_FILE)
     labels: list[str] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    lines = read_text(path).split("\n")
+    if not lines[-1]:  # the last line's "\n", or an empty file
+        lines.pop()
+    for lineno, raw in enumerate(lines, start=1):
         label = raw.strip()
         if not label:
             raise ValueError(f"{path}:{lineno}: empty label line")

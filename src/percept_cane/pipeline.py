@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -90,16 +90,12 @@ class ScenarioEvent:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    tick_s: float
-    duration_s: float
+    tick_s: float = ranged(MISSING, 0, above=True)
+    duration_s: float = ranged(MISSING, 0, above=True)
     events: tuple[ScenarioEvent, ...]
 
     def __post_init__(self) -> None:
-        # each chained test is False for NaN and for the infinity it bounds
-        if not 0 < self.tick_s < math.inf:
-            raise ValueError("tick_s must be finite and positive")
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError("duration_s must be finite and positive")
+        check_fields(self)
         if self.duration_s / self.tick_s > MAX_TICKS:
             raise ValueError(f"duration_s / tick_s exceeds {MAX_TICKS} ticks")
         last = -math.inf
@@ -277,9 +273,9 @@ def demo_scenario_path() -> Path:
 
 @dataclass(frozen=True)
 class StageStats:
-    count: int
-    mean_s: float
-    max_s: float
+    count: int = ranged(MISSING, 0)
+    mean_s: float = ranged(MISSING, 0)
+    max_s: float = ranged(MISSING, 0)
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -312,8 +308,6 @@ def _nearest_rank(values: Sequence[float], percent: int) -> float:
 
 def format_distance_line(distance_cm: float) -> str:
     """Device log line for one reading, frozen bit-exact."""
-    if distance_cm < 0:
-        raise ValueError("distance_cm must be non-negative")
     return f"Measure Distance = {distance_cm:.1f} cm"
 
 
@@ -340,9 +334,9 @@ class RunReport:
     the result, shifts full collections into the replay loop.
     """
 
-    tick_s: float
-    ocr_latency_s: float
-    detect_latency_s: float
+    tick_s: float = ranged(MISSING, 0, above=True)
+    ocr_latency_s: float = ranged(MISSING, 0)
+    detect_latency_s: float = ranged(MISSING, 0)
     exec_times: Sequence[float]
     distance_lines: dict[int, str]
     ticks: Sequence[int]
@@ -354,8 +348,6 @@ class RunReport:
     dropped: Sequence[SpeechMessage]
 
     def __post_init__(self) -> None:
-        if not 0 < self.tick_s < math.inf:  # False for NaN too
-            raise ValueError("tick_s must be finite and positive")
         check_fields(self)
 
     @property

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -47,30 +47,23 @@ class SensorConfig:
 class EchoSample:
     """Trigger-to-echo elapsed time of one ultrasonic pulse."""
 
-    roundtrip_s: float
+    roundtrip_s: float = ranged(MISSING, 0)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.roundtrip_s < math.inf:  # NaN fails too
-            raise ValueError("roundtrip_s must be finite and non-negative")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class DistanceMeasurement:
     """One ranging result: distance, time it took to produce, range flag."""
 
-    distance_cm: float
-    exec_time_s: float
+    distance_cm: float = ranged(MISSING, 0)
+    exec_time_s: float = ranged(MISSING, 0, above=True)
     in_range: bool
     timestamp_s: float = 0.0
 
     def __post_init__(self) -> None:
-        # each chained test is False for NaN and for the infinity it bounds
-        if not 0.0 <= self.distance_cm < _INF:
-            raise ValueError("distance_cm must be finite and non-negative")
-        if not 0.0 < self.exec_time_s < _INF:
-            raise ValueError("exec_time_s must be finite and positive")
-        if not -_INF < self.timestamp_s < _INF:
-            raise ValueError("timestamp_s must be finite")
+        check_fields(self)
 
 
 # an empty measurement, filled in by simulate_measurement
@@ -87,9 +80,7 @@ def _roundtrip_s(distance_cm: float, cfg: SensorConfig) -> float:
 
 
 def echo_from_distance(distance_cm: float, cfg: SensorConfig) -> EchoSample:
-    """Exact inverse of :func:`distance_from_echo`."""
-    if not distance_cm >= 0:  # NaN fails too
-        raise ValueError("distance_cm must be non-negative")
+    """Exact inverse of :func:`distance_from_echo`; ``EchoSample`` checks the result."""
     return EchoSample(roundtrip_s=_roundtrip_s(distance_cm, cfg))
 
 

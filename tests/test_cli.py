@@ -50,7 +50,7 @@ def test_sensor_bench_stdout(capsys):
     [
         ("nan,0.01", "distance_cm must be finite, got nan"),
         ("50,inf", "exec_time_s must be finite, got inf"),
-        ("50,-1", "exec_time_s must be finite and positive"),
+        ("50,-1", "exec_time_s must be positive"),
         ("60,0.02,99", "expected 2 fields, got 3"),
         ("60", "expected 2 fields, got 1"),
         ("9" * 140_000 + ",0.01", "field larger than field limit (131072)"),
@@ -156,6 +156,21 @@ def test_models_eval_over_the_pair_cap_exits_1(tmp_path, capsys, monkeypatch):
     assert re.fullmatch(r"error: \d+ truths and \d+ predictions make \d+ same-label, same-image pairs, "
                         r"more than MAX_IOU_PAIRS \(10\)\n", err)
 
+
+@pytest.mark.parametrize("over", ["truths", "preds"])
+def test_models_eval_over_the_row_cap_exits_1(over, tmp_path, capsys, monkeypatch):
+    from percept_cane import checks
+
+    rows = {"truths": 2, "preds": 2, over: 3}
+    truths = tmp_path / "truths.csv"
+    truths.write_text("".join(f"img{i},cat,0.1,0.1,0.5,0.5\n" for i in range(rows["truths"])))
+    preds = tmp_path / "preds.csv"
+    preds.write_text("".join(f"img{i},cat,0.9,0.1,0.1,0.5,0.5\n" for i in range(rows["preds"])))
+    monkeypatch.setattr(checks, "MAX_ROWS", 2)
+    code, out, err = run_cli(capsys, "models-eval", "--truths", str(truths), "--preds", str(preds))
+    assert (code, out) == (1, "")
+    assert err == f"error: {tmp_path / over}.csv: 3 rows exceed 2\n"
+
 def _seeded_detection_files(tmp_path, seed=31):
     """~50 images over six labels: jittered hits, misses, false positives.
 
@@ -227,7 +242,7 @@ def test_models_eval_confidence_out_of_range_names_line(tmp_path, capsys):
     err, _, preds = _eval_with_bad_row(
         tmp_path, capsys, "", "img1,cat,0.9,0.1,0.1,0.5,0.5\nimg1,cat,1.5,0.1,0.1,0.5,0.5\n"
     )
-    assert err == f"error: {preds}:3: confidence out of [0,1]: 1.5\n"
+    assert err == f"error: {preds}:3: confidence must be in [0,1]\n"
 
 
 @pytest.mark.parametrize(
@@ -295,12 +310,12 @@ def test_models_pareto_non_numeric_gflops_names_line(tmp_path, capsys):
         (
             "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
             "tesseract,150,0.7,0.3,0.25\n",
-            ":2: tesseract: error rate out of [0,100]",
+            ":2: error_rate_numbers must be in [0,100]",
         ),
         (
             "engine,err_numbers,err_alphabets,speed_cpu_s,speed_gpu_s\n"
             "tesseract,5.5,0.7,0,0.25\n",
-            ":2: tesseract: speeds must be positive",
+            ":2: speed_cpu_s must be positive",
         ),
     ],
     ids=[
@@ -694,22 +709,22 @@ BAD_TABLES = {
     "models-zero-mparams": (
         ("models-pareto", "--table", "{}"),
         b"name,framework,gflops,mparams,map\nssd,tf,2.0,0,70.0\n",
-        ":2: ssd: mparams must be positive",
+        ":2: mparams must be positive",
     ),
     "models-negative-size": (
         ("models-pareto", "--table", "{}", "--map-field", "map5095"),
         _MODELS_DUAL_HEADER + b"1,nano,320,0.72,0.95,-1.8,-,20.6\n",
-        ":2: nano: size_mb must be positive",
+        ":2: size_mb must be positive",
     ),
     "models-negative-input-size": (
         ("models-pareto", "--table", "{}", "--map-field", "map5095"),
         _MODELS_DUAL_HEADER + b"1,yolo,-640,0.72,0.95,1.8,-,20.6\n",
-        ":2: yolo: input_size must be positive",
+        ":2: input_size must be positive",
     ),
     "models-zero-input-size": (
         ("models-pareto", "--table", "{}", "--map-field", "map5095"),
         _MODELS_DUAL_HEADER + b"1,yolo,0,0.72,0.95,1.8,-,20.6\n",
-        ":2: yolo: input_size must be positive",
+        ":2: input_size must be positive",
     ),
     "models-without-map-field": (
         ("models-recommend", "--table", "{}", "--budget", "1.0"),

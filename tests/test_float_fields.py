@@ -1,6 +1,7 @@
 """Every float field of every public dataclass in the package rejects NaN,
 +inf and -inf when an instance is built, with a ValueError that names the
-field, unless the field is on ``ALLOWED``.
+field, unless the field is on ``ALLOWED``; every number field declares its
+range with ``checks.ranged``, unless the field is on ``UNRANGED``.
 
 ``INSTANCES`` holds one valid instance of each public dataclass. A new
 dataclass fails ``test_every_public_dataclass_has_an_instance`` until it
@@ -62,6 +63,27 @@ ALLOWED = {
     (ScenarioEvent, "distance_cm"),
 }
 
+# number fields without a declared range, and why
+UNRANGED = {
+    # the alert engine's state starts before any measurement, at -inf
+    (AlertState, "last_alert_s"),
+    (AlertState, "last_seen_s"),
+    # the scenario loader builds one per event, and Scenario checks them all
+    # in one pass over its events
+    (ScenarioEvent, "t_s"),
+    (ScenarioEvent, "distance_cm"),
+    # one chain joins them: 0 <= x_min <= x_max <= 1, and the same for y
+    (BoundingBox, "x_min"),
+    (BoundingBox, "y_min"),
+    (BoundingBox, "x_max"),
+    (BoundingBox, "y_max"),
+    # any int seeds a mock's draws
+    (MockDetector, "seed"),
+    (MockOcr, "seed"),
+    # a reading may be stamped at any finite time
+    (DistanceMeasurement, "timestamp_s"),
+}
+
 FLOAT_FIELDS = [
     (cls, f.name)
     for cls in INSTANCES
@@ -102,3 +124,14 @@ def test_float_field_rejects_nan_and_infinities(cls, name):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(INSTANCES[cls], **{name: value})
+
+
+def test_every_number_field_declares_a_range_unless_unranged():
+    number_fields = {
+        (cls, f.name): "range" in f.metadata
+        for cls in INSTANCES
+        for f in dataclasses.fields(cls)
+        if typing.get_type_hints(cls)[f.name] in (int, float, int | None, float | None)
+    }
+    unranged = {(cls.__name__, name) for (cls, name), ranged in number_fields.items() if not ranged}
+    assert sorted(unranged) == sorted((cls.__name__, name) for cls, name in UNRANGED)

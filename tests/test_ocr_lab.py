@@ -61,6 +61,19 @@ def test_wordlist_names_the_line_of_a_bad_entry(tmp_path):
         load_wordlist(path)
 
 
+def test_wordlist_counts_lines_at_newlines(tmp_path):
+    path = tmp_path / "wordlist.txt"
+    # \x1c splits words, and str.splitlines would also break a line there
+    path.write_bytes(b"a\x1cb\nBad")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad wordlist entry 'Bad'$"):
+        load_wordlist(path)
+    path.write_bytes(b"apple\r\nbanana\r\nBad1\r\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: bad wordlist entry 'Bad1'$"):
+        load_wordlist(path)
+    path.write_bytes(b"apple\r\nbanana\r\n")
+    assert load_wordlist(path) == ["apple", "banana"]
+
+
 def test_generate_number_samples():
     (truth,) = generate_samples(SampleKind.NUMBERS, 1, seed=3)
     assert NUMBER_RE.match(truth)

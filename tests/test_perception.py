@@ -321,6 +321,21 @@ def test_load_class_vocabulary_errors(tmp_path):
         load_class_vocabulary(tab)
 
 
+def test_load_class_vocabulary_counts_lines_at_newlines(tmp_path):
+    labels = [f"label{i}" for i in range(80)]
+    # \u2028 is a line break to str.splitlines, but not the end of a line
+    separator = tmp_path / "separator.txt"
+    separator.write_bytes("\n".join(labels[:40] + ["traffic\u2028light"] + labels[41:]).encode() + b"\n")
+    with pytest.raises(ValueError, match=r"separator\.txt:41: label must be one line without tabs$"):
+        load_class_vocabulary(separator)
+    # CRLF line ends, and a last line without its line end, read as the labels
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes("\r\n".join(labels).encode() + b"\r\n")
+    assert load_class_vocabulary(crlf) == labels
+    crlf.write_bytes("\r\n".join(labels).encode())
+    assert load_class_vocabulary(crlf) == labels
+
+
 def test_backend_registry():
     assert build_ocr("mock-tesseract").backend_id == "mock-tesseract"
     assert build_ocr("mock-easyocr").backend_id == "mock-easyocr"

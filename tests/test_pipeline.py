@@ -4,7 +4,7 @@ import math
 import random
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -13,12 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import collections_during, scored_detections
 from oracles import reference_scenario_parts
+from test_float_fields import INSTANCES
 
 from percept_cane.alerts import AlertConfig, AlertState, on_measurement
 from percept_cane import pipeline
 from percept_cane.cli import main
 from percept_cane.detector_lab import average_precision, map50_and_range, map_at
-from percept_cane.perception import BackendError, BoundingBox, Frame, MockDetector, MockOcr, load_class_vocabulary
+from percept_cane.perception import BackendError, BoundingBox, Frame, load_class_vocabulary
 from percept_cane.pipeline import (
     CYCLE_BUDGET_S,
     MAX_FRAME_ITEMS,
@@ -430,19 +431,28 @@ def test_stage_stats_rejects_a_non_finite_field(args, field):
         StageStats(*args)
 
 
-@pytest.mark.parametrize("tick_s", [NAN, INF, 0.0, -0.5])
-def test_device_log_rejects_a_tick_that_is_not_finite_and_positive(tick_s):
-    with pytest.raises(ValueError, match="^tick_s must be finite and positive$"):
+@pytest.mark.parametrize(
+    "tick_s, message",
+    [
+        (NAN, "must be finite, got nan"),
+        (INF, "must be finite, got inf"),
+        (0.0, "must be positive"),
+        (-0.5, "must be positive"),
+    ],
+    ids=["nan", "inf", "0.0", "-0.5"],
+)
+def test_device_log_rejects_a_tick_that_is_not_finite_and_positive(tick_s, message):
+    with pytest.raises(ValueError, match=f"^tick_s {message}$"):
         RunReport(tick_s, 0.0, 0.0, [], {}, [], [], [], [], [], [], [])
 
 
 @pytest.mark.parametrize(
     "tick_s, duration_s, events, message",
     [
-        (NAN, 5.0, (), "tick_s must be finite and positive"),
-        (INF, 5.0, (), "tick_s must be finite and positive"),
-        (0.5, NAN, (), "duration_s must be finite and positive"),
-        (0.5, INF, (), "duration_s must be finite and positive"),
+        (NAN, 5.0, (), "tick_s must be finite, got nan"),
+        (INF, 5.0, (), "tick_s must be finite, got inf"),
+        (0.5, NAN, (), "duration_s must be finite, got nan"),
+        (0.5, INF, (), "duration_s must be finite, got inf"),
         # a NaN between two good times was accepted and then never applied
         (0.5, 5.0, ((0.0, 80.0), (NAN, 80.0), (2.0, 80.0)), "event 1: event times must be finite and strictly increasing"),
         (0.5, 5.0, ((NAN, 80.0), (1.0, 80.0)), "event 0: event times must be finite and strictly increasing"),
@@ -596,37 +606,42 @@ _OUTSIDE = {
     "[0, ∞)": "must be non-negative",
     "[1, ∞)": "must be at least 1",
     "[0, 1]": "must be in [0,1]",
+    "[0, 100]": "must be in [0,100]",
 }
-# every number field of a config section, and the ranged fields of the mocks
-_NUMBER_FIELDS = [
-    (cls, f)
-    for cls in [type(section.default) for section in fields(PipelineConfig)]
-    for f in fields(cls)
-    if get_type_hints(cls)[f.name] in (int, float)
-] + [(cls, f) for cls in (MockDetector, MockOcr) for f in fields(cls) if "range" in f.metadata]
+# every declared range of every public dataclass
+_RANGED_FIELDS = [(cls, f) for cls in INSTANCES for f in fields(cls) if "range" in f.metadata]
+# in-range edges that a rule joining several fields rejects -> its message
+_JOINT_RULES = {
+    # no positive min_range_cm lies below the least positive float
+    (SensorConfig, "max_range_cm", 5e-324): "require 0 < min_range_cm < max_range_cm",
+    # the instance's 5 s over the least positive tick is more than MAX_TICKS ticks
+    (Scenario, "tick_s", 5e-324): f"duration_s / tick_s exceeds {MAX_TICKS} ticks",
+}
 
 
 @pytest.mark.parametrize(
-    "cls, f", _NUMBER_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in _NUMBER_FIELDS]
+    "cls, f", _RANGED_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in _RANGED_FIELDS]
 )
 def test_number_field_declares_a_range_that_its_class_enforces(cls, f):
-    """Each bound is tried on both sides: a closed bound itself and the next
-    value past it, an open bound itself and the next value inside it."""
+    """Each bound is tried on both sides, on the valid instance of
+    ``test_float_fields`` with that one field replaced: a closed bound
+    itself and the next value past it, an open bound itself and the next
+    value inside it."""
     lo, hi, above = f.metadata["range"]
     message = f"^{f.name} {re.escape(_OUTSIDE[_interval(f)])}$"
-    kind = get_type_hints(cls)[f.name]
+    kind = int if get_type_hints(cls)[f.name] in (int, int | None) else float
     step = (lambda x, toward: x + (1 if toward > x else -1)) if kind is int else math.nextafter
     sides = [(lo, -math.inf, above)] + ([(hi, math.inf, False)] if hi is not None else [])
     for bound, outward, is_open in sides:
         inside, outside = (step(bound, -outward), bound) if is_open else (bound, step(bound, outward))
-        if (cls, f.name, inside) == (SensorConfig, "max_range_cm", 5e-324):
-            # no positive min_range_cm lies below the least positive float
-            with pytest.raises(ValueError, match=r"^require 0 < min_range_cm < max_range_cm$"):
-                cls(**{f.name: kind(inside)})
+        joint = _JOINT_RULES.get((cls, f.name, inside))
+        if joint:
+            with pytest.raises(ValueError, match=f"^{re.escape(joint)}$"):
+                replace(INSTANCES[cls], **{f.name: kind(inside)})
         else:
-            assert getattr(cls(**{f.name: kind(inside)}), f.name) == inside
+            assert getattr(replace(INSTANCES[cls], **{f.name: kind(inside)}), f.name) == inside
         with pytest.raises(ValueError, match=message):
-            cls(**{f.name: kind(outside)})
+            replace(INSTANCES[cls], **{f.name: kind(outside)})
         if (cls, f.name) == (SpeechConfig, "capacity"):
             SpeechQueue(inside)
             with pytest.raises(ValueError, match=message):
@@ -826,11 +841,6 @@ def test_distance_line_round_trip():
         d = round(rng.uniform(0, 400), 1)
         match = re.fullmatch(r"Measure Distance = (\d+\.\d) cm", format_distance_line(d))
         assert match is not None and float(match.group(1)) == d
-
-
-def test_format_distance_line_rejects_negative():
-    with pytest.raises(ValueError, match="^distance_cm must be non-negative$"):
-        format_distance_line(-1.0)
 
 
 def test_zero_overhead_cycle_time_identity():

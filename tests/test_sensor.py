@@ -64,7 +64,7 @@ def test_round_trip_identity_seeded():
 
 
 def test_echo_rejects_negative_distance():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^roundtrip_s must be non-negative$"):
         echo_from_distance(-1.0, CFG)
 
 
@@ -184,9 +184,18 @@ def test_config_invariants():
         DistanceMeasurement(10.0, 0.0, in_range=True)
 
 
-@pytest.mark.parametrize("roundtrip_s", [math.nan, math.inf, -math.inf, -0.1])
-def test_echo_sample_rejects_what_it_cannot_model(roundtrip_s):
-    with pytest.raises(ValueError, match="^roundtrip_s must be finite and non-negative$"):
+@pytest.mark.parametrize(
+    "roundtrip_s, message",
+    [
+        (math.nan, "must be finite, got nan"),
+        (math.inf, "must be finite, got inf"),
+        (-math.inf, "must be finite, got -inf"),
+        (-0.1, "must be non-negative"),
+    ],
+    ids=["nan", "inf", "-inf", "-0.1"],
+)
+def test_echo_sample_rejects_what_it_cannot_model(roundtrip_s, message):
+    with pytest.raises(ValueError, match=f"^roundtrip_s {message}$"):
         EchoSample(roundtrip_s)
 
 
@@ -284,20 +293,20 @@ def test_nan_distance_is_rejected(nan):
         simulate_measurement(nan, CFG, rng)
     # the rejection comes before the jitter draw
     assert rng.getstate() == random.Random(0).getstate()
-    with pytest.raises(ValueError, match=r"^distance_cm must be finite and non-negative$"):
+    with pytest.raises(ValueError, match=r"^distance_cm must be finite, got nan$"):
         DistanceMeasurement(nan, 0.01, in_range=False)
-    with pytest.raises(ValueError, match=r"^distance_cm must be non-negative$"):
+    with pytest.raises(ValueError, match=r"^roundtrip_s must be finite, got nan$"):
         echo_from_distance(nan, CFG)
 
 
 @pytest.mark.parametrize(
     "args, message",
     [
-        ((1.0, math.nan, True), "exec_time_s must be finite and positive"),
-        ((1.0, math.inf, True), "exec_time_s must be finite and positive"),
-        ((1.0, 0.01, True, math.nan), "timestamp_s must be finite"),
-        ((1.0, 0.01, True, -math.inf), "timestamp_s must be finite"),
-        ((math.inf, 0.01, False), "distance_cm must be finite and non-negative"),
+        ((1.0, math.nan, True), "exec_time_s must be finite, got nan"),
+        ((1.0, math.inf, True), "exec_time_s must be finite, got inf"),
+        ((1.0, 0.01, True, math.nan), "timestamp_s must be finite, got nan"),
+        ((1.0, 0.01, True, -math.inf), "timestamp_s must be finite, got -inf"),
+        ((math.inf, 0.01, False), "distance_cm must be finite, got inf"),
     ],
     ids=["nan-exec-time", "inf-exec-time", "nan-timestamp", "inf-timestamp", "inf-distance"],
 )
