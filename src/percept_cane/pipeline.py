@@ -25,12 +25,14 @@ from .alerts import AlertConfig, AlertState
 from .checks import check_fields, ranged
 from .perception import BoundingBox, Frame, OcrBackend, load_class_vocabulary
 from .resources import data_path
-from .sensor import SensorConfig, simulate_measurement
+from .sensor import SensorConfig, draw_jitter, simulate_measurement
 from .speech import Priority, SpeechConfig, SpeechMessage, SpeechQueue, Transcript, speak_all
 
 SCENARIO_DEMO_FILE = "scenario_demo.json"
 # Upper bounds checked before any tick runs. MAX_TICKS bounds
-# duration_s / tick_s; the largest benchmark walk has 6,000 ticks.
+# duration_s / tick_s; the largest benchmark walk has 6,000 ticks. A run
+# holds one exec-time float per tick, and while it runs one jitter draw per
+# tick beside it: ~32 bytes per tick each, or ~32 MB each at MAX_TICKS.
 MAX_TICKS = 1_000_000
 # An alert submits one message plus one per text and label of its frame,
 # and at most one alert fires per tick, so ticks * (1 + the largest
@@ -478,7 +480,10 @@ def run(
     # cycle's speech ran past it
     now = 0.0
 
-    for k in range(int(math.ceil(duration_s / tick_s))):
+    n_ticks = int(math.ceil(duration_s / tick_s))
+    jitters = draw_jitter(rng, sensor_cfg, n_ticks)
+
+    for k in range(n_ticks):
         t = k * tick_s
         if t >= duration_s:
             break
@@ -490,7 +495,7 @@ def run(
             now = t
         cycle_start = now
 
-        m = simulate_measurement(distance, sensor_cfg, rng, timestamp_s=t)
+        m = simulate_measurement(distance, sensor_cfg, jitters[k], timestamp_s=t)
         now += m.exec_time_s
         sensor_append(m.exec_time_s)
         if line_due:

@@ -8,7 +8,10 @@ in distance plus the physical round trip plus optional Gaussian jitter:
 
 The default overhead coefficients and jitter scale are frozen from a linear
 fit to the bundled reference timing table (``data/fig6_sensor_timings.csv``).
-Simulated distances are exact; only timing is modeled.
+Simulated distances are exact; only timing is modeled. A run draws every
+tick's jitter up front with :func:`draw_jitter`, the same floats as one
+``Random.gauss`` call per tick, and hands each tick's draw to
+:func:`simulate_measurement`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import random
 from dataclasses import MISSING, dataclass
 from functools import partial
+from math import cos, log, sin, sqrt, tau
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -84,24 +88,54 @@ def echo_from_distance(distance_cm: float, cfg: SensorConfig) -> EchoSample:
     return EchoSample(roundtrip_s=_roundtrip_s(distance_cm, cfg))
 
 
+def draw_jitter(rng: random.Random, cfg: SensorConfig, n: int) -> list[float]:
+    """The next ``n`` values of ``rng.gauss(0.0, cfg.jitter_std_s)``, in order.
+
+    CPython's ``Random.gauss`` written inline: each pair of ``random()``
+    draws gives a cosine and a sine value, and the second is kept in
+    ``rng.gauss_next`` for the next call. Here a loop turn appends both, a
+    value pending on entry is used first, and one left over on exit is
+    stored back, so the floats and ``rng``'s state afterwards are those of
+    ``n`` ``gauss`` calls. A zero ``jitter_std_s`` gives ``n`` zeros and
+    draws nothing.
+    """
+    sigma = cfg.jitter_std_s
+    if not sigma > 0.0:
+        return [0.0] * n
+    out: list[float] = []
+    if n > 0 and rng.gauss_next is not None:
+        out.append(0.0 + rng.gauss_next * sigma)
+        rng.gauss_next = None
+    draw, append = rng.random, out.append
+    for _ in range((n - len(out) + 1) // 2):
+        x2pi = draw() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - draw()))
+        append(0.0 + cos(x2pi) * g2rad * sigma)
+        append(0.0 + sin(x2pi) * g2rad * sigma)
+    if len(out) > n:
+        out.pop()
+        rng.gauss_next = sin(x2pi) * g2rad
+    return out
+
+
 def simulate_measurement(
     true_distance_cm: float,
     cfg: SensorConfig,
-    rng: random.Random,
+    jitter_s: float,
     timestamp_s: float = 0.0,
 ) -> DistanceMeasurement:
     """Produce one measurement of a known true distance.
 
     The reported distance is the true distance (no ranging noise); execution
-    time follows the affine-plus-physics latency model. Jitter is drawn from
-    the passed-in RNG and clamped at zero so it only ever adds delay; the
-    total is floored at a tiny positive value so ``exec_time_s > 0`` holds
-    even for an all-zero configuration.
+    time follows the affine-plus-physics latency model. ``jitter_s`` is the
+    tick's raw jitter draw (see :func:`draw_jitter`); it is clamped at zero
+    so it only ever adds delay, and the total is floored at a tiny positive
+    value so ``exec_time_s > 0`` holds even for an all-zero configuration.
 
     Out-of-range distances still return a measurement, flagged with
     ``in_range=False``; policy belongs to the caller. A negative, NaN or
-    infinite distance, a NaN or infinite timestamp, or an exec time that
-    overflows to inf raises ``ValueError``.
+    infinite distance, a NaN or infinite timestamp, a NaN jitter, or an
+    exec time that overflows to inf raises ``ValueError``.
 
     The result is built without re-running ``DistanceMeasurement``'s
     ``__post_init__``, whose checks hold by construction; it equals
@@ -117,10 +151,10 @@ def simulate_measurement(
         + cfg.overhead_per_cm_s * true_distance_cm
         + _roundtrip_s(true_distance_cm, cfg)
     )
-    if cfg.jitter_std_s > 0:
-        jitter = rng.gauss(0.0, cfg.jitter_std_s)
-        if jitter > 0.0:
-            exec_time += jitter
+    if jitter_s > 0.0:
+        exec_time += jitter_s
+    elif jitter_s != jitter_s:
+        raise ValueError("jitter_s must not be NaN")
     # same floats as max(exec_time, 1e-12); a finite distance and config
     # give no NaN, but a large enough product overflows to inf
     if not 1e-12 <= exec_time < _INF:

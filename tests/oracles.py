@@ -356,7 +356,8 @@ def reference_run(doc: dict, config: dict, seed: int = 0) -> dict:
             _, distance, frame = pending.pop(0)
         now = max(now, t)
         start = now
-        m = simulate_measurement(distance, sensor, rng, timestamp_s=t)
+        jitter = rng.gauss(0.0, sensor.jitter_std_s) if sensor.jitter_std_s > 0 else 0.0
+        m = simulate_measurement(distance, sensor, jitter, timestamp_s=t)
         now += m.exec_time_s
         exec_times.append(m.exec_time_s)
         log.append(f"Measure Distance = {m.distance_cm:.1f} cm")

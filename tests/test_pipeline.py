@@ -740,7 +740,8 @@ def test_alert_count_matches_engine_replay():
     while (t := k * scenario.tick_s) < scenario.duration_s:
         while pending and pending[0].t_s <= t:
             distance = pending.pop(0).distance_cm
-        m = simulate_measurement(distance, cfg.sensor, rng, timestamp_s=t)
+        jitter = rng.gauss(0.0, cfg.sensor.jitter_std_s) if cfg.sensor.jitter_std_s > 0 else 0.0
+        m = simulate_measurement(distance, cfg.sensor, jitter, timestamp_s=t)
         if on_measurement(state, m, cfg.alert) is not None:
             fired += 1
         k += 1
@@ -766,7 +767,8 @@ def test_sensor_and_alert_stages_match_rebuilt_stream(config):
     while (t := k * scenario.tick_s) < scenario.duration_s:
         while pending and pending[0].t_s <= t:
             distance = pending.pop(0).distance_cm
-        m = simulate_measurement(distance, cfg.sensor, rng, timestamp_s=t)
+        jitter = rng.gauss(0.0, cfg.sensor.jitter_std_s) if cfg.sensor.jitter_std_s > 0 else 0.0
+        m = simulate_measurement(distance, cfg.sensor, jitter, timestamp_s=t)
         sensor_s.append(m.exec_time_s)
         alert_s.append(0.0)
         k += 1

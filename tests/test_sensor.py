@@ -13,6 +13,7 @@ from percept_cane.sensor import (
     EchoSample,
     SensorConfig,
     distance_from_echo,
+    draw_jitter,
     echo_from_distance,
     load_sensor_timings,
     mean_response_time,
@@ -70,7 +71,7 @@ def test_echo_rejects_negative_distance():
 
 def test_simulate_zero_jitter_is_exact_formula():
     cfg = SensorConfig(jitter_std_s=0.0)
-    m = simulate_measurement(50.0, cfg, random.Random(0))
+    m = simulate_measurement(50.0, cfg, 0.0)
     expected = cfg.overhead_base_s + 50.0 * cfg.overhead_per_cm_s + 2.0 * 0.50 / 343.0
     assert m.exec_time_s == expected
     assert m.distance_cm == 50.0
@@ -78,40 +79,87 @@ def test_simulate_zero_jitter_is_exact_formula():
 
 
 def test_simulate_out_of_range_flag():
-    m = simulate_measurement(350.0, CFG, random.Random(0))
+    m = simulate_measurement(350.0, CFG, 0.0)
     assert not m.in_range
-    m = simulate_measurement(30.0, CFG, random.Random(0))
+    m = simulate_measurement(30.0, CFG, 0.0)
     assert not m.in_range
 
 
 def test_simulate_jitter_only_adds_delay():
     cfg = SensorConfig(jitter_std_s=0.01)
-    base = simulate_measurement(80.0, SensorConfig(jitter_std_s=0.0), random.Random(0))
-    rng = random.Random(5)
-    for _ in range(200):
-        m = simulate_measurement(80.0, cfg, rng)
+    base = simulate_measurement(80.0, SensorConfig(jitter_std_s=0.0), 0.0)
+    jitters = draw_jitter(random.Random(5), cfg, 200)
+    assert min(jitters) < 0.0 < max(jitters)
+    for jitter in jitters:
+        m = simulate_measurement(80.0, cfg, jitter)
         assert m.exec_time_s >= base.exec_time_s
 
 
 def test_simulate_all_zero_config_still_positive():
     cfg = SensorConfig(overhead_base_s=0.0, overhead_per_cm_s=0.0, jitter_std_s=0.0)
-    m = simulate_measurement(0.0, cfg, random.Random(0))
+    m = simulate_measurement(0.0, cfg, 0.0)
     assert m.exec_time_s > 0
 
 
 def test_zero_jitter_monotonic_in_distance():
     cfg = SensorConfig(jitter_std_s=0.0)
-    rng = random.Random(0)
-    times = [simulate_measurement(d, cfg, rng).exec_time_s for d in range(0, 400, 10)]
+    times = [simulate_measurement(d, cfg, 0.0).exec_time_s for d in range(0, 400, 10)]
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
 def test_simulate_deterministic_per_seed():
     def run():
-        rng = random.Random(77)
-        return [repr(simulate_measurement(d, CFG, rng)) for d in (50.0, 120.0, 250.0)]
+        jitters = draw_jitter(random.Random(77), CFG, 3)
+        return [repr(simulate_measurement(d, CFG, j)) for d, j in zip((50.0, 120.0, 250.0), jitters)]
 
     assert run() == run()
+
+
+# --- draw_jitter against n calls of the stdlib's Random.gauss
+
+
+@pytest.mark.parametrize("sigma", [0.0015, 1.0, 5e-324, 1e300, 1.7976931348623157e308])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 10])
+@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "gauss-pending"])
+def test_draw_jitter_is_successive_gauss_calls(sigma, n, pending):
+    cfg = SensorConfig(jitter_std_s=sigma)
+    for seed in range(100):
+        rng, twin = random.Random(seed), random.Random(seed)
+        if pending:
+            # one gauss call leaves its sine value waiting in gauss_next
+            rng.gauss(0.0, sigma), twin.gauss(0.0, sigma)
+        got = draw_jitter(rng, cfg, n)
+        expected = [twin.gauss(0.0, sigma) for _ in range(n)]
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+        # a value left over from the last pair waits for the next call
+        assert rng.getstate() == twin.getstate()
+
+
+def test_draw_jitter_overflows_as_gauss_does():
+    # at the largest float any draw beyond one standard deviation overflows
+    # to +-inf; at 1e300 only one beyond 1.8e8 would
+    jitters = draw_jitter(random.Random(0), SensorConfig(jitter_std_s=1.7976931348623157e308), 100)
+    assert math.inf in jitters and -math.inf in jitters
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_zero_jitter_draws_nothing(n):
+    rng = random.Random(3)
+    rng.gauss()
+    state = rng.getstate()
+    jitters = draw_jitter(rng, SensorConfig(jitter_std_s=0.0), n)
+    assert list(map(float.hex, jitters)) == [(0.0).hex()] * n
+    assert rng.getstate() == state
+
+
+def test_jitter_is_checked_on_its_non_positive_side():
+    base = simulate_measurement(80.0, CFG, 0.0)
+    with pytest.raises(ValueError, match=r"^jitter_s must not be NaN$"):
+        simulate_measurement(80.0, CFG, math.nan)
+    with pytest.raises(ValueError, match=r"^exec_time_s must be finite and positive$"):
+        simulate_measurement(80.0, CFG, math.inf)
+    for clamped in (-0.0, -5e-324, -math.inf):
+        assert simulate_measurement(80.0, CFG, clamped) == base
 
 
 def test_mean_response_time_reference_table_exact():
@@ -203,9 +251,8 @@ def test_default_model_magnitudes_match_reference_endpoints():
     # frozen overhead defaults should land in the same order of magnitude
     # as the measured endpoints
     cfg = SensorConfig(jitter_std_s=0.0)
-    rng = random.Random(0)
-    low = simulate_measurement(8.7, cfg, rng).exec_time_s
-    high = simulate_measurement(161.0, cfg, rng).exec_time_s
+    low = simulate_measurement(8.7, cfg, 0.0).exec_time_s
+    high = simulate_measurement(161.0, cfg, 0.0).exec_time_s
     assert math.floor(math.log10(low)) == math.floor(math.log10(0.0037789))
     assert math.floor(math.log10(high)) == math.floor(math.log10(0.0161))
     assert high == pytest.approx(0.0221, abs=0.0005)
@@ -239,9 +286,8 @@ _CASES = (st.just(ZERO_CFG) | st.just(CFG) | _configs()).flatmap(
 )
 
 
-def _oracle_exec_time(d: float, cfg: SensorConfig, rng: random.Random) -> float:
+def _oracle_exec_time(d: float, cfg: SensorConfig, jitter: float) -> float:
     base, per_cm, c = cfg.overhead_base_s, cfg.overhead_per_cm_s, cfg.speed_of_sound_mps
-    jitter = rng.gauss(0.0, cfg.jitter_std_s) if cfg.jitter_std_s > 0 else 0.0
     return max(base + per_cm * d + 2.0 * (d / 100.0) / c + max(jitter, 0.0), 1e-12)
 
 
@@ -263,8 +309,9 @@ def _same_float(a: float, b: float) -> bool:
 @example(case=(CFG, CFG.max_range_cm), t=2.0, seed=0)
 def test_simulate_measurement_matches_checked_build(case, t, seed):
     cfg, d = case
-    rng, twin = random.Random(seed), random.Random(seed)
-    m = simulate_measurement(d, cfg, rng, timestamp_s=t)
+    rng = random.Random(seed)
+    jitter = rng.gauss(0.0, cfg.jitter_std_s) if cfg.jitter_std_s > 0 else 0.0
+    m = simulate_measurement(d, cfg, jitter, timestamp_s=t)
 
     checked = DistanceMeasurement(m.distance_cm, m.exec_time_s, m.in_range, m.timestamp_s)
     assert type(m) is DistanceMeasurement
@@ -275,24 +322,24 @@ def test_simulate_measurement_matches_checked_build(case, t, seed):
 
     assert _same_float(m.distance_cm, d) and _same_float(m.timestamp_s, t)
     assert m.in_range is (cfg.min_range_cm <= d <= cfg.max_range_cm)
-    assert _same_float(m.exec_time_s, _oracle_exec_time(d, cfg, twin))
-    assert rng.getstate() == twin.getstate()
+    assert _same_float(m.exec_time_s, _oracle_exec_time(d, cfg, jitter))
+    # the measurement is a function of its arguments: the same draw gives it again
+    assert simulate_measurement(d, cfg, jitter, timestamp_s=t) == m
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(cfg=st.just(CFG) | _configs(), d=st.floats(max_value=-5e-324))
 def test_simulate_measurement_rejects_negative_distance(cfg, d):
     with pytest.raises(ValueError, match=r"^true_distance_cm must be finite and non-negative$"):
-        simulate_measurement(d, cfg, random.Random(0))
+        simulate_measurement(d, cfg, 0.0)
 
 
 @pytest.mark.parametrize("nan", [math.nan, -math.nan, float("nan")])
 def test_nan_distance_is_rejected(nan):
-    rng = random.Random(0)
-    with pytest.raises(ValueError, match=r"^true_distance_cm must be finite and non-negative$"):
-        simulate_measurement(nan, CFG, rng)
-    # the rejection comes before the jitter draw
-    assert rng.getstate() == random.Random(0).getstate()
+    # the rejection comes before the jitter is read, even a NaN one
+    for jitter in (0.001, nan):
+        with pytest.raises(ValueError, match=r"^true_distance_cm must be finite and non-negative$"):
+            simulate_measurement(nan, CFG, jitter)
     with pytest.raises(ValueError, match=r"^distance_cm must be finite, got nan$"):
         DistanceMeasurement(nan, 0.01, in_range=False)
     with pytest.raises(ValueError, match=r"^roundtrip_s must be finite, got nan$"):
@@ -330,4 +377,4 @@ def test_simulate_measurement_rejects_what_the_constructor_rejects(cfg, d, t, me
     # the unchecked build must equal DistanceMeasurement(...), so whatever
     # the constructor cannot model is rejected before the build
     with pytest.raises(ValueError, match=f"^{message}$"):
-        simulate_measurement(d, cfg, random.Random(0), timestamp_s=t)
+        simulate_measurement(d, cfg, 0.0, timestamp_s=t)
