@@ -13,17 +13,29 @@ with no oracle of either run.
   exactly (a power-of-two scale). Every cycle's ``speech_s`` halves up to
   the rounding of the virtual clock it is read from, and the spoken texts
   and the drops stay the same.
+
+And of the detection lab, checked on generated truth and prediction tables:
+
+* Box halving. Halving every coordinate of every box scales each width,
+  area and sum of areas by an exact power of two, so every IoU, and with
+  it ``map50_and_range``, stays bit-equal.
+* Label renaming and input order. With distinct confidences a prediction's
+  rank does not depend on its position, and each label's AP is summed
+  exactly, so a one-to-one renaming of the labels (which reorders them)
+  and reversing both tables keep both mAP values bit-equal, as long as no
+  prediction ties two truths for its best match.
 """
 
 import math
 from collections import Counter
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from percept_cane.alerts import AlertConfig
-from percept_cane.perception import Frame
+from percept_cane.detector_lab import PredictionBox, TruthBox, iou, map50_and_range
+from percept_cane.perception import BoundingBox, Frame
 from percept_cane.pipeline import PerceptionConfig, PipelineConfig, Scenario, ScenarioEvent, run
 from percept_cane.speech import SpeechConfig
 
@@ -96,3 +108,82 @@ def test_doubling_the_speech_rate_halves_each_cycles_speech(scenario, cfg, seed)
     assert len(fast.report.speech_s) == len(slow.report.speech_s)
     for f, s in zip(fast.report.speech_s, slow.report.speech_s):
         assert math.isclose(f, s / 2, rel_tol=REL_TOL)
+
+
+# --- relations of the detection lab
+
+LAB_SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+GRID = 1000  # box corners lie on a grid of GRID steps per unit
+IMAGES = ("img0", "img1")
+LAB_LABELS = ("person", "chair", "dog")
+# new names that sort in another order than the old ones
+RENAMED = ("zebra", "apple", "moth")
+
+
+def grid_box(x0: int, y0: int, x1: int, y1: int) -> BoundingBox:
+    return BoundingBox(min(x0, x1) / GRID, min(y0, y1) / GRID, max(x0, x1) / GRID, max(y0, y1) / GRID)
+
+
+@st.composite
+def lab_tables(draw) -> tuple[list[TruthBox], list[PredictionBox]]:
+    """Truths on a few images and labels; predictions that are each either a
+    truth's box with every corner moved a few grid steps, or a box of its own
+    (a false positive), with distinct confidences."""
+    corners = st.tuples(*[st.integers(0, GRID)] * 4)
+    cells = st.tuples(st.sampled_from(IMAGES), st.sampled_from(LAB_LABELS))
+    truths = [
+        TruthBox(image_id, label, grid_box(*c))
+        for (image_id, label), c in draw(st.lists(st.tuples(cells, corners), min_size=1, max_size=8))
+    ]
+    specs = []
+    for i in draw(st.lists(st.integers(0, len(truths) - 1), max_size=10)):
+        t = truths[i]
+        moves = draw(st.tuples(*[st.integers(-40, 40)] * 4))
+        c = (round(v * GRID) + m for v, m in zip((t.box.x_min, t.box.y_min, t.box.x_max, t.box.y_max), moves))
+        specs.append((t.image_id, t.label, grid_box(*(min(max(v, 0), GRID) for v in c))))
+    for (image_id, label), c in draw(st.lists(st.tuples(cells, corners), max_size=4)):
+        specs.append((image_id, label, grid_box(*c)))
+    confidences = draw(st.lists(st.integers(1, 10**6), min_size=len(specs), max_size=len(specs), unique=True))
+    preds = [PredictionBox(image_id, label, c / 10**6, box) for (image_id, label, box), c in zip(specs, confidences)]
+    return truths, preds
+
+
+def halved(box: BoundingBox) -> BoundingBox:
+    return BoundingBox(box.x_min / 2, box.y_min / 2, box.x_max / 2, box.y_max / 2)
+
+
+def bits(maps: tuple[float, float]) -> tuple[str, str]:
+    return tuple(map(float.hex, maps))
+
+
+@LAB_SETTINGS
+@given(tables=lab_tables())
+def test_halving_every_box_keeps_both_maps(tables):
+    # a coordinate of at least 1/GRID halves exactly, so every width, area
+    # and sum of areas scales by an exact power of two and each IoU stays
+    truths, preds = tables
+    small_truths = [TruthBox(t.image_id, t.label, halved(t.box)) for t in truths]
+    small_preds = [PredictionBox(p.image_id, p.label, p.confidence, halved(p.box)) for p in preds]
+    assert bits(map50_and_range(small_preds, small_truths)) == bits(map50_and_range(preds, truths))
+
+
+def no_tied_matches(truths: list[TruthBox], preds: list[PredictionBox]) -> bool:
+    """No prediction overlaps two truths of its image and label by one equal
+    IoU of at least 0.5: greedy matching takes the first-listed truth of a
+    tie, so reversing the truths may then match another one."""
+    for p in preds:
+        hits = [v for t in truths if (t.image_id, t.label) == (p.image_id, p.label) if (v := iou(p.box, t.box)) >= 0.5]
+        if len(hits) != len(set(hits)):
+            return False
+    return True
+
+
+@LAB_SETTINGS
+@given(tables=lab_tables(), names=st.permutations(RENAMED))
+def test_renaming_labels_and_reversing_the_tables_keeps_both_maps(tables, names):
+    truths, preds = tables
+    assume(no_tied_matches(truths, preds))
+    rename = dict(zip(LAB_LABELS, names))
+    new_truths = [TruthBox(t.image_id, rename[t.label], t.box) for t in reversed(truths)]
+    new_preds = [PredictionBox(p.image_id, rename[p.label], p.confidence, p.box) for p in reversed(preds)]
+    assert bits(map50_and_range(new_preds, new_truths)) == bits(map50_and_range(preds, truths))
