@@ -1,5 +1,6 @@
 """Garbage collections in one benchmark load, one warm pass and the
-calibration after it; counts only, no timings.
+calibration after it, and the Python-level calls of one pass; counts only,
+no timings.
 
 Run from anywhere:
 
@@ -20,15 +21,21 @@ the script follows ``run.py``'s order:
 4. ``pass``: every operation runs once more;
 5. ``calibrate``: ``calibrate()`` runs right after the pass, as after
    each timed pass of ``run.py``, so a collection that the pass held back
-   and that comes due here is counted here.
+   and that comes due here is counted here;
+6. ``calls``: every operation runs once more under ``sys.setprofile``,
+   which counts its ``call`` events: one per call of a Python function
+   and one per resume of a generator, C functions not included. This
+   pass comes last and is not counted for collections, since the profile
+   hook makes a frame object per event, which the collector tracks.
 
 It prints one JSON line: the workload, seed, size and Python version, the
 collections that started in each of ``load``, ``pass`` and ``calibrate``
-as a list [generation 0, generation 1, generation 2], and
-``tracked_after_load``. The counts depend only on the inputs, the code and
-the Python build, so two fresh processes print the same line. To compare
-two revisions, run the script from each checkout. Counts are not time: a
-collection saved is a cost saved only where the timings agree. It imports
+as a list [generation 0, generation 1, generation 2],
+``tracked_after_load`` and ``calls``. The counts depend only on the
+inputs, the code and the Python build, so two fresh processes print the
+same line. To compare two revisions, run the script from each checkout.
+Counts are not time: a collection or a call saved is a cost saved only
+where the timings agree. It imports
 the package from the ``src/`` next to it and always uses the bundled
 data. Stdlib only.
 """
@@ -83,6 +90,13 @@ def cost_counts(workload, seed: int, size: int | None) -> dict[str, object]:
         for op in ops:
             op.run(null)
 
+    calls = 0
+
+    def profile(frame, event: str, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
     with tempfile.TemporaryDirectory() as tmp:
         workload.generate(seed, Path(tmp), size)
         gc.collect()
@@ -97,6 +111,12 @@ def cost_counts(workload, seed: int, size: int | None) -> dict[str, object]:
             counted("calibrate", bench.calibrate)
         finally:
             gc.callbacks.remove(count)
+        sys.setprofile(profile)
+        try:
+            for op in ops:
+                op.run(null)
+        finally:
+            sys.setprofile(None)
     return {
         "workload": workload.name,
         "seed": seed,
@@ -104,6 +124,7 @@ def cost_counts(workload, seed: int, size: int | None) -> dict[str, object]:
         "python": platform.python_version(),
         **counts,
         "tracked_after_load": tracked,
+        "calls": calls,
     }
 
 

@@ -396,7 +396,8 @@ class RunReport:
     @property
     def alert_latency(self) -> StageStats:
         """From each alert's tick time to the start of its spoken ``ALERT``."""
-        starts = (t for t, m in zip(self.spoken_at_s, self.messages) if m.priority == Priority.ALERT)
+        alert = Priority.ALERT
+        starts = (t for t, m in zip(self.spoken_at_s, self.messages) if m.priority == alert)
         return StageStats.of([start - k * self.tick_s for start, k in zip(starts, self.ticks)])
 
     @property
@@ -412,7 +413,8 @@ class RunReport:
         its distance line, then ``time taken to execute`` with the sensor's
         exec time; an alert tick then logs the alert and, when no frame was
         active, a warning."""
-        sentences = (m.text for m in self.messages if m.priority == Priority.ALERT)
+        alert = Priority.ALERT
+        sentences = (m.text for m in self.messages if m.priority == alert)
         notes: dict[int, str] = {}
         for k, framed, sentence in zip(self.ticks, self.framed, sentences):
             t = k * self.tick_s  # the same float the tick loop used
@@ -482,6 +484,9 @@ def run(
 
     n_ticks = int(math.ceil(duration_s / tick_s))
     jitters = draw_jitter(rng, sensor_cfg, n_ticks)
+    # read once: before Python 3.12 an enum's class attribute read goes through
+    # the metaclass's __getattr__, over ten times the cost of a local
+    alert_priority, perception_priority = Priority.ALERT, Priority.PERCEPTION
 
     for k in range(n_ticks):
         t = k * tick_s
@@ -506,18 +511,18 @@ def run(
             # the queue is empty: each alert's speak_all drains it
             continue
 
-        queue.submit(f"Obstacle ahead at {m.distance_cm:.1f} centimeters", Priority.ALERT)
+        queue.submit(f"Obstacle ahead at {m.distance_cm:.1f} centimeters", alert_priority)
         ticks.append(k)
         framed.append(frame is not None)
         if frame is not None:
             texts = perception.extract_text(frame, ocr)
             now += ocr_latency_s
             for text in texts:
-                queue.submit(f"Text detected: {text}", Priority.PERCEPTION)
+                queue.submit(f"Text detected: {text}", perception_priority)
             labels = perception.detect(frame, detector)
             now += detect_latency_s
             for label in labels:
-                queue.submit(f"Detected {label}", Priority.PERCEPTION)
+                queue.submit(f"Detected {label}", perception_priority)
 
         before = now
         now = speak_all(queue, transcript, now, speech_cfg)

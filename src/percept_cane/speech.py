@@ -30,8 +30,9 @@ class Priority(IntEnum):
     INFO = 2
 
 
-# Indexed by Priority: a tuple read, not an enum property, per transcript line.
-_PRIORITY_NAMES = tuple(p.name for p in Priority)
+# A transcript line's priority field, tabs included, indexed by Priority: a
+# tuple read, not an enum property, per line.
+_PRIORITY_FIELDS = tuple(f"\t{p.name}\t" for p in Priority)
 
 
 class SpeechMessage(NamedTuple):
@@ -62,10 +63,10 @@ class Transcript:
 
     def render(self) -> str:
         """One tab-separated line per message: time, priority, text."""
-        return "".join(
-            f"{t:.3f}\t{_PRIORITY_NAMES[m.priority]}\t{m.text}\n"
-            for t, m in zip(self.times, self.messages)
-        )
+        return "".join([
+            f"{t:.3f}{_PRIORITY_FIELDS[priority]}{text}\n"
+            for t, (text, priority) in zip(self.times, self.messages)
+        ])
 
     def texts(self) -> list[str]:
         return [m.text for m in self.messages]
@@ -98,18 +99,29 @@ class SpeechQueue:
         return len(self._messages)
 
     def submit(self, text: str, priority: Priority) -> None:
-        """Build a message and enqueue it."""
-        self.enqueue(SpeechMessage(text, priority if type(priority) is Priority else Priority(priority)))
+        """Build a message, with a plain int priority made a ``Priority``
+        member, and enqueue it. ``tuple.__new__`` builds the NamedTuple in
+        one C call, without its Python-level ``__new__``."""
+        if type(priority) is not Priority:
+            priority = Priority(priority)
+        self.enqueue(tuple.__new__(SpeechMessage, (text, priority)))
 
     def enqueue(self, msg: SpeechMessage) -> None:
         """Insert a message after every message of its class or a higher one;
         over capacity, pop the right end (the newest message of the lowest
-        class, incoming included) into ``dropped``, the drop report."""
+        class, incoming included) into ``dropped``, the drop report.
+
+        A message that ranks with or below the last one queued is appended
+        without a scan: every message of an alert cycle, whose obstacle
+        sentence comes first and enters an empty queue."""
         messages, priority = self._messages, msg.priority
-        i = len(messages)
-        while i and messages[i - 1].priority > priority:
-            i -= 1
-        messages.insert(i, msg)
+        if not messages or messages[-1].priority <= priority:
+            messages.append(msg)
+        else:
+            i = len(messages) - 1
+            while i and messages[i - 1].priority > priority:
+                i -= 1
+            messages.insert(i, msg)
         if len(messages) > self.capacity:
             self.dropped.append(messages.pop())
 

@@ -1,5 +1,5 @@
-"""scripts/cost_counts.py prints the same collection counts from two fresh
-processes, each with its own hash seed."""
+"""scripts/cost_counts.py prints the same collection and call counts from
+two fresh processes, each with its own hash seed."""
 
 import json
 import subprocess
@@ -17,9 +17,12 @@ def test_cost_counts_repeat_in_fresh_processes():
         assert (code, err) == (0, "")
     first, second = (json.loads(out) for out, _, _ in runs)
     assert first == second
-    assert list(first) == ["workload", "seed", "size", "python", "load", "pass", "calibrate", "tracked_after_load"]
+    assert list(first) == [
+        "workload", "seed", "size", "python", "load", "pass", "calibrate", "tracked_after_load", "calls",
+    ]
     assert (first["workload"], first["seed"], first["size"]) == ("detect-eval", 3, 30)
     for phase in ("load", "pass", "calibrate"):
         assert len(first[phase]) == 3 and all(type(n) is int and n >= 0 for n in first[phase])
     # calibrate() alone builds tens of thousands of tracked objects
     assert sum(first["calibrate"]) > 0 and first["tracked_after_load"] > 0
+    assert type(first["calls"]) is int and first["calls"] > 0

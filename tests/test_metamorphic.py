@@ -24,6 +24,13 @@ And of the detection lab, checked on generated truth and prediction tables:
   exactly, so a one-to-one renaming of the labels (which reorders them)
   and reversing both tables keep both mAP values bit-equal, as long as no
   prediction ties two truths for its best match.
+
+And of the OCR lab, checked on generated (truth, output) pair lists:
+
+* Concatenation. ``score`` counts each pair and tallies each mismatching
+  pair's confusions on its own, so scoring two pair lists concatenated
+  gives the sums of their ``total`` and ``mismatches`` and the ``Counter``
+  sum of their confusion tallies.
 """
 
 import math
@@ -35,6 +42,7 @@ from hypothesis import strategies as st
 
 from percept_cane.alerts import AlertConfig
 from percept_cane.detector_lab import PredictionBox, TruthBox, iou, map50_and_range
+from percept_cane.ocr_lab import SampleKind, score
 from percept_cane.perception import BoundingBox, Frame
 from percept_cane.pipeline import PerceptionConfig, PipelineConfig, Scenario, ScenarioEvent, run
 from percept_cane.speech import SpeechConfig
@@ -187,3 +195,24 @@ def test_renaming_labels_and_reversing_the_tables_keeps_both_maps(tables, names)
     new_truths = [TruthBox(t.image_id, rename[t.label], t.box) for t in reversed(truths)]
     new_preds = [PredictionBox(p.image_id, rename[p.label], p.confidence, p.box) for p in reversed(preds)]
     assert bits(map50_and_range(new_preds, new_truths)) == bits(map50_and_range(preds, truths))
+
+
+# --- relation of the OCR lab
+
+OCR_CHARS = "ab1. "  # few characters, so confusions repeat within and across lists
+
+
+@st.composite
+def ocr_pairs(draw) -> list[tuple[str, str]]:
+    """(truth, output) pairs whose output is the truth itself or any other
+    short text, so a list holds matches, substitutions and length changes."""
+    truths = draw(st.lists(st.text(OCR_CHARS, max_size=8), min_size=1, max_size=6))
+    return [(t, draw(st.one_of(st.just(t), st.text(OCR_CHARS, max_size=8)))) for t in truths]
+
+
+@LAB_SETTINGS
+@given(first=ocr_pairs(), second=ocr_pairs(), kind=st.sampled_from(SampleKind))
+def test_scoring_two_pair_lists_concatenated_sums_their_reports(first, second, kind):
+    a, b, both = score(first, kind), score(second, kind), score(first + second, kind)
+    assert (both.total, both.mismatches) == (a.total + b.total, a.mismatches + b.mismatches)
+    assert Counter(both.confusions) == Counter(a.confusions) + Counter(b.confusions)

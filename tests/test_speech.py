@@ -209,10 +209,10 @@ def test_message_invariants():
         SpeechQueue(capacity=0)
 
 
-# submit a message of the given priority | dequeue
+# submit a message of the given priority, a member or a plain int | dequeue
 QUEUE_OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("submit"), st.sampled_from(list(Priority))),
+        st.tuples(st.just("submit"), st.sampled_from([*Priority, 0, 1, 2])),
         st.just(("dequeue",)),
     ),
     max_size=40,
@@ -249,3 +249,7 @@ def test_queue_matches_heap_oracle(capacity, ops):
     # each submitted message left the queue exactly once: dequeued, spoken or dropped
     left = dequeued + transcript.messages + queue.dropped
     assert sorted(m.text for m in left) == sorted(submitted)
+    # and it is the queue's own message type, its priority a Priority member
+    # even when submit was given a plain int
+    for m in left:
+        assert type(m) is SpeechMessage and m.priority is Priority(m.priority)
