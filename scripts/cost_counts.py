@@ -113,8 +113,7 @@ def cost_counts(workload, seed: int, size: int | None) -> dict[str, object]:
             gc.callbacks.remove(count)
         sys.setprofile(profile)
         try:
-            for op in ops:
-                op.run(null)
+            run_pass()
         finally:
             sys.setprofile(None)
     return {
